@@ -2,8 +2,9 @@
 """Classifying pi-systems (bases of root subsystems) up to Weyl conjugacy.
 
 The walk: starting from the simple basis, repeatedly adjoin a component's
-lowest root and erase another root of that component; prune conjugate copies
-of the maximal systems found, take subsets, prune again.
+lowest root and erase another root of that component; keep the first of the
+maximal systems found in each conjugacy class (told apart by a canonical key,
+weyl.conjugacy_key), take subsets, and keep the first of each class again.
 """
 
 from nilorb import build_root_system, classify_all, classify_maximal, elementary_transformations, format_dynkin_type

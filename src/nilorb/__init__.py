@@ -39,6 +39,7 @@ from .rootsystem import RootSystem, build_root_system, format_dynkin_type, parse
 from .weyl import (
     WeylElement,
     WeylSubgroup,
+    conjugacy_key,
     conjugate_sets,
     conjugate_tuples,
     shortest_coset_reps,
@@ -73,6 +74,7 @@ __all__ = [
     "classify_nilpotent_g",
     "classify_orbits",
     "completion",
+    "conjugacy_key",
     "conjugate_sets",
     "conjugate_tuples",
     "decide_normal",

@@ -29,7 +29,7 @@ from .records import (
     zero_record,
 )
 from .rootsystem import Root
-from .weyl import WeylSubgroup, conjugate_tuples, to_subdominant
+from .weyl import conjugacy_classes, to_subdominant
 
 log = logging.getLogger(__name__)
 
@@ -64,9 +64,10 @@ def candidate_pi_systems(grading: ThetaGrading) -> list[GradedCandidate]:
     the bases of all locally flat standard graded subalgebras.
 
     Degree-0 parts run over the pi-systems of Phi_0; for each, the maximal
-    degree-1 extensions inside Phi_1 are enumerated by backtracking, pruned
-    of conjugate copies, and finally all subsets of the degree-1 parts are
-    taken.
+    degree-1 extensions inside Phi_1 are enumerated by backtracking; of the
+    (pi0, pi1) pairs that one element of W_0 maps onto each other block by
+    block, only the first is kept (weyl.conjugacy_key with both blocks), and
+    finally all subsets of the kept degree-1 parts are taken.
     """
     rs = grading.rs
     w0 = grading.weyl_subgroup()
@@ -77,7 +78,7 @@ def candidate_pi_systems(grading: ThetaGrading) -> list[GradedCandidate]:
     for pi0 in p0:
         for pi1 in _maximal_extensions(rs, pi0, phi1):
             pairs.append(GradedCandidate(canonical(pi0), canonical(pi1)))
-    pairs = _dedup_pairs(rs, w0, pairs)
+    pairs = conjugacy_classes(rs, w0, pairs, lambda c: (c.pi0, c.pi1))
 
     out = set()
     for cand in pairs:
@@ -118,63 +119,6 @@ def _maximal_extensions(rs, pi0, phi1) -> list[tuple[Root, ...]]:
 
     recurse([], 0)
     return out
-
-
-def _pair_invariant(rs, cand: GradedCandidate):
-    def block(roots):
-        return tuple(sorted((rs.length2(r), tuple(sorted(rs.inner(r, q) for q in cand.roots()))) for r in roots))
-
-    return (len(cand.pi0), len(cand.pi1), block(cand.pi0), block(cand.pi1))
-
-
-def _conjugate_pairs(rs, sub: WeylSubgroup, a: GradedCandidate, b: GradedCandidate):
-    """Subgroup element mapping a.pi0 -> b.pi0 and a.pi1 -> b.pi1 as sets.
-
-    The backtracking over inner-product-preserving bijections is restricted
-    to be block-preserving, since the degree of a root is invariant under
-    the Weyl group of g_0.
-    """
-    if len(a.pi0) != len(b.pi0) or len(a.pi1) != len(b.pi1):
-        return None
-    src = list(a.pi0) + list(a.pi1)
-    dst0, dst1 = list(b.pi0), list(b.pi1)
-    n0 = len(a.pi0)
-    m = len(src)
-    gram_src = [[rs.inner(x, y) for y in src] for x in src]
-    assignment: list[Root] = []
-
-    def gram_ok(r: Root, i: int) -> bool:
-        if rs.inner(r, r) != gram_src[i][i]:
-            return False
-        return all(rs.inner(r, assignment[j]) == gram_src[i][j] for j in range(i))
-
-    def backtrack():
-        i = len(assignment)
-        if i == m:
-            return conjugate_tuples(rs, sub, src, assignment)
-        pool = dst0 if i < n0 else dst1
-        for r in pool:
-            if r in assignment or not gram_ok(r, i):
-                continue
-            assignment.append(r)
-            found = backtrack()
-            if found is not None:
-                return found
-            assignment.pop()
-        return None
-
-    return backtrack()
-
-
-def _dedup_pairs(rs, sub: WeylSubgroup, pairs: list[GradedCandidate]) -> list[GradedCandidate]:
-    buckets: dict = {}
-    reps = []
-    for cand in pairs:
-        bucket = buckets.setdefault(_pair_invariant(rs, cand), [])
-        if not any(_conjugate_pairs(rs, sub, cand, known) is not None for known in bucket):
-            bucket.append(cand)
-            reps.append(cand)
-    return reps
 
 
 def completion(grading: ThetaGrading, cand: GradedCandidate) -> CompletionResult | None:

@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
 from . import linalg
 from .chevalley import ChevalleyAlgebra, LieElement, Sl2Triple
@@ -82,7 +83,7 @@ def decide_normal(
     c = [Fraction(x) for x in h.cartan_part()]
     den = 1
     for x in c:
-        den = den * x.denominator // _gcd(den, x.denominator)
+        den = lcm(den, x.denominator)
     hnum = [int(x * den) for x in c]
 
     pair = alg._pair_simple
@@ -136,12 +137,6 @@ def decide_normal(
             e = e + alg.basis_element(eye[t]).scale(coeffs[t])
     f_space = [alg.basis_element(i + rs.n_pos if i < rs.n_pos else i - rs.n_pos) for i in eye]
     return alg.complete_sl2(h, e, f_space)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -112,6 +111,9 @@ def cmd_orbits(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+    elif args.nregular_order < 1:
+        print(f"error: order must be >= 1, got {args.nregular_order}", file=sys.stderr)
+        return 1
     else:
         kd, _ = nregular_survey(alg, args.nregular_order, method=args.method, seed=args.seed)
     grading = grading_from_kac(alg, kd)
@@ -155,7 +157,14 @@ def cmd_nregular(args) -> int:
     rs = _build_rs(args)
     alg = build_algebra(rs)
     lo, _, hi = args.orders.partition("..")
-    lo, hi = int(lo), int(hi or lo)
+    try:
+        lo, hi = int(lo), int(hi or lo)
+    except ValueError:
+        print(f"error: cannot parse order range {args.orders!r}; expected e.g. 2..5", file=sys.stderr)
+        return 1
+    if not 1 <= lo <= hi:
+        print(f"error: order range {args.orders!r} is empty or starts below 1", file=sys.stderr)
+        return 1
     print("order  kac  orbits  components  dim  rank")
     for m in range(lo, hi + 1):
         kd, s = nregular_survey(alg, m, method=args.method, seed=args.seed)
@@ -173,12 +182,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=("auto", "1", "2"), default="auto")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--omega-cap", type=int, default=DEFAULT_OMEGA_CAP)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("NILORB_THREADS", "1")),
-        help="concurrency budget (the current implementation runs on one thread)",
-    )
     p.add_argument("--outer", action="store_true", help=argparse.SUPPRESS)
 
 

@@ -43,27 +43,6 @@ def rank_int(rows: Matrix) -> int:
     return rank
 
 
-def rank(rows: Matrix) -> int:
-    """Rank of a rational matrix (clears denominators, then Bareiss)."""
-    cleared = []
-    for r in rows:
-        if any(isinstance(x, Fraction) for x in r):
-            den = 1
-            for x in r:
-                if isinstance(x, Fraction):
-                    den = den * x.denominator // _gcd(den, x.denominator)
-            cleared.append([int(x * den) for x in r])
-        else:
-            cleared.append(list(r))
-    return rank_int(cleared)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def solve(rows: Matrix, rhs: Row) -> Row | None:
     """One exact solution x of A x = b, or None if the system is inconsistent.
 
@@ -177,8 +156,3 @@ def in_span(vectors: list[Row], target: Row) -> bool:
         return False
     cols = [[v[i] for v in vectors] for i in range(len(target))]
     return solve(cols, list(target)) is not None
-
-
-def span_dim(vectors: list[Row]) -> int:
-    """Dimension of the rational span of the given vectors."""
-    return rank(vectors)

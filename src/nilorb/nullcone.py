@@ -7,6 +7,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .carrier import classify_by_carriers
@@ -45,7 +46,7 @@ def orbit_dimension(grading: ThetaGrading, e: LieElement) -> int:
     den = 1
     for c in e.coeffs.values():
         c = Fraction(c)
-        den = den * c.denominator // _gcd(den, c.denominator)
+        den = lcm(den, c.denominator)
     e_int = e.scale(den)
     alg = grading.alg
     rows = []
@@ -53,12 +54,6 @@ def orbit_dimension(grading: ThetaGrading, e: LieElement) -> int:
         img = alg.bracket(b, e_int)
         rows.append([int(x) for x in img.dense()])
     return linalg.rank_int(rows)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def ambient_wdd(alg: ChevalleyAlgebra, triple: Sl2Triple) -> WeightedDynkinDiagram:

@@ -3,15 +3,16 @@ in the root system, and their classification up to Weyl conjugacy.
 
 A pi-system is exactly a basis of a root subsystem.  Classification walks
 the elementary-transformation graph from the simple basis (add a component's
-lowest root, erase another root of that component), prunes conjugate copies
-of the maximal systems found, then takes subsets and prunes again.
+lowest root, erase another root of that component), keeps the first system
+of each conjugacy class found (classes are told apart by weyl.conjugacy_key),
+then takes the subsets of those and keeps the first of each class again.
 """
 
 from __future__ import annotations
 
 from .linalg import rank_int
 from .rootsystem import Root, RootSystem
-from .weyl import WeylSubgroup, conjugate_sets
+from .weyl import WeylSubgroup, conjugacy_classes
 
 PiSystem = tuple  # canonically sorted tuple of roots
 
@@ -83,28 +84,10 @@ def _transformation_closure(rs: RootSystem, start: PiSystem) -> list[PiSystem]:
     return sorted(seen)
 
 
-def _invariant_key(rs: RootSystem, pi: PiSystem):
-    types = rs.dynkin_type(pi) if pi else ()
-    gram = tuple(
-        sorted((rs.length2(r), tuple(sorted(rs.inner(r, q) for q in pi if q != r))) for r in pi)
-    )
-    return (len(pi), types, gram)
-
-
-def _dedup_conjugates(rs: RootSystem, systems, sub: WeylSubgroup) -> list[PiSystem]:
-    groups: dict = {}
-    reps: list[PiSystem] = []
-    for pi in systems:
-        bucket = groups.setdefault(_invariant_key(rs, pi), [])
-        if not any(conjugate_sets(rs, sub, pi, known) is not None for known in bucket):
-            bucket.append(pi)
-            reps.append(pi)
-    return reps
-
-
 def classify_maximal(rs: RootSystem, basis=None, sub: WeylSubgroup | None = None) -> list[PiSystem]:
     """Maximal-rank pi-systems reachable from the given simple basis by
-    elementary transformations, up to conjugacy under the given subgroup.
+    elementary transformations, up to conjugacy under the given subgroup:
+    the first of each class in the sorted transformation closure.
 
     Defaults classify within the whole root system under the full Weyl group;
     passing a subsystem basis and its Weyl subgroup classifies inside that
@@ -117,12 +100,13 @@ def classify_maximal(rs: RootSystem, basis=None, sub: WeylSubgroup | None = None
     if not basis:
         return [()]
     closure = _transformation_closure(rs, canonical(basis))
-    return _dedup_conjugates(rs, closure, sub)
+    return conjugacy_classes(rs, sub, closure)
 
 
 def classify_all(rs: RootSystem, basis=None, sub: WeylSubgroup | None = None) -> list[PiSystem]:
     """All pi-systems (the empty one included) up to conjugacy under the
-    given subgroup, by taking subsets of the maximal classes."""
+    given subgroup: the first of each class among the subsets of the maximal
+    classes, ordered by size and then by roots."""
     if basis is None:
         basis = tuple(rs.simple_root(i) for i in range(rs.rank))
     if sub is None:
@@ -134,4 +118,4 @@ def classify_all(rs: RootSystem, basis=None, sub: WeylSubgroup | None = None) ->
         for mask in range(1 << n):
             subsets.add(canonical(p for i, p in enumerate(pi) if mask >> i & 1))
     ordered = sorted(subsets, key=lambda p: (len(p), p))
-    return _dedup_conjugates(rs, ordered, sub)
+    return conjugacy_classes(rs, sub, ordered)

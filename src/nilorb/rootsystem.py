@@ -153,7 +153,6 @@ class RootSystem:
             sum(fv[i] * r[i] for i in range(rank))
             for r, fv in zip(self.roots, self._form_vec)
         )
-        self._diff_table = None
         self._ext_autos = None
 
     def __repr__(self) -> str:
@@ -229,23 +228,6 @@ class RootSystem:
         """Image of the weight lam under the reflection in the root mu."""
         c = self.pairing(lam, mu)
         return tuple(x - c * m for x, m in zip(lam, mu))
-
-    def diff_is_root(self, i: int, j: int) -> bool:
-        """Whether roots[i] - roots[j] is again a root (indices into .roots)."""
-        if self._diff_table is None:
-            n = len(self.roots)
-            table = []
-            for a in range(n):
-                ra = self.roots[a]
-                row = bytearray(n)
-                for b in range(n):
-                    if a != b:
-                        d = tuple(x - y for x, y in zip(ra, self.roots[b]))
-                        if d in self.root_index:
-                            row[b] = 1
-                table.append(bytes(row))
-            self._diff_table = tuple(table)
-        return bool(self._diff_table[i][j])
 
     # -- subsystems ---------------------------------------------------------
 

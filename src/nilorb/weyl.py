@@ -4,6 +4,10 @@ Elements act as permutations of the full root list (stored as numpy index
 arrays, which makes composition a single fancy-indexing operation) and as
 exact integer matrices on the weight space.  Equality is equality of the
 root permutation; words are kept for display but are not canonical.
+
+Conjugacy of root sets under a subgroup is decided by a canonical key
+computed on root indices (conjugacy_key), so that classifying n sets takes
+n keys and one dict rather than pairwise tests.
 """
 
 from __future__ import annotations
@@ -165,10 +169,6 @@ class WeylSubgroup:
         return f"WeylSubgroup(basis={list(self.basis)})"
 
 
-def length(rs: RootSystem, w: WeylElement) -> int:
-    return w.length()
-
-
 def shortest_coset_reps(rs: RootSystem, sub: WeylSubgroup) -> list[WeylElement]:
     """Minimal-length representatives of the right cosets of the subgroup.
 
@@ -258,42 +258,121 @@ def conjugate_tuples(rs: RootSystem, sub: WeylSubgroup, mus, lams) -> WeylElemen
     return None if w is None else w * w1
 
 
-def conjugate_sets(rs: RootSystem, sub: WeylSubgroup, gamma1, gamma2) -> WeylElement | None:
-    """An element w of the subgroup with w(Gamma1) = Gamma2 as sets, or None.
+@lru_cache(maxsize=None)
+def _coroot_column(rs: RootSystem, j: int) -> tuple[int, ...]:
+    """<roots[i], roots[j]^vee> for every root index i."""
+    root = rs.roots[j]
+    return tuple(rs.pairing(r, root) for r in rs.roots)
 
-    Backtracks over the bijections Gamma1 -> Gamma2 that preserve all pairwise
-    inner products, testing each with conjugate_tuples.
+
+@lru_cache(maxsize=None)
+def _reflection_row(rs: RootSystem, j: int) -> tuple[int, ...]:
+    """The reflection in roots[j] as a permutation of root indices."""
+    root = rs.roots[j]
+    return tuple(
+        rs.root_index[tuple(x - c * y for x, y in zip(r, root))]
+        for r, c in zip(rs.roots, _coroot_column(rs, j))
+    )
+
+
+@lru_cache(maxsize=None)
+def _dominant_word(rs: RootSystem, basis: tuple[int, ...], i: int) -> tuple[int, tuple[int, ...]]:
+    """The image of roots[i] in the chamber of the pi-system `basis` (root
+    indices) and the reflections, in order of application, that take it
+    there; the same smallest-violating-index rule as to_subdominant."""
+    word = []
+    while True:
+        for b in basis:
+            if _coroot_column(rs, b)[i] < 0:
+                i = _reflection_row(rs, b)[i]
+                word.append(b)
+                break
+        else:
+            return i, tuple(word)
+
+
+def _least_images(rs: RootSystem, sub: WeylSubgroup, blocks) -> tuple[tuple, tuple]:
+    """The conjugacy key of `blocks` (see conjugacy_key) and an ordering of
+    the input roots, block by block, whose successive images realise it."""
+    roots, entries = [], []
+    for k, block in enumerate(blocks):
+        for r in block:
+            r = tuple(r)
+            if r not in rs.root_index:
+                raise ValueError(f"{r} is not a root of {rs!r}")
+            entries.append((k, rs.root_index[r], len(roots)))
+            roots.append(r)
+    # A search state: the (block, image, position in roots) entries of the
+    # roots not yet placed, sorted, and the positions placed so far.  All
+    # states of a step share the key prefix and hence the stabiliser basis.
+    states = [(tuple(sorted(entries)), ())]
+    basis = tuple(rs.root_index[b] for b in sub.basis)
+    key = []
+    while states[0][0]:
+        block = states[0][0][0][0]
+        best, hits = None, []
+        for remaining, placed in states:
+            for p, (k, img, _) in enumerate(remaining):
+                if k != block:
+                    break
+                lam, word = _dominant_word(rs, basis, img)
+                if best is None or lam < best:
+                    best, hits = lam, []
+                if lam == best:
+                    hits.append((remaining, placed, p, word))
+        merged = {}
+        for remaining, placed, p, word in hits:
+            rest = remaining[:p] + remaining[p + 1 :]
+            for b in word:
+                row = _reflection_row(rs, b)
+                rest = [(k, row[img], n) for k, img, n in rest]
+            rest = tuple(sorted(rest))
+            ident = tuple((k, img) for k, img, _ in rest)
+            if ident not in merged:
+                merged[ident] = (rest, placed + (remaining[p][2],))
+        states = list(merged.values())
+        key.append((block, best))
+        basis = tuple(b for b in basis if _coroot_column(rs, b)[best] == 0)
+    return tuple(key), tuple(roots[n] for n in states[0][1])
+
+
+def conjugacy_key(rs: RootSystem, sub: WeylSubgroup, blocks) -> tuple:
+    """A key equal for two sequences of root sets exactly when one element
+    of the subgroup maps each set onto the corresponding set of the other.
+
+    The key is the lexicographically least sequence of pairs (block
+    number, root index of lam_k) over the orderings of the roots that keep
+    the block order: lam_1 is the subgroup-dominant image of the first root,
+    and each later lam_k is the image of the k-th root, under the element
+    already chosen, made dominant for the stabiliser of lam_1..lam_{k-1}.
+    Those stabilisers are parabolic: the basis roots orthogonal to the
+    dominant lam (Humphreys, Reflection Groups and Coxeter Groups, 1.12).
+    Ties branch; identical search states are merged.
     """
-    g1 = sorted((tuple(x) for x in gamma1), key=lambda v: (rs.inner(v, v), v))
-    g2 = sorted((tuple(x) for x in gamma2), key=lambda v: (rs.inner(v, v), v))
-    if len(g1) != len(g2):
+    return _least_images(rs, sub, blocks)[0]
+
+
+def conjugacy_classes(rs: RootSystem, sub: WeylSubgroup, items, blocks=lambda x: (x,)) -> list:
+    """The first of the items in each subgroup-conjugacy class, in input
+    order; `blocks` gives the root sets of an item (one set by default)."""
+    reps: dict = {}
+    for item in items:
+        reps.setdefault(conjugacy_key(rs, sub, blocks(item)), item)
+    return list(reps.values())
+
+
+def conjugate_sets(rs: RootSystem, sub: WeylSubgroup, gamma1, gamma2) -> WeylElement | None:
+    """An element w of the subgroup with w(Gamma1) = Gamma2 as sets of
+    roots, or None.
+
+    Equal conjugacy keys decide it; w then maps the ordering of Gamma1 that
+    realises the key onto that of Gamma2.
+    """
+    gamma1, gamma2 = list(gamma1), list(gamma2)
+    if len(gamma1) != len(gamma2):
         raise ValueError("sets must have equal size")
-    m = len(g1)
-    if m == 0:
-        return WeylElement.identity(rs)
-    gram1 = [[rs.inner(a, b) for b in g1] for a in g1]
-    gram2 = [[rs.inner(a, b) for b in g2] for a in g2]
-
-    assignment: list[int] = []
-    used = [False] * m
-
-    def backtrack() -> WeylElement | None:
-        i = len(assignment)
-        if i == m:
-            w = conjugate_tuples(rs, sub, g1, [g2[p] for p in assignment])
-            return w
-        for p in range(m):
-            if used[p] or gram1[i][i] != gram2[p][p]:
-                continue
-            if any(gram1[i][j] != gram2[p][assignment[j]] for j in range(i)):
-                continue
-            assignment.append(p)
-            used[p] = True
-            found = backtrack()
-            if found is not None:
-                return found
-            assignment.pop()
-            used[p] = False
+    key1, order1 = _least_images(rs, sub, (gamma1,))
+    key2, order2 = _least_images(rs, sub, (gamma2,))
+    if key1 != key2:
         return None
-
-    return backtrack()
+    return conjugate_tuples(rs, sub, order1, order2)

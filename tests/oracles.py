@@ -74,6 +74,21 @@ def subgroup_matrices(rs, basis):
     return sorted(seen)
 
 
+def orbit_ids(rs, basis, items):
+    """For each item, a sequence of root sets, the index of its orbit under
+    the group generated by the basis reflections, acting on every set at
+    once; indices count from 0 in order of first appearance."""
+    group = subgroup_matrices(rs, basis)
+    ids = {}
+    out = []
+    for blocks in items:
+        orbit = frozenset(
+            tuple(frozenset(mat_vec(m, r) for r in block) for block in blocks) for m in group
+        )
+        out.append(ids.setdefault(orbit, len(ids)))
+    return out
+
+
 def matrix_length(rs, m) -> int:
     """Number of positive roots sent to negative roots."""
     count = 0
@@ -121,3 +136,9 @@ def partition_count(n: int) -> int:
 
     rec(n, n)
     return count
+
+
+def same_partition(labels1, labels2) -> bool:
+    """Whether two labellings of one list group its entries alike."""
+    pairs = set(zip(labels1, labels2))
+    return len(pairs) == len(set(labels1)) == len(set(labels2))

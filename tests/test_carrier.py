@@ -10,9 +10,12 @@ from nilorb import (
     classify_by_carriers,
     classify_by_characteristics,
     completion,
+    conjugacy_key,
     conjugate_sets,
     grading_from_kac,
 )
+
+from oracles import mat_vec, orbit_ids, same_partition, subgroup_matrices
 
 A1 = build_algebra(build_root_system("A", 1))
 A3 = build_algebra(build_root_system("A", 3))
@@ -61,6 +64,23 @@ def test_sl4_example_candidate_present_up_to_conjugacy():
         and conjugate_sets(A3.rs, w0, c.pi1, example.pi1) is not None
     ]
     assert hits
+
+
+def test_candidate_keys_match_brute_force_orbits():
+    # every W_0-image of every candidate, as (pi0, pi1) blocks
+    g = a3_example_grading()
+    w0 = g.weyl_subgroup()
+    group = subgroup_matrices(A3.rs, w0.basis)
+    items = sorted(
+        {
+            tuple(tuple(sorted(mat_vec(m, r) for r in block)) for block in (c.pi0, c.pi1))
+            for c in candidate_pi_systems(g)
+            for m in group
+        }
+    )
+    keys = [conjugacy_key(A3.rs, w0, blocks) for blocks in items]
+    assert same_partition(keys, orbit_ids(A3.rs, w0.basis, items))
+    assert len(set(keys)) < len(items)
 
 
 def test_sl4_example_completion_is_itself():

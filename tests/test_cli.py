@@ -122,3 +122,18 @@ def test_nregular_table(capsys):
     lines = out.splitlines()
     assert lines[1].split()[2] == "5"
     assert lines[2].split()[3] == "2*"  # not very N-regular: starred
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["nregular", "--type", "G2", "--orders", "x"], "cannot parse"),
+        (["nregular", "--type", "G2", "--orders", "5..2"], "empty"),
+        (["orbits", "--type", "G2", "--nregular-order", "0"], ">= 1"),
+    ],
+)
+def test_bad_order_is_an_error_line(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,15 +9,24 @@ from nilorb import (
     WeylElement,
     WeylSubgroup,
     build_root_system,
+    conjugacy_key,
     conjugate_sets,
     conjugate_tuples,
     shortest_coset_reps,
     stabilizer_generators,
     to_subdominant,
 )
-from oracles import mat_vec, matrix_length, subgroup_matrices, weyl_matrices
+from oracles import (
+    mat_vec,
+    matrix_length,
+    orbit_ids,
+    same_partition,
+    subgroup_matrices,
+    weyl_matrices,
+)
 
 A2 = build_root_system("A", 2)
+A3 = build_root_system("A", 3)
 B2 = build_root_system("B", 2)
 G2 = build_root_system("G", 2)
 
@@ -182,6 +192,24 @@ def test_conjugate_sets_against_brute_force():
             assert (w is not None) == brute
             if w is not None:
                 assert {w.act_weight(r) for r in g1} == set(g2)
+
+
+@pytest.mark.parametrize(
+    "rs,basis",
+    [
+        (A3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        (A3, [(1, 0, 0), (0, 0, 1)]),
+        (B2, [(1, 0), (0, 1)]),
+        (B2, [(1, 0)]),
+        (G2, [(1, 0), (0, 1)]),
+        (G2, [(0, 1), (3, 1)]),  # the long-root A2, not parabolic
+    ],
+)
+def test_conjugacy_key_matches_brute_force_orbits(rs, basis):
+    sub = WeylSubgroup(rs, basis)
+    items = [(s,) for size in (1, 2, 3) for s in itertools.combinations(rs.roots, size)]
+    keys = [conjugacy_key(rs, sub, blocks) for blocks in items]
+    assert same_partition(keys, orbit_ids(rs, basis, items))
 
 
 def test_subgroup_validation():
