@@ -69,8 +69,11 @@ def decide_normal(
     h must lie in the Cartan subalgebra of g_0.  Steps: quick membership test
     of h in [g_1(2), g_{m-1}(-2)]; random search for e in general position
     ([g_0(0), e] = g_1(2)), with coefficients uniform in {0..n} and n doubled
-    after every failure; exact linear solve for f.
+    after every failure (n starts at min(4, omega_cap)); exact linear solve
+    for f.
     """
+    if omega_cap < 1:
+        raise ValueError(f"omega cap must be >= 1, got {omega_cap}")
     alg, rs, m = grading.alg, grading.rs, grading.m
     if not h.is_cartan():
         raise ValueError("h must lie in the Cartan subalgebra")
@@ -106,7 +109,7 @@ def decide_normal(
     pos_in_eye = {i: t for t, i in enumerate(eye)}
     s = len(eye)
 
-    n = 4
+    n = min(4, omega_cap)
     while True:
         coeffs = [rng.randint(0, n) for _ in range(s)]
         cols = []
@@ -128,7 +131,8 @@ def decide_normal(
         n *= 2
         if n > omega_cap:
             raise RetryBudgetError(
-                f"no element in general position found with coefficients up to {omega_cap}"
+                f"no element in general position found for h = {h!r} "
+                f"with coefficients up to omega cap {omega_cap}"
             )
 
     e = alg.zero()

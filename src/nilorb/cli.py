@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .characteristics import DEFAULT_OMEGA_CAP, classify_nilpotent_g
+from .characteristics import DEFAULT_OMEGA_CAP, RetryBudgetError, classify_nilpotent_g
 from .chevalley import build_algebra
 from .grading import KacDiagram, grading_from_kac
 from .nullcone import classify_orbits, nregular_survey, summarize
@@ -23,6 +23,7 @@ from .rootsystem import build_root_system, format_dynkin_type, parse_type
 from .weyl import WeylSubgroup, shortest_coset_reps
 
 SCHEMA_VERSION = 1
+EXIT_RETRY_BUDGET = 3
 
 
 def canonical_json(obj) -> str:
@@ -106,11 +107,7 @@ def cmd_orbits(args) -> int:
     rs = _build_rs(args)
     alg = build_algebra(rs)
     if args.kac is not None:
-        try:
-            kd = KacDiagram.from_labels(rs, [int(s) for s in args.kac.split(",")])
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        kd = KacDiagram.from_labels(rs, [int(s) for s in args.kac.split(",")])
     elif args.nregular_order < 1:
         print(f"error: order must be >= 1, got {args.nregular_order}", file=sys.stderr)
         return 1
@@ -240,12 +237,13 @@ def main(argv=None) -> int:
         print("error: outer automorphisms are not supported", file=sys.stderr)
         return 1
     try:
-        letter, rank = parse_type(args.type)
-        build_root_system(letter, rank)
+        return args.func(args)
+    except RetryBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RETRY_BUDGET
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return args.func(args)
 
 
 if __name__ == "__main__":

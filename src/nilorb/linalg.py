@@ -43,15 +43,11 @@ def rank_int(rows: Matrix) -> int:
     return rank
 
 
-def solve(rows: Matrix, rhs: Row) -> Row | None:
-    """One exact solution x of A x = b, or None if the system is inconsistent.
-
-    Free variables are set to zero.
-    """
-    if not rows:
-        return [] if all(v == 0 for v in rhs) else None
-    nrows, ncols = len(rows), len(rows[0])
-    m = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
+def _rref(m: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
+    """Reduce the Fraction rows m in place to reduced row-echelon form,
+    pivoting on the first ncols columns only; returns (m, pivot columns).
+    Rows past the last pivot are zero in those columns."""
+    nrows = len(m)
     piv_cols = []
     r = 0
     for c in range(ncols):
@@ -73,9 +69,21 @@ def solve(rows: Matrix, rhs: Row) -> Row | None:
         r += 1
         if r == nrows:
             break
-    for i in range(r, nrows):
-        if m[i][ncols] != 0:
-            return None
+    return m, piv_cols
+
+
+def solve(rows: Matrix, rhs: Row) -> Row | None:
+    """One exact solution x of A x = b, or None if the system is inconsistent.
+
+    Free variables are set to zero.
+    """
+    if not rows:
+        return [] if all(v == 0 for v in rhs) else None
+    ncols = len(rows[0])
+    m = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
+    m, piv_cols = _rref(m, ncols)
+    if any(row[ncols] != 0 for row in m[len(piv_cols) :]):
+        return None
     sol = [Fraction(0)] * ncols
     for i, c in enumerate(piv_cols):
         sol[c] = m[i][ncols]
@@ -86,29 +94,8 @@ def nullspace(rows: Matrix) -> list[Row]:
     """Basis of the right kernel of A, as rational vectors."""
     if not rows:
         return []
-    nrows, ncols = len(rows), len(rows[0])
-    m = [[Fraction(x) for x in r] for r in rows]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
+    ncols = len(rows[0])
+    m, piv_cols = _rref([[Fraction(x) for x in r] for r in rows], ncols)
     free_cols = [c for c in range(ncols) if c not in piv_cols]
     basis = []
     for fc in free_cols:
@@ -125,27 +112,8 @@ def row_reduce(vectors: list[Row]) -> list[Row]:
     m = [[Fraction(x) for x in r] for r in vectors if any(r)]
     if not m:
         return []
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return m[:r]
+    m, piv_cols = _rref(m, len(m[0]))
+    return m[: len(piv_cols)]
 
 
 def in_span(vectors: list[Row], target: Row) -> bool:

@@ -283,7 +283,12 @@ class RootSystem:
         return tuple(sorted(basis, key=lambda r: (sum(r), r)))
 
     def lowest_root_of_subsystem(self, basis) -> Root:
-        """Lowest root of the subsystem spanned by a connected pi-system."""
+        """Lowest root of the subsystem spanned by a connected pi-system.
+
+        It is the lowest weight of the (irreducible) adjoint representation
+        of the subsystem: the one root r of the closure with r != b and
+        r - b outside the closure for every basis root b.
+        """
         basis = [tuple(b) for b in basis]
         for b in basis:
             if b not in self.root_index:
@@ -296,14 +301,11 @@ class RootSystem:
         if len(self.components(basis)) != 1:
             raise ValueError("basis is not connected")
         closure = self.subsystem_roots(basis)
-        lowest = None
-        lowest_ht = None
-        for r in closure:
-            coords = linalg.solve(gram, [self.inner(r, b) for b in basis])
-            ht = sum(coords)
-            if lowest_ht is None or ht < lowest_ht:
-                lowest, lowest_ht = r, ht
-        return lowest
+        return next(
+            r
+            for r in closure
+            if all(r != b and tuple(x - y for x, y in zip(r, b)) not in closure for b in basis)
+        )
 
     # -- Dynkin types and Weyl orders ----------------------------------------
 

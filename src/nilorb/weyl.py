@@ -1,9 +1,11 @@
 """Weyl group elements, minimal coset representatives, and conjugacy tests.
 
-Elements act as permutations of the full root list (stored as numpy index
-arrays, which makes composition a single fancy-indexing operation) and as
-exact integer matrices on the weight space.  Equality is equality of the
-root permutation; words are kept for display but are not canonical.
+Elements act as permutations of the full root list and as exact integer
+matrices on the weight space.  A permutation is a `bytes` object of root
+indices (E8 has 240 roots), so composing two is one `bytes.translate`;
+elements, coset enumeration and the conjugacy key all use this one format.
+Equality is equality of the root permutation; words are kept for display
+but are not canonical.
 
 Conjugacy of root sets under a subgroup is decided by a canonical key
 computed on root indices (conjugacy_key), so that classifying n sets takes
@@ -14,26 +16,19 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 from .linalg import rank_int
 from .rootsystem import Root, RootSystem
 
-_DTYPE = np.int16
+
+def _compose(p: bytes, q: bytes) -> bytes:
+    """The permutation k -> p[q[k]]."""
+    return q.translate(p.ljust(256, b"\0"))
 
 
 @lru_cache(maxsize=None)
-def _simple_perm_table(rs: RootSystem) -> tuple:
+def _simple_perm_table(rs: RootSystem) -> tuple[bytes, ...]:
     """Permutations of rs.roots induced by the simple reflections."""
-    out = []
-    for i in range(rs.rank):
-        alpha = rs.simple_root(i)
-        perm = np.empty(len(rs.roots), dtype=_DTYPE)
-        for k, r in enumerate(rs.roots):
-            perm[k] = rs.root_index[rs.reflect(r, alpha)]
-        perm.setflags(write=False)
-        out.append(perm)
-    return tuple(out)
+    return tuple(_reflection_row(rs, k) for k in _simple_indices(rs))
 
 
 @lru_cache(maxsize=None)
@@ -46,7 +41,7 @@ class WeylElement:
 
     __slots__ = ("rs", "perm", "word", "_matrix")
 
-    def __init__(self, rs: RootSystem, perm: np.ndarray, word: tuple[int, ...]):
+    def __init__(self, rs: RootSystem, perm: bytes, word: tuple[int, ...]):
         self.rs = rs
         self.perm = perm
         self.word = word
@@ -54,9 +49,7 @@ class WeylElement:
 
     @staticmethod
     def identity(rs: RootSystem) -> "WeylElement":
-        perm = np.arange(len(rs.roots), dtype=_DTYPE)
-        perm.setflags(write=False)
-        return WeylElement(rs, perm, ())
+        return WeylElement(rs, bytes(range(len(rs.roots))), ())
 
     @staticmethod
     def simple(rs: RootSystem, i: int) -> "WeylElement":
@@ -78,31 +71,30 @@ class WeylElement:
         return _reflection_element(rs, root)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        perm = self.perm[other.perm]
-        perm.setflags(write=False)
-        return WeylElement(self.rs, perm, self.word + other.word)
+        return WeylElement(self.rs, _compose(self.perm, other.perm), self.word + other.word)
 
     def inverse(self) -> "WeylElement":
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(len(self.perm), dtype=_DTYPE)
-        inv.setflags(write=False)
-        return WeylElement(self.rs, inv, tuple(reversed(self.word)))
+        inv = bytearray(len(self.perm))
+        for k, x in enumerate(self.perm):
+            inv[x] = k
+        return WeylElement(self.rs, bytes(inv), tuple(reversed(self.word)))
 
     def is_identity(self) -> bool:
-        return bool(np.all(self.perm == np.arange(len(self.perm), dtype=_DTYPE)))
+        return self.perm == bytes(range(len(self.perm)))
 
     def length(self) -> int:
         """Number of positive roots sent to negative roots."""
         n = self.rs.n_pos
-        return int(np.count_nonzero(self.perm[:n] >= n))
+        # deleting the indices below n leaves the negative images
+        return len(self.perm[:n].translate(None, bytes(range(n))))
 
     def act_root(self, root: Root) -> Root:
-        return self.rs.roots[int(self.perm[self.rs.root_index[tuple(root)]])]
+        return self.rs.roots[self.perm[self.rs.root_index[tuple(root)]]]
 
     def matrix(self) -> tuple:
         """Integer matrix of the action on simple-root coordinates."""
         if self._matrix is None:
-            cols = [self.rs.roots[int(self.perm[k])] for k in _simple_indices(self.rs)]
+            cols = [self.rs.roots[self.perm[k]] for k in _simple_indices(self.rs)]
             self._matrix = tuple(
                 tuple(cols[j][i] for j in range(self.rs.rank)) for i in range(self.rs.rank)
             )
@@ -114,12 +106,10 @@ class WeylElement:
         return tuple(sum(row[j] * lam[j] for j in range(self.rs.rank) if lam[j]) for row in m)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, WeylElement) and self.rs is other.rs and np.array_equal(
-            self.perm, other.perm
-        )
+        return isinstance(other, WeylElement) and self.rs is other.rs and self.perm == other.perm
 
     def __hash__(self) -> int:
-        return hash(self.perm.tobytes())
+        return hash(self.perm)
 
     def __repr__(self) -> str:
         return f"WeylElement(word={''.join(f's{i}' for i in self.word) or 'e'})"
@@ -180,25 +170,22 @@ def shortest_coset_reps(rs: RootSystem, sub: WeylSubgroup) -> list[WeylElement]:
     simple_idx = _simple_indices(rs)
     n_pos = rs.n_pos
     beta_idx = [rs.root_index[b] for b in sub.basis]
-    ident = np.arange(len(rs.roots), dtype=_DTYPE)
+    ident = bytes(range(len(rs.roots)))
     reps: list[WeylElement] = []
-    level = {ident.tobytes(): (ident, ident, ())}
+    level = {ident: (ident, ())}  # perm -> (inverse perm, word)
     while level:
         nxt = {}
-        for perm, inv, word in level.values():
-            e = WeylElement(rs, perm, word)
-            e.perm.setflags(write=False)
-            reps.append(e)
+        for perm, (inv, word) in level.items():
+            reps.append(WeylElement(rs, perm, word))
             for i in range(rs.rank):
                 if perm[simple_idx[i]] >= n_pos:
                     continue  # l(w s_i) < l(w)
                 si = simples[i]
                 if any(si[inv[bj]] >= n_pos for bj in beta_idx):
                     continue  # (w s_i)^{-1} sends some beta_j negative
-                new_perm = perm[si]
-                key = new_perm.tobytes()
-                if key not in nxt:
-                    nxt[key] = (new_perm, si[inv], word + (i,))
+                new_perm = _compose(perm, si)
+                if new_perm not in nxt:
+                    nxt[new_perm] = (_compose(si, inv), word + (i,))
         level = nxt
     return reps
 
@@ -266,10 +253,10 @@ def _coroot_column(rs: RootSystem, j: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reflection_row(rs: RootSystem, j: int) -> tuple[int, ...]:
+def _reflection_row(rs: RootSystem, j: int) -> bytes:
     """The reflection in roots[j] as a permutation of root indices."""
     root = rs.roots[j]
-    return tuple(
+    return bytes(
         rs.root_index[tuple(x - c * y for x, y in zip(r, root))]
         for r, c in zip(rs.roots, _coroot_column(rs, j))
     )

@@ -142,3 +142,16 @@ def same_partition(labels1, labels2) -> bool:
     """Whether two labellings of one list group its entries alike."""
     pairs = set(zip(labels1, labels2))
     return len(pairs) == len(set(labels1)) == len(set(labels2))
+
+
+def lowest_root_by_height(rs, basis):
+    """The least-height root of the closure of a connected pi-system, with
+    heights taken in the pi-system's own basis by exact Fraction solves."""
+    from nilorb import linalg
+
+    basis = [tuple(b) for b in basis]
+    gram = [[rs.inner(a, b) for b in basis] for a in basis]
+    return min(
+        rs.subsystem_roots(basis),
+        key=lambda r: sum(linalg.solve(gram, [rs.inner(r, b) for b in basis])),
+    )

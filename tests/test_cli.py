@@ -137,3 +137,17 @@ def test_bad_order_is_an_error_line(capsys, argv, message):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and message in err
+
+
+def test_retry_budget_is_an_error_line(capsys):
+    code, out, err = run(capsys, ["orbits", "--type", "G2", "--kac", "1,0,1", "--omega-cap", "4"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "h = " in err and "omega cap 4" in err
+
+
+def test_omega_cap_below_one_is_an_error_line(capsys):
+    code, out, err = run(capsys, ["orbits", "--type", "G2", "--kac", "0,0,1", "--omega-cap", "0"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "omega cap" in err

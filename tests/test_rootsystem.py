@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from nilorb import build_root_system, format_dynkin_type, parse_type
+from nilorb import build_root_system, classify_all, format_dynkin_type, parse_type
+from oracles import lowest_root_by_height
 
 # textbook G2 positive roots for the short-alpha_1 convention
 G2_POSITIVE = {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
@@ -137,6 +138,14 @@ def test_lowest_root_examples():
     assert a2.lowest_root_of_subsystem([(1, 1)]) == (-1, -1)
     g2 = build_root_system("G", 2)
     assert g2.lowest_root_of_subsystem([(1, 0), (0, 1)]) == (-3, -2)
+
+
+def test_lowest_root_is_least_height_root_on_f4_classes():
+    f4 = build_root_system("F", 4)
+    comps = [c for pi in classify_all(f4) for c in f4.components(pi)]
+    assert len(comps) == 40
+    for comp in comps:
+        assert f4.lowest_root_of_subsystem(comp) == lowest_root_by_height(f4, comp)
 
 
 def test_lowest_root_rejects_bad_input():

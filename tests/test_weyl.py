@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +20,7 @@ from nilorb import (
     to_subdominant,
 )
 from oracles import (
+    mat_mul,
     mat_vec,
     matrix_length,
     orbit_ids,
@@ -219,3 +223,31 @@ def test_subgroup_validation():
         WeylSubgroup(A2, [(1, 0), (1, 1)])  # difference is a root
     with pytest.raises(ValueError):
         WeylSubgroup(A2, [(1, 0), (0, 2)])  # not a root
+
+
+def test_group_law_on_all_of_b3():
+    b3 = build_root_system("B", 3)
+    group = shortest_coset_reps(b3, WeylSubgroup(b3, ()))
+    assert len(group) == 48
+    for u in group:
+        assert (u * u.inverse()).is_identity()
+        for v in group:
+            assert (u * v).matrix() == mat_mul(u.matrix(), v.matrix())
+            assert (u == v) == (u.matrix() == v.matrix())
+            if u == v:
+                assert hash(u) == hash(v)
+
+
+def test_import_does_not_load_numpy():
+    import nilorb
+
+    src = os.path.dirname(os.path.dirname(nilorb.__file__))
+    code = "import sys, nilorb; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
