@@ -14,7 +14,6 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
 
 from . import linalg
 from .chevalley import ChevalleyAlgebra, LieElement, Sl2Triple
@@ -82,12 +81,7 @@ def decide_normal(
     if rng is None:
         rng = task_rng(0, 0)
 
-    # scale h to integers: hnum/den
-    c = [Fraction(x) for x in h.cartan_part()]
-    den = 1
-    for x in c:
-        den = lcm(den, x.denominator)
-    hnum = [int(x * den) for x in c]
+    hnum, den = linalg.clear_denominators(h.cartan_part())
 
     pair = alg._pair_simple
     deg = grading.deg_by_index
@@ -178,7 +172,7 @@ def normal_list(
     and keeps those images that embed in a normal triple.
     """
     alg = grading.alg
-    lam = dual_weight(alg, h)
+    lam, den = linalg.clear_denominators(dual_weight(alg, h))
     seen = set()
     triples = []
     for idx, w in enumerate(coset_reps):
@@ -186,7 +180,7 @@ def normal_list(
         if mu in seen:
             continue
         seen.add(mu)
-        image = cartan_from_dual_weight(alg, mu)
+        image = cartan_from_dual_weight(alg, [Fraction(x, den) for x in mu])
         triple = decide_normal(grading, image, rng=task_rng(seed, idx), omega_cap=omega_cap)
         if triple is not None:
             triples.append(triple)

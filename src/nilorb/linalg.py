@@ -1,27 +1,40 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of row lists.  Entries are Python ints or Fractions;
-nothing here ever touches floating point.  Integer-only routines use
-fraction-free (Bareiss) elimination to keep intermediate growth polynomial.
+nothing here ever touches floating point.  Rows are scaled to integers, one
+fraction-free (Bareiss) elimination keeps intermediate growth polynomial,
+and only the back-substitution over the pivot rows makes Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 Row = list
 Matrix = list
 
 
-def rank_int(rows: Matrix) -> int:
-    """Rank of an integer matrix by fraction-free Gaussian elimination."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
+def clear_denominators(v) -> tuple[list[int], int]:
+    """(ints, den) with ints = den * v and den the least common denominator
+    of the int or Fraction entries of v (1 when all are integers)."""
+    den = 1
+    for x in v:
+        if den % x.denominator:
+            den = lcm(den, x.denominator)
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
+def _echelon(m: Matrix, ncols: int) -> list[int]:
+    """Bring the integer rows m in place to echelon form by fraction-free
+    (Bareiss) elimination, pivoting on the first ncols columns only; later
+    columns go through the same row operations.  Returns the pivot columns;
+    rows past the last pivot are zero in the first ncols columns."""
+    nrows = len(m)
+    piv_cols: list[int] = []
     prev = 1
     for col in range(ncols):
+        rank = len(piv_cols)
         piv = None
         for i in range(rank, nrows):
             if m[i][col] != 0:
@@ -30,46 +43,39 @@ def rank_int(rows: Matrix) -> int:
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
+        row_p = m[rank]
+        p = row_p[col]
         for i in range(rank + 1, nrows):
             f = m[i][col]
-            row_i, row_p = m[i], m[rank]
-            for j in range(col, ncols):
-                m[i][j] = (p * row_i[j] - f * row_p[j]) // prev
+            row_i = m[i]
+            for j in range(col, len(row_p)):
+                row_i[j] = (p * row_i[j] - f * row_p[j]) // prev
         prev = p
-        rank += 1
-        if rank == nrows:
+        piv_cols.append(col)
+        if rank + 1 == nrows:
             break
-    return rank
+    return piv_cols
 
 
-def _rref(m: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
-    """Reduce the Fraction rows m in place to reduced row-echelon form,
-    pivoting on the first ncols columns only; returns (m, pivot columns).
-    Rows past the last pivot are zero in those columns."""
-    nrows = len(m)
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, piv_cols
+def _back_substitute(m: Matrix, piv_cols: list[int], col: int) -> list[Fraction]:
+    """The x with sum_k m[i][piv_cols[k]] x[k] = m[i][col] on the pivot rows
+    of an echelon form from _echelon.  Its last pivot d is +-det of the
+    pivot minor, so every d * x[k] is an integer (Cramer's rule)."""
+    r = len(piv_cols)
+    d = m[r - 1][piv_cols[-1]] if r else 1
+    num = [0] * r
+    for i in range(r - 1, -1, -1):
+        row = m[i]
+        acc = d * row[col]
+        for k in range(i + 1, r):
+            acc -= row[piv_cols[k]] * num[k]
+        num[i] = acc // row[piv_cols[i]]
+    return [Fraction(x, d) for x in num]
+
+
+def rank_int(rows: Matrix) -> int:
+    """Rank of an integer matrix by fraction-free Gaussian elimination."""
+    return len(_echelon([list(r) for r in rows], len(rows[0]) if rows else 0))
 
 
 def solve(rows: Matrix, rhs: Row) -> Row | None:
@@ -80,13 +86,13 @@ def solve(rows: Matrix, rhs: Row) -> Row | None:
     if not rows:
         return [] if all(v == 0 for v in rhs) else None
     ncols = len(rows[0])
-    m = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
-    m, piv_cols = _rref(m, ncols)
+    m = [clear_denominators(list(r) + [b])[0] for r, b in zip(rows, rhs)]
+    piv_cols = _echelon(m, ncols)
     if any(row[ncols] != 0 for row in m[len(piv_cols) :]):
         return None
     sol = [Fraction(0)] * ncols
-    for i, c in enumerate(piv_cols):
-        sol[c] = m[i][ncols]
+    for c, x in zip(piv_cols, _back_substitute(m, piv_cols, ncols)):
+        sol[c] = x
     return sol
 
 
@@ -95,25 +101,28 @@ def nullspace(rows: Matrix) -> list[Row]:
     if not rows:
         return []
     ncols = len(rows[0])
-    m, piv_cols = _rref([[Fraction(x) for x in r] for r in rows], ncols)
-    free_cols = [c for c in range(ncols) if c not in piv_cols]
+    m = [clear_denominators(r)[0] for r in rows]
+    piv_cols = _echelon(m, ncols)
     basis = []
-    for fc in free_cols:
+    for fc in range(ncols):
+        if fc in piv_cols:
+            continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for i, pc in enumerate(piv_cols):
-            v[pc] = -m[i][fc]
+        for c, x in zip(piv_cols, _back_substitute(m, piv_cols, fc)):
+            v[c] = -x
         basis.append(v)
     return basis
 
 
 def row_reduce(vectors: list[Row]) -> list[Row]:
     """Reduced row-echelon basis of the row span (zero rows dropped)."""
-    m = [[Fraction(x) for x in r] for r in vectors if any(r)]
+    m = [clear_denominators(r)[0] for r in vectors if any(r)]
     if not m:
         return []
-    m, piv_cols = _rref(m, len(m[0]))
-    return m[: len(piv_cols)]
+    piv_cols = _echelon(m, len(m[0]))
+    cols = [_back_substitute(m, piv_cols, j) for j in range(len(m[0]))]
+    return [[col[i] for col in cols] for i in range(len(piv_cols))]
 
 
 def in_span(vectors: list[Row], target: Row) -> bool:

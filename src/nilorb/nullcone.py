@@ -6,8 +6,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .carrier import classify_by_carriers
@@ -18,7 +16,9 @@ from .records import InternalConsistencyError, OrbitRecord, WeightedDynkinDiagra
 
 log = logging.getLogger(__name__)
 
-# Above this coset index the characteristic sweep loses to the carrier walk.
+# Coset index above which 'auto' picks the carrier walk.  Not derived from
+# data: perfbench/method_selection.json has the carrier walk faster on 13 of
+# the 14 gradings of index >= 96 timed by both.  Changing it changes output.
 METHOD_INDEX_THRESHOLD = 5000
 
 
@@ -43,16 +43,11 @@ def orbit_dimension(grading: ThetaGrading, e: LieElement) -> int:
     """dim [g_0, e]: the dimension of the orbit of e under the theta-group."""
     if e.is_zero():
         return 0
-    den = 1
-    for c in e.coeffs.values():
-        c = Fraction(c)
-        den = lcm(den, c.denominator)
-    e_int = e.scale(den)
     alg = grading.alg
-    rows = []
-    for b in grading.component_basis(0):
-        img = alg.bracket(b, e_int)
-        rows.append([int(x) for x in img.dense()])
+    rows = [
+        linalg.clear_denominators(alg.bracket(b, e).dense())[0]
+        for b in grading.component_basis(0)
+    ]
     return linalg.rank_int(rows)
 
 

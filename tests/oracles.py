@@ -7,6 +7,7 @@ enumerates all root subsets directly.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 
@@ -155,3 +156,78 @@ def lowest_root_by_height(rs, basis):
         rs.subsystem_roots(basis),
         key=lambda r: sum(linalg.solve(gram, [rs.inner(r, b) for b in basis])),
     )
+
+
+def _rref(m, ncols):
+    """Reduce the Fraction rows m in place to reduced row-echelon form by
+    Gauss-Jordan elimination, pivoting on the first ncols columns only;
+    returns (m, pivot columns).  Rows past the last pivot are zero in those
+    columns."""
+    nrows = len(m)
+    piv_cols = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if m[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, piv_cols
+
+
+def rref_solve(rows, rhs):
+    """One solution of A x = b with free variables zero, or None, by
+    Gauss-Jordan elimination over Fractions."""
+    if not rows:
+        return [] if all(v == 0 for v in rhs) else None
+    ncols = len(rows[0])
+    m = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
+    m, piv_cols = _rref(m, ncols)
+    if any(row[ncols] != 0 for row in m[len(piv_cols) :]):
+        return None
+    sol = [Fraction(0)] * ncols
+    for i, c in enumerate(piv_cols):
+        sol[c] = m[i][ncols]
+    return sol
+
+
+def rref_nullspace(rows):
+    """Kernel basis of A read off its reduced row-echelon form, one vector
+    per free column, by Gauss-Jordan elimination over Fractions."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    m, piv_cols = _rref([[Fraction(x) for x in r] for r in rows], ncols)
+    basis = []
+    for fc in range(ncols):
+        if fc in piv_cols:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(piv_cols):
+            v[pc] = -m[i][fc]
+        basis.append(v)
+    return basis
+
+
+def rref_row_reduce(vectors):
+    """Nonzero rows of the reduced row-echelon form, by Gauss-Jordan
+    elimination over Fractions."""
+    m = [[Fraction(x) for x in r] for r in vectors if any(r)]
+    if not m:
+        return []
+    m, piv_cols = _rref(m, len(m[0]))
+    return m[: len(piv_cols)]

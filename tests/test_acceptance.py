@@ -200,6 +200,18 @@ def test_criterion_7_method_equivalence_e6_order3():
             assert k1 == k2, kd.labels
 
 
+def test_criterion_7_method_equivalence_e6_order2():
+    with criterion(7, "method equivalence on the three E6 order-2 gradings"):
+        alg = build_algebra(build_root_system("E", 6))
+        diagrams = enumerate_kac_diagrams(alg.rs, 2)
+        assert len(diagrams) == 3
+        for kd in diagrams:
+            g = grading_from_kac(alg, kd)
+            k1 = sorted(r.h_key() for r in classify_by_characteristics(g))
+            k2 = sorted(r.h_key() for r in classify_by_carriers(g))
+            assert k1 == k2, kd.labels
+
+
 def test_criterion_8_type_a_partition_oracle():
     with criterion(8, "type-A orbit counts equal partition counts"):
         expected = [2, 3, 5, 7]

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from nilorb import linalg
 
+from oracles import rref_nullspace, rref_row_reduce, rref_solve
+
 
 def frac_rank(rows):
     m = [[Fraction(x) for x in r] for r in rows]
@@ -72,3 +74,63 @@ def test_row_reduce_gives_basis():
     red = linalg.row_reduce(rows)
     assert len(red) == 2
     assert red[0][0] == 1
+
+
+RATIONALS = st.builds(
+    Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)
+)
+
+
+@st.composite
+def rational_systems(draw):
+    """A rational matrix of up to 7x7 with zero rows and rows that are
+    combinations of earlier rows mixed in, and a right-hand side that is
+    either A x for a rational x or arbitrary (often inconsistent)."""
+    nrows = draw(st.integers(min_value=1, max_value=7))
+    ncols = draw(st.integers(min_value=1, max_value=7))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["random", "random", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([Fraction(0)] * ncols)
+        elif kind == "combination" and rows:
+            coeffs = draw(st.lists(RATIONALS, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)])
+        else:
+            rows.append(draw(st.lists(RATIONALS, min_size=ncols, max_size=ncols)))
+    if draw(st.booleans()):
+        x = draw(st.lists(RATIONALS, min_size=ncols, max_size=ncols))
+        rhs = [sum(a * b for a, b in zip(r, x)) for r in rows]
+    else:
+        rhs = draw(st.lists(RATIONALS, min_size=nrows, max_size=nrows))
+    return rows, rhs
+
+
+def all_fractions(vectors):
+    return all(type(x) is Fraction for v in vectors for x in v)
+
+
+@given(rational_systems())
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_gauss_jordan_reference(system):
+    rows, rhs = system
+    sol = linalg.solve(rows, rhs)
+    assert sol == rref_solve(rows, rhs)
+    assert sol is None or all_fractions([sol])
+    kernel = linalg.nullspace(rows)
+    assert kernel == rref_nullspace(rows)
+    assert all_fractions(kernel)
+    basis = linalg.row_reduce(rows)
+    assert basis == rref_row_reduce(rows)
+    assert all_fractions(basis)
+    ints = [linalg.clear_denominators(r)[0] for r in rows]
+    assert linalg.rank_int(ints) == len(basis)
+
+
+def test_clear_denominators():
+    assert linalg.clear_denominators([3, -2, 0]) == ([3, -2, 0], 1)
+    assert linalg.clear_denominators([Fraction(-1, 2), Fraction(2, 3), 5]) == ([-3, 4, 30], 6)
+    assert linalg.clear_denominators([Fraction(-3, 4), Fraction(-1, 6)]) == ([-9, -2], 12)
+    ints, den = linalg.clear_denominators([Fraction(0), 0, Fraction(0, 5)])
+    assert (ints, den) == ([0, 0, 0], 1)
+    assert all(type(x) is int for x in ints)
