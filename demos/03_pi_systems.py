@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Classifying pi-systems (bases of root subsystems) up to Weyl conjugacy.
 
-The walk: starting from the simple basis, repeatedly adjoin a component's
-lowest root and erase another root of that component; keep the first of the
-maximal systems found in each conjugacy class (told apart by a canonical key,
-weyl.conjugacy_key), take subsets, and keep the first of each class again.
+The search runs over conjugacy classes (told apart by a canonical key,
+weyl.conjugacy_key): starting from the simple basis, adjoin a component's
+lowest root and erase another root of that component, but only in the first
+system met of each class; then drop one root at a time from the maximal
+classes, again from one system per class.  Both moves commute with the Weyl
+group, so one representative per class reaches every class.
 """
 
 from nilorb import build_root_system, classify_all, classify_maximal, elementary_transformations, format_dynkin_type

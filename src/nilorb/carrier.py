@@ -3,9 +3,11 @@
 Every nilpotent orbit of the theta-group has a representative in general
 position inside a complete, standard, locally flat Z-graded semisimple
 subalgebra.  Candidate subalgebras are generated as pi-systems split into a
-degree-0 part inside Phi_0 and a degree-1 part inside Phi_1; each flat
-completion contributes the canonical form of twice its defining element,
-and distinct canonical forms are exactly the distinct orbits.
+degree-0 part inside Phi_0 and a degree-1 part inside Phi_1, one per
+conjugacy class under the Weyl group of g_0 (a class search that adds one
+degree-1 root at a time); each flat completion contributes the canonical
+form of twice its defining element, and distinct canonical forms are
+exactly the distinct orbits.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from . import linalg
 from .characteristics import DEFAULT_OMEGA_CAP, decide_normal, task_rng
 from .chevalley import LieElement
 from .grading import ThetaGrading
-from .pisystems import canonical, classify_all
+from .pisystems import canonical, classify_all, is_pi_system
 from .records import (
     InternalConsistencyError,
     OrbitRecord,
@@ -63,62 +65,28 @@ def candidate_pi_systems(grading: ThetaGrading) -> list[GradedCandidate]:
     """Candidate set covering, up to conjugacy under the Weyl group of g_0,
     the bases of all locally flat standard graded subalgebras.
 
-    Degree-0 parts run over the pi-systems of Phi_0; for each, the maximal
-    degree-1 extensions inside Phi_1 are enumerated by backtracking; of the
-    (pi0, pi1) pairs that one element of W_0 maps onto each other block by
-    block, only the first is kept (weyl.conjugacy_key with both blocks), and
-    finally all subsets of the kept degree-1 parts are taken.
+    A class search (weyl.conjugacy_classes with blocks (pi0, pi1)) starts
+    from (pi0, ()) for each pi-system class pi0 of Phi_0 and adds one root
+    of Phi_1 at a time while the union stays a pi-system, extending only
+    the first candidate met in each W_0-class.  W_0 preserves Phi_1 and the
+    pi-system conditions, so this reaches every class of graded pi-systems
+    once.
     """
     rs = grading.rs
     w0 = grading.weyl_subgroup()
-    p0 = classify_all(rs, basis=grading.delta0, sub=w0)
-    phi1 = sorted(grading.phi1, key=lambda r: (sum(r), r))
 
-    pairs: list[GradedCandidate] = []
-    for pi0 in p0:
-        for pi1 in _maximal_extensions(rs, pi0, phi1):
-            pairs.append(GradedCandidate(canonical(pi0), canonical(pi1)))
-    pairs = conjugacy_classes(rs, w0, pairs, lambda c: (c.pi0, c.pi1))
+    def add_one(cand: GradedCandidate) -> list[GradedCandidate]:
+        return [
+            GradedCandidate(cand.pi0, canonical(cand.pi1 + (r,)))
+            for r in grading.phi1
+            if r not in cand.pi1 and is_pi_system(rs, cand.roots() + (r,))
+        ]
 
-    out = set()
-    for cand in pairs:
-        n = len(cand.pi1)
-        for mask in range(1 << n):
-            sub = canonical(p for i, p in enumerate(cand.pi1) if mask >> i & 1)
-            out.add(GradedCandidate(cand.pi0, sub))
-    ordered = sorted(out, key=lambda c: (len(c.pi0) + len(c.pi1), c.pi0, c.pi1))
+    start = [GradedCandidate(pi0, ()) for pi0 in classify_all(rs, basis=grading.delta0, sub=w0)]
+    found = conjugacy_classes(rs, w0, start, lambda c: (c.pi0, c.pi1), add_one)
+    ordered = sorted(found, key=lambda c: (len(c.pi0) + len(c.pi1), c.pi0, c.pi1))
     log.debug("%s: %d candidates", grading, len(ordered))
     return ordered
-
-
-def _maximal_extensions(rs, pi0, phi1) -> list[tuple[Root, ...]]:
-    base = [tuple(r) for r in pi0]
-
-    def compatible(r: Root, chosen: list[Root]) -> bool:
-        for q in base + chosen:
-            if tuple(a - b for a, b in zip(r, q)) in rs.root_index:
-                return False
-        rows = [list(q) for q in base + chosen] + [list(r)]
-        return linalg.rank_int(rows) == len(rows)
-
-    out: list[tuple[Root, ...]] = []
-
-    def recurse(chosen: list[Root], start: int) -> None:
-        extendable = False
-        for idx, r in enumerate(phi1):
-            if r in chosen:
-                continue
-            if compatible(r, chosen):
-                extendable = True
-                if idx >= start:
-                    chosen.append(r)
-                    recurse(chosen, idx + 1)
-                    chosen.pop()
-        if not extendable:
-            out.append(tuple(chosen))
-
-    recurse([], 0)
-    return out
 
 
 def completion(grading: ThetaGrading, cand: GradedCandidate) -> CompletionResult | None:

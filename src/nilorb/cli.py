@@ -112,7 +112,9 @@ def cmd_orbits(args) -> int:
         print(f"error: order must be >= 1, got {args.nregular_order}", file=sys.stderr)
         return 1
     else:
-        kd, _ = nregular_survey(alg, args.nregular_order, method=args.method, seed=args.seed)
+        kd, _ = nregular_survey(
+            alg, args.nregular_order, method=args.method, seed=args.seed, omega_cap=args.omega_cap
+        )
     grading = grading_from_kac(alg, kd)
     records = classify_orbits(
         grading, method=args.method, seed=args.seed, omega_cap=args.omega_cap
@@ -164,7 +166,7 @@ def cmd_nregular(args) -> int:
         return 1
     print("order  kac  orbits  components  dim  rank")
     for m in range(lo, hi + 1):
-        kd, s = nregular_survey(alg, m, method=args.method, seed=args.seed)
+        kd, s = nregular_survey(alg, m, method=args.method, seed=args.seed, omega_cap=args.omega_cap)
         star = "" if s.very_nregular else "*"
         labels = ",".join(map(str, kd.labels))
         print(f"{m}  {labels}  {s.orbit_count}  {s.component_count}{star}  {s.component_dim}  {s.rank}")

@@ -1,11 +1,14 @@
 """Pi-systems: linearly independent root sets with no pairwise difference
 in the root system, and their classification up to Weyl conjugacy.
 
-A pi-system is exactly a basis of a root subsystem.  Classification walks
-the elementary-transformation graph from the simple basis (add a component's
-lowest root, erase another root of that component), keeps the first system
-of each conjugacy class found (classes are told apart by weyl.conjugacy_key),
-then takes the subsets of those and keeps the first of each class again.
+A pi-system is exactly a basis of a root subsystem.  Classification is a
+search over conjugacy classes (weyl.conjugacy_classes, classes told apart by
+weyl.conjugacy_key): from the simple basis it applies elementary
+transformations (add a component's lowest root, erase another root of that
+component) to the first system met in each class only; from the maximal
+classes it drops one root at a time, again from one system per class.  Both
+moves commute with the Weyl group, so one representative per class reaches
+every class that the whole closure reaches.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ def is_pi_system(rs: RootSystem, roots) -> bool:
     return rank_int([list(r) for r in roots]) == len(roots) if roots else True
 
 
-def elementary_transformations(rs: RootSystem, pi, _lowest_cache=None) -> list[PiSystem]:
+def elementary_transformations(rs: RootSystem, pi) -> list[PiSystem]:
     """All pi-systems obtained by one elementary transformation.
 
     For each connected component D: adjoin the lowest root of the subsystem
@@ -44,15 +47,10 @@ def elementary_transformations(rs: RootSystem, pi, _lowest_cache=None) -> list[P
     the set independent, so only the difference condition needs rechecking.
     """
     pi = canonical(pi)
-    cache = _lowest_cache if _lowest_cache is not None else {}
     out = []
     seen = set()
     for comp in rs.components(pi):
-        key = frozenset(comp)
-        low = cache.get(key)
-        if low is None:
-            low = rs.lowest_root_of_subsystem(comp)
-            cache[key] = low
+        low = rs.lowest_root_of_subsystem(comp)
         for erased in comp:
             rest = [r for r in pi if r != erased]
             if low in rest:
@@ -70,24 +68,10 @@ def elementary_transformations(rs: RootSystem, pi, _lowest_cache=None) -> list[P
     return out
 
 
-def _transformation_closure(rs: RootSystem, start: PiSystem) -> list[PiSystem]:
-    start = canonical(start)
-    seen = {start}
-    work = [start]
-    cache: dict = {}
-    while work:
-        cur = work.pop()
-        for new in elementary_transformations(rs, cur, _lowest_cache=cache):
-            if new not in seen:
-                seen.add(new)
-                work.append(new)
-    return sorted(seen)
-
-
 def classify_maximal(rs: RootSystem, basis=None, sub: WeylSubgroup | None = None) -> list[PiSystem]:
     """Maximal-rank pi-systems reachable from the given simple basis by
     elementary transformations, up to conjugacy under the given subgroup:
-    the first of each class in the sorted transformation closure.
+    the first system met in each class by the class search, sorted.
 
     Defaults classify within the whole root system under the full Weyl group;
     passing a subsystem basis and its Weyl subgroup classifies inside that
@@ -97,25 +81,24 @@ def classify_maximal(rs: RootSystem, basis=None, sub: WeylSubgroup | None = None
         basis = tuple(rs.simple_root(i) for i in range(rs.rank))
     if sub is None:
         sub = WeylSubgroup(rs, basis)
-    if not basis:
-        return [()]
-    closure = _transformation_closure(rs, canonical(basis))
-    return conjugacy_classes(rs, sub, closure)
+    reps = conjugacy_classes(
+        rs, sub, [canonical(basis)], moves=lambda pi: elementary_transformations(rs, pi)
+    )
+    return sorted(reps)
 
 
 def classify_all(rs: RootSystem, basis=None, sub: WeylSubgroup | None = None) -> list[PiSystem]:
     """All pi-systems (the empty one included) up to conjugacy under the
-    given subgroup: the first of each class among the subsets of the maximal
-    classes, ordered by size and then by roots."""
+    given subgroup: the class search from the maximal classes, dropping one
+    root at a time, ordered by size and then by roots."""
     if basis is None:
         basis = tuple(rs.simple_root(i) for i in range(rs.rank))
     if sub is None:
         sub = WeylSubgroup(rs, basis)
-    maximal = classify_maximal(rs, basis, sub)
-    subsets = set()
-    for pi in maximal:
-        n = len(pi)
-        for mask in range(1 << n):
-            subsets.add(canonical(p for i, p in enumerate(pi) if mask >> i & 1))
-    ordered = sorted(subsets, key=lambda p: (len(p), p))
-    return conjugacy_classes(rs, sub, ordered)
+    reps = conjugacy_classes(
+        rs,
+        sub,
+        classify_maximal(rs, basis, sub),
+        moves=lambda pi: [pi[:i] + pi[i + 1 :] for i in range(len(pi))],
+    )
+    return sorted(reps, key=lambda p: (len(p), p))

@@ -9,11 +9,14 @@ but are not canonical.
 
 Conjugacy of root sets under a subgroup is decided by a canonical key
 computed on root indices (conjugacy_key), so that classifying n sets takes
-n keys and one dict rather than pairwise tests.
+n keys and one dict rather than pairwise tests.  conjugacy_classes is
+also the one class search: it expands only the first item of each class
+through moves that commute with the subgroup.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 
 from .linalg import rank_int
@@ -339,12 +342,31 @@ def conjugacy_key(rs: RootSystem, sub: WeylSubgroup, blocks) -> tuple:
     return _least_images(rs, sub, blocks)[0]
 
 
-def conjugacy_classes(rs: RootSystem, sub: WeylSubgroup, items, blocks=lambda x: (x,)) -> list:
-    """The first of the items in each subgroup-conjugacy class, in input
-    order; `blocks` gives the root sets of an item (one set by default)."""
+def conjugacy_classes(
+    rs: RootSystem, sub: WeylSubgroup, items, blocks=lambda x: (x,), moves=lambda x: ()
+) -> list:
+    """The first item met in each subgroup-conjugacy class; `blocks` gives
+    the root sets of an item (one set by default).
+
+    The search is breadth-first from `items`: an item equal to one already
+    met is skipped, the rest are keyed, and only the first item of each
+    class is expanded through `moves`.  When the moves commute with the
+    subgroup, the moves of a class member are conjugate to those of its
+    representative, so this reaches every class the full closure reaches.
+    With no moves it is the first of the items per class, in input order.
+    """
     reps: dict = {}
-    for item in items:
-        reps.setdefault(conjugacy_key(rs, sub, blocks(item)), item)
+    met = set()
+    queue = deque(items)
+    while queue:
+        item = queue.popleft()
+        if item in met:
+            continue
+        met.add(item)
+        key = conjugacy_key(rs, sub, blocks(item))
+        if key not in reps:
+            reps[key] = item
+            queue.extend(moves(item))
     return list(reps.values())
 
 

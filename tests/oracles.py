@@ -231,3 +231,88 @@ def rref_row_reduce(vectors):
         return []
     m, piv_cols = _rref(m, len(m[0]))
     return m[: len(piv_cols)]
+
+
+def reference_classify_maximal(rs, basis, sub):
+    """Maximal-rank pi-systems up to conjugacy by exhaustive enumeration:
+    walk the whole elementary-transformation closure of the basis, then
+    keep the first system of each class in sorted order."""
+    from nilorb.pisystems import canonical, elementary_transformations
+    from nilorb.weyl import conjugacy_classes
+
+    start = canonical(basis)
+    seen = {start}
+    work = [start]
+    while work:
+        for new in elementary_transformations(rs, work.pop()):
+            if new not in seen:
+                seen.add(new)
+                work.append(new)
+    return conjugacy_classes(rs, sub, sorted(seen))
+
+
+def reference_classify_all(rs, basis, sub):
+    """All pi-systems up to conjugacy: every subset of every reference
+    maximal class, then the first of each class by size and roots."""
+    from nilorb.pisystems import canonical
+    from nilorb.weyl import conjugacy_classes
+
+    subsets = {
+        canonical(p for i, p in enumerate(pi) if mask >> i & 1)
+        for pi in reference_classify_maximal(rs, basis, sub)
+        for mask in range(1 << len(pi))
+    }
+    return conjugacy_classes(rs, sub, sorted(subsets, key=lambda p: (len(p), p)))
+
+
+def reference_candidates(grading):
+    """Graded candidates by exhaustive enumeration: every maximal extension
+    of each reference pi-system class of Phi_0 by roots of Phi_1, found by
+    backtracking and deduplicated by W_0-conjugacy, then every subset of the
+    degree-1 part of each, with no deduplication of the subsets."""
+    from nilorb import linalg
+    from nilorb.carrier import GradedCandidate
+    from nilorb.pisystems import canonical
+    from nilorb.weyl import conjugacy_classes
+
+    rs = grading.rs
+    w0 = grading.weyl_subgroup()
+    phi1 = sorted(grading.phi1, key=lambda r: (sum(r), r))
+
+    def maximal_extensions(base):
+        out = []
+
+        def compatible(r, chosen):
+            for q in base + chosen:
+                if tuple(a - b for a, b in zip(r, q)) in rs.root_index:
+                    return False
+            rows = [list(q) for q in base + chosen] + [list(r)]
+            return linalg.rank_int(rows) == len(rows)
+
+        def recurse(chosen, start):
+            extendable = False
+            for idx, r in enumerate(phi1):
+                if r not in chosen and compatible(r, chosen):
+                    extendable = True
+                    if idx >= start:
+                        recurse(chosen + [r], idx + 1)
+            if not extendable:
+                out.append(tuple(chosen))
+
+        recurse([], 0)
+        return out
+
+    pairs = [
+        GradedCandidate(pi0, canonical(pi1))
+        for pi0 in reference_classify_all(rs, grading.delta0, w0)
+        for pi1 in maximal_extensions(list(pi0))
+    ]
+    pairs = conjugacy_classes(rs, w0, pairs, lambda c: (c.pi0, c.pi1))
+    return sorted(
+        {
+            GradedCandidate(c.pi0, canonical(p for i, p in enumerate(c.pi1) if mask >> i & 1))
+            for c in pairs
+            for mask in range(1 << len(c.pi1))
+        },
+        key=lambda c: (len(c.pi0) + len(c.pi1), c.pi0, c.pi1),
+    )

@@ -138,9 +138,8 @@ def test_criterion_4_e7_order3_orbit_count():
         assert len(records) - 1 == 75
 
 
-@pytest.mark.skipif(not LONG, reason="long run; set NILORB_LONG_TESTS=1")
 def test_criterion_4_e7_order5_orbit_count():
-    with criterion(4, "E7 order 5: 82 orbits (long)"):
+    with criterion(4, "E7 order 5: 82 orbits"):
         alg = build_algebra(build_root_system("E", 7))
         g = principal_nregular_grading(alg, 5)
         records = classify_by_carriers(g)
@@ -211,6 +210,15 @@ def test_criterion_7_method_equivalence_e6_order2():
             k2 = sorted(r.h_key() for r in classify_by_carriers(g))
             assert k1 == k2, kd.labels
 
+
+
+def test_criterion_7_method_equivalence_e7_order2():
+    with criterion(7, "method equivalence on the E7 principal order-2 grading"):
+        alg = build_algebra(build_root_system("E", 7))
+        g = principal_nregular_grading(alg, 2)
+        k1 = sorted(r.h_key() for r in classify_by_characteristics(g))
+        k2 = sorted(r.h_key() for r in classify_by_carriers(g))
+        assert k1 == k2
 
 def test_criterion_8_type_a_partition_oracle():
     with criterion(8, "type-A orbit counts equal partition counts"):

@@ -12,10 +12,11 @@ from nilorb import (
     completion,
     conjugacy_key,
     conjugate_sets,
+    enumerate_kac_diagrams,
     grading_from_kac,
 )
 
-from oracles import mat_vec, orbit_ids, same_partition, subgroup_matrices
+from oracles import mat_vec, orbit_ids, reference_candidates, same_partition, subgroup_matrices
 
 A1 = build_algebra(build_root_system("A", 1))
 A3 = build_algebra(build_root_system("A", 3))
@@ -82,6 +83,19 @@ def test_candidate_keys_match_brute_force_orbits():
     assert same_partition(keys, orbit_ids(A3.rs, w0.basis, items))
     assert len(set(keys)) < len(items)
 
+
+
+def test_candidate_classes_match_exhaustive_enumeration():
+    f4 = build_algebra(build_root_system("F", 4))
+    gradings = [grading_from_kac(G2, kd) for m in (2, 3, 4) for kd in enumerate_kac_diagrams(G2.rs, m)]
+    gradings.append(a3_example_grading())
+    gradings += [grading_from_kac(f4, kd) for kd in enumerate_kac_diagrams(f4.rs, 3)]
+    for g in gradings:
+        w0 = g.weyl_subgroup()
+        got = [conjugacy_key(g.rs, w0, (c.pi0, c.pi1)) for c in candidate_pi_systems(g)]
+        assert len(set(got)) == len(got), g
+        expected = {conjugacy_key(g.rs, w0, (c.pi0, c.pi1)) for c in reference_candidates(g)}
+        assert set(got) == expected, g
 
 def test_sl4_example_completion_is_itself():
     g = a3_example_grading()

@@ -151,3 +151,25 @@ def test_omega_cap_below_one_is_an_error_line(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "omega cap" in err
+
+
+def test_nregular_survey_honours_omega_cap(capsys):
+    code, _, err = run(capsys, ["nregular", "--type", "G2", "--orders", "2", "--omega-cap", "0"])
+    assert code == 1
+    assert err.startswith("error:") and "omega cap" in err
+
+
+def test_orbits_passes_omega_cap_to_the_survey(capsys, monkeypatch):
+    import nilorb.cli as cli_mod
+
+    seen = {}
+    survey = cli_mod.nregular_survey
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return survey(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "nregular_survey", spy)
+    code, _, err = run(capsys, ["orbits", "--type", "G2", "--nregular-order", "2", "--omega-cap", "0"])
+    assert code == 1 and err.startswith("error:")
+    assert seen["omega_cap"] == 0

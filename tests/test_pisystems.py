@@ -2,14 +2,24 @@ import pytest
 
 from nilorb import (
     WeylSubgroup,
+    build_algebra,
     build_root_system,
     classify_all,
     classify_maximal,
+    conjugacy_key,
     conjugate_sets,
     elementary_transformations,
+    enumerate_kac_diagrams,
+    grading_from_kac,
     is_pi_system,
 )
-from oracles import brute_pi_classes, mat_vec, weyl_matrices
+from oracles import (
+    brute_pi_classes,
+    mat_vec,
+    reference_classify_all,
+    reference_classify_maximal,
+    weyl_matrices,
+)
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -103,3 +113,27 @@ def test_g2_maximal_types():
 def test_classes_have_bounded_rank():
     for pi in classify_all(B2):
         assert len(pi) <= B2.rank
+
+
+def assert_same_classes_as_closure_walk(rs, basis, sub):
+    for search, reference in (
+        (classify_maximal, reference_classify_maximal),
+        (classify_all, reference_classify_all),
+    ):
+        got = [conjugacy_key(rs, sub, (p,)) for p in search(rs, basis, sub)]
+        assert len(set(got)) == len(got)
+        assert set(got) == {conjugacy_key(rs, sub, (p,)) for p in reference(rs, basis, sub)}
+
+
+@pytest.mark.parametrize("label,rank", [("G", 2), ("B", 3), ("C", 4), ("F", 4), ("E", 6)])
+def test_class_search_matches_closure_walk(label, rank):
+    rs = build_root_system(label, rank)
+    basis = [rs.simple_root(i) for i in range(rs.rank)]
+    assert_same_classes_as_closure_walk(rs, basis, WeylSubgroup(rs, basis))
+
+
+def test_class_search_matches_closure_walk_on_f4_order3_phi0():
+    alg = build_algebra(build_root_system("F", 4))
+    for kd in enumerate_kac_diagrams(alg.rs, 3):
+        g = grading_from_kac(alg, kd)
+        assert_same_classes_as_closure_walk(alg.rs, g.delta0, g.weyl_subgroup())

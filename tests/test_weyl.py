@@ -19,6 +19,7 @@ from nilorb import (
     stabilizer_generators,
     to_subdominant,
 )
+from nilorb.weyl import conjugacy_classes
 from oracles import (
     mat_mul,
     mat_vec,
@@ -215,6 +216,30 @@ def test_conjugacy_key_matches_brute_force_orbits(rs, basis):
     keys = [conjugacy_key(rs, sub, blocks) for blocks in items]
     assert same_partition(keys, orbit_ids(rs, basis, items))
 
+
+
+def test_conjugacy_classes_without_moves_keeps_the_first_of_each_key():
+    full = full_subgroup(B2)
+    items = [s for size in (0, 1, 2) for s in itertools.combinations(B2.roots, size)] * 2
+    reps = {}
+    for item in items:
+        reps.setdefault(conjugacy_key(B2, full, (item,)), item)
+    assert conjugacy_classes(B2, full, items) == list(reps.values())
+
+
+def test_conjugacy_classes_search_keeps_and_expands_the_first_item_met():
+    full = full_subgroup(A2)
+    a, b, c = ((0, 1), (1, 0)), ((1, 0),), ((0, 1),)  # b and c are conjugate
+    graph = {a: [b, c, a], b: [()], c: [((1, 1),)], (): []}
+    expanded = []
+
+    def moves(item):
+        expanded.append(item)
+        return graph[item]
+
+    assert conjugacy_classes(A2, full, [a], moves=moves) == [a, b, ()]
+    # the repeated a is skipped, and c, met after b, is never expanded
+    assert expanded == [a, b, ()]
 
 def test_subgroup_validation():
     with pytest.raises(ValueError):
