@@ -15,12 +15,14 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from . import linalg
 from .characteristics import DEFAULT_OMEGA_CAP, decide_normal, task_rng
 from .chevalley import LieElement
 from .grading import ThetaGrading
-from .pisystems import canonical, classify_all, is_pi_system
+from .pisystems import canonical, classify_all
 from .records import (
     InternalConsistencyError,
     OrbitRecord,
@@ -30,7 +32,7 @@ from .records import (
     wdd_of_cartan,
     zero_record,
 )
-from .rootsystem import Root
+from .rootsystem import Root, RootSystem
 from .weyl import conjugacy_classes, to_subdominant
 
 log = logging.getLogger(__name__)
@@ -70,16 +72,25 @@ def candidate_pi_systems(grading: ThetaGrading) -> list[GradedCandidate]:
     of Phi_1 at a time while the union stays a pi-system, extending only
     the first candidate met in each W_0-class.  W_0 preserves Phi_1 and the
     pi-system conditions, so this reaches every class of graded pi-systems
-    once.
+    once.  Since the candidate already is a pi-system, a new root r keeps
+    it one when r is outside the union of the candidate's difference masks
+    (and not in the candidate) and the rows stay independent.
     """
     rs = grading.rs
     w0 = grading.weyl_subgroup()
+    masks = _difference_masks(rs)
+    phi1 = [(rs.root_index[r], r) for r in grading.phi1]
 
     def add_one(cand: GradedCandidate) -> list[GradedCandidate]:
+        roots = cand.roots()
+        blocked = 0
+        for i in map(rs.root_index.__getitem__, roots):
+            blocked |= masks[i] | 1 << i
+        rows = [list(r) for r in roots]
         return [
             GradedCandidate(cand.pi0, canonical(cand.pi1 + (r,)))
-            for r in grading.phi1
-            if r not in cand.pi1 and is_pi_system(rs, cand.roots() + (r,))
+            for i, r in phi1
+            if not blocked >> i & 1 and linalg.rank_int(rows + [list(r)]) == len(rows) + 1
         ]
 
     start = [GradedCandidate(pi0, ()) for pi0 in classify_all(rs, basis=grading.delta0, sub=w0)]
@@ -89,48 +100,68 @@ def candidate_pi_systems(grading: ThetaGrading) -> list[GradedCandidate]:
     return ordered
 
 
+@lru_cache(maxsize=None)
+def _difference_masks(rs: RootSystem) -> tuple[int, ...]:
+    """For each root index i, the bitmask of the indices j with
+    roots[i] - roots[j] a root."""
+    masks = []
+    for a in rs.roots:
+        m = 0
+        for j, b in enumerate(rs.roots):
+            if tuple(x - y for x, y in zip(a, b)) in rs.root_index:
+                m |= 1 << j
+        masks.append(m)
+    return tuple(masks)
+
+
 def completion(grading: ThetaGrading, cand: GradedCandidate) -> CompletionResult | None:
     """Defining element of the completion of the candidate's subalgebra.
 
     Solves alpha(h0) = deg(alpha) over the span of the candidate's coroots,
     computes the centraliser directions z, and reads off the degree-0 and
     degree-1 root sets of the completion; returns None when no defining
-    element exists (the linear system is inconsistent).
+    element exists (the linear system is inconsistent).  Everything after
+    the solve is in integers: the solution's denominators are cleared once,
+    giving hnum = den * h0, and a root of degree 0 (or 1) with
+    den * alpha(h0) = 0 (or den) belongs to the completion when its integer
+    row of simple pairings is orthogonal to every integer z row.
     """
     alg, rs = grading.alg, grading.rs
-    pi = list(cand.pi0) + list(cand.pi1)
+    pi = [rs.root_index[a] for a in cand.pi0 + cand.pi1]
     if not pi:
         raise ValueError("empty candidate has no completion; handle upstream")
     degs = [0] * len(cand.pi0) + [1] * len(cand.pi1)
-    coroots = [alg.coroot(a) for a in pi]
-    rows = [[alg.root_value(b, hc) for hc in coroots] for b in pi]
+    pair = alg._pair_simple
+    coroots = [alg._coroot[j] for j in pi]
+    rows = [[sum(map(mul, hc, pair[b])) for hc in coroots] for b in pi]
     sol = linalg.solve(rows, degs)
     if sol is None:
         log.debug("candidate %s: no defining element", cand)
         return None
-    h0 = alg.zero()
-    for c, hc in zip(sol, coroots):
-        if c:
-            h0 = h0 + hc.scale(c)
-    pair_rows = [[rs.pairing(a, rs.simple_root(k)) for k in range(rs.rank)] for a in pi]
-    z_basis = tuple(alg.cartan(v) for v in linalg.nullspace(pair_rows))
+    solnum, den = linalg.clear_denominators(sol)
+    hnum = [sum(map(mul, solnum, col)) for col in zip(*coroots)]
+    z_rat = linalg.nullspace([pair[b] for b in pi])
+    z_int = [linalg.clear_denominators(v)[0] for v in z_rat]
 
-    def in_completion(root: Root) -> bool:
-        return all(alg.root_value(root, u) == 0 for u in z_basis)
+    def in_completion(i: int) -> bool:
+        return all(sum(map(mul, z, pair[i])) == 0 for z in z_int)
 
     one = 1 % grading.m
-    psi0 = tuple(
-        r
-        for r, d in zip(rs.roots, grading.deg_by_index)
-        if d == 0 and alg.root_value(r, h0) == 0 and in_completion(r)
-    )
-    psi1 = tuple(
-        r
-        for r, d in zip(rs.roots, grading.deg_by_index)
-        if d == one and alg.root_value(r, h0) == 1 and in_completion(r)
-    )
+    psi0, psi1 = [], []
+    for i, (d, v) in enumerate(zip(grading.deg_by_index, alg.root_values(hnum))):
+        # test both: at m = 1, one == 0, so a degree-0 root may be in psi1
+        if d == 0 and v == 0 and in_completion(i):
+            psi0.append(rs.roots[i])
+        if d == one and v == den and in_completion(i):
+            psi1.append(rs.roots[i])
     flat = len(pi) + len(psi0) == len(psi1)
-    return CompletionResult(h0, z_basis, psi0, psi1, flat)
+    return CompletionResult(
+        alg.cartan([Fraction(x, den) for x in hnum]),
+        tuple(alg.cartan(v) for v in z_rat),
+        tuple(psi0),
+        tuple(psi1),
+        flat,
+    )
 
 
 def classify_by_carriers(

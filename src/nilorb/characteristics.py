@@ -86,7 +86,7 @@ def decide_normal(
     pair = alg._pair_simple
     deg = grading.deg_by_index
     l = rs.rank
-    values = [sum(hnum[k] * pair[i][k] for k in range(l)) for i in range(len(rs.roots))]
+    values = alg.root_values(hnum)
 
     one = 1 % m
     eye = [i for i in range(len(rs.roots)) if deg[i] == one and values[i] == 2 * den]

@@ -120,6 +120,10 @@ class ChevalleyAlgebra:
             tuple(sum(r[j] * a[j][k] for j in range(rs.rank)) for k in range(rs.rank))
             for r in rs.roots
         )
+        # the same pairings as columns, over the positive roots
+        self._pair_columns = tuple(
+            tuple(p[k] for p in self._pair_simple[: rs.n_pos]) for k in range(rs.rank)
+        )
         self._n = self._build_constants()
 
     def __repr__(self) -> str:
@@ -243,6 +247,18 @@ class ChevalleyAlgebra:
         n = self.n_roots
         pair = self._pair_simple[self.rs.root_index[tuple(root)]]
         return sum(h.coeffs.get(n + i, 0) * pair[i] for i in range(self.rs.rank))
+
+    def root_values(self, hnum) -> list:
+        """alpha(h) for every root, in root order, where h = sum_k hnum[k] h_k.
+
+        One pass over the columns of the pairing table; integer hnum (the
+        den * h of linalg.clear_denominators) gives the integers den * alpha(h).
+        """
+        vals = [0] * self.rs.n_pos
+        for c, col in zip(hnum, self._pair_columns):
+            if c:
+                vals = [v + c * x for v, x in zip(vals, col)]
+        return vals + [-v for v in vals]
 
     # -- bracket and derived maps ----------------------------------------------
 

@@ -39,16 +39,23 @@ class NullconeSummary:
     very_nregular: bool
 
 
-def orbit_dimension(grading: ThetaGrading, e: LieElement) -> int:
-    """dim [g_0, e]: the dimension of the orbit of e under the theta-group."""
-    if e.is_zero():
-        return 0
-    alg = grading.alg
-    rows = [
-        linalg.clear_denominators(alg.bracket(b, e).dense())[0]
-        for b in grading.component_basis(0)
-    ]
-    return linalg.rank_int(rows)
+def orbit_dimension(grading: ThetaGrading, h: LieElement) -> int:
+    """dim [g_0, e]: the dimension of the theta-group orbit of e, for a
+    normal triple (h, e, f), counted from h alone.
+
+    theta composed with exp(-pi i ad h / m) fixes e, h and f, so each of its
+    eigenspaces is an sl2-module in which ad e maps g_0(k) into g_1(k + 2):
+    injectively for k < 0 and onto for k >= -1.  Hence
+    dim [g_0, e] = #{alpha in Phi_0 : alpha(h) < 0}
+                 + #{alpha in Phi_1 : alpha(h) >= 2}
+    (at m = 1 both sets are the whole root system).  h = 0 gives 0.
+    """
+    hnum, den = linalg.clear_denominators(h.cartan_part())
+    one = 1 % grading.m
+    return sum(
+        (d == 0 and v < 0) + (d == one and v >= 2 * den)
+        for d, v in zip(grading.deg_by_index, grading.alg.root_values(hnum))
+    )
 
 
 def ambient_wdd(alg: ChevalleyAlgebra, triple: Sl2Triple) -> WeightedDynkinDiagram:
@@ -67,7 +74,7 @@ def summarize(grading: ThetaGrading, records: list[OrbitRecord]) -> NullconeSumm
     nonzero = [r for r in records if not r.is_zero()]
     for r in nonzero:
         if r.dim is None:
-            r.dim = orbit_dimension(grading, r.e)
+            r.dim = orbit_dimension(grading, r.h)
     dim_g1 = grading.dims()[1 % grading.m]
     if not nonzero:
         return NullconeSummary(0, 0, 0, dim_g1, False, True)
@@ -105,7 +112,7 @@ def classify_orbits(
         raise ValueError(f"unknown method {method!r}; expected 'auto', '1' or '2'")
     for r in records:
         if r.dim is None:
-            r.dim = orbit_dimension(grading, r.e)
+            r.dim = orbit_dimension(grading, r.h)
     return records
 
 

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
+from . import linalg
 from .chevalley import ChevalleyAlgebra, LieElement
-from .rootsystem import RootSystem
-from .weyl import WeylSubgroup, to_subdominant
+from .weyl import _reflection_row, _simple_indices
 
 
 class InternalConsistencyError(RuntimeError):
@@ -75,21 +74,34 @@ def cartan_from_dual_weight(alg: ChevalleyAlgebra, lam) -> LieElement:
 
 
 def wdd_of_cartan(alg: ChevalleyAlgebra, h: LieElement) -> WeightedDynkinDiagram:
-    """Weighted Dynkin diagram of the dominant Weyl conjugate of h."""
+    """Weighted Dynkin diagram of the dominant Weyl conjugate of h.
+
+    Works on the integers den * alpha(h), one per root: while some simple
+    root has a negative value, the reflection in it permutes the vector
+    (alpha(s h) = (s alpha)(h)).  The labels are then the values at the
+    simple roots, which must be 0, 1 or 2 (and so integral).
+    """
+    if not h.is_cartan():
+        raise ValueError("element is not in the Cartan subalgebra")
     rs = alg.rs
-    full = _full_weyl_subgroup(rs)
-    lam_dom, _ = to_subdominant(rs, full, dual_weight(alg, h))
+    hnum, den = linalg.clear_denominators(h.cartan_part())
+    values = alg.root_values(hnum)
+    simple = _simple_indices(rs)
+    rows = [_reflection_row(rs, s) for s in simple]
+    i = 0
+    while i < rs.rank:
+        if values[simple[i]] < 0:
+            values = [values[k] for k in rows[i]]
+            i = 0
+        else:
+            i += 1
     labels = []
-    for i in range(rs.rank):
-        v = rs.inner(rs.simple_root(i), lam_dom)
-        if v not in (0, 1, 2):
+    for s in simple:
+        label, rest = divmod(values[s], den)
+        if rest or label not in (0, 1, 2):
             raise InternalConsistencyError(
-                f"dominant h has simple-root value {v}; not a nilpotent characteristic"
+                f"dominant h has simple-root value {Fraction(values[s], den)}; "
+                "not a nilpotent characteristic"
             )
-        labels.append(int(v))
+        labels.append(label)
     return WeightedDynkinDiagram(tuple(labels))
-
-
-@lru_cache(maxsize=None)
-def _full_weyl_subgroup(rs: RootSystem) -> WeylSubgroup:
-    return WeylSubgroup(rs, [rs.simple_root(i) for i in range(rs.rank)])

@@ -316,3 +316,93 @@ def reference_candidates(grading):
         },
         key=lambda c: (len(c.pi0) + len(c.pi1), c.pi0, c.pi1),
     )
+
+
+def orbit_dimension_by_rank(grading, e):
+    """dim [g_0, e] as the rank of the brackets of e with a basis of g_0."""
+    from nilorb import linalg
+
+    if e.is_zero():
+        return 0
+    alg = grading.alg
+    rows = [
+        linalg.clear_denominators(alg.bracket(b, e).dense())[0]
+        for b in grading.component_basis(0)
+    ]
+    return linalg.rank_int(rows)
+
+
+def reference_completion(grading, cand):
+    """The completion of a candidate computed with LieElement coroots and
+    Fraction root values alpha(h) throughout."""
+    from nilorb import linalg
+    from nilorb.carrier import CompletionResult
+
+    alg, rs = grading.alg, grading.rs
+    pi = list(cand.pi0) + list(cand.pi1)
+    degs = [0] * len(cand.pi0) + [1] * len(cand.pi1)
+    coroots = [alg.coroot(a) for a in pi]
+    rows = [[alg.root_value(b, hc) for hc in coroots] for b in pi]
+    sol = linalg.solve(rows, degs)
+    if sol is None:
+        return None
+    h0 = alg.zero()
+    for c, hc in zip(sol, coroots):
+        if c:
+            h0 = h0 + hc.scale(c)
+    pair_rows = [[rs.pairing(a, rs.simple_root(k)) for k in range(rs.rank)] for a in pi]
+    z_basis = tuple(alg.cartan(v) for v in linalg.nullspace(pair_rows))
+
+    def in_completion(root):
+        return all(alg.root_value(root, u) == 0 for u in z_basis)
+
+    one = 1 % grading.m
+    psi0 = tuple(
+        r
+        for r, d in zip(rs.roots, grading.deg_by_index)
+        if d == 0 and alg.root_value(r, h0) == 0 and in_completion(r)
+    )
+    psi1 = tuple(
+        r
+        for r, d in zip(rs.roots, grading.deg_by_index)
+        if d == one and alg.root_value(r, h0) == 1 and in_completion(r)
+    )
+    flat = len(pi) + len(psi0) == len(psi1)
+    return CompletionResult(h0, z_basis, psi0, psi1, flat)
+
+
+def reference_candidate_pi_systems(grading):
+    """The carrier candidates with the move that tests the whole extended
+    root set with is_pi_system, in the library's order."""
+    from nilorb.carrier import GradedCandidate
+    from nilorb.pisystems import canonical, classify_all, is_pi_system
+    from nilorb.weyl import conjugacy_classes
+
+    rs = grading.rs
+    w0 = grading.weyl_subgroup()
+
+    def add_one(cand):
+        return [
+            GradedCandidate(cand.pi0, canonical(cand.pi1 + (r,)))
+            for r in grading.phi1
+            if r not in cand.pi1 and is_pi_system(rs, cand.roots() + (r,))
+        ]
+
+    start = [GradedCandidate(pi0, ()) for pi0 in classify_all(rs, basis=grading.delta0, sub=w0)]
+    found = conjugacy_classes(rs, w0, start, lambda c: (c.pi0, c.pi1), add_one)
+    return sorted(found, key=lambda c: (len(c.pi0) + len(c.pi1), c.pi0, c.pi1))
+
+
+def reference_wdd_of_cartan(alg, h):
+    """The simple-root values of the dominant W-conjugate of h, through
+    to_subdominant on the dual weight of h (scaled to integers, since the
+    reflections are linear)."""
+    from nilorb import linalg
+    from nilorb.records import dual_weight
+    from nilorb.weyl import WeylSubgroup, to_subdominant
+
+    rs = alg.rs
+    full = WeylSubgroup(rs, [rs.simple_root(i) for i in range(rs.rank)])
+    lam, den = linalg.clear_denominators(dual_weight(alg, h))
+    lam, _ = to_subdominant(rs, full, lam)
+    return tuple(Fraction(rs.inner(rs.simple_root(i), lam), den) for i in range(rs.rank))

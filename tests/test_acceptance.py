@@ -220,6 +220,24 @@ def test_criterion_7_method_equivalence_e7_order2():
         k2 = sorted(r.h_key() for r in classify_by_carriers(g))
         assert k1 == k2
 
+
+# Degrees of the basic invariants of W(E8).
+E8_DEGREES = (2, 8, 12, 14, 18, 20, 24, 30)
+
+
+def test_e8_principal_order2_row():
+    # The N-regular involution of E8 by the carrier walk.  Degree oracle:
+    # for an N-regular theta of order m the invariants of G_0 on g_1 are
+    # free of degrees the d_i of W divisible by m (Panyushev 2005; Springer
+    # 1974), so rank = #{i : m | d_i}.
+    alg = build_algebra(build_root_system("E", 8))
+    g = principal_nregular_grading(alg, 2)
+    s = summarize(g, classify_orbits(g, method="2"))
+    assert summary_tuple(s) == (115, 1, 120, 8)
+    assert s.rank == sum(d % 2 == 0 for d in E8_DEGREES)
+    assert s.nregular
+
+
 def test_criterion_8_type_a_partition_oracle():
     with criterion(8, "type-A orbit counts equal partition counts"):
         expected = [2, 3, 5, 7]
@@ -341,4 +359,5 @@ def test_e8_order2_reproduction():
     # not acceptance-gated: the inner involution table row for E8 (long)
     alg = build_algebra(build_root_system("E", 8))
     kd, s = nregular_survey(alg, 2)
+    assert summary_tuple(s) == (115, 1, 120, 8)
     assert s.nregular

@@ -16,7 +16,16 @@ from nilorb import (
     grading_from_kac,
 )
 
-from oracles import mat_vec, orbit_ids, reference_candidates, same_partition, subgroup_matrices
+from oracles import (
+    mat_vec,
+    orbit_ids,
+    reference_candidate_pi_systems,
+    reference_candidates,
+    reference_completion,
+    rref_row_reduce,
+    same_partition,
+    subgroup_matrices,
+)
 
 A1 = build_algebra(build_root_system("A", 1))
 A3 = build_algebra(build_root_system("A", 3))
@@ -96,6 +105,40 @@ def test_candidate_classes_match_exhaustive_enumeration():
         assert len(set(got)) == len(got), g
         expected = {conjugacy_key(g.rs, w0, (c.pi0, c.pi1)) for c in reference_candidates(g)}
         assert set(got) == expected, g
+
+
+def test_completion_matches_fraction_reference():
+    f4 = build_algebra(build_root_system("F", 4))
+    gradings = [grading_from_kac(G2, kd) for m in (1, 2, 3, 4) for kd in enumerate_kac_diagrams(G2.rs, m)]
+    gradings.append(a3_example_grading())
+    gradings += [grading_from_kac(f4, kd) for kd in enumerate_kac_diagrams(f4.rs, 3)]
+    checked = 0
+    for g in gradings:
+        for cand in candidate_pi_systems(g):
+            if cand.is_empty():
+                continue
+            got, expected = completion(g, cand), reference_completion(g, cand)
+            assert (got is None) == (expected is None), (g, cand)
+            checked += 1
+            if got is None:
+                continue
+            assert got.h0 == expected.h0, (g, cand)
+            assert (got.psi0, got.psi1, got.flat) == (expected.psi0, expected.psi1, expected.flat)
+            span = [rref_row_reduce([z.cartan_part() for z in c.z_basis]) for c in (got, expected)]
+            assert span[0] == span[1], (g, cand)
+    assert checked == 363
+
+
+def test_candidate_move_matches_is_pi_system_move():
+    # same candidates in the same order: the index of a candidate seeds its
+    # random coefficients
+    f4 = build_algebra(build_root_system("F", 4))
+    e6 = build_algebra(build_root_system("E", 6))
+    for alg, m in [(f4, 3), (f4, 4), (e6, 2)]:
+        for kd in enumerate_kac_diagrams(alg.rs, m):
+            g = grading_from_kac(alg, kd)
+            assert candidate_pi_systems(g) == reference_candidate_pi_systems(g), kd.labels
+
 
 def test_sl4_example_completion_is_itself():
     g = a3_example_grading()

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from nilorb import (
@@ -7,6 +9,7 @@ from nilorb import (
     build_root_system,
     classify_orbits,
     decide_normal,
+    enumerate_kac_diagrams,
     grading_from_kac,
     h_from_wdd,
     nregular_survey,
@@ -15,7 +18,9 @@ from nilorb import (
     summarize,
     trivial_grading,
 )
-from nilorb.records import WeightedDynkinDiagram
+from nilorb.records import WeightedDynkinDiagram, cartan_from_dual_weight, dual_weight, wdd_of_cartan
+
+from oracles import mat_vec, orbit_dimension_by_rank, reference_wdd_of_cartan, weyl_matrices
 
 A1 = build_algebra(build_root_system("A", 1))
 A2 = build_algebra(build_root_system("A", 2))
@@ -24,12 +29,13 @@ G2 = build_algebra(build_root_system("G", 2))
 
 def test_orbit_dimension_zero():
     g = grading_from_kac(A1, KacDiagram.from_labels(A1.rs, (1, 1)))
-    assert orbit_dimension(g, A1.zero()) == 0
+    assert orbit_dimension(g, A1.zero()) == 0  # h of the zero triple
 
 
 def test_orbit_dimension_a1():
     g = grading_from_kac(A1, KacDiagram.from_labels(A1.rs, (1, 1)))
-    assert orbit_dimension(g, A1.root_vector((1,))) == 1
+    # h of the triple (h, x_alpha, x_-alpha) is the coroot of alpha
+    assert orbit_dimension(g, A1.coroot((1,))) == 1
 
 
 def test_ambient_wdd_regular_and_zero():
@@ -90,10 +96,59 @@ def test_classify_orbits_rejects_unknown_method():
 
 def test_ambient_wdd_rejects_non_characteristic():
     from nilorb import InternalConsistencyError
-    from nilorb.records import wdd_of_cartan
 
     with pytest.raises(InternalConsistencyError):
         wdd_of_cartan(A1, A1.cartan([2]))  # alpha(h) = 4
+
+
+def test_ambient_wdd_rejects_half_integral_h():
+    from nilorb import InternalConsistencyError
+
+    # alpha_1(h) = alpha_2(h) = 1/2: dominant, labels below 2, not integral
+    with pytest.raises(InternalConsistencyError):
+        wdd_of_cartan(A2, A2.cartan([Fraction(1, 2), Fraction(1, 2)]))
+    # alpha_1(h) = 1, alpha_2(h) = -1/2: not dominant
+    with pytest.raises(InternalConsistencyError):
+        wdd_of_cartan(A2, A2.cartan([Fraction(1, 2), 0]))
+
+
+@pytest.mark.parametrize("label,rank", [("G", 2), ("B", 3), ("F", 4)])
+def test_wdd_of_cartan_matches_to_subdominant_on_weyl_images(label, rank):
+    from nilorb import classify_nilpotent_g
+
+    alg = build_algebra(build_root_system(label, rank))
+    group = weyl_matrices(alg.rs)
+    for wdd, h in classify_nilpotent_g(alg):
+        lam = dual_weight(alg, h)
+        for mu in {mat_vec(w, lam) for w in group}:
+            image = cartan_from_dual_weight(alg, mu)
+            assert wdd_of_cartan(alg, image).labels == reference_wdd_of_cartan(alg, image)
+            assert wdd_of_cartan(alg, image) == wdd
+
+
+def _counted_dimension_gradings():
+    g2 = build_algebra(build_root_system("G", 2))
+    f4 = build_algebra(build_root_system("F", 4))
+    e6 = build_algebra(build_root_system("E", 6))
+    b3 = build_algebra(build_root_system("B", 3))
+    for alg, orders in [(g2, range(1, 6)), (f4, range(2, 5)), (e6, (2,))]:
+        for m in orders:
+            for kd in enumerate_kac_diagrams(alg.rs, m):
+                yield grading_from_kac(alg, kd)
+    yield trivial_grading(b3)
+
+
+def test_counted_dimension_matches_rank_oracle():
+    # dim [g_0, e] counted from h equals the rank of ad e on g_0, for every
+    # record of both listing methods
+    checked = 0
+    for g in _counted_dimension_gradings():
+        for method in ("1", "2"):
+            for r in classify_orbits(g, method=method, seed=5):
+                expected = orbit_dimension_by_rank(g, r.e)
+                assert r.dim == orbit_dimension(g, r.h) == expected, (g, method, r.h)
+                checked += 1
+    assert checked == 476
 
 
 def test_survey_uniqueness_is_enforced(monkeypatch):
