@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Survey of N-regular automorphisms: for each order m there is exactly one
 inner automorphism class whose degree-1 part contains a regular nilpotent
-element.  The table lists, per order, the Kac labels, the number of nonzero
-nilpotent orbits, the component count of the nullcone (starred when the
-components do not all lie in one ambient orbit), their dimension, and the
-rank of the degree-1 part.
+element, exp(2 pi i ad rho^vee / m), whose Kac diagram nregular_survey
+computes in closed form before classifying its one grading.  The table
+lists, per order, the Kac labels, the number of nonzero nilpotent orbits,
+the component count of the nullcone (starred when the components do not
+all lie in one ambient orbit), their dimension, and the rank of the
+degree-1 part.
 """
 
 from nilorb import build_algebra, build_root_system, nregular_survey, principal_nregular_grading

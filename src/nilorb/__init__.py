@@ -22,12 +22,12 @@ from .grading import (
     ThetaGrading,
     enumerate_kac_diagrams,
     grading_from_kac,
+    nregular_kac_diagram,
     principal_nregular_grading,
     trivial_grading,
 )
 from .nullcone import (
     NullconeSummary,
-    ambient_wdd,
     classify_orbits,
     nregular_survey,
     orbit_dimension,
@@ -63,7 +63,6 @@ __all__ = [
     "WeightedDynkinDiagram",
     "WeylElement",
     "WeylSubgroup",
-    "ambient_wdd",
     "build_algebra",
     "build_root_system",
     "candidate_pi_systems",
@@ -85,6 +84,7 @@ __all__ = [
     "h_from_wdd",
     "is_pi_system",
     "normal_list",
+    "nregular_kac_diagram",
     "nregular_survey",
     "orbit_dimension",
     "parse_type",

@@ -290,48 +290,6 @@ class ChevalleyAlgebra:
                     out[k] = out.get(k, 0) + ci * cj * v
         return LieElement(self, out)
 
-    def ad_matrix(self, x: LieElement, domain, codomain) -> list[list]:
-        """Matrix of ad(x): span(domain) -> span(codomain), columns exact.
-
-        Raises ValueError if some bracket leaves the codomain span.
-        """
-        cod = [v.dense() for v in codomain]
-        cols = []
-        for d in domain:
-            img = self.bracket(x, d).dense()
-            coords = linalg.solve([[cod[j][i] for j in range(len(cod))] for i in range(self.dim)], img)
-            if coords is None:
-                raise ValueError(f"bracket image {self.bracket(x, d)!r} outside codomain span")
-            cols.append(coords)
-        return [[cols[j][i] for j in range(len(domain))] for i in range(len(codomain))]
-
-    def is_nilpotent(self, x: LieElement) -> bool:
-        """Whether ad(x) is nilpotent, by iterating image spaces to zero."""
-        if x.is_zero():
-            return True
-        cur = [self.basis_element(k).dense() for k in range(self.dim)]
-        dim_prev = self.dim
-        while True:
-            imgs = []
-            for v in cur:
-                elt = LieElement(self, {k: c for k, c in enumerate(v) if c})
-                imgs.append(self.bracket(x, elt).dense())
-            basis = linalg.row_reduce(imgs)
-            if not basis:
-                return True
-            if len(basis) == dim_prev:
-                return False
-            dim_prev = len(basis)
-            cur = basis
-
-    def killing_form(self, x: LieElement, y: LieElement):
-        """kappa(x, y) = trace(ad x o ad y)."""
-        total = 0
-        for k in range(self.dim):
-            v = self.bracket(x, self.bracket(y, self.basis_element(k)))
-            total += v.coeffs.get(k, 0)
-        return total
-
     def complete_sl2(self, h: LieElement, e: LieElement, f_space) -> Sl2Triple | None:
         """Solve [e, f] = h for f in the span of f_space, or return None.
 

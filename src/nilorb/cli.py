@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from .characteristics import DEFAULT_OMEGA_CAP, RetryBudgetError, classify_nilpotent_g
 from .chevalley import build_algebra
-from .grading import KacDiagram, grading_from_kac
-from .nullcone import classify_orbits, nregular_survey, summarize
+from .grading import KacDiagram, grading_from_kac, nregular_kac_diagram
+from .nullcone import check_nregular, classify_orbits, nregular_survey, summarize
 from .pisystems import classify_all
 from .records import OrbitRecord
 from .rootsystem import build_root_system, format_dynkin_type, parse_type
@@ -108,18 +109,15 @@ def cmd_orbits(args) -> int:
     alg = build_algebra(rs)
     if args.kac is not None:
         kd = KacDiagram.from_labels(rs, [int(s) for s in args.kac.split(",")])
-    elif args.nregular_order < 1:
-        print(f"error: order must be >= 1, got {args.nregular_order}", file=sys.stderr)
-        return 1
     else:
-        kd, _ = nregular_survey(
-            alg, args.nregular_order, method=args.method, seed=args.seed, omega_cap=args.omega_cap
-        )
+        kd = nregular_kac_diagram(rs, args.nregular_order)
     grading = grading_from_kac(alg, kd)
     records = classify_orbits(
         grading, method=args.method, seed=args.seed, omega_cap=args.omega_cap
     )
     summary = summarize(grading, records)
+    if args.kac is None:
+        check_nregular(alg, kd, summary)
     if args.output == "json":
         doc = {
             "algebra": {"type": rs.type_label, "rank": rs.rank},
@@ -239,7 +237,15 @@ def main(argv=None) -> int:
         print("error: outer automorphisms are not supported", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed early; silence the flush at interpreter exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except RetryBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RETRY_BUDGET

@@ -10,7 +10,6 @@ in degree 0, the full Cartan subalgebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .chevalley import ChevalleyAlgebra, LieElement
@@ -70,7 +69,6 @@ class ThetaGrading:
         self.center_basis = tuple(alg.cartan(v) for v in linalg.nullspace(rows)) if rows else tuple(
             alg.cartan([1 if j == i else 0 for j in range(rs.rank)]) for i in range(rs.rank)
         )
-        self.semisimple_part_cartan = tuple(alg.coroot(b) for b in self.delta0)
         self._wl = None
 
     def __repr__(self) -> str:
@@ -113,41 +111,6 @@ class ThetaGrading:
     def in_dominant_chamber(self, h: LieElement) -> bool:
         """Whether beta(h) >= 0 for every beta in Delta_0 (h in C_l + r)."""
         return all(self.alg.root_value(b, h) >= 0 for b in self.delta0)
-
-    def eigenspace(self, h: LieElement, k, i: int) -> list[LieElement]:
-        """Basis of g_i(k) = {x in g_i : [h, x] = k x} for h in g_0."""
-        i %= self.m
-        if h.is_cartan():
-            out = [
-                self.alg.root_vector(r)
-                for r in self.component_roots(i)
-                if self.alg.root_value(r, h) == k
-            ]
-            if i == 0 and k == 0:
-                out.extend(
-                    self.alg.cartan([1 if j == t else 0 for j in range(self.rs.rank)])
-                    for t in range(self.rs.rank)
-                )
-            return out
-        basis = self.component_basis(i)
-        index_of = {next(iter(b.coeffs)): col for col, b in enumerate(basis)}
-        mat = [[Fraction(0)] * len(basis) for _ in range(len(basis))]
-        for col, b in enumerate(basis):
-            img = self.alg.bracket(h, b)
-            for idx, c in img.coeffs.items():
-                if idx not in index_of:
-                    raise ValueError("ad h does not preserve the component; h is not in g_0")
-                mat[index_of[idx]][col] = Fraction(c)
-        for t in range(len(basis)):
-            mat[t][t] -= Fraction(k)
-        out = []
-        for v in linalg.nullspace(mat):
-            x = self.alg.zero()
-            for c, b in zip(v, basis):
-                if c:
-                    x = x + b.scale(c)
-            out.append(x)
-        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -192,15 +155,42 @@ def enumerate_kac_diagrams(rs: RootSystem, m: int) -> list[KacDiagram]:
             extend(i + 1, remaining - s * marks[i], acc + [s])
 
     extend(0, m, [])
-    autos = rs.extended_diagram_automorphisms()
-    seen = set()
-    out = []
-    for labels in sorted(solutions):
-        canon = max(tuple(labels[sigma[i]] for i in range(n)) for sigma in autos)
-        if canon not in seen:
-            seen.add(canon)
-            out.append(KacDiagram(canon, m))
-    return sorted(out, key=lambda kd: kd.labels)
+    canon = {_canonical_labels(rs, labels) for labels in solutions}
+    return [KacDiagram(labels, m) for labels in sorted(canon)]
+
+
+def _canonical_labels(rs: RootSystem, labels) -> tuple[int, ...]:
+    """The largest image of the labels under the extended-diagram
+    automorphisms: one label vector per class of conjugate automorphisms."""
+    return max(tuple(labels[i] for i in sigma) for sigma in rs.extended_diagram_automorphisms())
+
+
+def nregular_kac_diagram(rs: RootSystem, m: int) -> KacDiagram:
+    """Kac diagram of the N-regular inner automorphism of order m.
+
+    Up to conjugacy it is exp(2 pi i ad rho^vee / m): the principal sl2 has
+    trivial centraliser in the adjoint group (Kostant 1959).  Its diagram is
+    the point x = rho^vee, at level m, moved into the fundamental alcove
+    alpha_i(x) >= 0, theta(x) <= m by affine reflections (Kac,
+    Infinite-dimensional Lie algebras, 8.6); all in integers v_i = alpha_i(x).
+    """
+    if m < 1:
+        raise ValueError(f"order must be >= 1, got {m}")
+    a = rs.cartan_matrix
+    theta = rs.highest_root
+    theta_pair = [rs.pairing(rs.simple_root(j), theta) for j in range(rs.rank)]
+    v = [1] * rs.rank
+    while True:
+        i = next((i for i, x in enumerate(v) if x < 0), None)
+        if i is not None:
+            c = v[i]
+            v = [x - c * a[j][i] for j, x in enumerate(v)]
+            continue
+        excess = sum(k * x for k, x in zip(theta, v)) - m
+        if excess <= 0:
+            break
+        v = [x - excess * p for x, p in zip(v, theta_pair)]
+    return KacDiagram(_canonical_labels(rs, (-excess, *v)), m)
 
 
 def principal_nregular_grading(alg: ChevalleyAlgebra, m: int) -> ThetaGrading:

@@ -113,23 +113,3 @@ def nullspace(rows: Matrix) -> list[Row]:
             v[c] = -x
         basis.append(v)
     return basis
-
-
-def row_reduce(vectors: list[Row]) -> list[Row]:
-    """Reduced row-echelon basis of the row span (zero rows dropped)."""
-    m = [clear_denominators(r)[0] for r in vectors if any(r)]
-    if not m:
-        return []
-    piv_cols = _echelon(m, len(m[0]))
-    cols = [_back_substitute(m, piv_cols, j) for j in range(len(m[0]))]
-    return [[col[i] for col in cols] for i in range(len(piv_cols))]
-
-
-def in_span(vectors: list[Row], target: Row) -> bool:
-    """Whether target lies in the rational span of the given vectors."""
-    if all(x == 0 for x in target):
-        return True
-    if not vectors:
-        return False
-    cols = [[v[i] for v in vectors] for i in range(len(target))]
-    return solve(cols, list(target)) is not None

@@ -1,20 +1,17 @@
-"""Nullcone analytics: orbit dimensions, components, rank, and the survey
-of N-regular automorphisms (those whose degree-1 part meets the regular
-nilpotent orbit)."""
+"""Nullcone analytics: orbit dimensions, components, rank, and the N-regular
+automorphism of each order (the one whose degree-1 part meets the regular
+nilpotent orbit), found in closed form by grading.nregular_kac_diagram."""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from . import linalg
 from .carrier import classify_by_carriers
 from .characteristics import DEFAULT_OMEGA_CAP, classify_by_characteristics
-from .chevalley import ChevalleyAlgebra, LieElement, Sl2Triple
-from .grading import KacDiagram, ThetaGrading, enumerate_kac_diagrams, grading_from_kac
-from .records import InternalConsistencyError, OrbitRecord, WeightedDynkinDiagram, wdd_of_cartan
-
-log = logging.getLogger(__name__)
+from .chevalley import ChevalleyAlgebra, LieElement
+from .grading import KacDiagram, ThetaGrading, grading_from_kac, nregular_kac_diagram
+from .records import InternalConsistencyError, OrbitRecord
 
 # Coset index above which 'auto' picks the carrier walk.  Not derived from
 # data: perfbench/method_selection.json has the carrier walk faster on 13 of
@@ -56,11 +53,6 @@ def orbit_dimension(grading: ThetaGrading, h: LieElement) -> int:
         (d == 0 and v < 0) + (d == one and v >= 2 * den)
         for d, v in zip(grading.deg_by_index, grading.alg.root_values(hnum))
     )
-
-
-def ambient_wdd(alg: ChevalleyAlgebra, triple: Sl2Triple) -> WeightedDynkinDiagram:
-    """Weighted Dynkin diagram of the ambient orbit of the triple's e."""
-    return wdd_of_cartan(alg, triple.h)
 
 
 def summarize(grading: ThetaGrading, records: list[OrbitRecord]) -> NullconeSummary:
@@ -123,22 +115,25 @@ def nregular_survey(
     seed: int = 0,
     omega_cap: int = DEFAULT_OMEGA_CAP,
 ) -> tuple[KacDiagram, NullconeSummary]:
-    """The unique order-m inner automorphism whose g_1 contains a regular
-    nilpotent element, with its nullcone summary.
+    """The order-m inner automorphism whose g_1 contains a regular nilpotent
+    element, with its nullcone summary.
 
-    Classifies the orbits of every order-m Kac diagram; exactly one diagram
-    may pass the regularity test, anything else is a structural failure.
+    The diagram comes in closed form from nregular_kac_diagram and one
+    grading is classified; a summary that is not N-regular is a structural
+    failure.
     """
-    hits = []
-    for kd in enumerate_kac_diagrams(alg.rs, m):
-        grading = grading_from_kac(alg, kd)
-        records = classify_orbits(grading, method=method, seed=seed, omega_cap=omega_cap)
-        summary = summarize(grading, records)
-        log.debug("survey %s m=%d %s: %s", alg, m, kd.labels, summary)
-        if summary.nregular:
-            hits.append((kd, summary))
-    if len(hits) != 1:
+    kd = nregular_kac_diagram(alg.rs, m)
+    grading = grading_from_kac(alg, kd)
+    records = classify_orbits(grading, method=method, seed=seed, omega_cap=omega_cap)
+    summary = summarize(grading, records)
+    check_nregular(alg, kd, summary)
+    return kd, summary
+
+
+def check_nregular(alg: ChevalleyAlgebra, kd: KacDiagram, summary: NullconeSummary) -> None:
+    """Raise InternalConsistencyError unless the summary is N-regular."""
+    if not summary.nregular:
         raise InternalConsistencyError(
-            f"expected exactly one N-regular diagram of order {m}, found {len(hits)}"
+            f"{alg.rs.type_label}{alg.rs.rank}: the closed-form diagram "
+            f"{','.join(map(str, kd.labels))} of order {kd.order} is not N-regular"
         )
-    return hits[0]

@@ -91,9 +91,6 @@ class WeylElement:
         # deleting the indices below n leaves the negative images
         return len(self.perm[:n].translate(None, bytes(range(n))))
 
-    def act_root(self, root: Root) -> Root:
-        return self.rs.roots[self.perm[self.rs.root_index[tuple(root)]]]
-
     def matrix(self) -> tuple:
         """Integer matrix of the action on simple-root coordinates."""
         if self._matrix is None:

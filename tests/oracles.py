@@ -406,3 +406,129 @@ def reference_wdd_of_cartan(alg, h):
     lam, den = linalg.clear_denominators(dual_weight(alg, h))
     lam, _ = to_subdominant(rs, full, lam)
     return tuple(Fraction(rs.inner(rs.simple_root(i), lam), den) for i in range(rs.rank))
+
+
+def bareiss_row_reduce(vectors):
+    """Reduced row-echelon basis of the row span (zero rows dropped), through
+    linalg's fraction-free elimination and back-substitution on every
+    column; compared against the Gauss-Jordan rref_row_reduce."""
+    from nilorb import linalg
+
+    m = [linalg.clear_denominators(r)[0] for r in vectors if any(r)]
+    if not m:
+        return []
+    piv_cols = linalg._echelon(m, len(m[0]))
+    cols = [linalg._back_substitute(m, piv_cols, j) for j in range(len(m[0]))]
+    return [[col[i] for col in cols] for i in range(len(piv_cols))]
+
+
+def in_span(vectors, target):
+    """Whether target lies in the rational span of the vectors, by
+    linalg.solve."""
+    from nilorb import linalg
+
+    if all(x == 0 for x in target):
+        return True
+    if not vectors:
+        return False
+    cols = [[v[i] for v in vectors] for i in range(len(target))]
+    return linalg.solve(cols, list(target)) is not None
+
+
+def ad_matrix(alg, x, domain, codomain):
+    """Matrix of ad(x): span(domain) -> span(codomain), columns exact.
+
+    Raises ValueError if some bracket leaves the codomain span.
+    """
+    cod = [v.dense() for v in codomain]
+    cols = []
+    for d in domain:
+        img = alg.bracket(x, d).dense()
+        coords = rref_solve([[cod[j][i] for j in range(len(cod))] for i in range(alg.dim)], img)
+        if coords is None:
+            raise ValueError(f"bracket image {alg.bracket(x, d)!r} outside codomain span")
+        cols.append(coords)
+    return [[cols[j][i] for j in range(len(domain))] for i in range(len(codomain))]
+
+
+def is_nilpotent(alg, x):
+    """Whether ad(x) is nilpotent, by iterating image spaces to zero."""
+    from nilorb.chevalley import LieElement
+
+    if x.is_zero():
+        return True
+    cur = [alg.basis_element(k).dense() for k in range(alg.dim)]
+    dim_prev = alg.dim
+    while True:
+        imgs = [
+            alg.bracket(x, LieElement(alg, {k: c for k, c in enumerate(v) if c})).dense()
+            for v in cur
+        ]
+        basis = rref_row_reduce(imgs)
+        if not basis:
+            return True
+        if len(basis) == dim_prev:
+            return False
+        dim_prev = len(basis)
+        cur = basis
+
+
+def killing_form(alg, x, y):
+    """kappa(x, y) = trace(ad x o ad y)."""
+    total = 0
+    for k in range(alg.dim):
+        v = alg.bracket(x, alg.bracket(y, alg.basis_element(k)))
+        total += v.coeffs.get(k, 0)
+    return total
+
+
+def semisimple_part_cartan(grading):
+    """The coroots of Delta_0: a basis of the Cartan of [g_0, g_0]."""
+    return tuple(grading.alg.coroot(b) for b in grading.delta0)
+
+
+def eigenspace(grading, h, k, i):
+    """Basis of g_i(k) = {x in g_i : [h, x] = k x} for h in g_0."""
+    alg = grading.alg
+    i %= grading.m
+    if h.is_cartan():
+        out = [
+            alg.root_vector(r) for r in grading.component_roots(i) if alg.root_value(r, h) == k
+        ]
+        if i == 0 and k == 0:
+            out.extend(
+                alg.cartan([1 if j == t else 0 for j in range(alg.rs.rank)])
+                for t in range(alg.rs.rank)
+            )
+        return out
+    basis = grading.component_basis(i)
+    index_of = {next(iter(b.coeffs)): col for col, b in enumerate(basis)}
+    mat = [[Fraction(0)] * len(basis) for _ in range(len(basis))]
+    for col, b in enumerate(basis):
+        for idx, c in alg.bracket(h, b).coeffs.items():
+            if idx not in index_of:
+                raise ValueError("ad h does not preserve the component; h is not in g_0")
+            mat[index_of[idx]][col] = Fraction(c)
+    for t in range(len(basis)):
+        mat[t][t] -= Fraction(k)
+    out = []
+    for v in rref_nullspace(mat):
+        x = alg.zero()
+        for c, b in zip(v, basis):
+            if c:
+                x = x + b.scale(c)
+        out.append(x)
+    return out
+
+
+def survey_nregular_diagrams(alg, m):
+    """Every order-m Kac diagram whose g_1 meets the regular nilpotent
+    orbit, found by classifying the orbits of each diagram of the order."""
+    from nilorb import classify_orbits, enumerate_kac_diagrams, grading_from_kac, summarize
+
+    hits = []
+    for kd in enumerate_kac_diagrams(alg.rs, m):
+        grading = grading_from_kac(alg, kd)
+        if summarize(grading, classify_orbits(grading)).nregular:
+            hits.append(kd)
+    return hits

@@ -28,7 +28,7 @@ from nilorb import (
     shortest_coset_reps,
     summarize,
 )
-from oracles import brute_pi_classes, partition_count
+from oracles import brute_pi_classes, is_nilpotent, partition_count
 
 LONG = bool(os.environ.get("NILORB_LONG_TESTS"))
 
@@ -221,7 +221,8 @@ def test_criterion_7_method_equivalence_e7_order2():
         assert k1 == k2
 
 
-# Degrees of the basic invariants of W(E8).
+# Degrees of the basic invariants of W(E7) and W(E8).
+E7_DEGREES = (2, 6, 8, 10, 12, 14, 18)
 E8_DEGREES = (2, 8, 12, 14, 18, 20, 24, 30)
 
 
@@ -236,6 +237,24 @@ def test_e8_principal_order2_row():
     assert summary_tuple(s) == (115, 1, 120, 8)
     assert s.rank == sum(d % 2 == 0 for d in E8_DEGREES)
     assert s.nregular
+
+
+@pytest.mark.parametrize(
+    "rank,m,row,degrees",
+    [(7, 6, (233, 10, 21, 3), E7_DEGREES), (8, 30, (510, 9, 8, 1), E8_DEGREES)],
+)
+def test_closed_form_nregular_rows_e7_e8(rank, m, row, degrees):
+    # The N-regular gradings of E7 order 6 and E8 order 30 from the
+    # closed-form Kac diagram.  The rows are regression pins of this
+    # program's output, not published values; the degree oracle (Panyushev
+    # 2005; Springer 1974) and rank + component_dim = dim g_1 are theory.
+    alg = build_algebra(build_root_system("E", rank))
+    kd, s = nregular_survey(alg, m)
+    dim_g1 = grading_from_kac(alg, kd).dims()[1]
+    assert s.rank == sum(d % m == 0 for d in degrees)
+    assert s.component_dim == dim_g1 - s.rank
+    assert summary_tuple(s) == row
+    assert s.nregular and not s.very_nregular
 
 
 def test_criterion_8_type_a_partition_oracle():
@@ -301,7 +320,7 @@ def test_criterion_9_algebraic_invariants():
                 assert alg.bracket(r.e, r.f) == r.h
                 assert all(g.deg_by_index[k] == 1 % g.m for k in r.e.coeffs)
                 assert all(g.deg_by_index[k] == (g.m - 1) % g.m for k in r.f.coeffs)
-                assert alg.is_nilpotent(r.e)
+                assert is_nilpotent(alg, r.e)
             s = summarize(g, records)
             assert s.rank + s.component_dim == g.dims()[1 % g.m]
             for i in range(g.m):
@@ -335,7 +354,6 @@ def test_criterion_10_sl4_order3_regression():
         assert dims == [1, 2, 2]
 
 
-@pytest.mark.skipif(not LONG, reason="long run; set NILORB_LONG_TESTS=1")
 def test_e6_orders_4_and_5_reproduction():
     # further published rows, beyond the gated ones
     alg = build_algebra(build_root_system("E", 6))

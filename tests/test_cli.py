@@ -22,15 +22,34 @@ def test_roots(capsys):
     assert "marks" in out
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
 def test_python_dash_m_runs_the_cli():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "nilorb", "roots", "--type", "G2"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=ENV, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert "positive roots: 6" in proc.stdout
+
+
+def test_closed_pipe_is_a_quiet_nonzero_exit():
+    # the reader has gone before the first write, as with `| head` on a
+    # long dump: no traceback, no "Exception ignored" line, nonzero exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nilorb", "roots", "--type", "E8"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=ENV, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
 
 
 def test_invalid_type(capsys):
@@ -178,13 +197,13 @@ def test_orbits_passes_omega_cap_to_the_survey(capsys, monkeypatch):
     import nilorb.cli as cli_mod
 
     seen = {}
-    survey = cli_mod.nregular_survey
+    classify = cli_mod.classify_orbits
 
     def spy(*args, **kwargs):
         seen.update(kwargs)
-        return survey(*args, **kwargs)
+        return classify(*args, **kwargs)
 
-    monkeypatch.setattr(cli_mod, "nregular_survey", spy)
+    monkeypatch.setattr(cli_mod, "classify_orbits", spy)
     code, _, err = run(capsys, ["orbits", "--type", "G2", "--nregular-order", "2", "--omega-cap", "0"])
     assert code == 1 and err.startswith("error:")
     assert seen["omega_cap"] == 0

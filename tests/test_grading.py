@@ -12,6 +12,8 @@ from nilorb import (
     trivial_grading,
 )
 
+from oracles import eigenspace, semisimple_part_cartan
+
 A1 = build_algebra(build_root_system("A", 1))
 A3 = build_algebra(build_root_system("A", 3))
 G2 = build_algebra(build_root_system("G", 2))
@@ -44,7 +46,7 @@ def test_sl4_order3_example():
     # g_0 = sl2 + 2-dimensional torus
     assert g.delta0 == ((0, 0, 1),)
     assert len(g.center_basis) == 2
-    assert len(g.semisimple_part_cartan) == 1
+    assert len(semisimple_part_cartan(g)) == 1
 
 
 def test_e7_order2_dims():
@@ -99,16 +101,16 @@ def test_trivial_grading():
 def test_eigenspace_examples():
     g = grading_from_kac(A3, KacDiagram.from_labels(A3.rs, (1, 1, 1, 0)))
     # no eigenvalue 7 anywhere
-    assert g.eigenspace(A3.cartan([1, 0, 0]), 7, 1) == []
+    assert eigenspace(g, A3.cartan([1, 0, 0]), 7, 1) == []
     # h = 0: everything in g_1 has eigenvalue 0
-    assert len(g.eigenspace(A3.zero(), 0, 1)) == 5
+    assert len(eigenspace(g, A3.zero(), 0, 1)) == 5
     # h = 2 h0 for the rank-2 carrier of the example grading: the eigenvalue-2
     # part of g_1 is 4-dimensional (the carrier's own degree-1 part is the
     # 2-dimensional slice cut out by the centraliser directions)
     from nilorb.carrier import GradedCandidate, completion
 
     comp = completion(g, GradedCandidate((), ((-1, -1, 0), (0, 1, 0))))
-    basis = g.eigenspace(comp.h0.scale(2), 2, 1)
+    basis = eigenspace(g, comp.h0.scale(2), 2, 1)
     names = {A3.basis_label(next(iter(b.coeffs))) for b in basis}
     assert names == {"x[0,1,0]", "x[0,1,1]", "x[-1,-1,0]", "x[-1,-1,-1]"}
     assert {"x[0,1,0]", "x[-1,-1,0]"} <= names
@@ -118,7 +120,7 @@ def test_eigenspace_non_cartan_h():
     g = grading_from_kac(A3, KacDiagram.from_labels(A3.rs, (1, 1, 1, 0)))
     # h with a root-vector component still acts on g_1; eigenvalue 0 kernel
     h = A3.cartan([0, 0, 1]) + A3.root_vector((0, 0, 1))
-    out = g.eigenspace(h, 0, 1)
+    out = eigenspace(g, h, 0, 1)
     for x in out:
         assert A3.bracket(h, x).is_zero()
 

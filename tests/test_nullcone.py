@@ -4,7 +4,6 @@ import pytest
 
 from nilorb import (
     KacDiagram,
-    ambient_wdd,
     build_algebra,
     build_root_system,
     classify_orbits,
@@ -12,6 +11,7 @@ from nilorb import (
     enumerate_kac_diagrams,
     grading_from_kac,
     h_from_wdd,
+    nregular_kac_diagram,
     nregular_survey,
     orbit_dimension,
     principal_nregular_grading,
@@ -20,7 +20,13 @@ from nilorb import (
 )
 from nilorb.records import WeightedDynkinDiagram, cartan_from_dual_weight, dual_weight, wdd_of_cartan
 
-from oracles import mat_vec, orbit_dimension_by_rank, reference_wdd_of_cartan, weyl_matrices
+from oracles import (
+    mat_vec,
+    orbit_dimension_by_rank,
+    reference_wdd_of_cartan,
+    survey_nregular_diagrams,
+    weyl_matrices,
+)
 
 A1 = build_algebra(build_root_system("A", 1))
 A2 = build_algebra(build_root_system("A", 2))
@@ -42,7 +48,7 @@ def test_ambient_wdd_regular_and_zero():
     triv = trivial_grading(A2)
     h = h_from_wdd(A2, WeightedDynkinDiagram((2, 2)))
     triple = decide_normal(triv, h)
-    assert ambient_wdd(A2, triple).labels == (2, 2)
+    assert wdd_of_cartan(A2, triple.h).labels == (2, 2)
 
 
 def test_ambient_wdd_minimal_orbit_a2():
@@ -50,7 +56,7 @@ def test_ambient_wdd_minimal_orbit_a2():
     # minimal orbit is (1,1)
     h = A2.coroot((1, 0))
     triple = A2.complete_sl2(h, A2.root_vector((1, 0)), [A2.root_vector((-1, 0))])
-    assert ambient_wdd(A2, triple).labels == (1, 1)
+    assert wdd_of_cartan(A2, triple.h).labels == (1, 1)
 
 
 def test_summarize_a1_against_torus_orbit_oracle():
@@ -178,3 +184,40 @@ def test_survey_winner_dims_match_principal_construction():
         p = principal_nregular_grading(G2, m)
         assert sorted(g.dims()) == sorted(p.dims())
         assert g.dims()[0] == p.dims()[0] and g.dims()[1] == p.dims()[1]
+
+
+@pytest.mark.parametrize(
+    "label,rank,orders",
+    [
+        ("G", 2, range(1, 8)),
+        ("F", 4, range(1, 8)),
+        ("E", 6, (2, 3)),
+        ("A", 3, range(2, 6)),
+        ("B", 3, range(2, 6)),
+        ("C", 3, range(2, 6)),
+        ("D", 4, range(2, 6)),
+    ],
+)
+def test_closed_form_is_the_only_nregular_diagram(label, rank, orders):
+    # the exhaustive survey over every Kac diagram of the order finds
+    # exactly one N-regular diagram, the closed-form one
+    alg = build_algebra(build_root_system(label, rank))
+    for m in orders:
+        assert survey_nregular_diagrams(alg, m) == [nregular_kac_diagram(alg.rs, m)], m
+
+
+@pytest.mark.parametrize(
+    "label,rank",
+    [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)],
+)
+def test_closed_form_at_the_coxeter_number_is_all_ones(label, rank):
+    # at m = h = sum of the marks, rho^vee / h already lies in the alcove:
+    # the principal element has every Kac label 1 (Kostant 1959)
+    rs = build_root_system(label, rank)
+    assert nregular_kac_diagram(rs, sum(rs.marks)).labels == (1,) * (rank + 1)
+
+
+def test_closed_form_rejects_order_below_one():
+    for m in (0, -3):
+        with pytest.raises(ValueError, match=">= 1"):
+            nregular_kac_diagram(G2.rs, m)
