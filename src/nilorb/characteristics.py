@@ -49,12 +49,27 @@ def task_rng(seed: int, task_id: int) -> random.Random:
     return random.Random(z ^ (z >> 31))
 
 
+@lru_cache(maxsize=None)
+def _cartan_inverse(rs) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(num, den) with num / den the inverse of the Cartan matrix, num integer.
+
+    Row i of the inverse solves the transposed system with right-hand side e_i.
+    """
+    l = rs.rank
+    transposed = [list(col) for col in zip(*rs.cartan_matrix)]
+    rows = [linalg.solve(transposed, [int(j == i) for j in range(l)]) for i in range(l)]
+    flat, den = linalg.clear_denominators([x for row in rows for x in row])
+    return tuple(tuple(flat[i * l : (i + 1) * l]) for i in range(l)), den
+
+
 def h_from_wdd(alg: ChevalleyAlgebra, wdd: WeightedDynkinDiagram) -> LieElement:
-    """The Cartan element with alpha_i(h) = d_i for every simple root."""
-    rs = alg.rs
-    rows = [list(rs.cartan_matrix[j]) for j in range(rs.rank)]
-    sol = linalg.solve(rows, list(wdd.labels))
-    return alg.cartan(sol)
+    """The Cartan element with alpha_i(h) = d_i for every simple root:
+    h = num . labels / den, for the integer inverse (num, den) of the Cartan
+    matrix computed once per root system."""
+    num, den = _cartan_inverse(alg.rs)
+    return alg.cartan(
+        [Fraction(sum(a * d for a, d in zip(row, wdd.labels)), den) for row in num]
+    )
 
 
 def decide_normal(
@@ -129,11 +144,8 @@ def decide_normal(
                 f"with coefficients up to omega cap {omega_cap}"
             )
 
-    e = alg.zero()
-    for t in range(s):
-        if coeffs[t]:
-            e = e + alg.basis_element(eye[t]).scale(coeffs[t])
-    f_space = [alg.basis_element(i + rs.n_pos if i < rs.n_pos else i - rs.n_pos) for i in eye]
+    e = LieElement(alg, dict(zip(eye, coeffs)))
+    f_space = [LieElement(alg, {i + rs.n_pos if i < rs.n_pos else i - rs.n_pos: 1}) for i in eye]
     return alg.complete_sl2(h, e, f_space)
 
 

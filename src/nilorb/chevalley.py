@@ -57,12 +57,6 @@ class LieElement:
     def __hash__(self):
         return hash(tuple(sorted(self.coeffs.items())))
 
-    def dense(self) -> list:
-        v = [Fraction(0)] * self.alg.dim
-        for k, c in self.coeffs.items():
-            v[k] = Fraction(c)
-        return v
-
     def cartan_part(self) -> tuple:
         """Coefficients over h_1..h_l."""
         n = self.alg.n_roots
@@ -293,25 +287,41 @@ class ChevalleyAlgebra:
     def complete_sl2(self, h: LieElement, e: LieElement, f_space) -> Sl2Triple | None:
         """Solve [e, f] = h for f in the span of f_space, or return None.
 
-        Requires [h, e] = 2e and [h, v] = -2v for every v in f_space.
+        h must lie in the Cartan subalgebra, and [h, e] = 2e and [h, v] = -2v
+        for every v in f_space: for a Cartan h these say that e and v have no
+        Cartan part and alpha(h) = 2, resp. -2, on every root of their support.
+        The solve runs over the basis rows that some [e, v] or h reaches; every
+        other row reads 0 = 0 and leaves the solution (free variables 0) as it
+        is.
         """
-        if self.bracket(h, e) != e.scale(2):
+        if not h.is_cartan():
+            raise ValueError("h must lie in the Cartan subalgebra")
+        hnum, den = linalg.clear_denominators(h.cartan_part())
+        values = self.root_values(hnum)
+        n = self.n_roots
+
+        def eigenvector(x: LieElement, c: int) -> bool:
+            return all(k < n and values[k] == c * den for k in x.coeffs)
+
+        if not eigenvector(e, 2):
             raise ValueError("[h, e] != 2e")
         for v in f_space:
-            if self.bracket(h, v) != v.scale(-2):
+            if not eigenvector(v, -2):
                 raise ValueError("f_space vector is not a -2 eigenvector of ad h")
         if e.is_zero():
             return None
-        cols = [self.bracket(e, v).dense() for v in f_space]
-        rows = [[cols[j][i] for j in range(len(cols))] for i in range(self.dim)]
-        sol = linalg.solve(rows, h.dense())
+        cols = [self.bracket(e, v).coeffs for v in f_space]
+        reached = sorted(set(h.coeffs).union(*cols))
+        rows = [[col.get(i, 0) for col in cols] for i in reached]
+        sol = linalg.solve(rows, [h.coeffs.get(i, 0) for i in reached])
         if sol is None:
             return None
-        f = self.zero()
+        f: dict = {}
         for c, v in zip(sol, f_space):
             if c:
-                f = f + v.scale(c)
-        triple = Sl2Triple(h, e, f)
+                for k, x in v.coeffs.items():
+                    f[k] = f.get(k, 0) + c * x
+        triple = Sl2Triple(h, e, LieElement(self, f))
         triple.check()
         return triple
 

@@ -10,6 +10,7 @@ in degree 0, the full Cartan subalgebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .chevalley import ChevalleyAlgebra, LieElement
@@ -65,14 +66,21 @@ class ThetaGrading:
                 key=lambda r: (sum(r), r),
             )
         )
-        rows = [[rs.pairing(b, rs.simple_root(k)) for k in range(rs.rank)] for b in self.delta0]
-        self.center_basis = tuple(alg.cartan(v) for v in linalg.nullspace(rows)) if rows else tuple(
-            alg.cartan([1 if j == i else 0 for j in range(rs.rank)]) for i in range(rs.rank)
-        )
         self._wl = None
 
     def __repr__(self) -> str:
         return f"ThetaGrading({self.rs.type_label}{self.rs.rank}, m={self.m})"
+
+    @cached_property
+    def center_basis(self) -> tuple[LieElement, ...]:
+        """Basis of the centre of g_0: the Cartan elements killed by Delta_0."""
+        rs, alg = self.rs, self.alg
+        rows = [[rs.pairing(b, rs.simple_root(k)) for k in range(rs.rank)] for b in self.delta0]
+        if not rows:
+            return tuple(
+                alg.cartan([1 if j == i else 0 for j in range(rs.rank)]) for i in range(rs.rank)
+            )
+        return tuple(alg.cartan(v) for v in linalg.nullspace(rows))
 
     def degree(self, root) -> int:
         return self.deg_by_index[self.rs.root_index[tuple(root)]]

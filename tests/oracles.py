@@ -11,6 +11,14 @@ from fractions import Fraction
 from itertools import combinations
 
 
+def dense(x):
+    """The coefficient vector of a LieElement over the whole basis."""
+    v = [Fraction(0)] * x.alg.dim
+    for k, c in x.coeffs.items():
+        v[k] = Fraction(c)
+    return v
+
+
 def reflection_matrix(rs, i: int):
     """Matrix of s_i on simple-root coordinates: column j of the matrix is
     alpha_j - <alpha_j, alpha_i^vee> alpha_i."""
@@ -326,7 +334,7 @@ def orbit_dimension_by_rank(grading, e):
         return 0
     alg = grading.alg
     rows = [
-        linalg.clear_denominators(alg.bracket(b, e).dense())[0]
+        linalg.clear_denominators(dense(alg.bracket(b, e)))[0]
         for b in grading.component_basis(0)
     ]
     return linalg.rank_int(rows)
@@ -440,10 +448,10 @@ def ad_matrix(alg, x, domain, codomain):
 
     Raises ValueError if some bracket leaves the codomain span.
     """
-    cod = [v.dense() for v in codomain]
+    cod = [dense(v) for v in codomain]
     cols = []
     for d in domain:
-        img = alg.bracket(x, d).dense()
+        img = dense(alg.bracket(x, d))
         coords = rref_solve([[cod[j][i] for j in range(len(cod))] for i in range(alg.dim)], img)
         if coords is None:
             raise ValueError(f"bracket image {alg.bracket(x, d)!r} outside codomain span")
@@ -457,11 +465,11 @@ def is_nilpotent(alg, x):
 
     if x.is_zero():
         return True
-    cur = [alg.basis_element(k).dense() for k in range(alg.dim)]
+    cur = [dense(alg.basis_element(k)) for k in range(alg.dim)]
     dim_prev = alg.dim
     while True:
         imgs = [
-            alg.bracket(x, LieElement(alg, {k: c for k, c in enumerate(v) if c})).dense()
+            dense(alg.bracket(x, LieElement(alg, {k: c for k, c in enumerate(v) if c})))
             for v in cur
         ]
         basis = rref_row_reduce(imgs)
@@ -519,6 +527,34 @@ def eigenspace(grading, h, k, i):
                 x = x + b.scale(c)
         out.append(x)
     return out
+
+
+def reference_complete_sl2(alg, h, e, f_space):
+    """ChevalleyAlgebra.complete_sl2 as a dense solve: the preconditions
+    checked with bracket, and [e, f] = h solved by linalg.solve over all
+    dim g rows."""
+    from nilorb import linalg
+    from nilorb.chevalley import Sl2Triple
+
+    if alg.bracket(h, e) != e.scale(2):
+        raise ValueError("[h, e] != 2e")
+    for v in f_space:
+        if alg.bracket(h, v) != v.scale(-2):
+            raise ValueError("f_space vector is not a -2 eigenvector of ad h")
+    if e.is_zero():
+        return None
+    cols = [dense(alg.bracket(e, v)) for v in f_space]
+    rows = [[cols[j][i] for j in range(len(cols))] for i in range(alg.dim)]
+    sol = linalg.solve(rows, dense(h))
+    if sol is None:
+        return None
+    f = alg.zero()
+    for c, v in zip(sol, f_space):
+        if c:
+            f = f + v.scale(c)
+    triple = Sl2Triple(h, e, f)
+    triple.check()
+    return triple
 
 
 def survey_nregular_diagrams(alg, m):

@@ -95,6 +95,7 @@ def test_criterion_3_e6_rows():
 
 
 def _sweep_size(alg, grading):
+    from nilorb.linalg import clear_denominators
     from nilorb.records import dual_weight
 
     reps = shortest_coset_reps(alg.rs, grading.weyl_subgroup())
@@ -102,7 +103,7 @@ def _sweep_size(alg, grading):
     for wdd, h in classify_nilpotent_g(alg):
         if wdd.is_zero():
             continue
-        lam = dual_weight(alg, h)
+        lam, _ = clear_denominators(dual_weight(alg, h))  # den * lam, as normal_list
         total += len({w.act_weight(lam) for w in reps})
     return len(reps), total
 
@@ -144,6 +145,30 @@ def test_criterion_4_e7_order5_orbit_count():
         g = principal_nregular_grading(alg, 5)
         records = classify_by_carriers(g)
         assert len(records) - 1 == 82
+
+
+# The sorted weighted Dynkin diagrams of all 70 nilpotent orbits of E8, the
+# zero orbit included.  70 is the published orbit count; the label list is a
+# regression pin, taken from the dense-solve completion this code replaced.
+E8_AMBIENT_WDDS = """
+    00000000 00000001 00000002 00000010 00000020 00000022 00000100 00000101
+    00000200 00001000 00002000 00002002 00010000 00010001 00010002 00010010
+    00010100 00010102 00020002 00020020 00020022 00100000 00100001 00100100
+    00100101 01000000 01000010 01000012 01100010 01100012 01101022 02000000
+    02000002 10000000 10000001 10000002 10000010 10000100 10000101 10000102
+    10001000 10001010 10001012 10010001 10010100 10010101 10010102 10010110
+    10010122 20000000 20000002 20000020 20000022 20000101 20000200 20000202
+    20000222 20002002 20010102 20020020 20020022 20020202 20020222 21100012
+    21101022 21101101 21101222 22202022 22202222 22222222
+""".split()
+
+
+def test_e8_ambient_classification():
+    with criterion(4, "E8 ambient: 70 nilpotent orbits"):
+        alg = build_algebra(build_root_system("E", 8))
+        chars = classify_nilpotent_g(alg)
+        assert len(chars) == 70
+        assert sorted("".join(map(str, wdd.labels)) for wdd, _ in chars) == E8_AMBIENT_WDDS
 
 
 def test_criterion_5_coset_counts():

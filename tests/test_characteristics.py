@@ -15,12 +15,14 @@ from nilorb import (
     trivial_grading,
 )
 from nilorb.characteristics import task_rng
-from oracles import is_nilpotent, partition_count
+from nilorb.chevalley import ChevalleyAlgebra
+from oracles import is_nilpotent, partition_count, reference_complete_sl2
 
 A1 = build_algebra(build_root_system("A", 1))
 A2 = build_algebra(build_root_system("A", 2))
 A3 = build_algebra(build_root_system("A", 3))
 G2 = build_algebra(build_root_system("G", 2))
+F4 = build_algebra(build_root_system("F", 4))
 
 
 def test_h_from_wdd_examples():
@@ -147,3 +149,38 @@ def test_records_are_deterministic_for_fixed_seed():
     ]
     c = classify_by_characteristics(g, seed=8)
     assert [r.h_key() for r in a] == [r.h_key() for r in c]  # h set independent of seed
+
+
+def recorded_completions(monkeypatch, run):
+    """(alg, h, e, f_space, result) of every complete_sl2 call made by run()."""
+    calls = []
+    original = ChevalleyAlgebra.complete_sl2
+
+    def record(self, h, e, f_space):
+        result = original(self, h, e, f_space)
+        calls.append((self, h, e, list(f_space), result))
+        return result
+
+    monkeypatch.setattr(ChevalleyAlgebra, "complete_sl2", record)
+    run()
+    return calls
+
+
+def assert_matches_reference(calls):
+    assert any(c[-1] is None for c in calls) and any(c[-1] is not None for c in calls)
+    for alg, h, e, f_space, result in calls:
+        assert result == reference_complete_sl2(alg, h, e, f_space)
+
+
+@pytest.mark.parametrize("label, rank", [("G", 2), ("F", 4), ("E", 6)])
+def test_complete_sl2_matches_dense_reference_on_ambient_calls(monkeypatch, label, rank):
+    alg = build_algebra(build_root_system(label, rank))
+    # __wrapped__ bypasses the per-algebra cache, so every decide_normal runs
+    calls = recorded_completions(monkeypatch, lambda: classify_nilpotent_g.__wrapped__(alg))
+    assert_matches_reference(calls)
+
+
+def test_complete_sl2_matches_dense_reference_on_a_method1_grading(monkeypatch):
+    g = grading_from_kac(F4, KacDiagram.from_labels(F4.rs, (0, 1, 0, 0, 1)))
+    calls = recorded_completions(monkeypatch, lambda: classify_by_characteristics(g))
+    assert_matches_reference(calls)

@@ -5,7 +5,7 @@ import pytest
 
 from nilorb import Sl2Triple, build_algebra, build_root_system
 
-from oracles import ad_matrix, is_nilpotent, killing_form
+from oracles import ad_matrix, is_nilpotent, killing_form, reference_complete_sl2
 
 A1 = build_algebra(build_root_system("A", 1))
 A2 = build_algebra(build_root_system("A", 2))
@@ -236,6 +236,26 @@ def test_complete_sl2_rejects_bad_preconditions():
         A1.complete_sl2(h, A1.root_vector((-1,)), [])  # [h, e] != 2e
     with pytest.raises(ValueError):
         A1.complete_sl2(h, e, [e])  # f_space not in the -2 eigenspace
+
+
+def test_complete_sl2_rejects_non_cartan_h():
+    h, e, f = A1.cartan([1]), A1.root_vector((1,)), A1.root_vector((-1,))
+    with pytest.raises(ValueError, match="Cartan subalgebra"):
+        A1.complete_sl2(h + e, e, [f])
+
+
+def test_complete_sl2_rejects_f_space_with_cartan_part():
+    h, e, f = A1.cartan([1]), A1.root_vector((1,)), A1.root_vector((-1,))
+    with pytest.raises(ValueError, match="-2 eigenvector"):
+        A1.complete_sl2(h, e, [f + A1.cartan([1])])
+
+
+def test_complete_sl2_keeps_rows_no_column_reaches():
+    # alpha_1(2h_1 + 2h_2) = 2, but [x_1, x_-1] = h_1 never reaches the h_2
+    # row of h: without that row the solve would accept f = x_-1
+    h, e, f = A2.cartan([2, 2]), A2.root_vector((1, 0)), A2.root_vector((-1, 0))
+    assert A2.complete_sl2(h, e, [f]) is None
+    assert reference_complete_sl2(A2, h, e, [f]) is None
 
 
 def test_ad_matrix_examples():
