@@ -19,21 +19,19 @@ from functools import lru_cache
 from operator import mul
 
 from . import linalg
-from .characteristics import DEFAULT_OMEGA_CAP, decide_normal, task_rng
+from .characteristics import DEFAULT_OMEGA_CAP, _hnum_from_values, decide_normal, task_rng
 from .chevalley import LieElement
 from .grading import ThetaGrading
 from .pisystems import canonical, classify_all
 from .records import (
     InternalConsistencyError,
     OrbitRecord,
-    cartan_from_dual_weight,
-    dual_weight,
     sort_records,
     wdd_of_cartan,
     zero_record,
 )
 from .rootsystem import Root, RootSystem
-from .weyl import conjugacy_classes, to_subdominant
+from .weyl import _simple_indices, conjugacy_classes, dominant_values
 
 log = logging.getLogger(__name__)
 
@@ -172,11 +170,13 @@ def classify_by_carriers(
     """All nilpotent orbits of the theta-group via flat carrier candidates.
 
     Each flat completion contributes h = 2 h0, canonicalised into the
-    dominant chamber of W_l; unseen canonical forms are completed to normal
-    triples, which must succeed for a flat carrier.
+    dominant chamber of W_l on its integer root values; unseen canonical
+    forms are completed to normal triples, which must succeed for a flat
+    carrier.
     """
     alg, rs = grading.alg, grading.rs
-    wl = grading.weyl_subgroup()
+    basis0 = [rs.root_index[b] for b in grading.delta0]
+    simple = _simple_indices(rs)
     records = [zero_record(alg)]
     seen = set()
     for idx, cand in enumerate(candidate_pi_systems(grading)):
@@ -185,13 +185,13 @@ def classify_by_carriers(
         comp = completion(grading, cand)
         if comp is None or not comp.flat:
             continue
-        htilde = comp.h0.scale(2)
-        lam, _ = to_subdominant(rs, wl, dual_weight(alg, htilde))
-        h = cartan_from_dual_weight(alg, lam)
-        key = tuple(Fraction(c) for c in h.cartan_part())
+        hnum, den = linalg.clear_denominators(comp.h0.scale(2).cartan_part())
+        values = dominant_values(rs, basis0, alg.root_values(hnum))
+        key = tuple(Fraction(x, den) for x in _hnum_from_values(rs, [values[i] for i in simple]))
         if key in seen:
             continue
         seen.add(key)
+        h = alg.cartan(key)
         triple = decide_normal(grading, h, rng=task_rng(seed, idx), omega_cap=omega_cap)
         if triple is None:
             raise InternalConsistencyError(

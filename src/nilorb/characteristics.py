@@ -12,8 +12,9 @@ from __future__ import annotations
 import logging
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
+from operator import mul
 
 from . import linalg
 from .chevalley import ChevalleyAlgebra, LieElement, Sl2Triple
@@ -22,12 +23,10 @@ from .records import (
     InternalConsistencyError,
     OrbitRecord,
     WeightedDynkinDiagram,
-    cartan_from_dual_weight,
-    dual_weight,
     sort_records,
     zero_record,
 )
-from .weyl import shortest_coset_reps
+from .weyl import _simple_indices, shortest_coset_reps
 
 log = logging.getLogger(__name__)
 
@@ -62,6 +61,15 @@ def _cartan_inverse(rs) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(flat[i * l : (i + 1) * l]) for i in range(l)), den
 
 
+def _hnum_from_values(rs, simple_values) -> list[int]:
+    """Integer coordinates over h_1..h_l of the h with alpha_i(h) =
+    simple_values[i].  The division is exact for h in the coroot lattice, as
+    den * w(h) is for every w in W when den * h has integer coordinates (W
+    permutes the coroots)."""
+    num, den = _cartan_inverse(rs)
+    return [sum(map(mul, row, simple_values)) // den for row in num]
+
+
 def h_from_wdd(alg: ChevalleyAlgebra, wdd: WeightedDynkinDiagram) -> LieElement:
     """The Cartan element with alpha_i(h) = d_i for every simple root:
     h = num . labels / den, for the integer inverse (num, den) of the Cartan
@@ -72,6 +80,11 @@ def h_from_wdd(alg: ChevalleyAlgebra, wdd: WeightedDynkinDiagram) -> LieElement:
     )
 
 
+def _check_omega_cap(omega_cap: int) -> None:
+    if omega_cap < 1:
+        raise ValueError(f"omega cap must be >= 1, got {omega_cap}")
+
+
 def decide_normal(
     grading: ThetaGrading,
     h: LieElement,
@@ -80,73 +93,82 @@ def decide_normal(
 ) -> Sl2Triple | None:
     """Normal sl2-triple (h, e, f) with e in g_1(2), f in g_{m-1}(-2), or None.
 
-    h must lie in the Cartan subalgebra of g_0.  Steps: quick membership test
+    h must lie in the Cartan subalgebra of g_0.  Steps, all on the integers
+    den * h and den * alpha(h) (see _normal_triple): quick membership test
     of h in [g_1(2), g_{m-1}(-2)]; random search for e in general position
     ([g_0(0), e] = g_1(2)), with coefficients uniform in {0..n} and n doubled
     after every failure (n starts at min(4, omega_cap)); exact linear solve
     for f.
     """
-    if omega_cap < 1:
-        raise ValueError(f"omega cap must be >= 1, got {omega_cap}")
-    alg, rs, m = grading.alg, grading.rs, grading.m
+    _check_omega_cap(omega_cap)
     if not h.is_cartan():
         raise ValueError("h must lie in the Cartan subalgebra")
-    if h.is_zero():
-        return None
-    if rng is None:
-        rng = task_rng(0, 0)
-
     hnum, den = linalg.clear_denominators(h.cartan_part())
+    return _normal_triple(
+        grading,
+        hnum,
+        den,
+        grading.alg.root_values(hnum),
+        lambda: task_rng(0, 0) if rng is None else rng,
+        omega_cap,
+    )
 
-    pair = alg._pair_simple
-    deg = grading.deg_by_index
-    l = rs.rank
-    values = alg.root_values(hnum)
 
-    one = 1 % m
-    eye = [i for i in range(len(rs.roots)) if deg[i] == one and values[i] == 2 * den]
+def _normal_triple(grading, hnum, den, values, make_rng, omega_cap) -> Sl2Triple | None:
+    """decide_normal on integers: den * h = sum_k hnum[k] h_k and values[i] =
+    den * alpha_i(h) for every root i.
+
+    The membership and general-position tests run on these integers.
+    make_rng() is called only when the search for e starts, and the Fraction
+    h is built only for the completion (or the error message).  Every caller
+    checks omega_cap >= 1 first: a cap of 0 would double n = 0 forever.
+    """
+    alg, rs = grading.alg, grading.rs
+    two = 2 * den
+    eye = [i for i in grading.phi1_indices if values[i] == two]
     if not eye:
         return None
 
     # h in [g_1(2), g_{m-1}(-2)] iff h lies in the span of the coroots h_alpha,
     # alpha in g_1(2): only the alpha = beta bracket pairs hit the Cartan.
-    coroot_rows = [list(alg._coroot[i]) for i in eye]
-    if linalg.rank_int(coroot_rows) != linalg.rank_int(coroot_rows + [hnum]):
+    if not linalg.in_span([alg._coroot[i] for i in eye], hnum):
         return None
 
-    zero_idx = [i for i in range(len(rs.roots)) if deg[i] == 0 and values[i] == 0]
+    pair, consts, sums = alg._pair_simple, alg._n, alg._sum
+    zero_idx = [i for i in grading.phi0_indices if values[i] == 0]
     pos_in_eye = {i: t for t, i in enumerate(eye)}
     s = len(eye)
+    rng = make_rng()
 
     n = min(4, omega_cap)
     while True:
         coeffs = [rng.randint(0, n) for _ in range(s)]
         cols = []
-        for k in range(l):  # columns [h_k, e]
+        for k in range(rs.rank):  # columns [h_k, e]
             cols.append([coeffs[t] * pair[eye[t]][k] for t in range(s)])
         for j in zero_idx:  # columns [x_beta, e]
             col = [0] * s
-            for t in range(s):
-                if coeffs[t]:
-                    nval = alg.n_const(j, eye[t])
-                    if nval:
-                        target = tuple(
-                            a + b for a, b in zip(rs.roots[j], rs.roots[eye[t]])
-                        )
-                        col[pos_in_eye[rs.root_index[target]]] += coeffs[t] * nval
+            for t, i in enumerate(eye):
+                target = sums.get((j, i))
+                if target is not None and coeffs[t]:
+                    col[pos_in_eye[target]] += coeffs[t] * consts[(j, i)]
             cols.append(col)
         if linalg.rank_int(cols) == s:
             break
         n *= 2
         if n > omega_cap:
             raise RetryBudgetError(
-                f"no element in general position found for h = {h!r} "
+                f"no element in general position found for h = {_cartan(alg, hnum, den)!r} "
                 f"with coefficients up to omega cap {omega_cap}"
             )
 
     e = LieElement(alg, dict(zip(eye, coeffs)))
     f_space = [LieElement(alg, {i + rs.n_pos if i < rs.n_pos else i - rs.n_pos: 1}) for i in eye]
-    return alg.complete_sl2(h, e, f_space)
+    return alg.complete_sl2(_cartan(alg, hnum, den), e, f_space)
+
+
+def _cartan(alg: ChevalleyAlgebra, hnum, den: int) -> LieElement:
+    return alg.cartan([Fraction(x, den) for x in hnum])
 
 
 @lru_cache(maxsize=None)
@@ -155,18 +177,27 @@ def classify_nilpotent_g(alg: ChevalleyAlgebra) -> tuple:
     ambient algebra, the zero orbit included.
 
     Runs the normality test over the trivial grading for each of the 3^l
-    candidate label vectors; the surviving set does not depend on the random
-    choices, so the result is cached per algebra.
+    candidate label vectors, on the integers den * h = num . labels (the
+    integer Cartan inverse of h_from_wdd); the surviving set does not depend
+    on the random choices, so the result is cached per algebra.
     """
     triv = trivial_grading(alg)
+    num, den = _cartan_inverse(alg.rs)
     out = [(WeightedDynkinDiagram((0,) * alg.rs.rank), alg.zero())]
     for t_id, labels in enumerate(product((0, 1, 2), repeat=alg.rs.rank)):
         if not any(labels):
             continue
-        wdd = WeightedDynkinDiagram(labels)
-        h = h_from_wdd(alg, wdd)
-        if decide_normal(triv, h, rng=task_rng(0xC1A55, t_id)) is not None:
-            out.append((wdd, h))
+        hnum = [sum(map(mul, row, labels)) for row in num]
+        triple = _normal_triple(
+            triv,
+            hnum,
+            den,
+            alg.root_values(hnum),
+            partial(task_rng, 0xC1A55, t_id),
+            DEFAULT_OMEGA_CAP,
+        )
+        if triple is not None:
+            out.append((WeightedDynkinDiagram(labels), triple.h))
     log.debug("ambient classification %s: %d orbits", alg, len(out))
     return tuple(out)
 
@@ -180,20 +211,37 @@ def normal_list(
 ) -> list[Sl2Triple]:
     """Normal sl2-triples whose h lies in C_l + r and is W-conjugate to h.
 
-    Applies every minimal coset representative to h (duplicate images merged)
-    and keeps those images that embed in a normal triple.
+    Applies every minimal coset representative w to h and keeps those images
+    that embed in a normal triple, testing each on integers: the values
+    den * alpha(w h) = den * (w^-1 alpha)(h) are those of h permuted by the
+    inverse root permutation of w.  Images with equal simple-root values are
+    equal and tested once, under the index of the first w that gives them.
     """
-    alg = grading.alg
-    lam, den = linalg.clear_denominators(dual_weight(alg, h))
+    _check_omega_cap(omega_cap)
+    if not h.is_cartan():
+        raise ValueError("h must lie in the Cartan subalgebra")
+    alg, rs = grading.alg, grading.rs
+    hnum, den = linalg.clear_denominators(h.cartan_part())
+    vals = alg.root_values(hnum)
+    n_roots = len(vals)
+    ident = bytes(range(n_roots))
+    simple = _simple_indices(rs)
     seen = set()
     triples = []
     for idx, w in enumerate(coset_reps):
-        mu = w.act_weight(lam)
-        if mu in seen:
+        inv = bytes.maketrans(w.perm, ident)[:n_roots]
+        key = tuple(vals[inv[i]] for i in simple)
+        if key in seen:
             continue
-        seen.add(mu)
-        image = cartan_from_dual_weight(alg, [Fraction(x, den) for x in mu])
-        triple = decide_normal(grading, image, rng=task_rng(seed, idx), omega_cap=omega_cap)
+        seen.add(key)
+        triple = _normal_triple(
+            grading,
+            _hnum_from_values(rs, key),
+            den,
+            [vals[i] for i in inv],
+            partial(task_rng, seed, idx),
+            omega_cap,
+        )
         if triple is not None:
             triples.append(triple)
     return triples
@@ -206,6 +254,7 @@ def classify_by_characteristics(
 ) -> list[OrbitRecord]:
     """All nilpotent orbits of the theta-group, one record per orbit, by
     sweeping coset images of every ambient characteristic."""
+    _check_omega_cap(omega_cap)
     alg = grading.alg
     characteristics = classify_nilpotent_g(alg)
     reps = shortest_coset_reps(grading.rs, grading.weyl_subgroup())

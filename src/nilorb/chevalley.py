@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from . import linalg
 from .rootsystem import Root, RootSystem
@@ -118,7 +119,7 @@ class ChevalleyAlgebra:
         self._pair_columns = tuple(
             tuple(p[k] for p in self._pair_simple[: rs.n_pos]) for k in range(rs.rank)
         )
-        self._n = self._build_constants()
+        self._n, self._sum = self._build_constants()
 
     def __repr__(self) -> str:
         return f"ChevalleyAlgebra({self.rs.type_label}{self.rs.rank})"
@@ -141,7 +142,9 @@ class ChevalleyAlgebra:
             cur = tuple(c - a for a, c in zip(alpha, cur))
         return p
 
-    def _build_constants(self) -> dict:
+    def _build_constants(self) -> tuple[dict, dict]:
+        """The structure constants N_{i,j} and the index of roots[i] + roots[j],
+        both keyed by the index pairs (i, j) whose sum is a root."""
         rs = self.rs
         pos = rs.positive_roots
         order = {r: k for k, r in enumerate(pos)}
@@ -153,7 +156,7 @@ class ChevalleyAlgebra:
 
         def n_any(a: Root, b: Root):
             """Constant for an arbitrary sign pattern, from the positive table."""
-            s = tuple(x + y for x, y in zip(a, b))
+            s = tuple(map(add, a, b))
             if s not in rs.root_index:
                 return 0
             a_pos, b_pos = rs.is_positive(a), rs.is_positive(b)
@@ -197,14 +200,17 @@ class ChevalleyAlgebra:
                     raise AssertionError(f"non-integral constant for {alpha}, {beta}")
                 put(alpha, beta, int(val))
 
-        # expand to an index-keyed table over all root pairs
+        # expand to index-keyed tables over all root pairs
         table: dict = {}
+        sums: dict = {}
         for i, a in enumerate(rs.roots):
             for j, b in enumerate(rs.roots):
-                s = tuple(x + y for x, y in zip(a, b))
-                if s in rs.root_index:
-                    table[(i, j)] = n_any(a, b)
-        return table
+                k = rs.root_index.get(tuple(map(add, a, b)))
+                if k is not None:
+                    key = (i, j)
+                    table[key] = n_any(a, b)
+                    sums[key] = k
+        return table, sums
 
     # -- basis bookkeeping -----------------------------------------------------
 
@@ -267,22 +273,26 @@ class ChevalleyAlgebra:
         if j >= n:
             c = -self._pair_simple[i][j - n]
             return {i: c} if c else {}
-        a, b = self.rs.roots[i], self.rs.roots[j]
-        if all(x + y == 0 for x, y in zip(a, b)):
-            return {n + k: c for k, c in enumerate(self._coroot[i]) if c}
-        s = tuple(x + y for x, y in zip(a, b))
-        k = self.rs.root_index.get(s)
-        if k is None:
-            return {}
-        return {k: self._n[(i, j)]}
+        k = self._sum.get((i, j))
+        if k is not None:
+            return {k: self._n[(i, j)]}
+        if abs(i - j) == self.rs.n_pos:  # j indexes -roots[i]
+            return {n + t: c for t, c in enumerate(self._coroot[i]) if c}
+        return {}
 
     def bracket(self, x: LieElement, y: LieElement) -> LieElement:
+        """[x, y], summed on integers: the coefficients of x and of y are
+        scaled to integers once, and each coefficient of the result is
+        divided back once."""
+        xs, dx = linalg.clear_denominators(x.coeffs.values())
+        ys, dy = linalg.clear_denominators(y.coeffs.values())
         out: dict = {}
-        for i, ci in x.coeffs.items():
-            for j, cj in y.coeffs.items():
+        for i, ci in zip(x.coeffs, xs):
+            for j, cj in zip(y.coeffs, ys):
                 for k, v in self.bracket_basis(i, j).items():
                     out[k] = out.get(k, 0) + ci * cj * v
-        return LieElement(self, out)
+        den = dx * dy
+        return LieElement(self, out if den == 1 else {k: Fraction(v, den) for k, v in out.items()})
 
     def complete_sl2(self, h: LieElement, e: LieElement, f_space) -> Sl2Triple | None:
         """Solve [e, f] = h for f in the span of f_space, or return None.

@@ -52,8 +52,10 @@ class ThetaGrading:
         self.m = m
         self.kac = kac
         self.deg_by_index = tuple(root_degrees[r] % m for r in rs.roots)
-        self.phi0 = tuple(r for r, d in zip(rs.roots, self.deg_by_index) if d == 0)
-        self.phi1 = tuple(r for r, d in zip(rs.roots, self.deg_by_index) if d == 1 % m)
+        self.phi0_indices = tuple(i for i, d in enumerate(self.deg_by_index) if d == 0)
+        self.phi1_indices = tuple(i for i, d in enumerate(self.deg_by_index) if d == 1 % m)
+        self.phi0 = tuple(rs.roots[i] for i in self.phi0_indices)
+        self.phi1 = tuple(rs.roots[i] for i in self.phi1_indices)
         pos0 = [r for r in self.phi0 if rs.is_positive(r)]
         set0 = set(pos0)
         self.delta0 = tuple(

@@ -78,6 +78,15 @@ def rank_int(rows: Matrix) -> int:
     return len(_echelon([list(r) for r in rows], len(rows[0]) if rows else 0))
 
 
+def in_span(vectors: Matrix, target: Row) -> bool:
+    """Whether the integer vector target is a rational combination of the
+    integer vectors: one elimination of sum_t x_t vectors[t] = target."""
+    n = len(vectors)
+    m = [[v[k] for v in vectors] + [x] for k, x in enumerate(target)]
+    rank = len(_echelon(m, n))
+    return not any(row[n] for row in m[rank:])
+
+
 def solve(rows: Matrix, rhs: Row) -> Row | None:
     """One exact solution x of A x = b, or None if the system is inconsistent.
 

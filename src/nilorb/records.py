@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from . import linalg
 from .chevalley import ChevalleyAlgebra, LieElement
-from .weyl import _reflection_row, _simple_indices
+from .weyl import _simple_indices, dominant_values
 
 
 class InternalConsistencyError(RuntimeError):
@@ -61,40 +61,18 @@ def sort_records(records: list[OrbitRecord]) -> list[OrbitRecord]:
     return zero + rest
 
 
-def dual_weight(alg: ChevalleyAlgebra, h: LieElement) -> tuple:
-    """Weight vector lam with (alpha, lam) = alpha(h) for all roots alpha."""
-    if not h.is_cartan():
-        raise ValueError("element is not in the Cartan subalgebra")
-    c = h.cartan_part()
-    return tuple(Fraction(ci) / d for ci, d in zip(c, alg.rs.d))
-
-
-def cartan_from_dual_weight(alg: ChevalleyAlgebra, lam) -> LieElement:
-    return alg.cartan([Fraction(x) * d for x, d in zip(lam, alg.rs.d)])
-
-
 def wdd_of_cartan(alg: ChevalleyAlgebra, h: LieElement) -> WeightedDynkinDiagram:
     """Weighted Dynkin diagram of the dominant Weyl conjugate of h.
 
-    Works on the integers den * alpha(h), one per root: while some simple
-    root has a negative value, the reflection in it permutes the vector
-    (alpha(s h) = (s alpha)(h)).  The labels are then the values at the
-    simple roots, which must be 0, 1 or 2 (and so integral).
+    Works on the integers den * alpha(h), one per root, made dominant for
+    the simple roots by weyl.dominant_values.  The labels are then the
+    values at the simple roots, which must be 0, 1 or 2 (and so integral).
     """
     if not h.is_cartan():
         raise ValueError("element is not in the Cartan subalgebra")
-    rs = alg.rs
     hnum, den = linalg.clear_denominators(h.cartan_part())
-    values = alg.root_values(hnum)
-    simple = _simple_indices(rs)
-    rows = [_reflection_row(rs, s) for s in simple]
-    i = 0
-    while i < rs.rank:
-        if values[simple[i]] < 0:
-            values = [values[k] for k in rows[i]]
-            i = 0
-        else:
-            i += 1
+    simple = _simple_indices(alg.rs)
+    values = dominant_values(alg.rs, simple, alg.root_values(hnum))
     labels = []
     for s in simple:
         label, rest = divmod(values[s], den)

@@ -262,6 +262,25 @@ def _reflection_row(rs: RootSystem, j: int) -> bytes:
     )
 
 
+def dominant_values(rs: RootSystem, basis, values) -> list:
+    """The values of the image of h in the chamber of the pi-system `basis`
+    (root indices), from values[i] = alpha_i(h) for every root.
+
+    While some basis root has a negative value, the reflection s in the
+    first such one permutes the vector, since alpha(s h) = (s alpha)(h).
+    The chamber holds one image of each orbit, so the result does not
+    depend on the order of the reflections."""
+    rows = [_reflection_row(rs, b) for b in basis]
+    i = 0
+    while i < len(basis):
+        if values[basis[i]] < 0:
+            values = [values[k] for k in rows[i]]
+            i = 0
+        else:
+            i += 1
+    return values
+
+
 @lru_cache(maxsize=None)
 def _dominant_word(rs: RootSystem, basis: tuple[int, ...], i: int) -> tuple[int, tuple[int, ...]]:
     """The image of roots[i] in the chamber of the pi-system `basis` (root

@@ -401,12 +401,67 @@ def reference_candidate_pi_systems(grading):
     return sorted(found, key=lambda c: (len(c.pi0) + len(c.pi1), c.pi0, c.pi1))
 
 
+def dual_weight(alg, h):
+    """Weight vector lam with (alpha, lam) = alpha(h) for all roots alpha."""
+    if not h.is_cartan():
+        raise ValueError("element is not in the Cartan subalgebra")
+    return tuple(Fraction(c) / d for c, d in zip(h.cartan_part(), alg.rs.d))
+
+
+def cartan_from_dual_weight(alg, lam):
+    return alg.cartan([Fraction(x) * d for x, d in zip(lam, alg.rs.d)])
+
+
+def reference_normal_list(grading, coset_reps, h, seed=0):
+    """normal_list through weight vectors: each coset representative acts
+    on den * lam (lam the dual weight of h) by its matrix, duplicate images
+    are merged, and every new image is built as a Fraction Cartan element
+    and handed to decide_normal."""
+    from nilorb import linalg
+    from nilorb.characteristics import decide_normal, task_rng
+
+    alg = grading.alg
+    lam, den = linalg.clear_denominators(dual_weight(alg, h))
+    seen = set()
+    triples = []
+    for idx, w in enumerate(coset_reps):
+        mu = w.act_weight(lam)
+        if mu in seen:
+            continue
+        seen.add(mu)
+        image = cartan_from_dual_weight(alg, [Fraction(x, den) for x in mu])
+        triple = decide_normal(grading, image, rng=task_rng(seed, idx))
+        if triple is not None:
+            triples.append(triple)
+    return triples
+
+
+def reference_classify_nilpotent_g(alg):
+    """classify_nilpotent_g through h_from_wdd and decide_normal on every
+    nonzero label vector in {0, 1, 2}^l."""
+    from itertools import product
+
+    from nilorb.characteristics import decide_normal, h_from_wdd, task_rng
+    from nilorb.grading import trivial_grading
+    from nilorb.records import WeightedDynkinDiagram
+
+    triv = trivial_grading(alg)
+    out = [(WeightedDynkinDiagram((0,) * alg.rs.rank), alg.zero())]
+    for t_id, labels in enumerate(product((0, 1, 2), repeat=alg.rs.rank)):
+        if not any(labels):
+            continue
+        wdd = WeightedDynkinDiagram(labels)
+        h = h_from_wdd(alg, wdd)
+        if decide_normal(triv, h, rng=task_rng(0xC1A55, t_id)) is not None:
+            out.append((wdd, h))
+    return tuple(out)
+
+
 def reference_wdd_of_cartan(alg, h):
     """The simple-root values of the dominant W-conjugate of h, through
     to_subdominant on the dual weight of h (scaled to integers, since the
     reflections are linear)."""
     from nilorb import linalg
-    from nilorb.records import dual_weight
     from nilorb.weyl import WeylSubgroup, to_subdominant
 
     rs = alg.rs

@@ -1,8 +1,8 @@
 """Acceptance suite: every criterion pinned to its exact expected values.
 
 Each test prints one PASS/FAIL line (run pytest -s to see them inline).
-Long reproduction runs (the big E7 orbit counts) are opt-in through the
-NILORB_LONG_TESTS environment variable.
+Long runs (the E7 sweep sizes of orders 4 and 5 and the E8 order-2 row)
+are opt-in through the NILORB_LONG_TESTS environment variable.
 """
 
 import contextlib
@@ -28,7 +28,7 @@ from nilorb import (
     shortest_coset_reps,
     summarize,
 )
-from oracles import brute_pi_classes, is_nilpotent, partition_count
+from oracles import brute_pi_classes, dual_weight, is_nilpotent, partition_count
 
 LONG = bool(os.environ.get("NILORB_LONG_TESTS"))
 
@@ -96,14 +96,15 @@ def test_criterion_3_e6_rows():
 
 def _sweep_size(alg, grading):
     from nilorb.linalg import clear_denominators
-    from nilorb.records import dual_weight
 
     reps = shortest_coset_reps(alg.rs, grading.weyl_subgroup())
     total = 0
     for wdd, h in classify_nilpotent_g(alg):
         if wdd.is_zero():
             continue
-        lam, _ = clear_denominators(dual_weight(alg, h))  # den * lam, as normal_list
+        # distinct images w(den * lam): counted on weights, independently of
+        # normal_list, which keys its images on permuted root values
+        lam, _ = clear_denominators(dual_weight(alg, h))
         total += len({w.act_weight(lam) for w in reps})
     return len(reps), total
 
@@ -130,9 +131,8 @@ def test_e7_sweep_sizes_orders_4_and_5():
         assert (index, sweep) == (expected_index, expected_sweep)
 
 
-@pytest.mark.skipif(not LONG, reason="long run; set NILORB_LONG_TESTS=1")
 def test_criterion_4_e7_order3_orbit_count():
-    with criterion(4, "E7 order 3: 75 orbits (long)"):
+    with criterion(4, "E7 order 3: 75 orbits"):
         alg = build_algebra(build_root_system("E", 7))
         g = principal_nregular_grading(alg, 3)
         records = classify_by_characteristics(g)
@@ -388,7 +388,6 @@ def test_e6_orders_4_and_5_reproduction():
     assert summary_tuple(s) == (60, 1, 15, 1) and s.very_nregular
 
 
-@pytest.mark.skipif(not LONG, reason="long run; set NILORB_LONG_TESTS=1")
 def test_e7_order2_full_row_reproduction():
     alg = build_algebra(build_root_system("E", 7))
     g = principal_nregular_grading(alg, 2)

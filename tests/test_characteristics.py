@@ -8,6 +8,7 @@ from nilorb import (
     classify_by_characteristics,
     classify_nilpotent_g,
     decide_normal,
+    enumerate_kac_diagrams,
     grading_from_kac,
     h_from_wdd,
     normal_list,
@@ -16,7 +17,13 @@ from nilorb import (
 )
 from nilorb.characteristics import task_rng
 from nilorb.chevalley import ChevalleyAlgebra
-from oracles import is_nilpotent, partition_count, reference_complete_sl2
+from oracles import (
+    is_nilpotent,
+    partition_count,
+    reference_classify_nilpotent_g,
+    reference_complete_sl2,
+    reference_normal_list,
+)
 
 A1 = build_algebra(build_root_system("A", 1))
 A2 = build_algebra(build_root_system("A", 2))
@@ -184,3 +191,41 @@ def test_complete_sl2_matches_dense_reference_on_a_method1_grading(monkeypatch):
     g = grading_from_kac(F4, KacDiagram.from_labels(F4.rs, (0, 1, 0, 0, 1)))
     calls = recorded_completions(monkeypatch, lambda: classify_by_characteristics(g))
     assert_matches_reference(calls)
+
+
+@pytest.mark.parametrize("label, rank", [("F", 4), ("E", 6)])
+def test_classify_nilpotent_g_matches_the_fraction_reference(label, rank):
+    alg = build_algebra(build_root_system(label, rank))
+    assert classify_nilpotent_g.__wrapped__(alg) == reference_classify_nilpotent_g(alg)
+
+
+def _sweep_gradings():
+    e6 = build_algebra(build_root_system("E", 6))
+    for alg, m in [(F4, 2), (F4, 3), (F4, 4), (e6, 2)]:
+        for kd in enumerate_kac_diagrams(alg.rs, m):
+            yield pytest.param(alg, kd, id=f"{alg.rs.type_label}{alg.rs.rank}-{kd.labels}")
+
+
+@pytest.mark.parametrize("alg, kd", _sweep_gradings())
+def test_normal_list_matches_the_weight_reference(alg, kd):
+    # the same (h, e, f) list, hence the same images, merged duplicates and
+    # random draws, as acting on weights and testing Fraction images
+    g = grading_from_kac(alg, kd)
+    reps = shortest_coset_reps(alg.rs, g.weyl_subgroup())
+    for wdd, h in classify_nilpotent_g(alg):
+        for seed in (0, 11):
+            assert normal_list(g, reps, h, seed=seed) == reference_normal_list(g, reps, h, seed=seed)
+
+
+def test_omega_cap_below_one_is_rejected_before_any_work():
+    # a cap of 0 would make the coefficient range n = min(4, 0) double forever
+    g = grading_from_kac(G2, KacDiagram.from_labels(G2.rs, (0, 0, 1)))
+    reps = shortest_coset_reps(G2.rs, g.weyl_subgroup())
+    h = classify_nilpotent_g(G2)[-1][1]
+    for coset_reps in (reps, []):
+        with pytest.raises(ValueError, match="omega cap"):
+            normal_list(g, coset_reps, h, omega_cap=0)
+    with pytest.raises(ValueError, match="omega cap"):
+        classify_by_characteristics(g, omega_cap=0)
+    with pytest.raises(ValueError, match="omega cap"):
+        decide_normal(g, h, omega_cap=0)

@@ -63,10 +63,11 @@ def test_nullspace_dimension_and_membership():
 
 
 def test_in_span():
-    assert in_span([[1, 0], [1, 1]], [3, 2])
-    assert not in_span([[1, 0]], [0, 1])
-    assert in_span([], [0, 0])
-    assert not in_span([], [1, 0])
+    for span_test in (in_span, linalg.in_span):
+        assert span_test([[1, 0], [1, 1]], [3, 2])
+        assert not span_test([[1, 0]], [0, 1])
+        assert span_test([], [0, 0])
+        assert not span_test([], [1, 0])
 
 
 def test_row_reduce_gives_basis():
@@ -125,6 +126,9 @@ def test_kernel_matches_gauss_jordan_reference(system):
     assert all_fractions(basis)
     ints = [linalg.clear_denominators(r)[0] for r in rows]
     assert linalg.rank_int(ints) == len(basis)
+    augmented = [linalg.clear_denominators(list(r) + [b])[0] for r, b in zip(rows, rhs)]
+    columns = [list(col) for col in zip(*augmented)]
+    assert linalg.in_span(columns[:-1], columns[-1]) == (sol is not None)
 
 
 def test_clear_denominators():

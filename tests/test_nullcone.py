@@ -18,9 +18,11 @@ from nilorb import (
     summarize,
     trivial_grading,
 )
-from nilorb.records import WeightedDynkinDiagram, cartan_from_dual_weight, dual_weight, wdd_of_cartan
+from nilorb.records import WeightedDynkinDiagram, wdd_of_cartan
 
 from oracles import (
+    cartan_from_dual_weight,
+    dual_weight,
     mat_vec,
     orbit_dimension_by_rank,
     reference_wdd_of_cartan,
