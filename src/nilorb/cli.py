@@ -80,7 +80,7 @@ def cmd_cosets(args) -> int:
     reps = shortest_coset_reps(rs, WeylSubgroup(rs, basis))
     print(len(reps))
     if args.words:
-        for w in sorted(reps, key=lambda w: (w.length(), w.word)):
+        for w in reps:
             print("".join(f"s{i + 1}" for i in w.word) or "e")
     return 0
 

@@ -160,32 +160,45 @@ class WeylSubgroup:
 
 
 def shortest_coset_reps(rs: RootSystem, sub: WeylSubgroup) -> list[WeylElement]:
-    """Minimal-length representatives of the right cosets of the subgroup.
+    """Minimal-length representatives of the right cosets of the subgroup,
+    by length and then by word; each word is the element's
+    lexicographically least reduced word.
 
-    Representatives w are exactly those with w^{-1}(beta_j) > 0 for every
-    basis root; they are grown level by level, extending w to w*s_i whenever
-    the length goes up and the coset condition still holds.
+    w is the minimal element of its coset exactly when w^{-1}(beta_j) > 0
+    for every basis root beta_j.  The representatives are grown level by
+    level, and a representative w is extended to w*s_i exactly when
+    w(alpha_i) is neither a negative root nor a basis root: one lookup.
+    For w(alpha_i) > 0 means l(w s_i) > l(w), and (w s_i)^{-1}(beta_j) =
+    s_i(w^{-1} beta_j) is negative only when w^{-1} beta_j = alpha_i,
+    because s_i permutes the positive roots other than alpha_i.  Nothing
+    here needs the basis roots to be simple.  Every representative v != 1
+    is reached: for s_i with l(v s_i) < l(v), u = v s_i is a
+    representative, since v(alpha_i) < 0 is no basis root, and u(alpha_i)
+    = -v(alpha_i) passes the test.
+
+    Each level keeps the first (w, i) that reaches an element, scanning the
+    previous level in order and i upwards.  By induction on the length that
+    is the element's least reduced word, and the level comes out sorted by
+    it.
     """
     simples = _simple_perm_table(rs)
     simple_idx = _simple_indices(rs)
-    n_pos = rs.n_pos
-    beta_idx = [rs.root_index[b] for b in sub.basis]
+    # w(alpha_i) in `blocked`: l(w s_i) < l(w), or w s_i leaves the coset condition
+    blocked = set(range(rs.n_pos, len(rs.roots)))
+    blocked.update(rs.root_index[b] for b in sub.basis)
     ident = bytes(range(len(rs.roots)))
     reps: list[WeylElement] = []
-    level = {ident: (ident, ())}  # perm -> (inverse perm, word)
+    level = {ident: ()}  # perm -> word
     while level:
         nxt = {}
-        for perm, (inv, word) in level.items():
+        for perm, word in level.items():
             reps.append(WeylElement(rs, perm, word))
-            for i in range(rs.rank):
-                if perm[simple_idx[i]] >= n_pos:
-                    continue  # l(w s_i) < l(w)
-                si = simples[i]
-                if any(si[inv[bj]] >= n_pos for bj in beta_idx):
-                    continue  # (w s_i)^{-1} sends some beta_j negative
-                new_perm = _compose(perm, si)
-                if new_perm not in nxt:
-                    nxt[new_perm] = (_compose(si, inv), word + (i,))
+            table = perm.ljust(256, b"\0")  # _compose(perm, .) for every s_i
+            for i, k in enumerate(simple_idx):
+                if perm[k] not in blocked:
+                    new_perm = simples[i].translate(table)
+                    if new_perm not in nxt:
+                        nxt[new_perm] = word + (i,)
         level = nxt
     return reps
 
@@ -282,19 +295,21 @@ def dominant_values(rs: RootSystem, basis, values) -> list:
 
 
 @lru_cache(maxsize=None)
-def _dominant_word(rs: RootSystem, basis: tuple[int, ...], i: int) -> tuple[int, tuple[int, ...]]:
+def _dominant_perm(rs: RootSystem, basis: tuple[int, ...], i: int) -> tuple[int, bytes]:
     """The image of roots[i] in the chamber of the pi-system `basis` (root
-    indices) and the reflections, in order of application, that take it
-    there; the same smallest-violating-index rule as to_subdominant."""
-    word = []
+    indices) and the product of the reflections that take it there, as a
+    root permutation; the same smallest-violating-index rule as
+    to_subdominant."""
+    perm = bytes(range(len(rs.roots)))
     while True:
         for b in basis:
             if _coroot_column(rs, b)[i] < 0:
-                i = _reflection_row(rs, b)[i]
-                word.append(b)
+                row = _reflection_row(rs, b)
+                i = row[i]
+                perm = _compose(row, perm)
                 break
         else:
-            return i, tuple(word)
+            return i, perm
 
 
 def _least_images(rs: RootSystem, sub: WeylSubgroup, blocks) -> tuple[tuple, tuple]:
@@ -321,18 +336,15 @@ def _least_images(rs: RootSystem, sub: WeylSubgroup, blocks) -> tuple[tuple, tup
             for p, (k, img, _) in enumerate(remaining):
                 if k != block:
                     break
-                lam, word = _dominant_word(rs, basis, img)
+                lam, perm = _dominant_perm(rs, basis, img)
                 if best is None or lam < best:
                     best, hits = lam, []
                 if lam == best:
-                    hits.append((remaining, placed, p, word))
+                    hits.append((remaining, placed, p, perm))
         merged = {}
-        for remaining, placed, p, word in hits:
+        for remaining, placed, p, perm in hits:
             rest = remaining[:p] + remaining[p + 1 :]
-            for b in word:
-                row = _reflection_row(rs, b)
-                rest = [(k, row[img], n) for k, img, n in rest]
-            rest = tuple(sorted(rest))
+            rest = tuple(sorted((k, perm[img], n) for k, img, n in rest))
             ident = tuple((k, img) for k, img, _ in rest)
             if ident not in merged:
                 merged[ident] = (rest, placed + (remaining[p][2],))

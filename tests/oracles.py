@@ -623,3 +623,34 @@ def survey_nregular_diagrams(alg, m):
         if summarize(grading, classify_orbits(grading)).nregular:
             hits.append(kd)
     return hits
+
+
+def reference_shortest_coset_reps(rs, sub):
+    """Minimal coset representatives grown level by level as before the
+    one-lookup test: each element carries its inverse permutation, and
+    w*s_i is kept when l(w s_i) > l(w) and (w s_i)^{-1} sends every basis
+    root to a positive root."""
+    from nilorb.weyl import WeylElement, _compose, _simple_indices, _simple_perm_table
+
+    simples = _simple_perm_table(rs)
+    simple_idx = _simple_indices(rs)
+    n_pos = rs.n_pos
+    beta_idx = [rs.root_index[b] for b in sub.basis]
+    ident = bytes(range(len(rs.roots)))
+    reps = []
+    level = {ident: (ident, ())}  # perm -> (inverse perm, word)
+    while level:
+        nxt = {}
+        for perm, (inv, word) in level.items():
+            reps.append(WeylElement(rs, perm, word))
+            for i in range(rs.rank):
+                if perm[simple_idx[i]] >= n_pos:
+                    continue  # l(w s_i) < l(w)
+                si = simples[i]
+                if any(si[inv[bj]] >= n_pos for bj in beta_idx):
+                    continue  # (w s_i)^{-1} sends some beta_j negative
+                new_perm = _compose(perm, si)
+                if new_perm not in nxt:
+                    nxt[new_perm] = (_compose(si, inv), word + (i,))
+        level = nxt
+    return reps

@@ -72,6 +72,12 @@ def test_cosets_full_group(capsys):
     assert lines[1] == "e"
 
 
+def test_cosets_words_by_length_then_word(capsys):
+    code, out, _ = run(capsys, ["cosets", "--type", "B3", "--subsystem-from-extended-minus", "2", "--words"])
+    assert code == 0
+    assert out.split() == ["6", "e", "s2", "s2s1", "s2s3", "s2s1s3", "s2s3s2"]
+
+
 def test_cosets_bad_node(capsys):
     code, _, err = run(capsys, ["cosets", "--type", "A2", "--subsystem-from-extended-minus", "9"])
     assert code == 1 and "range" in err

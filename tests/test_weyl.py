@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import subprocess
@@ -9,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilorb import (
+    KacDiagram,
     WeylElement,
     WeylSubgroup,
+    build_algebra,
     build_root_system,
     conjugacy_key,
     conjugate_sets,
     conjugate_tuples,
+    grading_from_kac,
     shortest_coset_reps,
     stabilizer_generators,
     to_subdominant,
@@ -25,6 +29,8 @@ from oracles import (
     mat_vec,
     matrix_length,
     orbit_ids,
+    reference_shortest_coset_reps,
+    reflection_matrix,
     same_partition,
     subgroup_matrices,
     weyl_matrices,
@@ -33,6 +39,7 @@ from oracles import (
 A2 = build_root_system("A", 2)
 A3 = build_root_system("A", 3)
 B2 = build_root_system("B", 2)
+B3 = build_root_system("B", 3)
 G2 = build_root_system("G", 2)
 
 
@@ -108,6 +115,77 @@ def test_coset_counting_identity(rs, basis):
             um = mat_mul(u, wm)
             if um != wm:
                 assert matrix_length(rs, um) > matrix_length(rs, wm)
+
+
+COSET_CASES = (
+    [("G", 2, "node", k) for k in range(3)]
+    + [("F", 4, "node", k) for k in range(5)]
+    + [("E", 6, "node", k) for k in range(7)]
+    + [("E", 7, "node", 3), ("E", 8, "node", 2)]
+    + [("G", 2, "kac", (0, 1, 1)), ("F", 4, "kac", (0, 1, 0, 0, 1)),
+       ("E", 6, "kac", (0, 1, 0, 0, 0, 0, 1))]
+    + [("B", 3, "trivial", None)]
+)
+LONG = bool(os.environ.get("NILORB_LONG_TESTS"))
+E8_2A4 = pytest.param(
+    "E", 8, "node", 5,
+    marks=pytest.mark.skipif(not LONG, reason="long run; set NILORB_LONG_TESTS=1"),
+)
+
+
+def coset_case(label, rank, kind, arg):
+    """The root system and subgroup of a COSET_CASES entry: the extended
+    diagram without node `arg`, the W_0 of the Kac diagram `arg` (whose
+    Delta_0 holds a non-simple root), or the trivial subgroup."""
+    rs = build_root_system(label, rank)
+    if kind == "node":
+        ext = rs.extended_basis()
+        gens = [ext[i] for i in range(rank + 1) if i != arg]
+        return rs, WeylSubgroup(rs, rs.subsystem_positive_basis(gens))
+    if kind == "kac":
+        grading = grading_from_kac(build_algebra(rs), KacDiagram.from_labels(rs, arg))
+        assert any(b not in {rs.simple_root(i) for i in range(rank)} for b in grading.delta0)
+        return rs, grading.weyl_subgroup()
+    return rs, WeylSubgroup(rs, ())
+
+
+@pytest.mark.parametrize("label,rank,kind,arg", COSET_CASES + [E8_2A4])
+def test_coset_reps_match_reference_enumeration(label, rank, kind, arg):
+    rs, sub = coset_case(label, rank, kind, arg)
+    got = [(w.perm, w.word) for w in shortest_coset_reps(rs, sub)]
+    assert got == [(w.perm, w.word) for w in reference_shortest_coset_reps(rs, sub)]
+
+
+@pytest.mark.parametrize("label,rank,kind,arg", COSET_CASES)
+def test_coset_reps_come_by_length_then_word(label, rank, kind, arg):
+    rs, sub = coset_case(label, rank, kind, arg)
+    reps = shortest_coset_reps(rs, sub)
+    assert reps == sorted(reps, key=lambda w: (w.length(), w.word))
+
+
+@functools.lru_cache(maxsize=None)
+def least_words_b3():
+    """The first word of each element of W(B3), over all words taken by
+    length and then lexicographically, keyed by matrix."""
+    gens = [reflection_matrix(B3, i) for i in range(3)]
+    least = {}
+    level = {(): tuple(tuple(int(a == b) for b in range(3)) for a in range(3))}
+    while True:
+        for word, m in level.items():
+            least.setdefault(m, word)
+        if len(least) == 48:
+            return least
+        level = {word + (i,): mat_mul(m, g) for word, m in level.items() for i, g in enumerate(gens)}
+
+
+@pytest.mark.parametrize("basis", [(), ((1, 1, 0),), ((0, 1, 0), (1, 1, 2))])
+def test_coset_rep_words_are_least_reduced_words_on_b3(basis):
+    least = least_words_b3()
+    reps = shortest_coset_reps(B3, WeylSubgroup(B3, basis))
+    assert len(reps) * len(subgroup_matrices(B3, basis)) == 48
+    for w in reps:
+        assert w.word == least[w.matrix()]
+        assert len(w.word) == w.length()
 
 
 def test_to_subdominant_examples():
@@ -251,8 +329,7 @@ def test_subgroup_validation():
 
 
 def test_group_law_on_all_of_b3():
-    b3 = build_root_system("B", 3)
-    group = shortest_coset_reps(b3, WeylSubgroup(b3, ()))
+    group = shortest_coset_reps(B3, WeylSubgroup(B3, ()))
     assert len(group) == 48
     for u in group:
         assert (u * u.inverse()).is_identity()
