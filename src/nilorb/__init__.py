@@ -33,19 +33,10 @@ from .nullcone import (
     orbit_dimension,
     summarize,
 )
-from .pisystems import classify_all, classify_maximal, elementary_transformations, is_pi_system
+from .pisystems import classify_all, classify_maximal, elementary_transformations
 from .records import InternalConsistencyError, OrbitRecord, WeightedDynkinDiagram
 from .rootsystem import RootSystem, build_root_system, format_dynkin_type, parse_type
-from .weyl import (
-    WeylElement,
-    WeylSubgroup,
-    conjugacy_key,
-    conjugate_sets,
-    conjugate_tuples,
-    shortest_coset_reps,
-    stabilizer_generators,
-    to_subdominant,
-)
+from .weyl import WeylElement, WeylSubgroup, conjugacy_key, shortest_coset_reps
 
 __all__ = [
     "ChevalleyAlgebra",
@@ -74,15 +65,12 @@ __all__ = [
     "classify_orbits",
     "completion",
     "conjugacy_key",
-    "conjugate_sets",
-    "conjugate_tuples",
     "decide_normal",
     "elementary_transformations",
     "enumerate_kac_diagrams",
     "format_dynkin_type",
     "grading_from_kac",
     "h_from_wdd",
-    "is_pi_system",
     "normal_list",
     "nregular_kac_diagram",
     "nregular_survey",
@@ -90,9 +78,7 @@ __all__ = [
     "parse_type",
     "principal_nregular_grading",
     "shortest_coset_reps",
-    "stabilizer_generators",
     "summarize",
-    "to_subdominant",
     "trivial_grading",
 ]
 

@@ -238,10 +238,6 @@ class ChevalleyAlgebra:
         """The coroot of a root, as a Cartan element ([x_a, x_{-a}])."""
         return self.cartan(self._coroot[self.rs.root_index[tuple(root)]])
 
-    def n_const(self, i: int, j: int) -> int:
-        """Structure constant N for root indices i, j (0 if sum not a root)."""
-        return self._n.get((i, j), 0)
-
     def root_value(self, root: Root, h: LieElement):
         """alpha(h) for h in the Cartan subalgebra."""
         n = self.n_roots

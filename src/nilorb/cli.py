@@ -108,7 +108,12 @@ def cmd_orbits(args) -> int:
     rs = _build_rs(args)
     alg = build_algebra(rs)
     if args.kac is not None:
-        kd = KacDiagram.from_labels(rs, [int(s) for s in args.kac.split(",")])
+        try:
+            labels = [int(s) for s in args.kac.split(",")]
+        except ValueError:
+            print(f"error: cannot parse --kac {args.kac!r}; expected comma-separated integers", file=sys.stderr)
+            return 1
+        kd = KacDiagram.from_labels(rs, labels)
     else:
         kd = nregular_kac_diagram(rs, args.nregular_order)
     grading = grading_from_kac(alg, kd)

@@ -91,17 +91,6 @@ class ThetaGrading:
         i %= self.m
         return [r for r, d in zip(self.rs.roots, self.deg_by_index) if d == i]
 
-    def component_basis(self, i: int) -> list[LieElement]:
-        """Basis of g_i: root vectors of degree i, plus the Cartan for i = 0."""
-        i %= self.m
-        out = [self.alg.root_vector(r) for r in self.component_roots(i)]
-        if i == 0:
-            out.extend(
-                self.alg.cartan([1 if j == k else 0 for j in range(self.rs.rank)])
-                for k in range(self.rs.rank)
-            )
-        return out
-
     def dims(self) -> tuple[int, ...]:
         counts = [0] * self.m
         for d in self.deg_by_index:

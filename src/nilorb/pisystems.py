@@ -13,8 +13,7 @@ every class that the whole closure reaches.
 
 from __future__ import annotations
 
-from .linalg import rank_int
-from .rootsystem import Root, RootSystem
+from .rootsystem import RootSystem
 from .weyl import WeylSubgroup, conjugacy_classes
 
 PiSystem = tuple  # canonically sorted tuple of roots
@@ -22,21 +21,6 @@ PiSystem = tuple  # canonically sorted tuple of roots
 
 def canonical(roots) -> PiSystem:
     return tuple(sorted(tuple(r) for r in roots))
-
-
-def is_pi_system(rs: RootSystem, roots) -> bool:
-    """C1: no difference of two elements is a root; C2: linear independence."""
-    roots = [tuple(r) for r in roots]
-    for r in roots:
-        if r not in rs.root_index:
-            raise ValueError(f"{r} is not a root of {rs!r}")
-    for i, a in enumerate(roots):
-        for b in roots[i + 1 :]:
-            if tuple(x - y for x, y in zip(a, b)) in rs.root_index:
-                return False
-    if len(set(roots)) != len(roots):
-        return False
-    return rank_int([list(r) for r in roots]) == len(roots) if roots else True
 
 
 def elementary_transformations(rs: RootSystem, pi) -> list[PiSystem]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 Root = tuple  # integer coordinates in the simple-root basis
 Weight = tuple  # rational coordinates in the simple-root basis
@@ -26,10 +27,10 @@ _ROOT_COUNTS = {
 }
 
 _WEYL_ORDERS = {
-    "A": lambda l: _fact(l + 1),
-    "B": lambda l: 2**l * _fact(l),
-    "C": lambda l: 2**l * _fact(l),
-    "D": lambda l: 2 ** (l - 1) * _fact(l),
+    "A": lambda l: factorial(l + 1),
+    "B": lambda l: 2**l * factorial(l),
+    "C": lambda l: 2**l * factorial(l),
+    "D": lambda l: 2 ** (l - 1) * factorial(l),
     "E": lambda l: {6: 51840, 7: 2903040, 8: 696729600}[l],
     "F": lambda l: 1152,
     "G": lambda l: 12,
@@ -44,13 +45,6 @@ _RANK_RANGES = {
     "F": (4, 4),
     "G": (2, 2),
 }
-
-
-def _fact(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def _validate_type(type_label: str, rank: int) -> None:
@@ -191,14 +185,8 @@ class RootSystem:
 
     # -- basic queries ------------------------------------------------------
 
-    def is_root(self, v) -> bool:
-        return tuple(v) in self.root_index
-
     def is_positive(self, root: Root) -> bool:
         return self.root_index[tuple(root)] < self.n_pos
-
-    def height(self, root: Root) -> int:
-        return sum(root)
 
     def simple_root(self, i: int) -> Root:
         return tuple(1 if j == i else 0 for j in range(self.rank))
@@ -343,26 +331,7 @@ class RootSystem:
         if self._ext_autos is not None:
             return self._ext_autos
         a = self.extended_cartan_matrix()
-        n = self.rank + 1
-        autos = []
-
-        def extend(img: list[int], used: set[int]) -> None:
-            i = len(img)
-            if i == n:
-                autos.append(tuple(img))
-                return
-            for cand in range(n):
-                if cand in used:
-                    continue
-                if all(a[i][j] == a[cand][img[j]] and a[j][i] == a[img[j]][cand] for j in range(i)):
-                    img.append(cand)
-                    used.add(cand)
-                    extend(img, used)
-                    img.pop()
-                    used.remove(cand)
-
-        extend([], set())
-        self._ext_autos = tuple(autos)
+        self._ext_autos = tuple(_isomorphisms(a, a))
         return self._ext_autos
 
     def describe(self) -> str:
@@ -411,35 +380,33 @@ def _identify_component(m: list[list]) -> tuple[str, int]:
     if k in (6, 7, 8):
         candidates.append("E")
     for letter in candidates:
-        if _permutation_equal(m, cartan_matrix(letter, k)):
+        if next(_isomorphisms(m, cartan_matrix(letter, k)), None) is not None:
             return (letter, k)
     raise ValueError(f"could not identify Cartan matrix {m}")
 
 
-def _permutation_equal(m1: list[list], m2: list[list]) -> bool:
+def _isomorphisms(m1, m2):
+    """Every node permutation img with m1[i][j] == m2[img[i]][img[j]] for
+    all i, j, in lexicographic order, by backtracking over the nodes."""
     k = len(m1)
     if len(m2) != k:
-        return False
+        return
+    img: list[int] = []
 
-    def extend(img: list[int], used: set[int]) -> bool:
+    def extend():
         i = len(img)
         if i == k:
-            return True
+            yield tuple(img)
+            return
         for cand in range(k):
-            if cand in used:
-                continue
-            if m1[i][i] != m2[cand][cand]:
-                continue
-            if all(m1[i][j] == m2[cand][img[j]] and m1[j][i] == m2[img[j]][cand] for j in range(i)):
+            if cand not in img and m1[i][i] == m2[cand][cand] and all(
+                m1[i][j] == m2[cand][img[j]] and m1[j][i] == m2[img[j]][cand] for j in range(i)
+            ):
                 img.append(cand)
-                used.add(cand)
-                if extend(img, used):
-                    return True
+                yield from extend()
                 img.pop()
-                used.remove(cand)
-        return False
 
-    return extend([], set())
+    yield from extend()
 
 
 def format_dynkin_type(types) -> str:

@@ -3,15 +3,17 @@
 Elements act as permutations of the full root list and as exact integer
 matrices on the weight space.  A permutation is a `bytes` object of root
 indices (E8 has 240 roots), so composing two is one `bytes.translate`;
-elements, coset enumeration and the conjugacy key all use this one format.
+elements, coset enumeration and the conjugacy tests all use this one format.
 Equality is equality of the root permutation; words are kept for display
 but are not canonical.
 
-Conjugacy of root sets under a subgroup is decided by a canonical key
-computed on root indices (conjugacy_key), so that classifying n sets takes
-n keys and one dict rather than pairwise tests.  conjugacy_classes is
-also the one class search: it expands only the first item of each class
-through moves that commute with the subgroup.
+Conjugacy rests on one chamber walk (_dominant_perm): each root in turn is
+reflected into the chamber of the basis roots that fix the images already
+placed.  conjugacy_key keeps the least image sequence over the orderings of
+a root set, so that classifying n sets takes n keys and one dict; and
+conjugacy_classes is the one class search, expanding only the first item of
+each class through moves that commute with the subgroup.  The pairwise
+tests conjugate_tuples and conjugate_sets compare the walks of two inputs.
 """
 
 from __future__ import annotations
@@ -20,12 +22,19 @@ from collections import deque
 from functools import lru_cache
 
 from .linalg import rank_int
-from .rootsystem import Root, RootSystem
+from .rootsystem import RootSystem
 
 
 def _compose(p: bytes, q: bytes) -> bytes:
     """The permutation k -> p[q[k]]."""
     return q.translate(p.ljust(256, b"\0"))
+
+
+def _inverse(p: bytes) -> bytes:
+    inv = bytearray(len(p))
+    for k, x in enumerate(p):
+        inv[x] = k
+    return bytes(inv)
 
 
 @lru_cache(maxsize=None)
@@ -66,24 +75,28 @@ class WeylElement:
         return WeylElement(rs, w.perm, tuple(word))
 
     @staticmethod
-    def reflection(rs: RootSystem, root: Root) -> "WeylElement":
-        """The reflection in an arbitrary root, with a word in the s_i."""
-        root = tuple(root)
-        if root not in rs.root_index:
-            raise ValueError(f"{root} is not a root")
-        return _reflection_element(rs, root)
+    def from_perm(rs: RootSystem, perm: bytes) -> "WeylElement":
+        """The element with the given root permutation, with its
+        lexicographically least reduced word, read off by left descents:
+        l(s_i w) < l(w) exactly when w^{-1}(alpha_i) is negative, so the
+        word starts with the least such i and goes on with s_i w."""
+        simples = _simple_perm_table(rs)
+        inv = _inverse(perm)
+        word = []
+        while True:
+            for i, k in enumerate(_simple_indices(rs)):
+                if inv[k] >= rs.n_pos:
+                    word.append(i)
+                    inv = _compose(inv, simples[i])
+                    break
+            else:
+                return WeylElement(rs, perm, tuple(word))
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return WeylElement(self.rs, _compose(self.perm, other.perm), self.word + other.word)
 
     def inverse(self) -> "WeylElement":
-        inv = bytearray(len(self.perm))
-        for k, x in enumerate(self.perm):
-            inv[x] = k
-        return WeylElement(self.rs, bytes(inv), tuple(reversed(self.word)))
-
-    def is_identity(self) -> bool:
-        return self.perm == bytes(range(len(self.perm)))
+        return WeylElement(self.rs, _inverse(self.perm), tuple(reversed(self.word)))
 
     def length(self) -> int:
         """Number of positive roots sent to negative roots."""
@@ -113,25 +126,6 @@ class WeylElement:
 
     def __repr__(self) -> str:
         return f"WeylElement(word={''.join(f's{i}' for i in self.word) or 'e'})"
-
-
-@lru_cache(maxsize=None)
-def _reflection_element(rs: RootSystem, root: Root) -> "WeylElement":
-    return WeylElement.from_word(rs, _reflection_word(rs, root))
-
-
-def _reflection_word(rs: RootSystem, root: Root) -> tuple[int, ...]:
-    if not rs.is_positive(root):
-        root = tuple(-c for c in root)
-    for i in range(rs.rank):
-        if root == rs.simple_root(i):
-            return (i,)
-    for i in range(rs.rank):
-        c = rs.pairing(root, rs.simple_root(i))
-        if c > 0:
-            inner = _reflection_word(rs, rs.reflect(root, rs.simple_root(i)))
-            return (i,) + inner + (i,)
-    raise AssertionError(f"no descent for {root}")
 
 
 class WeylSubgroup:
@@ -210,52 +204,15 @@ def to_subdominant(rs: RootSystem, sub: WeylSubgroup, mu) -> tuple[tuple, WeylEl
     basis root, reflecting at the smallest violating index until none is left.
     """
     mu = tuple(mu)
-    w = WeylElement.identity(rs)
+    perm = bytes(range(len(rs.roots)))
     while True:
         for beta in sub.basis:
             if rs.pairing(mu, beta) < 0:
                 mu = rs.reflect(mu, beta)
-                w = WeylElement.reflection(rs, beta) * w
+                perm = _compose(_reflection_row(rs, rs.root_index[beta]), perm)
                 break
         else:
-            return mu, w
-
-
-def stabilizer_generators(rs: RootSystem, sub: WeylSubgroup, lam1) -> tuple[Root, ...]:
-    """Positive pi-system basis whose reflections generate the stabiliser of
-    lam1 in the subgroup."""
-    lam, v = to_subdominant(rs, sub, lam1)
-    zeros = [b for b in sub.basis if rs.pairing(lam, b) == 0]
-    if not zeros:
-        return ()
-    vinv = v.inverse()
-    gens = [vinv.act_weight(b) for b in zeros]
-    return rs.subsystem_positive_basis(gens)
-
-
-def conjugate_tuples(rs: RootSystem, sub: WeylSubgroup, mus, lams) -> WeylElement | None:
-    """An element w of the subgroup with w(mu_i) = lam_i for all i, or None.
-
-    Matches the first entries via subdominant representatives, then recurses
-    inside the stabiliser of lam_1.
-    """
-    mus = [tuple(m) for m in mus]
-    lams = [tuple(x) for x in lams]
-    if len(mus) != len(lams):
-        raise ValueError("tuples must have equal length")
-    if not mus:
-        return WeylElement.identity(rs)
-    m1, u = to_subdominant(rs, sub, mus[0])
-    l1, v = to_subdominant(rs, sub, lams[0])
-    if m1 != l1:
-        return None
-    w1 = v.inverse() * u
-    if len(mus) == 1:
-        return w1
-    stab = WeylSubgroup(rs, stabilizer_generators(rs, sub, lams[0]))
-    rest = [w1.act_weight(m) for m in mus[1:]]
-    w = conjugate_tuples(rs, stab, rest, lams[1:])
-    return None if w is None else w * w1
+            return mu, WeylElement.from_perm(rs, perm)
 
 
 @lru_cache(maxsize=None)
@@ -310,6 +267,51 @@ def _dominant_perm(rs: RootSystem, basis: tuple[int, ...], i: int) -> tuple[int,
                 break
         else:
             return i, perm
+
+
+def _root_index(rs: RootSystem, r) -> int:
+    r = tuple(r)
+    if r not in rs.root_index:
+        raise ValueError(f"{r} is not a root of {rs!r}")
+    return rs.root_index[r]
+
+
+def _chamber_walk(rs: RootSystem, basis: tuple[int, ...], indices) -> tuple[tuple, bytes]:
+    """The images lam_k that conjugacy_key takes for this one ordering of
+    the roots `indices` (root indices), and a subgroup element, as a root
+    permutation, that sends each root to its image: lam_k is the image of
+    the k-th root under the element chosen so far, made dominant for the
+    basis roots orthogonal to lam_1..lam_{k-1}.  Those reflections fix the
+    earlier images, so the final element sends every root to its image."""
+    perm = bytes(range(len(rs.roots)))
+    images = []
+    for i in indices:
+        lam, p = _dominant_perm(rs, basis, perm[i])
+        perm = _compose(p, perm)
+        images.append(lam)
+        basis = tuple(b for b in basis if _coroot_column(rs, b)[lam] == 0)
+    return tuple(images), perm
+
+
+def conjugate_tuples(rs: RootSystem, sub: WeylSubgroup, mus, lams) -> WeylElement | None:
+    """An element w of the subgroup with w(mu_k) = lam_k for every k, or
+    None; the mu_k and lam_k are roots.
+
+    The chamber walk sends the mus by p1 and the lams by p2 to image
+    sequences, each image the one dominant point of its orbit under the
+    stabiliser of the earlier ones; so the tuples are conjugate exactly when
+    the sequences agree, and then w = p2^{-1} p1.
+    """
+    mus = [_root_index(rs, m) for m in mus]
+    lams = [_root_index(rs, x) for x in lams]
+    if len(mus) != len(lams):
+        raise ValueError("tuples must have equal length")
+    basis = tuple(rs.root_index[b] for b in sub.basis)
+    images1, p1 = _chamber_walk(rs, basis, mus)
+    images2, p2 = _chamber_walk(rs, basis, lams)
+    if images1 != images2:
+        return None
+    return WeylElement.from_perm(rs, _compose(_inverse(p2), p1))
 
 
 def _least_images(rs: RootSystem, sub: WeylSubgroup, blocks) -> tuple[tuple, tuple]:

@@ -19,6 +19,51 @@ def dense(x):
     return v
 
 
+def is_identity(w) -> bool:
+    """Whether a WeylElement fixes every root."""
+    return w.perm == bytes(range(len(w.perm)))
+
+
+def is_root(rs, v) -> bool:
+    return tuple(v) in rs.root_index
+
+
+def n_const(alg, i: int, j: int):
+    """The structure constant N with [x_a, x_b] = N x_{a+b}, for the roots a,
+    b of indices i, j; 0 when a + b is not a root."""
+    rs = alg.rs
+    s = tuple(x + y for x, y in zip(rs.roots[i], rs.roots[j]))
+    return alg.bracket_basis(i, j).get(rs.root_index[s], 0) if s in rs.root_index else 0
+
+
+def component_basis(grading, i: int):
+    """Basis of g_i: root vectors of degree i, plus the Cartan for i = 0."""
+    alg = grading.alg
+    out = [alg.root_vector(r) for r in grading.component_roots(i)]
+    if i % grading.m == 0:
+        out.extend(
+            alg.cartan([1 if j == k else 0 for j in range(alg.rs.rank)]) for k in range(alg.rs.rank)
+        )
+    return out
+
+
+def is_pi_system(rs, roots) -> bool:
+    """C1: no difference of two elements is a root; C2: linear independence."""
+    from nilorb.linalg import rank_int
+
+    roots = [tuple(r) for r in roots]
+    for r in roots:
+        if r not in rs.root_index:
+            raise ValueError(f"{r} is not a root of {rs!r}")
+    for i, a in enumerate(roots):
+        for b in roots[i + 1 :]:
+            if tuple(x - y for x, y in zip(a, b)) in rs.root_index:
+                return False
+    if len(set(roots)) != len(roots):
+        return False
+    return rank_int([list(r) for r in roots]) == len(roots) if roots else True
+
+
 def reflection_matrix(rs, i: int):
     """Matrix of s_i on simple-root coordinates: column j of the matrix is
     alpha_j - <alpha_j, alpha_i^vee> alpha_i."""
@@ -56,20 +101,21 @@ def weyl_matrices(rs):
     return sorted(seen)
 
 
+def root_reflection_matrix(rs, root):
+    """Matrix of the reflection in a root on simple-root coordinates."""
+    l = rs.rank
+    rows = [[1 if a == b else 0 for b in range(l)] for a in range(l)]
+    for j in range(l):
+        unit = tuple(1 if t == j else 0 for t in range(l))
+        c = rs.pairing(unit, root)
+        for a in range(l):
+            rows[a][j] -= c * root[a]
+    return tuple(tuple(r) for r in rows)
+
+
 def subgroup_matrices(rs, basis):
     """Closure of the reflections in the given roots, as matrices."""
-
-    def refl(root):
-        l = rs.rank
-        rows = [[1 if a == b else 0 for b in range(l)] for a in range(l)]
-        for j in range(l):
-            unit = tuple(1 if t == j else 0 for t in range(l))
-            c = rs.pairing(unit, root)
-            for a in range(l):
-                rows[a][j] -= c * root[a]
-        return tuple(tuple(r) for r in rows)
-
-    gens = [refl(tuple(b)) for b in basis]
+    gens = [root_reflection_matrix(rs, tuple(b)) for b in basis]
     ident = tuple(tuple(1 if a == b else 0 for b in range(rs.rank)) for a in range(rs.rank))
     seen = {ident}
     work = [ident]
@@ -111,8 +157,6 @@ def matrix_length(rs, m) -> int:
 def brute_pi_classes(rs, max_size=None):
     """All pi-systems of the root system up to W-conjugacy, by enumerating
     every subset of the roots (the empty system included)."""
-    from nilorb.pisystems import is_pi_system
-
     max_size = rs.rank if max_size is None else max_size
     systems = [()]
     for size in range(1, max_size + 1):
@@ -335,7 +379,7 @@ def orbit_dimension_by_rank(grading, e):
     alg = grading.alg
     rows = [
         linalg.clear_denominators(dense(alg.bracket(b, e)))[0]
-        for b in grading.component_basis(0)
+        for b in component_basis(grading, 0)
     ]
     return linalg.rank_int(rows)
 
@@ -383,7 +427,7 @@ def reference_candidate_pi_systems(grading):
     """The carrier candidates with the move that tests the whole extended
     root set with is_pi_system, in the library's order."""
     from nilorb.carrier import GradedCandidate
-    from nilorb.pisystems import canonical, classify_all, is_pi_system
+    from nilorb.pisystems import canonical, classify_all
     from nilorb.weyl import conjugacy_classes
 
     rs = grading.rs
@@ -564,7 +608,7 @@ def eigenspace(grading, h, k, i):
                 for t in range(alg.rs.rank)
             )
         return out
-    basis = grading.component_basis(i)
+    basis = component_basis(grading, i)
     index_of = {next(iter(b.coeffs)): col for col, b in enumerate(basis)}
     mat = [[Fraction(0)] * len(basis) for _ in range(len(basis))]
     for col, b in enumerate(basis):

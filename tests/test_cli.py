@@ -193,6 +193,23 @@ def test_omega_cap_below_one_is_an_error_line(capsys):
     assert err.startswith("error:") and "omega cap" in err
 
 
+@pytest.mark.parametrize("method", ["1", "2"])
+def test_omega_cap_below_one_is_rejected_by_both_methods(capsys, method):
+    # g_1 = 0 here, so the carrier walk never calls decide_normal
+    argv = ["orbits", "--type", "G2", "--kac", "2,0,0", "--method", method, "--omega-cap", "0"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: omega cap must be >= 1, got 0\n"
+
+
+def test_unparsable_kac_is_an_error_line(capsys):
+    code, out, err = run(capsys, ["orbits", "--type", "G2", "--kac", "0,0,x"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--kac" in err and "comma-separated integers" in err
+
+
 def test_nregular_survey_honours_omega_cap(capsys):
     code, _, err = run(capsys, ["nregular", "--type", "G2", "--orders", "2", "--omega-cap", "0"])
     assert code == 1

@@ -1,0 +1,47 @@
+"""The package's exported names, and the names the benchmark's tracer
+(perfbench/tracing.py) patches by attribute lookup."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import nilorb
+
+ROOT = Path(__file__).resolve().parents[1]
+ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+)
+
+# Loads the tracer by path, installs it on a fresh nilorb and makes one
+# traced call; prints the span names that recorded a call.
+TRACER_RUN = """
+import importlib.util, sys
+import nilorb
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install()
+from nilorb.weyl import WeylSubgroup, conjugate_sets
+rs = nilorb.build_root_system("A", 2)
+assert conjugate_sets(rs, WeylSubgroup(rs, [(1, 0), (0, 1)]), [(1, 0)], [(0, 1)]) is not None
+print(" ".join(sorted(name for name, stats in tracer.stats.items() if stats[0])))
+"""
+
+
+def test_every_exported_name_resolves():
+    assert len(set(nilorb.__all__)) == len(nilorb.__all__)
+    for name in nilorb.__all__:
+        assert getattr(nilorb, name, None) is not None, name
+
+
+def test_benchmark_tracer_installs_on_every_traced_name():
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACER_RUN, str(ROOT / "perfbench" / "tracing.py")],
+        capture_output=True, text=True, env=ENV, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    called = set(proc.stdout.split())
+    assert {"rootsystem.build_root_system", "weyl.conjugate_sets", "weyl.conjugate_tuples"} <= called

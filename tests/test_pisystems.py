@@ -7,14 +7,14 @@ from nilorb import (
     classify_all,
     classify_maximal,
     conjugacy_key,
-    conjugate_sets,
     elementary_transformations,
     enumerate_kac_diagrams,
     grading_from_kac,
-    is_pi_system,
 )
+from nilorb.weyl import conjugate_sets
 from oracles import (
     brute_pi_classes,
+    is_pi_system,
     mat_vec,
     reference_classify_all,
     reference_classify_maximal,

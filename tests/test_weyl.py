@@ -3,7 +3,6 @@ import itertools
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,15 +15,12 @@ from nilorb import (
     build_algebra,
     build_root_system,
     conjugacy_key,
-    conjugate_sets,
-    conjugate_tuples,
     grading_from_kac,
     shortest_coset_reps,
-    stabilizer_generators,
-    to_subdominant,
 )
-from nilorb.weyl import conjugacy_classes
+from nilorb.weyl import conjugacy_classes, conjugate_sets, conjugate_tuples, to_subdominant
 from oracles import (
+    is_identity,
     mat_mul,
     mat_vec,
     matrix_length,
@@ -74,7 +70,7 @@ def test_action_preserves_form():
 
 def test_coset_reps_full_group_is_identity():
     reps = shortest_coset_reps(A2, full_subgroup(A2))
-    assert len(reps) == 1 and reps[0].is_identity()
+    assert len(reps) == 1 and is_identity(reps[0])
 
 
 def test_coset_reps_a2_against_brute_force():
@@ -191,7 +187,7 @@ def test_coset_rep_words_are_least_reduced_words_on_b3(basis):
 def test_to_subdominant_examples():
     full = full_subgroup(A2)
     lam, w = to_subdominant(A2, full, (1, 1))
-    assert lam == (1, 1) and w.is_identity()
+    assert lam == (1, 1) and is_identity(w)
     lam, w = to_subdominant(A2, full, (-1, 0))
     assert lam == (1, 1)
     assert w.act_weight((-1, 0)) == lam
@@ -208,44 +204,82 @@ def test_to_subdominant_matches_orbit_enumeration(mu):
         sub = WeylSubgroup(rs, basis)
         lam, w = to_subdominant(rs, sub, mu)
         assert w.act_weight(mu) == lam
-        orbit = {mat_vec(m, mu) for m in subgroup_matrices(rs, basis)}
+        group = subgroup_matrices(rs, basis)
+        assert w.matrix() in group
+        orbit = {mat_vec(m, mu) for m in group}
         dominant = [v for v in orbit if all(rs.pairing(v, b) >= 0 for b in basis)]
         assert lam in orbit
         assert set(dominant) == {lam}
 
 
-def test_stabilizer_examples():
-    full = full_subgroup(A2)
-    # strictly dominant regular weight: trivial stabiliser
-    assert stabilizer_generators(A2, full, (1, 1)) == ()
-    # zero weight: everything fixes it
-    assert set(stabilizer_generators(A2, full, (0, 0))) == {(1, 0), (0, 1)}
-    # fundamental weight: stabiliser of order 2
-    lam1 = (Fraction(2, 3), Fraction(1, 3))
-    gens = stabilizer_generators(A2, full, lam1)
-    stab_brute = [m for m in weyl_matrices(A2) if mat_vec(m, lam1) == tuple(lam1)]
-    assert len(stab_brute) == 2
-    assert len(subgroup_matrices(A2, gens)) == 2
-
-
-def test_stabilizer_generates_exactly_the_stabilizer():
-    for rs in (A2, B2):
-        full = full_subgroup(rs)
-        for mu in [(1, 0), (0, 1), (2, 0), (1, -1)]:
-            gens = stabilizer_generators(rs, full, mu)
-            generated = subgroup_matrices(rs, gens) if gens else [None]
-            brute = [m for m in weyl_matrices(rs) if mat_vec(m, mu) == mu]
-            assert len(brute) == (len(generated) if gens else 1)
-
-
 def test_conjugate_tuples_examples():
     full = full_subgroup(A2)
     w = conjugate_tuples(A2, full, [(1, 0), (0, 1)], [(1, 0), (0, 1)])
-    assert w is not None and w.is_identity()
+    assert w is not None and is_identity(w)
     w = conjugate_tuples(A2, full, [(1, 0)], [(0, 1)])
     assert w is not None and w.act_weight((1, 0)) == (0, 1)
     sub = WeylSubgroup(A2, [(1, 0)])
     assert conjugate_tuples(A2, sub, [(0, 1)], [(1, 0)]) is None
+
+
+def test_conjugate_tuples_rejects_bad_input():
+    full = full_subgroup(A2)
+    with pytest.raises(ValueError, match="not a root"):
+        conjugate_tuples(A2, full, [(2, 0)], [(1, 0)])
+    with pytest.raises(ValueError, match="not a root"):
+        conjugate_tuples(A2, full, [(1, 0)], [(0, 0)])
+    with pytest.raises(ValueError, match="equal length"):
+        conjugate_tuples(A2, full, [(1, 0)], [(1, 0), (0, 1)])
+
+
+def gram(rs, roots):
+    return tuple(rs.inner(a, b) for a in roots for b in roots)
+
+
+@pytest.mark.parametrize(
+    "rs,basis",
+    [
+        (A2, [(1, 0), (0, 1)]),
+        (A2, [(0, 1)]),
+        (B2, [(1, 0), (0, 1)]),
+        (B2, [(1, 0)]),
+        (G2, [(1, 0), (0, 1)]),
+        (G2, [(0, 1)]),
+    ],
+)
+def test_conjugate_tuples_matches_brute_force_orbits(rs, basis):
+    # Pairs of roots are tested against every pair; triples against every
+    # triple of the same Gram matrix, since the group keeps the form.  A
+    # witness must lie in the subgroup and send each mu_k to lam_k.
+    sub = WeylSubgroup(rs, basis)
+    group = subgroup_matrices(rs, basis)
+    members = set(group)
+    for size, shape in ((2, lambda t: ()), (3, lambda t: gram(rs, t))):
+        tuples = list(itertools.product(rs.roots, repeat=size))
+        alike = {}
+        for t in tuples:
+            alike.setdefault(shape(t), []).append(t)
+        for mus in tuples:
+            orbit = {tuple(mat_vec(m, r) for r in mus) for m in group}
+            for lams in alike[shape(mus)]:
+                w = conjugate_tuples(rs, sub, mus, lams)
+                assert (w is not None) == (lams in orbit), (mus, lams)
+                if w is not None:
+                    assert w.matrix() in members
+                    assert tuple(w.act_weight(r) for r in mus) == lams
+
+
+@pytest.mark.parametrize("rs", [B3, G2])
+def test_from_perm_round_trips_over_the_whole_group(rs):
+    # the coset representatives of the trivial subgroup are all of W, each
+    # with its least reduced word, which from_perm must read back
+    group = shortest_coset_reps(rs, WeylSubgroup(rs, ()))
+    assert len(group) == rs.weyl_order()
+    for w in group:
+        v = WeylElement.from_perm(rs, w.perm)
+        assert v == w and v.word == w.word
+        assert WeylElement.from_word(rs, v.word) == v
+        assert len(v.word) == v.length()
 
 
 def test_conjugate_sets_examples():
@@ -332,7 +366,7 @@ def test_group_law_on_all_of_b3():
     group = shortest_coset_reps(B3, WeylSubgroup(B3, ()))
     assert len(group) == 48
     for u in group:
-        assert (u * u.inverse()).is_identity()
+        assert is_identity(u * u.inverse())
         for v in group:
             assert (u * v).matrix() == mat_mul(u.matrix(), v.matrix())
             assert (u == v) == (u.matrix() == v.matrix())
