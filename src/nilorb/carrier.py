@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from . import linalg
-from .characteristics import DEFAULT_OMEGA_CAP, _check_omega_cap, _hnum_from_values, decide_normal, task_rng
+from .characteristics import DEFAULT_OMEGA_CAP, _check_omega_cap, decide_normal, task_rng
 from .chevalley import LieElement
 from .grading import ThetaGrading
 from .pisystems import canonical, classify_all
@@ -31,7 +30,7 @@ from .records import (
     zero_record,
 )
 from .rootsystem import Root, RootSystem
-from .weyl import _simple_indices, conjugacy_classes, dominant_values
+from .weyl import conjugacy_classes, dominant_values
 
 log = logging.getLogger(__name__)
 
@@ -91,7 +90,7 @@ def candidate_pi_systems(grading: ThetaGrading) -> list[GradedCandidate]:
             if not blocked >> i & 1 and linalg.rank_int(rows + [list(r)]) == len(rows) + 1
         ]
 
-    start = [GradedCandidate(pi0, ()) for pi0 in classify_all(rs, basis=grading.delta0, sub=w0)]
+    start = [GradedCandidate(pi0, ()) for pi0 in classify_all(rs, basis=grading.delta0)]
     found = conjugacy_classes(rs, w0, start, lambda c: (c.pi0, c.pi1), add_one)
     ordered = sorted(found, key=lambda c: (len(c.pi0) + len(c.pi1), c.pi0, c.pi1))
     log.debug("%s: %d candidates", grading, len(ordered))
@@ -154,7 +153,7 @@ def completion(grading: ThetaGrading, cand: GradedCandidate) -> CompletionResult
             psi1.append(rs.roots[i])
     flat = len(pi) + len(psi0) == len(psi1)
     return CompletionResult(
-        alg.cartan([Fraction(x, den) for x in hnum]),
+        alg.cartan(hnum, den),
         tuple(alg.cartan(v) for v in z_rat),
         tuple(psi0),
         tuple(psi1),
@@ -177,7 +176,6 @@ def classify_by_carriers(
     _check_omega_cap(omega_cap)
     alg, rs = grading.alg, grading.rs
     basis0 = [rs.root_index[b] for b in grading.delta0]
-    simple = _simple_indices(rs)
     records = [zero_record(alg)]
     seen = set()
     for idx, cand in enumerate(candidate_pi_systems(grading)):
@@ -186,13 +184,12 @@ def classify_by_carriers(
         comp = completion(grading, cand)
         if comp is None or not comp.flat:
             continue
-        hnum, den = linalg.clear_denominators(comp.h0.scale(2).cartan_part())
-        values = dominant_values(rs, basis0, alg.root_values(hnum))
-        key = tuple(Fraction(x, den) for x in _hnum_from_values(rs, [values[i] for i in simple]))
-        if key in seen:
+        _, den, values = alg.cartan_values(comp.h0.scale(2))
+        values = dominant_values(rs, basis0, values)
+        h = alg.cartan(alg.hnum_from_values([values[i] for i in rs.simple_indices]), den)
+        if h in seen:
             continue
-        seen.add(key)
-        h = alg.cartan(key)
+        seen.add(h)
         triple = decide_normal(grading, h, rng=task_rng(seed, idx), omega_cap=omega_cap)
         if triple is None:
             raise InternalConsistencyError(

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import logging
 import random
-from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
-from operator import mul
 
 from . import linalg
 from .chevalley import ChevalleyAlgebra, LieElement, Sl2Triple
@@ -26,7 +24,7 @@ from .records import (
     sort_records,
     zero_record,
 )
-from .weyl import _simple_indices, shortest_coset_reps
+from .weyl import shortest_coset_reps
 
 log = logging.getLogger(__name__)
 
@@ -48,36 +46,9 @@ def task_rng(seed: int, task_id: int) -> random.Random:
     return random.Random(z ^ (z >> 31))
 
 
-@lru_cache(maxsize=None)
-def _cartan_inverse(rs) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(num, den) with num / den the inverse of the Cartan matrix, num integer.
-
-    Row i of the inverse solves the transposed system with right-hand side e_i.
-    """
-    l = rs.rank
-    transposed = [list(col) for col in zip(*rs.cartan_matrix)]
-    rows = [linalg.solve(transposed, [int(j == i) for j in range(l)]) for i in range(l)]
-    flat, den = linalg.clear_denominators([x for row in rows for x in row])
-    return tuple(tuple(flat[i * l : (i + 1) * l]) for i in range(l)), den
-
-
-def _hnum_from_values(rs, simple_values) -> list[int]:
-    """Integer coordinates over h_1..h_l of the h with alpha_i(h) =
-    simple_values[i].  The division is exact for h in the coroot lattice, as
-    den * w(h) is for every w in W when den * h has integer coordinates (W
-    permutes the coroots)."""
-    num, den = _cartan_inverse(rs)
-    return [sum(map(mul, row, simple_values)) // den for row in num]
-
-
 def h_from_wdd(alg: ChevalleyAlgebra, wdd: WeightedDynkinDiagram) -> LieElement:
-    """The Cartan element with alpha_i(h) = d_i for every simple root:
-    h = num . labels / den, for the integer inverse (num, den) of the Cartan
-    matrix computed once per root system."""
-    num, den = _cartan_inverse(alg.rs)
-    return alg.cartan(
-        [Fraction(sum(a * d for a, d in zip(row, wdd.labels)), den) for row in num]
-    )
+    """The Cartan element with alpha_i(h) = d_i for every simple root."""
+    return alg.cartan(*alg.cartan_solution(wdd.labels))
 
 
 def _check_omega_cap(omega_cap: int) -> None:
@@ -101,14 +72,12 @@ def decide_normal(
     for f.
     """
     _check_omega_cap(omega_cap)
-    if not h.is_cartan():
-        raise ValueError("h must lie in the Cartan subalgebra")
-    hnum, den = linalg.clear_denominators(h.cartan_part())
+    hnum, den, values = grading.alg.cartan_values(h)
     return _normal_triple(
         grading,
         hnum,
         den,
-        grading.alg.root_values(hnum),
+        values,
         lambda: task_rng(0, 0) if rng is None else rng,
         omega_cap,
     )
@@ -158,17 +127,13 @@ def _normal_triple(grading, hnum, den, values, make_rng, omega_cap) -> Sl2Triple
         n *= 2
         if n > omega_cap:
             raise RetryBudgetError(
-                f"no element in general position found for h = {_cartan(alg, hnum, den)!r} "
+                f"no element in general position found for h = {alg.cartan(hnum, den)!r} "
                 f"with coefficients up to omega cap {omega_cap}"
             )
 
     e = LieElement(alg, dict(zip(eye, coeffs)))
     f_space = [LieElement(alg, {i + rs.n_pos if i < rs.n_pos else i - rs.n_pos: 1}) for i in eye]
-    return alg.complete_sl2(_cartan(alg, hnum, den), e, f_space)
-
-
-def _cartan(alg: ChevalleyAlgebra, hnum, den: int) -> LieElement:
-    return alg.cartan([Fraction(x, den) for x in hnum])
+    return alg.complete_sl2(alg.cartan(hnum, den), e, f_space)
 
 
 @lru_cache(maxsize=None)
@@ -177,17 +142,16 @@ def classify_nilpotent_g(alg: ChevalleyAlgebra) -> tuple:
     ambient algebra, the zero orbit included.
 
     Runs the normality test over the trivial grading for each of the 3^l
-    candidate label vectors, on the integers den * h = num . labels (the
-    integer Cartan inverse of h_from_wdd); the surviving set does not depend
-    on the random choices, so the result is cached per algebra.
+    candidate label vectors, on the integers den * h of
+    ChevalleyAlgebra.cartan_solution; the surviving set does not depend on
+    the random choices, so the result is cached per algebra.
     """
     triv = trivial_grading(alg)
-    num, den = _cartan_inverse(alg.rs)
     out = [(WeightedDynkinDiagram((0,) * alg.rs.rank), alg.zero())]
     for t_id, labels in enumerate(product((0, 1, 2), repeat=alg.rs.rank)):
         if not any(labels):
             continue
-        hnum = [sum(map(mul, row, labels)) for row in num]
+        hnum, den = alg.cartan_solution(labels)
         triple = _normal_triple(
             triv,
             hnum,
@@ -218,14 +182,11 @@ def normal_list(
     equal and tested once, under the index of the first w that gives them.
     """
     _check_omega_cap(omega_cap)
-    if not h.is_cartan():
-        raise ValueError("h must lie in the Cartan subalgebra")
-    alg, rs = grading.alg, grading.rs
-    hnum, den = linalg.clear_denominators(h.cartan_part())
-    vals = alg.root_values(hnum)
+    alg = grading.alg
+    _, den, vals = alg.cartan_values(h)
     n_roots = len(vals)
     ident = bytes(range(n_roots))
-    simple = _simple_indices(rs)
+    simple = grading.rs.simple_indices
     seen = set()
     triples = []
     for idx, w in enumerate(coset_reps):
@@ -236,7 +197,7 @@ def normal_list(
         seen.add(key)
         triple = _normal_triple(
             grading,
-            _hnum_from_values(rs, key),
+            alg.hnum_from_values(key),
             den,
             [vals[i] for i in inv],
             partial(task_rng, seed, idx),

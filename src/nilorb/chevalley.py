@@ -5,14 +5,19 @@ generators h_1..h_l (the simple coroots).  Signs are fixed by setting the
 constant of each extraspecial pair positive, with all other constants
 derived through the standard bracket identities; any consistent convention
 is equivalent for the invariant quantities computed downstream.
+
+The algebra also owns the integer form of a Cartan element, which both
+listing methods test on: cartan_values gives den * h and den * alpha(h) for
+every root, and the integer inverse of the Cartan matrix (cartan_solution,
+hnum_from_values) turns simple-root values back into coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import add
+from functools import cached_property, lru_cache
+from operator import add, mul
 
 from . import linalg
 from .rootsystem import Root, RootSystem
@@ -228,10 +233,10 @@ class ChevalleyAlgebra:
     def root_vector(self, root: Root) -> LieElement:
         return self.basis_element(self.rs.root_index[tuple(root)])
 
-    def cartan(self, coeffs) -> LieElement:
-        """Element sum_i coeffs[i] * h_i of the Cartan subalgebra."""
+    def cartan(self, coeffs, den: int = 1) -> LieElement:
+        """Element sum_i coeffs[i] / den * h_i of the Cartan subalgebra."""
         return LieElement(
-            self, {self.n_roots + i: Fraction(c) for i, c in enumerate(coeffs) if c != 0}
+            self, {self.n_roots + i: Fraction(c, den) for i, c in enumerate(coeffs) if c != 0}
         )
 
     def coroot(self, root: Root) -> LieElement:
@@ -243,6 +248,42 @@ class ChevalleyAlgebra:
         n = self.n_roots
         pair = self._pair_simple[self.rs.root_index[tuple(root)]]
         return sum(h.coeffs.get(n + i, 0) * pair[i] for i in range(self.rs.rank))
+
+    def cartan_values(self, h: LieElement) -> tuple[list[int], int, list[int]]:
+        """The integer form of a Cartan element h: (hnum, den, values) with
+        hnum = den * h over h_1..h_l, den the least such denominator, and
+        values = root_values(hnum), the integers den * alpha(h) in root order.
+        """
+        if not h.is_cartan():
+            raise ValueError("h must lie in the Cartan subalgebra")
+        hnum, den = linalg.clear_denominators(h.cartan_part())
+        return hnum, den, self.root_values(hnum)
+
+    @cached_property
+    def cartan_inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(num, den) with num / den the inverse of the Cartan matrix, num
+        integer.  Row i of the inverse solves the transposed system with
+        right-hand side e_i."""
+        l = self.rs.rank
+        transposed = [list(col) for col in zip(*self.rs.cartan_matrix)]
+        rows = [linalg.solve(transposed, [int(j == i) for j in range(l)]) for i in range(l)]
+        flat, den = linalg.clear_denominators([x for row in rows for x in row])
+        return tuple(tuple(flat[i * l : (i + 1) * l]) for i in range(l)), den
+
+    def cartan_solution(self, simple_values) -> tuple[list[int], int]:
+        """(hnum, den) with h = hnum / den over h_1..h_l the Cartan element
+        with alpha_i(h) = simple_values[i]: hnum = num . simple_values for
+        the integer inverse (num, den) of the Cartan matrix."""
+        num, den = self.cartan_inverse
+        return [sum(map(mul, row, simple_values)) for row in num], den
+
+    def hnum_from_values(self, simple_values) -> list[int]:
+        """Integer coordinates over h_1..h_l of the h with alpha_i(h) =
+        simple_values[i].  The division is exact for h in the coroot
+        lattice, as den * w(h) is for every w in W when den * h has integer
+        coordinates (W permutes the coroots)."""
+        hnum, den = self.cartan_solution(simple_values)
+        return [x // den for x in hnum]
 
     def root_values(self, hnum) -> list:
         """alpha(h) for every root, in root order, where h = sum_k hnum[k] h_k.
@@ -300,10 +341,7 @@ class ChevalleyAlgebra:
         other row reads 0 = 0 and leaves the solution (free variables 0) as it
         is.
         """
-        if not h.is_cartan():
-            raise ValueError("h must lie in the Cartan subalgebra")
-        hnum, den = linalg.clear_denominators(h.cartan_part())
-        values = self.root_values(hnum)
+        _, den, values = self.cartan_values(h)
         n = self.n_roots
 
         def eigenvector(x: LieElement, c: int) -> bool:

@@ -9,6 +9,7 @@ per-task generator scheme.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -129,14 +130,7 @@ def cmd_orbits(args) -> int:
             "kac": list(kd.labels),
             "m": grading.m,
             "records": [_record_json(r) for r in records],
-            "summary": {
-                "orbit_count": summary.orbit_count,
-                "component_count": summary.component_count,
-                "component_dim": summary.component_dim,
-                "rank": summary.rank,
-                "nregular": summary.nregular,
-                "very_nregular": summary.very_nregular,
-            },
+            "summary": dataclasses.asdict(summary),
             "seed": args.seed,
             "schema": SCHEMA_VERSION,
         }

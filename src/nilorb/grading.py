@@ -56,18 +56,7 @@ class ThetaGrading:
         self.phi1_indices = tuple(i for i, d in enumerate(self.deg_by_index) if d == 1 % m)
         self.phi0 = tuple(rs.roots[i] for i in self.phi0_indices)
         self.phi1 = tuple(rs.roots[i] for i in self.phi1_indices)
-        pos0 = [r for r in self.phi0 if rs.is_positive(r)]
-        set0 = set(pos0)
-        self.delta0 = tuple(
-            sorted(
-                (
-                    r
-                    for r in pos0
-                    if not any(q != r and tuple(a - b for a, b in zip(r, q)) in set0 for q in set0)
-                ),
-                key=lambda r: (sum(r), r),
-            )
-        )
+        self.delta0 = rs.simple_system(r for r in self.phi0 if rs.is_positive(r))
         self._wl = None
 
     def __repr__(self) -> str:
@@ -109,7 +98,8 @@ class ThetaGrading:
 
     def in_dominant_chamber(self, h: LieElement) -> bool:
         """Whether beta(h) >= 0 for every beta in Delta_0 (h in C_l + r)."""
-        return all(self.alg.root_value(b, h) >= 0 for b in self.delta0)
+        values = self.alg.cartan_values(h)[2]
+        return all(values[self.rs.root_index[b]] >= 0 for b in self.delta0)
 
     def to_json_dict(self) -> dict:
         return {

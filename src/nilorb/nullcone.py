@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
 from .carrier import classify_by_carriers
 from .characteristics import DEFAULT_OMEGA_CAP, classify_by_characteristics
 from .chevalley import ChevalleyAlgebra, LieElement
@@ -47,11 +46,11 @@ def orbit_dimension(grading: ThetaGrading, h: LieElement) -> int:
                  + #{alpha in Phi_1 : alpha(h) >= 2}
     (at m = 1 both sets are the whole root system).  h = 0 gives 0.
     """
-    hnum, den = linalg.clear_denominators(h.cartan_part())
+    _, den, values = grading.alg.cartan_values(h)
     one = 1 % grading.m
     return sum(
         (d == 0 and v < 0) + (d == one and v >= 2 * den)
-        for d, v in zip(grading.deg_by_index, grading.alg.root_values(hnum))
+        for d, v in zip(grading.deg_by_index, values)
     )
 
 

@@ -52,37 +52,35 @@ def elementary_transformations(rs: RootSystem, pi) -> list[PiSystem]:
     return out
 
 
-def classify_maximal(rs: RootSystem, basis=None, sub: WeylSubgroup | None = None) -> list[PiSystem]:
+def classify_maximal(rs: RootSystem, basis=None) -> list[PiSystem]:
     """Maximal-rank pi-systems reachable from the given simple basis by
-    elementary transformations, up to conjugacy under the given subgroup:
+    elementary transformations, up to conjugacy under its Weyl subgroup:
     the first system met in each class by the class search, sorted.
 
-    Defaults classify within the whole root system under the full Weyl group;
-    passing a subsystem basis and its Weyl subgroup classifies inside that
-    subsystem instead.
+    The default basis classifies within the whole root system under the
+    full Weyl group; a subsystem basis classifies inside that subsystem.
     """
     if basis is None:
         basis = tuple(rs.simple_root(i) for i in range(rs.rank))
-    if sub is None:
-        sub = WeylSubgroup(rs, basis)
     reps = conjugacy_classes(
-        rs, sub, [canonical(basis)], moves=lambda pi: elementary_transformations(rs, pi)
+        rs,
+        WeylSubgroup(rs, basis),
+        [canonical(basis)],
+        moves=lambda pi: elementary_transformations(rs, pi),
     )
     return sorted(reps)
 
 
-def classify_all(rs: RootSystem, basis=None, sub: WeylSubgroup | None = None) -> list[PiSystem]:
+def classify_all(rs: RootSystem, basis=None) -> list[PiSystem]:
     """All pi-systems (the empty one included) up to conjugacy under the
-    given subgroup: the class search from the maximal classes, dropping one
-    root at a time, ordered by size and then by roots."""
+    Weyl subgroup of the basis: the class search from the maximal classes,
+    dropping one root at a time, ordered by size and then by roots."""
     if basis is None:
         basis = tuple(rs.simple_root(i) for i in range(rs.rank))
-    if sub is None:
-        sub = WeylSubgroup(rs, basis)
     reps = conjugacy_classes(
         rs,
-        sub,
-        classify_maximal(rs, basis, sub),
+        WeylSubgroup(rs, basis),
+        classify_maximal(rs, basis),
         moves=lambda pi: [pi[:i] + pi[i + 1 :] for i in range(len(pi))],
     )
     return sorted(reps, key=lambda p: (len(p), p))

@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .chevalley import ChevalleyAlgebra, LieElement
-from .weyl import _simple_indices, dominant_values
+from .weyl import dominant_values
 
 
 class InternalConsistencyError(RuntimeError):
@@ -68,11 +67,9 @@ def wdd_of_cartan(alg: ChevalleyAlgebra, h: LieElement) -> WeightedDynkinDiagram
     the simple roots by weyl.dominant_values.  The labels are then the
     values at the simple roots, which must be 0, 1 or 2 (and so integral).
     """
-    if not h.is_cartan():
-        raise ValueError("element is not in the Cartan subalgebra")
-    hnum, den = linalg.clear_denominators(h.cartan_part())
-    simple = _simple_indices(alg.rs)
-    values = dominant_values(alg.rs, simple, alg.root_values(hnum))
+    _, den, values = alg.cartan_values(h)
+    simple = alg.rs.simple_indices
+    values = dominant_values(alg.rs, simple, values)
     labels = []
     for s in simple:
         label, rest = divmod(values[s], den)

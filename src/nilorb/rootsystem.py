@@ -136,6 +136,7 @@ class RootSystem:
             tuple(-c for c in r) for r in self.positive_roots
         )
         self.root_index = {r: i for i, r in enumerate(self.roots)}
+        self.simple_indices = tuple(self.root_index[self.simple_root(i)] for i in range(rank))
         self.highest_root = self.positive_roots[-1]
         self.marks = (1,) + self.highest_root
         # per-root cached data: B @ root and squared length
@@ -257,18 +258,22 @@ class RootSystem:
                     work.append(y)
         return out
 
+    def simple_system(self, positive) -> tuple[Root, ...]:
+        """Simple system of a closed set of positive roots: the roots of the
+        set that are not the sum of two of its roots, by height and then by
+        coordinates."""
+        pos = set(positive)
+        return tuple(
+            sorted(
+                (r for r in pos if not any(tuple(a - b for a, b in zip(r, q)) in pos for q in pos)),
+                key=lambda r: (sum(r), r),
+            )
+        )
+
     def subsystem_positive_basis(self, roots) -> tuple[Root, ...]:
         """Canonical simple system (positive in Phi) of the subsystem the
         reflections of the given roots generate."""
-        if not roots:
-            return ()
-        closure = self.subsystem_roots(roots)
-        pos = {r for r in closure if self.is_positive(r)}
-        basis = []
-        for r in pos:
-            if not any(tuple(a - b for a, b in zip(r, q)) in pos for q in pos if q != r):
-                basis.append(r)
-        return tuple(sorted(basis, key=lambda r: (sum(r), r)))
+        return self.simple_system(r for r in self.subsystem_roots(roots) if self.is_positive(r))
 
     def lowest_root_of_subsystem(self, basis) -> Root:
         """Lowest root of the subsystem spanned by a connected pi-system.
@@ -358,29 +363,21 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
 
 
 def parse_type(text: str) -> tuple[str, int]:
-    """Parse a label like 'G2' or 'E8' into (letter, rank)."""
+    """Parse a --type label like 'G2' or 'E8' into (letter, rank)."""
     text = text.strip().upper()
-    if len(text) < 2 or not text[0].isalpha():
-        raise ValueError(f"cannot parse type {text!r}; expected e.g. 'G2', 'E8', 'A3'")
+    if len(text) < 2 or not text[0].isalpha() or not text[1:].isdecimal():
+        raise ValueError(
+            f"cannot parse --type {text!r}; expected a letter and a rank in digits, "
+            "e.g. 'G2', 'E8', 'A3'"
+        )
     return text[0], int(text[1:])
 
 
 def _identify_component(m: list[list]) -> tuple[str, int]:
     """Match a connected Cartan matrix against the simple types."""
     k = len(m)
-    if k == 1:
-        return ("A", 1)
-    candidates = ["A"]
-    if k >= 2:
-        candidates += ["B", "G"] if k == 2 else ["B", "C"]
-    if k >= 4:
-        candidates.append("D")
-        if k == 4:
-            candidates.append("F")
-    if k in (6, 7, 8):
-        candidates.append("E")
-    for letter in candidates:
-        if next(_isomorphisms(m, cartan_matrix(letter, k)), None) is not None:
+    for letter, (lo, hi) in _RANK_RANGES.items():
+        if lo <= k <= (hi or k) and next(_isomorphisms(m, cartan_matrix(letter, k)), None) is not None:
             return (letter, k)
     raise ValueError(f"could not identify Cartan matrix {m}")
 

@@ -40,12 +40,7 @@ def _inverse(p: bytes) -> bytes:
 @lru_cache(maxsize=None)
 def _simple_perm_table(rs: RootSystem) -> tuple[bytes, ...]:
     """Permutations of rs.roots induced by the simple reflections."""
-    return tuple(_reflection_row(rs, k) for k in _simple_indices(rs))
-
-
-@lru_cache(maxsize=None)
-def _simple_indices(rs: RootSystem) -> tuple[int, ...]:
-    return tuple(rs.root_index[rs.simple_root(i)] for i in range(rs.rank))
+    return tuple(_reflection_row(rs, k) for k in rs.simple_indices)
 
 
 class WeylElement:
@@ -84,7 +79,7 @@ class WeylElement:
         inv = _inverse(perm)
         word = []
         while True:
-            for i, k in enumerate(_simple_indices(rs)):
+            for i, k in enumerate(rs.simple_indices):
                 if inv[k] >= rs.n_pos:
                     word.append(i)
                     inv = _compose(inv, simples[i])
@@ -107,7 +102,7 @@ class WeylElement:
     def matrix(self) -> tuple:
         """Integer matrix of the action on simple-root coordinates."""
         if self._matrix is None:
-            cols = [self.rs.roots[self.perm[k]] for k in _simple_indices(self.rs)]
+            cols = [self.rs.roots[self.perm[k]] for k in self.rs.simple_indices]
             self._matrix = tuple(
                 tuple(cols[j][i] for j in range(self.rs.rank)) for i in range(self.rs.rank)
             )
@@ -176,7 +171,7 @@ def shortest_coset_reps(rs: RootSystem, sub: WeylSubgroup) -> list[WeylElement]:
     it.
     """
     simples = _simple_perm_table(rs)
-    simple_idx = _simple_indices(rs)
+    simple_idx = rs.simple_indices
     # w(alpha_i) in `blocked`: l(w s_i) < l(w), or w s_i leaves the coset condition
     blocked = set(range(rs.n_pos, len(rs.roots)))
     blocked.update(rs.root_index[b] for b in sub.basis)

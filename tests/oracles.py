@@ -440,7 +440,7 @@ def reference_candidate_pi_systems(grading):
             if r not in cand.pi1 and is_pi_system(rs, cand.roots() + (r,))
         ]
 
-    start = [GradedCandidate(pi0, ()) for pi0 in classify_all(rs, basis=grading.delta0, sub=w0)]
+    start = [GradedCandidate(pi0, ()) for pi0 in classify_all(rs, basis=grading.delta0)]
     found = conjugacy_classes(rs, w0, start, lambda c: (c.pi0, c.pi1), add_one)
     return sorted(found, key=lambda c: (len(c.pi0) + len(c.pi1), c.pi0, c.pi1))
 
@@ -674,10 +674,10 @@ def reference_shortest_coset_reps(rs, sub):
     one-lookup test: each element carries its inverse permutation, and
     w*s_i is kept when l(w s_i) > l(w) and (w s_i)^{-1} sends every basis
     root to a positive root."""
-    from nilorb.weyl import WeylElement, _compose, _simple_indices, _simple_perm_table
+    from nilorb.weyl import WeylElement, _compose, _simple_perm_table
 
     simples = _simple_perm_table(rs)
-    simple_idx = _simple_indices(rs)
+    simple_idx = rs.simple_indices
     n_pos = rs.n_pos
     beta_idx = [rs.root_index[b] for b in sub.basis]
     ident = bytes(range(len(rs.roots)))

@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from nilorb import Sl2Triple, build_algebra, build_root_system
+from nilorb import (
+    Sl2Triple,
+    build_algebra,
+    build_root_system,
+    decide_normal,
+    orbit_dimension,
+    trivial_grading,
+)
+from nilorb.records import wdd_of_cartan
 
 from oracles import ad_matrix, is_nilpotent, killing_form, n_const, reference_complete_sl2
 
@@ -242,6 +250,45 @@ def test_complete_sl2_rejects_non_cartan_h():
     h, e, f = A1.cartan([1]), A1.root_vector((1,)), A1.root_vector((-1,))
     with pytest.raises(ValueError, match="Cartan subalgebra"):
         A1.complete_sl2(h + e, e, [f])
+
+
+def test_cartan_values_is_the_integer_form_of_a_fraction_h():
+    h = A2.cartan([Fraction(1, 2), Fraction(1, 3)])
+    hnum, den, values = A2.cartan_values(h)
+    assert (hnum, den) == ([3, 2], 6)
+    # roots (0,1), (1,0), (1,1) and their negatives: alpha_2(h) = 1/6 etc.
+    assert values == [1, 4, 5, -1, -4, -5]
+    assert values == [den * A2.root_value(r, h) for r in A2.rs.roots]
+    assert A2.cartan(hnum, den) == h
+
+
+def test_cartan_values_rejects_a_non_cartan_element_with_one_message():
+    x = A2.cartan([1, 0]) + A2.root_vector((1, 0))
+    grading = trivial_grading(A2)
+    for call in (
+        lambda: A2.cartan_values(x),
+        lambda: decide_normal(grading, x),
+        lambda: wdd_of_cartan(A2, x),
+        lambda: orbit_dimension(grading, x),
+        lambda: grading.in_dominant_chamber(x),
+    ):
+        with pytest.raises(ValueError, match="^h must lie in the Cartan subalgebra$"):
+            call()
+
+
+@pytest.mark.parametrize("alg", [A1, A2, A3, B2, G2], ids=repr)
+def test_cartan_solution_inverts_the_simple_root_values(alg):
+    rng = random.Random(7)
+    l = alg.rs.rank
+    simple = [alg.rs.simple_root(i) for i in range(l)]
+    for _ in range(20):
+        target = [rng.randint(-3, 3) for _ in range(l)]
+        h = alg.cartan(*alg.cartan_solution(target))
+        assert [alg.root_value(a, h) for a in simple] == target
+        # a coroot-lattice h comes back from its simple-root values exactly
+        coords = [rng.randint(-3, 3) for _ in range(l)]
+        values = [alg.root_value(a, alg.cartan(coords)) for a in simple]
+        assert alg.hnum_from_values(values) == coords
 
 
 def test_complete_sl2_rejects_f_space_with_cartan_part():

@@ -58,6 +58,15 @@ def test_invalid_type(capsys):
     assert "rank" in err
 
 
+@pytest.mark.parametrize("text", ["Gx", "G2.5"])
+def test_unparsable_type_is_an_error_line(capsys, text):
+    code, out, err = run(capsys, ["roots", "--type", text])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--type" in err and "'G2'" in err
+    assert "invalid literal" not in err
+
+
 def test_cosets_b2(capsys):
     code, out, _ = run(capsys, ["cosets", "--type", "B2", "--subsystem-from-extended-minus", "2"])
     assert code == 0

@@ -1,6 +1,7 @@
 """The package's exported names, and the names the benchmark's tracer
 (perfbench/tracing.py) patches by attribute lookup."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -45,3 +46,20 @@ def test_benchmark_tracer_installs_on_every_traced_name():
     assert proc.returncode == 0, proc.stderr
     called = set(proc.stdout.split())
     assert {"rootsystem.build_root_system", "weyl.conjugate_sets", "weyl.conjugate_tuples"} <= called
+
+
+# Private names one nilorb module may import from another.
+PRIVATE_IMPORTS_ALLOWED = {"_check_omega_cap"}
+
+
+def test_no_module_imports_another_modules_private_names():
+    borrowed = []
+    for path in sorted((ROOT / "src" / "nilorb").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("nilorb")):
+                borrowed += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and alias.name not in PRIVATE_IMPORTS_ALLOWED
+                ]
+    assert borrowed == []

@@ -120,7 +120,7 @@ def assert_same_classes_as_closure_walk(rs, basis, sub):
         (classify_maximal, reference_classify_maximal),
         (classify_all, reference_classify_all),
     ):
-        got = [conjugacy_key(rs, sub, (p,)) for p in search(rs, basis, sub)]
+        got = [conjugacy_key(rs, sub, (p,)) for p in search(rs, basis)]
         assert len(set(got)) == len(got)
         assert set(got) == {conjugacy_key(rs, sub, (p,)) for p in reference(rs, basis, sub)}
 

@@ -190,5 +190,25 @@ def test_extended_diagram_automorphisms():
 def test_parse_type():
     assert parse_type("G2") == ("G", 2)
     assert parse_type("e8") == ("E", 8)
-    with pytest.raises(ValueError):
-        parse_type("42")
+    for text in ("42", "Gx", "G2.5", "G-2", "G 2"):
+        with pytest.raises(ValueError, match="--type"):
+            parse_type(text)
+
+
+@pytest.mark.parametrize("label,rank", sorted(ROOT_COUNTS))
+def test_simple_indices_index_the_simple_roots(label, rank):
+    rs = build_root_system(label, rank)
+    assert rs.simple_indices == tuple(rs.root_index[rs.simple_root(i)] for i in range(rank))
+
+
+@pytest.mark.parametrize("label,rank", [("B", 3), ("F", 4), ("E", 6)])
+def test_simple_system_of_a_subsystem_is_its_pi_system(label, rank):
+    # the simple system of the subsystem a pi-system spans is a pi-system
+    # of the same type that spans the same subsystem
+    rs = build_root_system(label, rank)
+    for pi in classify_all(rs):
+        closure = rs.subsystem_roots(pi)
+        basis = rs.simple_system(r for r in closure if rs.is_positive(r))
+        assert len(basis) == len(pi)
+        assert rs.dynkin_type(basis) == rs.dynkin_type(pi)
+        assert rs.subsystem_roots(basis) == closure
