@@ -68,8 +68,8 @@ def decide_normal(
     den * h and den * alpha(h) (see _normal_triple): quick membership test
     of h in [g_1(2), g_{m-1}(-2)]; random search for e in general position
     ([g_0(0), e] = g_1(2)), with coefficients uniform in {0..n} and n doubled
-    after every failure (n starts at min(4, omega_cap)); exact linear solve
-    for f.
+    after every failure (n starts at min(4, omega_cap)); f from the same
+    elimination as the general-position test, through the Killing form.
     """
     _check_omega_cap(omega_cap)
     hnum, den, values = grading.alg.cartan_values(h)
@@ -87,7 +87,17 @@ def _normal_triple(grading, hnum, den, values, make_rng, omega_cap) -> Sl2Triple
     """decide_normal on integers: den * h = sum_k hnum[k] h_k and values[i] =
     den * alpha_i(h) for every root i.
 
-    The membership and general-position tests run on these integers.
+    With eye the roots gamma_t of g_1(2) and e = sum_t c_t x_gamma_t, the
+    matrix M of ad e: g_0(0) -> g_1(2) has one row per basis element b of
+    g_0(0) (h_k, then x_beta with beta(h) = 0) and one column per gamma_t.
+    e is in general position when M has rank len(eye).  For f = sum_t y_t
+    x_-gamma_t, [e, f] - h lies in g_0(0), on which the invariant form B is
+    nondegenerate, and B([e, f], b) = B(f, [b, e]); so [e, f] = h iff
+    M u = r, where in the integer form B' of ChevalleyAlgebra.killing_weights
+    (weights w) r_k = w_k * values[simple_k] on the h_k rows, r = 0 on the
+    x_beta rows, and u_t = den * w_gamma_t * y_t.  One elimination of
+    [M | r] per try gives both the rank and f, which is unique given (h, e).
+
     make_rng() is called only when the search for e starts, and the Fraction
     h is built only for the completion (or the error message).  Every caller
     checks omega_cap >= 1 first: a cap of 0 would double n = 0 forever.
@@ -104,6 +114,8 @@ def _normal_triple(grading, hnum, den, values, make_rng, omega_cap) -> Sl2Triple
         return None
 
     pair, consts, sums = alg._pair_simple, alg._n, alg._sum
+    weights = alg.killing_weights
+    rhs = [weights[i] * values[i] for i in rs.simple_indices]
     zero_idx = [i for i in grading.phi0_indices if values[i] == 0]
     pos_in_eye = {i: t for t, i in enumerate(eye)}
     s = len(eye)
@@ -112,17 +124,18 @@ def _normal_triple(grading, hnum, den, values, make_rng, omega_cap) -> Sl2Triple
     n = min(4, omega_cap)
     while True:
         coeffs = [rng.randint(0, n) for _ in range(s)]
-        cols = []
-        for k in range(rs.rank):  # columns [h_k, e]
-            cols.append([coeffs[t] * pair[eye[t]][k] for t in range(s)])
-        for j in zero_idx:  # columns [x_beta, e]
-            col = [0] * s
+        rows = []
+        for k in range(rs.rank):  # [h_k, e] | r_k
+            rows.append([coeffs[t] * pair[eye[t]][k] for t in range(s)] + [rhs[k]])
+        for j in zero_idx:  # [x_beta, e] | 0
+            row = [0] * (s + 1)
             for t, i in enumerate(eye):
                 target = sums.get((j, i))
                 if target is not None and coeffs[t]:
-                    col[pos_in_eye[target]] += coeffs[t] * consts[(j, i)]
-            cols.append(col)
-        if linalg.rank_int(cols) == s:
+                    row[pos_in_eye[target]] += coeffs[t] * consts[(j, i)]
+            rows.append(row)
+        rank, u = linalg.rank_and_solve(rows, s)
+        if rank == s:
             break
         n *= 2
         if n > omega_cap:
@@ -132,8 +145,24 @@ def _normal_triple(grading, hnum, den, values, make_rng, omega_cap) -> Sl2Triple
             )
 
     e = LieElement(alg, dict(zip(eye, coeffs)))
-    f_space = [LieElement(alg, {i + rs.n_pos if i < rs.n_pos else i - rs.n_pos: 1}) for i in eye]
-    return alg.complete_sl2(alg.cartan(hnum, den), e, f_space)
+    f = None
+    if u is not None:
+        n_pos = rs.n_pos
+        f = {
+            i + n_pos if i < n_pos else i - n_pos: x / (den * weights[i])
+            for i, x in zip(eye, u)
+        }
+    return _complete(alg.cartan(hnum, den), e, f)
+
+
+def _complete(h: LieElement, e: LieElement, f: dict | None) -> Sl2Triple | None:
+    """The triple (h, e, f) for the coefficients f solved by _normal_triple,
+    after Sl2Triple.check, or None when no f exists."""
+    if f is None:
+        return None
+    triple = Sl2Triple(h, e, LieElement(h.alg, f))
+    triple.check()
+    return triple
 
 
 @lru_cache(maxsize=None)

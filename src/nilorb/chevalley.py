@@ -9,7 +9,11 @@ is equivalent for the invariant quantities computed downstream.
 The algebra also owns the integer form of a Cartan element, which both
 listing methods test on: cartan_values gives den * h and den * alpha(h) for
 every root, and the integer inverse of the Cartan matrix (cartan_solution,
-hnum_from_values) turns simple-root values back into coordinates.
+hnum_from_values) turns simple-root values back into coordinates.  Its
+killing_weights give the invariant form in integers, through which the
+normality test solves [e, f] = h on the matrix of ad e it has already
+built; complete_sl2 is the general solve of [e, f] = h over any span of
+-2 eigenvectors.
 """
 
 from __future__ import annotations
@@ -243,12 +247,6 @@ class ChevalleyAlgebra:
         """The coroot of a root, as a Cartan element ([x_a, x_{-a}])."""
         return self.cartan(self._coroot[self.rs.root_index[tuple(root)]])
 
-    def root_value(self, root: Root, h: LieElement):
-        """alpha(h) for h in the Cartan subalgebra."""
-        n = self.n_roots
-        pair = self._pair_simple[self.rs.root_index[tuple(root)]]
-        return sum(h.coeffs.get(n + i, 0) * pair[i] for i in range(self.rs.rank))
-
     def cartan_values(self, h: LieElement) -> tuple[list[int], int, list[int]]:
         """The integer form of a Cartan element h: (hnum, den, values) with
         hnum = den * h over h_1..h_l, den the least such denominator, and
@@ -258,6 +256,19 @@ class ChevalleyAlgebra:
             raise ValueError("h must lie in the Cartan subalgebra")
         hnum, den = linalg.clear_denominators(h.cartan_part())
         return hnum, den, self.root_values(hnum)
+
+    @cached_property
+    def killing_weights(self) -> tuple[int, ...]:
+        """w[i] = |longest root|^2 / |roots[i]|^2 for every root, in root order.
+
+        The invariant form B with B(x_a, x_-a) = 2 / |a|^2 (short roots of
+        length^2 2) is 2 / |longest|^2 times the integer form with
+        B'(x_a, x_-a) = w_a and B'(h, h_k) = w_k alpha_k(h), h_k the coroot
+        of the k-th simple root: [x_a, x_-a] = h_a and invariance give
+        B(h, h_a) = alpha(h) B(x_a, x_-a).
+        """
+        lmax = max(self.rs.length2(r) for r in self.rs.roots)
+        return tuple(lmax // self.rs.length2(r) for r in self.rs.roots)
 
     @cached_property
     def cartan_inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:

@@ -87,6 +87,24 @@ def in_span(vectors: Matrix, target: Row) -> bool:
     return not any(row[n] for row in m[rank:])
 
 
+def rank_and_solve(m: Matrix, ncols: int) -> tuple[int, Row | None]:
+    """Rank and one solution of an integer system, from one elimination.
+
+    m holds the integer rows [A | b] of A x = b, A with ncols columns; it is
+    brought to echelon form in place.  Returns (rank of A, x), where x is one
+    exact solution with free variables zero, or None if the system is
+    inconsistent.
+    """
+    piv_cols = _echelon(m, ncols)
+    rank = len(piv_cols)
+    if any(row[ncols] for row in m[rank:]):
+        return rank, None
+    sol = [Fraction(0)] * ncols
+    for c, x in zip(piv_cols, _back_substitute(m, piv_cols, ncols)):
+        sol[c] = x
+    return rank, sol
+
+
 def solve(rows: Matrix, rhs: Row) -> Row | None:
     """One exact solution x of A x = b, or None if the system is inconsistent.
 
@@ -94,15 +112,8 @@ def solve(rows: Matrix, rhs: Row) -> Row | None:
     """
     if not rows:
         return [] if all(v == 0 for v in rhs) else None
-    ncols = len(rows[0])
     m = [clear_denominators(list(r) + [b])[0] for r, b in zip(rows, rhs)]
-    piv_cols = _echelon(m, ncols)
-    if any(row[ncols] != 0 for row in m[len(piv_cols) :]):
-        return None
-    sol = [Fraction(0)] * ncols
-    for c, x in zip(piv_cols, _back_substitute(m, piv_cols, ncols)):
-        sol[c] = x
-    return sol
+    return rank_and_solve(m, len(rows[0]))[1]
 
 
 def nullspace(rows: Matrix) -> list[Row]:

@@ -55,21 +55,6 @@ class WeylElement:
         self._matrix = None
 
     @staticmethod
-    def identity(rs: RootSystem) -> "WeylElement":
-        return WeylElement(rs, bytes(range(len(rs.roots))), ())
-
-    @staticmethod
-    def simple(rs: RootSystem, i: int) -> "WeylElement":
-        return WeylElement(rs, _simple_perm_table(rs)[i], (i,))
-
-    @staticmethod
-    def from_word(rs: RootSystem, word) -> "WeylElement":
-        w = WeylElement.identity(rs)
-        for i in word:
-            w = w * WeylElement.simple(rs, i)
-        return WeylElement(rs, w.perm, tuple(word))
-
-    @staticmethod
     def from_perm(rs: RootSystem, perm: bytes) -> "WeylElement":
         """The element with the given root permutation, with its
         lexicographically least reduced word, read off by left descents:

@@ -24,6 +24,39 @@ def is_identity(w) -> bool:
     return w.perm == bytes(range(len(w.perm)))
 
 
+def root_value(alg, root, h):
+    """alpha(h) for h in the Cartan subalgebra, one root at a time, in the
+    coefficients of h (Fractions for a Fraction h)."""
+    n = alg.n_roots
+    pair = alg._pair_simple[alg.rs.root_index[tuple(root)]]
+    return sum(h.coeffs.get(n + i, 0) * pair[i] for i in range(alg.rs.rank))
+
+
+def weyl_identity(rs):
+    """The identity WeylElement, with the empty word."""
+    from nilorb.weyl import WeylElement
+
+    return WeylElement(rs, bytes(range(len(rs.roots))), ())
+
+
+def weyl_simple(rs, i: int):
+    """The simple reflection s_i as a WeylElement."""
+    from nilorb.weyl import WeylElement, _simple_perm_table
+
+    return WeylElement(rs, _simple_perm_table(rs)[i], (i,))
+
+
+def weyl_from_word(rs, word):
+    """The WeylElement s_{i1} o ... o s_{ik} of the word (i1..ik), keeping
+    the word as given."""
+    from nilorb.weyl import WeylElement
+
+    w = weyl_identity(rs)
+    for i in word:
+        w = w * weyl_simple(rs, i)
+    return WeylElement(rs, w.perm, tuple(word))
+
+
 def is_root(rs, v) -> bool:
     return tuple(v) in rs.root_index
 
@@ -394,7 +427,7 @@ def reference_completion(grading, cand):
     pi = list(cand.pi0) + list(cand.pi1)
     degs = [0] * len(cand.pi0) + [1] * len(cand.pi1)
     coroots = [alg.coroot(a) for a in pi]
-    rows = [[alg.root_value(b, hc) for hc in coroots] for b in pi]
+    rows = [[root_value(alg, b, hc) for hc in coroots] for b in pi]
     sol = linalg.solve(rows, degs)
     if sol is None:
         return None
@@ -406,18 +439,18 @@ def reference_completion(grading, cand):
     z_basis = tuple(alg.cartan(v) for v in linalg.nullspace(pair_rows))
 
     def in_completion(root):
-        return all(alg.root_value(root, u) == 0 for u in z_basis)
+        return all(root_value(alg, root, u) == 0 for u in z_basis)
 
     one = 1 % grading.m
     psi0 = tuple(
         r
         for r, d in zip(rs.roots, grading.deg_by_index)
-        if d == 0 and alg.root_value(r, h0) == 0 and in_completion(r)
+        if d == 0 and root_value(alg, r, h0) == 0 and in_completion(r)
     )
     psi1 = tuple(
         r
         for r, d in zip(rs.roots, grading.deg_by_index)
-        if d == one and alg.root_value(r, h0) == 1 and in_completion(r)
+        if d == one and root_value(alg, r, h0) == 1 and in_completion(r)
     )
     flat = len(pi) + len(psi0) == len(psi1)
     return CompletionResult(h0, z_basis, psi0, psi1, flat)
@@ -600,7 +633,7 @@ def eigenspace(grading, h, k, i):
     i %= grading.m
     if h.is_cartan():
         out = [
-            alg.root_vector(r) for r in grading.component_roots(i) if alg.root_value(r, h) == k
+            alg.root_vector(r) for r in grading.component_roots(i) if root_value(alg, r, h) == k
         ]
         if i == 0 and k == 0:
             out.extend(

@@ -1,8 +1,8 @@
 """Acceptance suite: every criterion pinned to its exact expected values.
 
 Each test prints one PASS/FAIL line (run pytest -s to see them inline).
-Long runs (the E7 sweep sizes of orders 4 and 5 and the E8 order-2 row)
-are opt-in through the NILORB_LONG_TESTS environment variable.
+The long run (the E7 sweep sizes of orders 4 and 5) is opt-in through the
+NILORB_LONG_TESTS environment variable.
 """
 
 import contextlib
@@ -28,7 +28,14 @@ from nilorb import (
     shortest_coset_reps,
     summarize,
 )
-from oracles import brute_pi_classes, component_basis, dual_weight, is_nilpotent, partition_count
+from oracles import (
+    brute_pi_classes,
+    component_basis,
+    dual_weight,
+    is_nilpotent,
+    partition_count,
+    root_value,
+)
 
 LONG = bool(os.environ.get("NILORB_LONG_TESTS"))
 
@@ -374,7 +381,7 @@ def test_criterion_10_sl4_order3_regression():
             x for x in component_basis(g, 1) if alg.bracket(e, x).is_zero()
         ]
         dims = sorted(
-            int(alg.root_value(alg.rs.roots[next(iter(x.coeffs))], h)) + 1 for x in kernel
+            int(root_value(alg, alg.rs.roots[next(iter(x.coeffs))], h)) + 1 for x in kernel
         )
         assert dims == [1, 2, 2]
 
@@ -396,9 +403,8 @@ def test_e7_order2_full_row_reproduction():
     assert summary_tuple(s) == (94, 2, 63, 7)
 
 
-@pytest.mark.skipif(not LONG, reason="long run; set NILORB_LONG_TESTS=1")
 def test_e8_order2_reproduction():
-    # not acceptance-gated: the inner involution table row for E8 (long)
+    # not acceptance-gated: the inner involution table row for E8
     alg = build_algebra(build_root_system("E", 8))
     kd, s = nregular_survey(alg, 2)
     assert summary_tuple(s) == (115, 1, 120, 8)

@@ -23,6 +23,7 @@ from oracles import (
     reference_candidate_pi_systems,
     reference_candidates,
     reference_completion,
+    root_value,
     rref_row_reduce,
     same_partition,
     subgroup_matrices,
@@ -149,14 +150,14 @@ def test_sl4_example_completion_is_itself():
     assert tuple(comp.h0.cartan_part()) == (-1, 0, 0)
     assert len(comp.z_basis) == 1
     for alpha in ((-1, -1, 0), (0, 1, 0)):
-        assert A3.root_value(alpha, comp.h0) == 1
+        assert root_value(A3, alpha, comp.h0) == 1
 
 
 def test_single_root_candidate_completion():
     g = grading_from_kac(A1, KacDiagram.from_labels(A1.rs, (1, 1)))
     comp = completion(g, GradedCandidate((), ((1,),)))
     assert comp is not None and comp.flat
-    assert A1.root_value((1,), comp.h0) == 1
+    assert root_value(A1, (1,), comp.h0) == 1
     assert comp.psi1 == ((1,),)
 
 

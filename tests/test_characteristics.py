@@ -15,8 +15,8 @@ from nilorb import (
     shortest_coset_reps,
     trivial_grading,
 )
+from nilorb import characteristics
 from nilorb.characteristics import task_rng
-from nilorb.chevalley import ChevalleyAlgebra
 from oracles import (
     is_nilpotent,
     partition_count,
@@ -29,6 +29,7 @@ A1 = build_algebra(build_root_system("A", 1))
 A2 = build_algebra(build_root_system("A", 2))
 A3 = build_algebra(build_root_system("A", 3))
 G2 = build_algebra(build_root_system("G", 2))
+B3 = build_algebra(build_root_system("B", 3))
 F4 = build_algebra(build_root_system("F", 4))
 
 
@@ -159,38 +160,92 @@ def test_records_are_deterministic_for_fixed_seed():
 
 
 def recorded_completions(monkeypatch, run):
-    """(alg, h, e, f_space, result) of every complete_sl2 call made by run()."""
+    """(h, e, result) of every completion _normal_triple decides in run(),
+    None results included."""
     calls = []
-    original = ChevalleyAlgebra.complete_sl2
+    original = characteristics._complete
 
-    def record(self, h, e, f_space):
-        result = original(self, h, e, f_space)
-        calls.append((self, h, e, list(f_space), result))
+    def record(h, e, f):
+        result = original(h, e, f)
+        calls.append((h, e, result))
         return result
 
-    monkeypatch.setattr(ChevalleyAlgebra, "complete_sl2", record)
+    monkeypatch.setattr(characteristics, "_complete", record)
     run()
     return calls
 
 
-def assert_matches_reference(calls):
+def eye_f_space(grading, h):
+    """The -2 root vectors x_-gamma of the roots gamma of g_1 with gamma(h) = 2."""
+    alg = grading.alg
+    _, den, values = alg.cartan_values(h)
+    return [
+        alg.root_vector(tuple(-c for c in alg.rs.roots[i]))
+        for i in grading.phi1_indices
+        if values[i] == 2 * den
+    ]
+
+
+def assert_matches_reference(grading, calls):
     assert any(c[-1] is None for c in calls) and any(c[-1] is not None for c in calls)
-    for alg, h, e, f_space, result in calls:
-        assert result == reference_complete_sl2(alg, h, e, f_space)
+    for h, e, result in calls:
+        assert result == reference_complete_sl2(grading.alg, h, e, eye_f_space(grading, h))
 
 
 @pytest.mark.parametrize("label, rank", [("G", 2), ("F", 4), ("E", 6)])
 def test_complete_sl2_matches_dense_reference_on_ambient_calls(monkeypatch, label, rank):
+    # the Killing-form completion of the ambient loop against the dense solve
     alg = build_algebra(build_root_system(label, rank))
     # __wrapped__ bypasses the per-algebra cache, so every decide_normal runs
     calls = recorded_completions(monkeypatch, lambda: classify_nilpotent_g.__wrapped__(alg))
-    assert_matches_reference(calls)
+    assert_matches_reference(trivial_grading(alg), calls)
 
 
 def test_complete_sl2_matches_dense_reference_on_a_method1_grading(monkeypatch):
     g = grading_from_kac(F4, KacDiagram.from_labels(F4.rs, (0, 1, 0, 0, 1)))
+    classify_nilpotent_g(F4)  # record only the sweep, not the ambient loop
     calls = recorded_completions(monkeypatch, lambda: classify_by_characteristics(g))
-    assert_matches_reference(calls)
+    assert_matches_reference(g, calls)
+
+
+def test_killing_weights_are_inverse_squared_lengths():
+    # alpha_1 of G2 and alpha_3 of B3 are short
+    assert [G2.killing_weights[i] for i in G2.rs.simple_indices] == [3, 1]
+    assert [B3.killing_weights[i] for i in B3.rs.simple_indices] == [1, 1, 2]
+    assert sorted(G2.killing_weights) == [1] * 6 + [3] * 6
+    assert set(A3.killing_weights) == {1}
+    for alg in (G2, B3, F4, A3):
+        weights, rs = alg.killing_weights, alg.rs
+        lmax = max(rs.length2(r) for r in rs.roots)
+        assert all(w * rs.length2(r) == lmax for w, r in zip(weights, rs.roots))
+
+
+@pytest.mark.parametrize(
+    "label, rank, labels",
+    [("G", 2, (2, 2)), ("G", 2, (0, 2)), ("B", 3, (1, 0, 1)), ("B", 3, (2, 2, 0)),
+     ("C", 3, (2, 1, 0)), ("C", 3, (0, 0, 2))],
+)
+def test_completion_with_long_and_short_eye_roots_matches_dense_reference(label, rank, labels):
+    # a wrong weight on either root length would give another f, or none
+    alg = build_algebra(build_root_system(label, rank))
+    triv = trivial_grading(alg)
+    h = h_from_wdd(alg, WeightedDynkinDiagram(labels))
+    _, den, values = alg.cartan_values(h)
+    eye = [r for i, r in enumerate(alg.rs.roots) if values[i] == 2 * den]
+    assert len({alg.rs.length2(r) for r in eye}) == 2
+    triple = decide_normal(triv, h)
+    assert triple is not None
+    assert triple == reference_complete_sl2(alg, h, triple.e, eye_f_space(triv, h))
+
+
+def test_decide_normal_is_none_when_no_f_solves_e_f_equal_h():
+    # alpha_1 is the only root of g_1 with alpha(h) = 2, and [x_1, x_-1] = h_1
+    # cannot reach the h_2 part of h = 2h_1 + 2h_2
+    h = A2.cartan([2, 2])
+    for kac in ((1, 1, 0), (2, 1, 0)):
+        g = grading_from_kac(A2, KacDiagram.from_labels(A2.rs, kac))
+        assert eye_f_space(g, h) == [A2.root_vector((-1, 0))]
+        assert decide_normal(g, h) is None
 
 
 @pytest.mark.parametrize("label, rank", [("F", 4), ("E", 6)])
