@@ -128,8 +128,8 @@ def completion(grading: ThetaGrading, cand: GradedCandidate) -> CompletionResult
     if not pi:
         raise ValueError("empty candidate has no completion; handle upstream")
     degs = [0] * len(cand.pi0) + [1] * len(cand.pi1)
-    pair = alg._pair_simple
-    coroots = [alg._coroot[j] for j in pi]
+    pair = alg.simple_pairings
+    coroots = [alg.coroot_coords[j] for j in pi]
     rows = [[sum(map(mul, hc, pair[b])) for hc in coroots] for b in pi]
     sol = linalg.solve(rows, degs)
     if sol is None:

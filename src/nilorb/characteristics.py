@@ -110,10 +110,10 @@ def _normal_triple(grading, hnum, den, values, make_rng, omega_cap) -> Sl2Triple
 
     # h in [g_1(2), g_{m-1}(-2)] iff h lies in the span of the coroots h_alpha,
     # alpha in g_1(2): only the alpha = beta bracket pairs hit the Cartan.
-    if not linalg.in_span([alg._coroot[i] for i in eye], hnum):
+    if not linalg.in_span([alg.coroot_coords[i] for i in eye], hnum):
         return None
 
-    pair, consts, sums = alg._pair_simple, alg._n, alg._sum
+    pair, consts, sums = alg.simple_pairings, alg.structure_constants, alg.root_sums
     weights = alg.killing_weights
     rhs = [weights[i] * values[i] for i in rs.simple_indices]
     zero_idx = [i for i in grading.phi0_indices if values[i] == 0]
@@ -165,33 +165,81 @@ def _complete(h: LieElement, e: LieElement, f: dict | None) -> Sl2Triple | None:
     return triple
 
 
+def _sl2_module_multiplicities(rank: int, pos: list[int]) -> bool:
+    """Whether d_k >= d_{k+2} for every k >= 0, where d_k is the multiplicity
+    of the eigenvalue k of ad h on g, for the dominant h with pos the values
+    alpha(h) >= 0 of the positive roots: d_0 = rank + 2 #{alpha(h) = 0} and
+    d_k = #{alpha(h) = k} for k >= 1."""
+    counts = [0] * (max(pos) + 3)
+    for v in pos:
+        counts[v] += 1
+    counts[0] = rank + 2 * counts[0]
+    return all(a >= b for a, b in zip(counts, counts[2:]))
+
+
+def _sl2_label_vectors(alg: ChevalleyAlgebra):
+    """(t_id, labels, hnum, den, values) for every nonzero label vector in
+    {0, 1, 2}^l whose ad h multiplicities pass _sl2_module_multiplicities,
+    t_id its index in product order; h = hnum / den has alpha_i(h) =
+    labels[i] and values = root_values(hnum).
+
+    The values come from the integers alpha(h) = coords(alpha) . labels of
+    the positive roots, summed a column at a time.  Product order steps the
+    last nonzero label k and zeroes the labels after it, so prefix[j], the
+    sum over the first j labels, stays valid for j <= k, and one column
+    pass per vector gives the sum over all of them.
+    """
+    rs = alg.rs
+    l = rs.rank
+    columns = list(zip(*rs.positive_roots))
+    prefix = [[0] * rs.n_pos] * (l + 1)
+    for t_id, labels in enumerate(product((0, 1, 2), repeat=l)):
+        if not any(labels):
+            continue
+        k = max(i for i, c in enumerate(labels) if c)
+        c = labels[k]
+        pos = [v + c * x for v, x in zip(prefix[k], columns[k])]
+        prefix[k + 1 :] = [pos] * (l - k)
+        if _sl2_module_multiplicities(l, pos):
+            hnum, den = alg.cartan_solution(labels)
+            values = [den * v for v in pos]
+            yield t_id, labels, hnum, den, values + [-v for v in values]
+
+
 @lru_cache(maxsize=None)
 def classify_nilpotent_g(alg: ChevalleyAlgebra) -> tuple:
     """Dominant characteristics (wdd, h) of all nilpotent orbits of the
     ambient algebra, the zero orbit included.
 
-    Runs the normality test over the trivial grading for each of the 3^l
-    candidate label vectors, on the integers den * h of
-    ChevalleyAlgebra.cartan_solution; the surviving set does not depend on
-    the random choices, so the result is cached per algebra.
+    A characteristic h has labels alpha_i(h) in {0, 1, 2}.  Under its
+    sl2-triple g is a sum of irreducible modules V(n), each adding one to
+    the multiplicities d_n, d_{n-2}, ... of the ad h eigenvalues; so d_k
+    counts the V(n) with n >= k and n = k mod 2, and d_k >= d_{k+2} for
+    every k >= 0 (Kostant, "The principal three-dimensional subgroup and
+    the Betti numbers of a complex simple Lie group", Amer. J. Math. 81,
+    1959; Collingwood and McGovern, Nilpotent Orbits in Semisimple Lie
+    Algebras, 1993, section 3.3).  Label vectors failing this necessary
+    condition are no characteristics and are skipped before any
+    elimination.  Every other nonzero vector runs the normality test over
+    the trivial grading, on the integers den * h of
+    ChevalleyAlgebra.cartan_solution.  The random draws of a vector depend
+    only on its index in product order, and the surviving set does not
+    depend on them, so the result is cached per algebra.
     """
     triv = trivial_grading(alg)
     out = [(WeightedDynkinDiagram((0,) * alg.rs.rank), alg.zero())]
-    for t_id, labels in enumerate(product((0, 1, 2), repeat=alg.rs.rank)):
-        if not any(labels):
-            continue
-        hnum, den = alg.cartan_solution(labels)
+    passed = 0
+    for t_id, labels, hnum, den, values in _sl2_label_vectors(alg):
+        passed += 1
         triple = _normal_triple(
-            triv,
-            hnum,
-            den,
-            alg.root_values(hnum),
-            partial(task_rng, 0xC1A55, t_id),
-            DEFAULT_OMEGA_CAP,
+            triv, hnum, den, values, partial(task_rng, 0xC1A55, t_id), DEFAULT_OMEGA_CAP
         )
         if triple is not None:
             out.append((WeightedDynkinDiagram(labels), triple.h))
-    log.debug("ambient classification %s: %d orbits", alg, len(out))
+    log.debug(
+        "ambient classification %s: %d label vectors tried, %d pass the sl2 test, %d orbits",
+        alg, 3**alg.rs.rank - 1, passed, len(out),
+    )
     return tuple(out)
 
 

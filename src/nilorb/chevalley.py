@@ -117,25 +117,29 @@ class ChevalleyAlgebra:
         self.rs = rs
         self.n_roots = len(rs.roots)
         self.dim = self.n_roots + rs.rank
-        self._coroot = tuple(self._coroot_coords(r) for r in rs.roots)
-        # <root, alpha_k^vee> for every root and simple k
+        # The structure tables, in root order and read by the listing methods:
+        # coroot_coords[i], the integer coordinates of roots[i]^vee over
+        # h_1..h_l; simple_pairings[i][k] = <roots[i], alpha_k^vee>;
+        # structure_constants[(i, j)] = N_{i,j} and root_sums[(i, j)], the
+        # index of roots[i] + roots[j], for the pairs whose sum is a root.
+        self.coroot_coords = tuple(self._integral_coroot(r) for r in rs.roots)
         a = rs.cartan_matrix
-        self._pair_simple = tuple(
+        self.simple_pairings = tuple(
             tuple(sum(r[j] * a[j][k] for j in range(rs.rank)) for k in range(rs.rank))
             for r in rs.roots
         )
         # the same pairings as columns, over the positive roots
         self._pair_columns = tuple(
-            tuple(p[k] for p in self._pair_simple[: rs.n_pos]) for k in range(rs.rank)
+            tuple(p[k] for p in self.simple_pairings[: rs.n_pos]) for k in range(rs.rank)
         )
-        self._n, self._sum = self._build_constants()
+        self.structure_constants, self.root_sums = self._build_constants()
 
     def __repr__(self) -> str:
         return f"ChevalleyAlgebra({self.rs.type_label}{self.rs.rank})"
 
     # -- construction ---------------------------------------------------------
 
-    def _coroot_coords(self, root: Root) -> tuple[int, ...]:
+    def _integral_coroot(self, root: Root) -> tuple[int, ...]:
         d_root = self.rs.length2(root) // 2  # short roots have length^2 = 2
         num = [root[i] * self.rs.d[i] for i in range(self.rs.rank)]
         if any(x % d_root for x in num):
@@ -245,7 +249,7 @@ class ChevalleyAlgebra:
 
     def coroot(self, root: Root) -> LieElement:
         """The coroot of a root, as a Cartan element ([x_a, x_{-a}])."""
-        return self.cartan(self._coroot[self.rs.root_index[tuple(root)]])
+        return self.cartan(self.coroot_coords[self.rs.root_index[tuple(root)]])
 
     def cartan_values(self, h: LieElement) -> tuple[list[int], int, list[int]]:
         """The integer form of a Cartan element h: (hnum, den, values) with
@@ -319,13 +323,13 @@ class ChevalleyAlgebra:
             out = self.bracket_basis(j, i)
             return {k: -v for k, v in out.items()}
         if j >= n:
-            c = -self._pair_simple[i][j - n]
+            c = -self.simple_pairings[i][j - n]
             return {i: c} if c else {}
-        k = self._sum.get((i, j))
+        k = self.root_sums.get((i, j))
         if k is not None:
-            return {k: self._n[(i, j)]}
+            return {k: self.structure_constants[(i, j)]}
         if abs(i - j) == self.rs.n_pos:  # j indexes -roots[i]
-            return {n + t: c for t, c in enumerate(self._coroot[i]) if c}
+            return {n + t: c for t, c in enumerate(self.coroot_coords[i]) if c}
         return {}
 
     def bracket(self, x: LieElement, y: LieElement) -> LieElement:

@@ -28,7 +28,7 @@ def root_value(alg, root, h):
     """alpha(h) for h in the Cartan subalgebra, one root at a time, in the
     coefficients of h (Fractions for a Fraction h)."""
     n = alg.n_roots
-    pair = alg._pair_simple[alg.rs.root_index[tuple(root)]]
+    pair = alg.simple_pairings[alg.rs.root_index[tuple(root)]]
     return sum(h.coeffs.get(n + i, 0) * pair[i] for i in range(alg.rs.rank))
 
 

@@ -1,12 +1,9 @@
 """Acceptance suite: every criterion pinned to its exact expected values.
 
 Each test prints one PASS/FAIL line (run pytest -s to see them inline).
-The long run (the E7 sweep sizes of orders 4 and 5) is opt-in through the
-NILORB_LONG_TESTS environment variable.
 """
 
 import contextlib
-import os
 import random
 
 import pytest
@@ -36,8 +33,6 @@ from oracles import (
     partition_count,
     root_value,
 )
-
-LONG = bool(os.environ.get("NILORB_LONG_TESTS"))
 
 RANK_LE_4 = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -129,7 +124,6 @@ def test_criterion_4_e7_structural():
         assert index == 672 and sweep == 4627
 
 
-@pytest.mark.skipif(not LONG, reason="long run; set NILORB_LONG_TESTS=1")
 def test_e7_sweep_sizes_orders_4_and_5():
     alg = build_algebra(build_root_system("E", 7))
     for m, expected_index, expected_sweep in [(4, 4032, 22939), (5, 10080, 52109)]:

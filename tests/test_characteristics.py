@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from nilorb import (
@@ -192,12 +194,21 @@ def assert_matches_reference(grading, calls):
         assert result == reference_complete_sl2(grading.alg, h, e, eye_f_space(grading, h))
 
 
-@pytest.mark.parametrize("label, rank", [("G", 2), ("F", 4), ("E", 6)])
-def test_complete_sl2_matches_dense_reference_on_ambient_calls(monkeypatch, label, rank):
+@pytest.mark.parametrize(
+    "label, rank, classify",
+    [
+        # every G2 vector that passes the sl2 test has an f, so G2 records the
+        # completions of the reference, which tests every label vector
+        pytest.param("G", 2, reference_classify_nilpotent_g, id="G-2"),
+        # __wrapped__ bypasses the per-algebra cache, so every test runs
+        pytest.param("F", 4, classify_nilpotent_g.__wrapped__, id="F-4"),
+        pytest.param("E", 6, classify_nilpotent_g.__wrapped__, id="E-6"),
+    ],
+)
+def test_complete_sl2_matches_dense_reference_on_ambient_calls(monkeypatch, label, rank, classify):
     # the Killing-form completion of the ambient loop against the dense solve
     alg = build_algebra(build_root_system(label, rank))
-    # __wrapped__ bypasses the per-algebra cache, so every decide_normal runs
-    calls = recorded_completions(monkeypatch, lambda: classify_nilpotent_g.__wrapped__(alg))
+    calls = recorded_completions(monkeypatch, lambda: classify(alg))
     assert_matches_reference(trivial_grading(alg), calls)
 
 
@@ -248,10 +259,56 @@ def test_decide_normal_is_none_when_no_f_solves_e_f_equal_h():
         assert decide_normal(g, h) is None
 
 
-@pytest.mark.parametrize("label, rank", [("F", 4), ("E", 6)])
+@pytest.mark.parametrize(
+    "label, rank", [("G", 2), ("B", 3), ("C", 3), ("D", 4), ("A", 4), ("F", 4), ("E", 6)]
+)
 def test_classify_nilpotent_g_matches_the_fraction_reference(label, rank):
     alg = build_algebra(build_root_system(label, rank))
     assert classify_nilpotent_g.__wrapped__(alg) == reference_classify_nilpotent_g(alg)
+
+
+# label vectors in {0, 1, 2}^l \ {0} that pass the sl2 test; A1, A2 and B2
+# pass all of them
+SL2_SURVIVORS = {
+    ("A", 1): 2, ("A", 2): 8, ("A", 3): 23, ("A", 4): 62, ("B", 2): 8, ("B", 3): 20,
+    ("B", 4): 46, ("C", 3): 20, ("C", 4): 45, ("D", 4): 60, ("G", 2): 6, ("F", 4): 27,
+    ("E", 6): 211,
+}
+
+
+@pytest.mark.parametrize("label, rank", list(SL2_SURVIVORS))
+def test_sl2_test_keeps_every_weighted_dynkin_diagram(label, rank):
+    # necessary: the reference runs the normality test on every vector
+    alg = build_algebra(build_root_system(label, rank))
+    survivors = [v[1] for v in characteristics._sl2_label_vectors(alg)]
+    wdds = {wdd.labels for wdd, _ in reference_classify_nilpotent_g(alg) if not wdd.is_zero()}
+    assert wdds <= set(survivors)
+    assert len(survivors) == SL2_SURVIVORS[(label, rank)]
+    if (label, rank) not in {("A", 1), ("A", 2), ("B", 2)}:
+        assert len(survivors) < 3**rank - 1  # not a no-op
+
+
+def test_sl2_test_multiplicities():
+    def passes(labels):
+        pos = [sum(c * x for c, x in zip(r, labels)) for r in A3.rs.positive_roots]
+        return characteristics._sl2_module_multiplicities(3, pos)
+
+    # (2, 0, 2), the diagram of the partition (3, 1): alpha(h) = 0 once, 2 four
+    # times and 4 once, so d_0 = 3 + 2, d_2 = 4 and d_4 = 1, as for
+    # V(4) + 3 V(2) + V(0)
+    assert passes((2, 0, 2))
+    # (1, 2, 0): alpha(h) = 0, 1, 2, 2, 3, 3, so d_1 = 1 < d_3 = 2
+    assert not passes((1, 2, 0))
+    # d_0 = 1 + 0 < d_2 = 2
+    assert not characteristics._sl2_module_multiplicities(1, [2, 2])
+
+
+def test_sl2_survivor_values_are_the_root_values():
+    vectors = list(product((0, 1, 2), repeat=F4.rs.rank))
+    for t_id, labels, hnum, den, values in characteristics._sl2_label_vectors(F4):
+        assert vectors[t_id] == labels
+        assert (hnum, den) == F4.cartan_solution(labels)
+        assert values == F4.root_values(hnum)
 
 
 def _sweep_gradings():

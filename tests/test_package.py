@@ -52,14 +52,44 @@ def test_benchmark_tracer_installs_on_every_traced_name():
 PRIVATE_IMPORTS_ALLOWED = {"_check_omega_cap"}
 
 
+def module_trees():
+    for path in sorted((ROOT / "src" / "nilorb").glob("*.py")):
+        yield path, ast.parse(path.read_text(), str(path))
+
+
 def test_no_module_imports_another_modules_private_names():
     borrowed = []
-    for path in sorted((ROOT / "src" / "nilorb").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for path, tree in module_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("nilorb")):
                 borrowed += [
                     f"{path.name}: {alias.name}"
                     for alias in node.names
                     if alias.name.startswith("_") and alias.name not in PRIVATE_IMPORTS_ALLOWED
                 ]
+    assert borrowed == []
+
+
+def test_no_module_reads_another_modules_private_attributes():
+    # obj._name, obj not self, where no def, class or assignment of this
+    # module names _name: a table or helper of another module's object
+    borrowed = []
+    for path, tree in module_trees():
+        own = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own.add(node.name)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                own.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                own.add(node.id)
+        borrowed += [
+            f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+            and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+            and node.attr not in own
+        ]
     assert borrowed == []
