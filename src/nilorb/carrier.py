@@ -18,7 +18,7 @@ from functools import lru_cache
 from operator import mul
 
 from . import linalg
-from .characteristics import DEFAULT_OMEGA_CAP, _check_omega_cap, decide_normal, task_rng
+from .characteristics import DEFAULT_OMEGA_CAP, check_omega_cap, decide_normal, task_rng
 from .chevalley import LieElement
 from .grading import ThetaGrading
 from .pisystems import canonical, classify_all
@@ -173,7 +173,7 @@ def classify_by_carriers(
     forms are completed to normal triples, which must succeed for a flat
     carrier.
     """
-    _check_omega_cap(omega_cap)
+    check_omega_cap(omega_cap)
     alg, rs = grading.alg, grading.rs
     basis0 = [rs.root_index[b] for b in grading.delta0]
     records = [zero_record(alg)]

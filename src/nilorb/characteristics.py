@@ -51,7 +51,7 @@ def h_from_wdd(alg: ChevalleyAlgebra, wdd: WeightedDynkinDiagram) -> LieElement:
     return alg.cartan(*alg.cartan_solution(wdd.labels))
 
 
-def _check_omega_cap(omega_cap: int) -> None:
+def check_omega_cap(omega_cap: int) -> None:
     if omega_cap < 1:
         raise ValueError(f"omega cap must be >= 1, got {omega_cap}")
 
@@ -71,7 +71,7 @@ def decide_normal(
     after every failure (n starts at min(4, omega_cap)); f from the same
     elimination as the general-position test, through the Killing form.
     """
-    _check_omega_cap(omega_cap)
+    check_omega_cap(omega_cap)
     hnum, den, values = grading.alg.cartan_values(h)
     return _normal_triple(
         grading,
@@ -113,7 +113,7 @@ def _normal_triple(grading, hnum, den, values, make_rng, omega_cap) -> Sl2Triple
     if not linalg.in_span([alg.coroot_coords[i] for i in eye], hnum):
         return None
 
-    pair, consts, sums = alg.simple_pairings, alg.structure_constants, alg.root_sums
+    pair, consts = alg.simple_pairings, alg.structure_constants
     weights = alg.killing_weights
     rhs = [weights[i] * values[i] for i in rs.simple_indices]
     zero_idx = [i for i in grading.phi0_indices if values[i] == 0]
@@ -130,9 +130,10 @@ def _normal_triple(grading, hnum, den, values, make_rng, omega_cap) -> Sl2Triple
         for j in zero_idx:  # [x_beta, e] | 0
             row = [0] * (s + 1)
             for t, i in enumerate(eye):
-                target = sums.get((j, i))
-                if target is not None and coeffs[t]:
-                    row[pos_in_eye[target]] += coeffs[t] * consts[(j, i)]
+                hit = consts.get((j, i))
+                if hit is not None and coeffs[t]:
+                    target, c = hit
+                    row[pos_in_eye[target]] += coeffs[t] * c
             rows.append(row)
         rank, u = linalg.rank_and_solve(rows, s)
         if rank == s:
@@ -258,7 +259,7 @@ def normal_list(
     inverse root permutation of w.  Images with equal simple-root values are
     equal and tested once, under the index of the first w that gives them.
     """
-    _check_omega_cap(omega_cap)
+    check_omega_cap(omega_cap)
     alg = grading.alg
     _, den, vals = alg.cartan_values(h)
     n_roots = len(vals)
@@ -292,10 +293,11 @@ def classify_by_characteristics(
 ) -> list[OrbitRecord]:
     """All nilpotent orbits of the theta-group, one record per orbit, by
     sweeping coset images of every ambient characteristic."""
-    _check_omega_cap(omega_cap)
+    check_omega_cap(omega_cap)
     alg = grading.alg
-    characteristics = classify_nilpotent_g(alg)
+    # cosets first: a type with too many roots fails before the 3^l ambient vectors
     reps = shortest_coset_reps(grading.rs, grading.weyl_subgroup())
+    characteristics = classify_nilpotent_g(alg)
     records = [zero_record(alg)]
     order = sorted(
         (item for item in characteristics if not item[0].is_zero()),

@@ -4,7 +4,8 @@ The basis is one root vector x_alpha per root, followed by the Cartan
 generators h_1..h_l (the simple coroots).  Signs are fixed by setting the
 constant of each extraspecial pair positive, with all other constants
 derived through the standard bracket identities; any consistent convention
-is equivalent for the invariant quantities computed downstream.
+is equivalent for the invariant quantities computed downstream.  One table,
+structure_constants, gives a bracket of root vectors in one lookup.
 
 The algebra also owns the integer form of a Cartan element, which both
 listing methods test on: cartan_values gives den * h and den * alpha(h) for
@@ -120,8 +121,8 @@ class ChevalleyAlgebra:
         # The structure tables, in root order and read by the listing methods:
         # coroot_coords[i], the integer coordinates of roots[i]^vee over
         # h_1..h_l; simple_pairings[i][k] = <roots[i], alpha_k^vee>;
-        # structure_constants[(i, j)] = N_{i,j} and root_sums[(i, j)], the
-        # index of roots[i] + roots[j], for the pairs whose sum is a root.
+        # structure_constants[(i, j)] = (k, N_{i,j}) with roots[k] = roots[i]
+        # + roots[j], for the pairs whose sum is a root.
         self.coroot_coords = tuple(self._integral_coroot(r) for r in rs.roots)
         a = rs.cartan_matrix
         self.simple_pairings = tuple(
@@ -132,7 +133,7 @@ class ChevalleyAlgebra:
         self._pair_columns = tuple(
             tuple(p[k] for p in self.simple_pairings[: rs.n_pos]) for k in range(rs.rank)
         )
-        self.structure_constants, self.root_sums = self._build_constants()
+        self.structure_constants = self._build_constants()
 
     def __repr__(self) -> str:
         return f"ChevalleyAlgebra({self.rs.type_label}{self.rs.rank})"
@@ -155,9 +156,9 @@ class ChevalleyAlgebra:
             cur = tuple(c - a for a, c in zip(alpha, cur))
         return p
 
-    def _build_constants(self) -> tuple[dict, dict]:
-        """The structure constants N_{i,j} and the index of roots[i] + roots[j],
-        both keyed by the index pairs (i, j) whose sum is a root."""
+    def _build_constants(self) -> dict:
+        """(k, N_{i,j}) with roots[k] = roots[i] + roots[j], keyed by the
+        index pairs (i, j) whose sum is a root."""
         rs = self.rs
         pos = rs.positive_roots
         order = {r: k for k, r in enumerate(pos)}
@@ -215,15 +216,12 @@ class ChevalleyAlgebra:
 
         # expand to index-keyed tables over all root pairs
         table: dict = {}
-        sums: dict = {}
         for i, a in enumerate(rs.roots):
             for j, b in enumerate(rs.roots):
                 k = rs.root_index.get(tuple(map(add, a, b)))
                 if k is not None:
-                    key = (i, j)
-                    table[key] = n_any(a, b)
-                    sums[key] = k
-        return table, sums
+                    table[(i, j)] = (k, n_any(a, b))
+        return table
 
     # -- basis bookkeeping -----------------------------------------------------
 
@@ -325,9 +323,10 @@ class ChevalleyAlgebra:
         if j >= n:
             c = -self.simple_pairings[i][j - n]
             return {i: c} if c else {}
-        k = self.root_sums.get((i, j))
-        if k is not None:
-            return {k: self.structure_constants[(i, j)]}
+        hit = self.structure_constants.get((i, j))
+        if hit is not None:
+            k, c = hit
+            return {k: c}
         if abs(i - j) == self.rs.n_pos:  # j indexes -roots[i]
             return {n + t: c for t, c in enumerate(self.coroot_coords[i]) if c}
         return {}

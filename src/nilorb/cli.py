@@ -74,8 +74,7 @@ def cmd_cosets(args) -> int:
     node = args.subsystem_from_extended_minus
     ext = rs.extended_basis()
     if not 0 <= node <= rs.rank:
-        print(f"error: node index {node} out of range 0..{rs.rank}", file=sys.stderr)
-        return 1
+        raise ValueError(f"node index {node} out of range 0..{rs.rank}")
     gens = [ext[i] for i in range(rs.rank + 1) if i != node]
     basis = rs.subsystem_positive_basis(gens)
     reps = shortest_coset_reps(rs, WeylSubgroup(rs, basis))
@@ -112,8 +111,7 @@ def cmd_orbits(args) -> int:
         try:
             labels = [int(s) for s in args.kac.split(",")]
         except ValueError:
-            print(f"error: cannot parse --kac {args.kac!r}; expected comma-separated integers", file=sys.stderr)
-            return 1
+            raise ValueError(f"cannot parse --kac {args.kac!r}; expected comma-separated integers") from None
         kd = KacDiagram.from_labels(rs, labels)
     else:
         kd = nregular_kac_diagram(rs, args.nregular_order)
@@ -156,11 +154,9 @@ def cmd_nregular(args) -> int:
     try:
         lo, hi = int(lo), int(hi or lo)
     except ValueError:
-        print(f"error: cannot parse order range {args.orders!r}; expected e.g. 2..5", file=sys.stderr)
-        return 1
+        raise ValueError(f"cannot parse order range {args.orders!r}; expected e.g. 2..5") from None
     if not 1 <= lo <= hi:
-        print(f"error: order range {args.orders!r} is empty or starts below 1", file=sys.stderr)
-        return 1
+        raise ValueError(f"order range {args.orders!r} is empty or starts below 1")
     print("order  kac  orbits  components  dim  rank")
     for m in range(lo, hi + 1):
         kd, s = nregular_survey(alg, m, method=args.method, seed=args.seed, omega_cap=args.omega_cap)

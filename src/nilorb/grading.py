@@ -2,15 +2,18 @@
 
 An inner automorphism of order m is encoded by its degree map on roots:
 deg(sum k_i alpha_i) = sum k_i s_i mod m, where s_1..s_l are the Kac labels
-on the simple nodes and m = sum a_i s_i over the extended diagram.  The
-grading keeps everything rational: component bases are root vectors plus,
-in degree 0, the full Cartan subalgebra.
+on the simple nodes and m = sum a_i s_i over the extended diagram.  A
+ThetaGrading is built from m and s_1..s_l alone: grading_from_kac reads them
+off a Kac diagram, and the principal grading has s_i = 1 on every simple
+node.  The grading keeps everything rational: component bases are root
+vectors plus, in degree 0, the full Cartan subalgebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from . import linalg
 from .chevalley import ChevalleyAlgebra, LieElement
@@ -43,15 +46,16 @@ class KacDiagram:
 class ThetaGrading:
     """Z/mZ-grading of a simple Lie algebra by an inner automorphism."""
 
-    def __init__(self, alg: ChevalleyAlgebra, m: int, root_degrees: dict, kac: KacDiagram | None = None):
+    def __init__(self, alg: ChevalleyAlgebra, m: int, labels):
+        """The grading of order m in which the simple root alpha_i has degree
+        labels[i]: deg(sum k_i alpha_i) = sum k_i labels[i] mod m."""
         if m < 1:
             raise ValueError("grading order must be >= 1")
         rs = alg.rs
         self.alg = alg
         self.rs = rs
         self.m = m
-        self.kac = kac
-        self.deg_by_index = tuple(root_degrees[r] % m for r in rs.roots)
+        self.deg_by_index = tuple(sum(map(mul, r, labels)) % m for r in rs.roots)
         self.phi0_indices = tuple(i for i, d in enumerate(self.deg_by_index) if d == 0)
         self.phi1_indices = tuple(i for i, d in enumerate(self.deg_by_index) if d == 1 % m)
         self.phi0 = tuple(rs.roots[i] for i in self.phi0_indices)
@@ -111,13 +115,9 @@ class ThetaGrading:
 
 def grading_from_kac(alg: ChevalleyAlgebra, kd: KacDiagram) -> ThetaGrading:
     """Grading of the inner automorphism with the given Kac diagram."""
-    rs = alg.rs
-    if len(kd.labels) != rs.rank + 1:
+    if len(kd.labels) != alg.rs.rank + 1:
         raise ValueError("Kac diagram rank mismatch")
-    s = kd.labels[1:]
-    m = kd.order
-    degrees = {r: sum(k * si for k, si in zip(r, s)) % m for r in rs.roots}
-    return ThetaGrading(alg, m, degrees, kac=kd)
+    return ThetaGrading(alg, kd.order, kd.labels[1:])
 
 
 def trivial_grading(alg: ChevalleyAlgebra) -> ThetaGrading:
@@ -187,9 +187,8 @@ def principal_nregular_grading(alg: ChevalleyAlgebra, m: int) -> ThetaGrading:
 
     The defining Cartan element h has alpha_i(h) = 2 on every simple root, so
     ad h acts on a root vector by twice the root height; the degree of a root
-    is its height mod m.
+    is its height mod m, which is label 1 on every simple node.
     """
     if m < 1:
         raise ValueError("order must be >= 1")
-    degrees = {r: sum(r) % m for r in alg.rs.roots}
-    return ThetaGrading(alg, m, degrees)
+    return ThetaGrading(alg, m, (1,) * alg.rs.rank)

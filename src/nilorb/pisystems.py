@@ -39,11 +39,8 @@ def elementary_transformations(rs: RootSystem, pi) -> list[PiSystem]:
             rest = [r for r in pi if r != erased]
             if low in rest:
                 continue
-            if any(
-                tuple(x - y for x, y in zip(low, r)) in rs.root_index
-                or tuple(y - x for x, y in zip(low, r)) in rs.root_index
-                for r in rest
-            ):
+            # -Phi = Phi, so testing low - r covers r - low
+            if any(tuple(x - y for x, y in zip(low, r)) in rs.root_index for r in rest):
                 continue
             new = canonical(rest + [low])
             if new != pi and new not in seen:

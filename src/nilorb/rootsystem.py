@@ -3,7 +3,9 @@
 Roots are stored as integer coordinate tuples with respect to the simple
 roots (Bourbaki numbering; for G2 the first simple root is short).  The
 invariant bilinear form is normalised so that short roots have squared
-length 2, which keeps every pairing and structure constant integral.
+length 2, which keeps every pairing and structure constant integral.  The
+positive roots are built from the Cartan integers alone, as the closure of
+the simple roots under the simple reflections.
 """
 
 from __future__ import annotations
@@ -154,35 +156,24 @@ class RootSystem:
         return f"RootSystem({self.type_label}{self.rank})"
 
     def _build_positive_roots(self) -> tuple[Root, ...]:
-        l = self.rank
-        a = self.cartan_matrix
-        simples = [tuple(1 if j == i else 0 for j in range(l)) for i in range(l)]
-        known = set(simples)
-        by_height = {1: list(simples)}
-        h = 1
-        while by_height.get(h):
-            nxt = []
-            for beta in by_height[h]:
-                for i in range(l):
-                    alpha = simples[i]
-                    if beta == alpha:
-                        continue
-                    p = 0
-                    cur = tuple(b - s for b, s in zip(beta, alpha))
-                    while cur in known:
-                        p += 1
-                        cur = tuple(c - s for c, s in zip(cur, alpha))
-                    pairing = sum(beta[j] * a[j][i] for j in range(l))
-                    if p - pairing > 0:
-                        up = tuple(b + s for b, s in zip(beta, alpha))
-                        if up not in known:
-                            known.add(up)
-                            nxt.append(up)
-            h += 1
-            if nxt:
-                by_height[h] = nxt
-        out = sorted(known, key=lambda r: (sum(r), r))
-        return tuple(out)
+        """The positive roots, by height and then by coordinates: the closure
+        of the simple roots under the simple reflections s_i(b) = b - <b,
+        alpha_i^vee> alpha_i, kept where positive.  Every root is W-conjugate
+        to a simple root, and s_i permutes the positive roots other than
+        alpha_i (Humphreys, Introduction to Lie Algebras, 10.2-10.3).  s_i(b)
+        differs from b in coordinate i only: it is positive iff that is >= 0."""
+        l, a = self.rank, self.cartan_matrix
+        known = {self.simple_root(i) for i in range(l)}
+        work = list(known)
+        while work:
+            b = work.pop()
+            for i in range(l):
+                c = sum(b[j] * a[j][i] for j in range(l))  # <b, alpha_i^vee>
+                r = b[:i] + (b[i] - c,) + b[i + 1 :]
+                if r[i] >= 0 and r not in known:
+                    known.add(r)
+                    work.append(r)
+        return tuple(sorted(known, key=lambda r: (sum(r), r)))
 
     # -- basic queries ------------------------------------------------------
 

@@ -3,7 +3,8 @@
 Elements act as permutations of the full root list and as exact integer
 matrices on the weight space.  A permutation is a `bytes` object of root
 indices (E8 has 240 roots), so composing two is one `bytes.translate`;
-elements, coset enumeration and the conjugacy tests all use this one format.
+elements, coset enumeration and the conjugacy tests all use this one format,
+and a type with more than 256 roots is rejected with a ValueError.
 Equality is equality of the root permutation; words are kept for display
 but are not canonical.
 
@@ -28,6 +29,14 @@ from .rootsystem import RootSystem
 def _compose(p: bytes, q: bytes) -> bytes:
     """The permutation k -> p[q[k]]."""
     return q.translate(p.ljust(256, b"\0"))
+
+
+def _check_root_count(rs: RootSystem) -> None:
+    if len(rs.roots) > 256:
+        raise ValueError(
+            f"{rs.type_label}{rs.rank} has {len(rs.roots)} roots; Weyl group "
+            "permutations support at most 256 roots"
+        )
 
 
 def _inverse(p: bytes) -> bytes:
@@ -114,6 +123,7 @@ class WeylSubgroup:
     __slots__ = ("rs", "basis")
 
     def __init__(self, rs: RootSystem, basis):
+        _check_root_count(rs)
         basis = tuple(tuple(b) for b in basis)
         for b in basis:
             if b not in rs.root_index:
@@ -205,6 +215,7 @@ def _coroot_column(rs: RootSystem, j: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _reflection_row(rs: RootSystem, j: int) -> bytes:
     """The reflection in roots[j] as a permutation of root indices."""
+    _check_root_count(rs)
     root = rs.roots[j]
     return bytes(
         rs.root_index[tuple(x - c * y for x, y in zip(r, root))]

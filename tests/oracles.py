@@ -57,6 +57,36 @@ def weyl_from_word(rs, word):
     return WeylElement(rs, w.perm, tuple(word))
 
 
+def root_string_positive_roots(rs):
+    """The positive roots by height and then by coordinates, grown one height
+    at a time by root strings: beta + alpha_i is a root exactly when
+    p - <beta, alpha_i^vee> > 0, p the length of the alpha_i-string down from
+    beta (Humphreys, Introduction to Lie Algebras, 9.4)."""
+    l = rs.rank
+    a = rs.cartan_matrix
+    simples = [tuple(1 if j == i else 0 for j in range(l)) for i in range(l)]
+    known = set(simples)
+    layer = list(simples)
+    while layer:
+        nxt = []
+        for beta in layer:
+            for i, alpha in enumerate(simples):
+                if beta == alpha:
+                    continue
+                p = 0
+                cur = tuple(b - s for b, s in zip(beta, alpha))
+                while cur in known:
+                    p += 1
+                    cur = tuple(c - s for c, s in zip(cur, alpha))
+                if p - sum(beta[j] * a[j][i] for j in range(l)) > 0:
+                    up = tuple(b + s for b, s in zip(beta, alpha))
+                    if up not in known:
+                        known.add(up)
+                        nxt.append(up)
+        layer = nxt
+    return tuple(sorted(known, key=lambda r: (sum(r), r)))
+
+
 def is_root(rs, v) -> bool:
     return tuple(v) in rs.root_index
 

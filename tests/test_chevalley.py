@@ -91,7 +91,7 @@ def test_extraspecial_pairs_positive():
 
 def test_constants_integral():
     for alg in (A3, B2, G2):
-        assert all(isinstance(v, int) for v in alg.structure_constants.values())
+        assert all(isinstance(n, int) for _, n in alg.structure_constants.values())
 
 
 def test_cartan_brackets():

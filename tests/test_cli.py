@@ -239,3 +239,23 @@ def test_orbits_passes_omega_cap_to_the_survey(capsys, monkeypatch):
     code, _, err = run(capsys, ["orbits", "--type", "G2", "--nregular-order", "2", "--omega-cap", "0"])
     assert code == 1 and err.startswith("error:")
     assert seen["omega_cap"] == 0
+
+
+A16_KAC = ",".join(["1", "1"] + ["0"] * 15)
+
+
+@pytest.mark.parametrize(
+    "argv,type_name,roots",
+    [
+        (["cosets", "--type", "A16", "--subsystem-from-extended-minus", "0"], "A16", 272),
+        (["pisystems", "--type", "B12"], "B12", 288),
+        (["orbits", "--type", "A16", "--kac", A16_KAC, "--method", "1"], "A16", 272),
+        (["orbits", "--type", "A16", "--kac", A16_KAC, "--method", "2"], "A16", 272),
+    ],
+)
+def test_more_than_256_roots_is_an_error_line(capsys, argv, type_name, roots):
+    # method 1 must fail on the cosets, before the 3^16-vector ambient loop
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {type_name} has {roots} roots; Weyl group permutations support at most 256 roots\n"

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilorb import (
     KacDiagram,
@@ -18,10 +20,12 @@ from nilorb import (
     summarize,
     trivial_grading,
 )
+from nilorb.chevalley import Sl2Triple
 from nilorb.records import WeightedDynkinDiagram, wdd_of_cartan
 
 from oracles import (
     cartan_from_dual_weight,
+    component_basis,
     dual_weight,
     mat_vec,
     orbit_dimension_by_rank,
@@ -94,6 +98,50 @@ def test_method_choice_does_not_change_summary():
     s1 = summarize(g, classify_orbits(g, method="1"))
     s2 = summarize(g, classify_orbits(g, method="2"))
     assert s1 == s2
+
+
+PROPERTY_TYPES = [
+    ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 3), ("C", 4), ("D", 4), ("G", 2), ("F", 4),
+]
+
+
+@st.composite
+def small_kac_diagrams(draw, max_order=6):
+    """A Kac diagram of order 1..max_order of one of PROPERTY_TYPES, its
+    labels drawn node by node, in a drawn node order, within the order left."""
+    rs = build_root_system(*draw(st.sampled_from(PROPERTY_TYPES)))
+    labels = [0] * (rs.rank + 1)
+    left = max_order
+    for i in draw(st.permutations(range(rs.rank + 1))):
+        labels[i] = draw(st.integers(0, left // rs.marks[i]))
+        left -= labels[i] * rs.marks[i]
+    if not any(labels):
+        labels[0] = draw(st.integers(1, max_order))
+    return rs, labels
+
+
+@given(small_kac_diagrams())
+@settings(max_examples=100, deadline=None)
+def test_both_methods_agree_on_random_kac_diagrams(diagram):
+    rs, labels = diagram
+    g = grading_from_kac(build_algebra(rs), KacDiagram.from_labels(rs, labels))
+    listings = {method: classify_orbits(g, method=method, seed=1) for method in ("1", "2")}
+    summaries = {method: summarize(g, records) for method, records in listings.items()}
+    assert sorted(r.h_key() for r in listings["1"]) == sorted(r.h_key() for r in listings["2"])
+    assert summaries["1"] == summaries["2"]
+    s = summaries["1"]
+    # the component dimension by the rank oracle, not by counting roots
+    assert s.component_dim == max(orbit_dimension_by_rank(g, r.e) for r in listings["1"])
+    assert s.rank + s.component_dim == g.dims()[1 % g.m]
+    span = {i: {k for b in component_basis(g, i) for k in b.coeffs} for i in (1, g.m - 1)}
+    for records in listings.values():
+        for r in records:
+            if r.is_zero():
+                continue
+            assert r.h.is_cartan()
+            assert set(r.e.coeffs) <= span[1] and set(r.f.coeffs) <= span[g.m - 1]
+            Sl2Triple(r.h, r.e, r.f).check()
 
 
 def test_classify_orbits_rejects_unknown_method():

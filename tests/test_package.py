@@ -48,10 +48,6 @@ def test_benchmark_tracer_installs_on_every_traced_name():
     assert {"rootsystem.build_root_system", "weyl.conjugate_sets", "weyl.conjugate_tuples"} <= called
 
 
-# Private names one nilorb module may import from another.
-PRIVATE_IMPORTS_ALLOWED = {"_check_omega_cap"}
-
-
 def module_trees():
     for path in sorted((ROOT / "src" / "nilorb").glob("*.py")):
         yield path, ast.parse(path.read_text(), str(path))
@@ -65,7 +61,7 @@ def test_no_module_imports_another_modules_private_names():
                 borrowed += [
                     f"{path.name}: {alias.name}"
                     for alias in node.names
-                    if alias.name.startswith("_") and alias.name not in PRIVATE_IMPORTS_ALLOWED
+                    if alias.name.startswith("_")
                 ]
     assert borrowed == []
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from nilorb import build_root_system, classify_all, format_dynkin_type, parse_type
-from oracles import is_root, lowest_root_by_height
+from oracles import is_root, lowest_root_by_height, root_string_positive_roots
 
 # textbook G2 positive roots for the short-alpha_1 convention
 G2_POSITIVE = {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
@@ -29,6 +29,22 @@ ROOT_COUNTS = {
 def test_positive_root_counts(label, rank):
     rs = build_root_system(label, rank)
     assert rs.n_pos == ROOT_COUNTS[(label, rank)]
+
+
+CLOSURE_TYPES = (
+    [("A", l) for l in range(1, 10)]
+    + [("B", l) for l in range(2, 9)]
+    + [("C", l) for l in range(3, 9)]
+    + [("D", l) for l in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("label,rank", CLOSURE_TYPES)
+def test_reflection_closure_matches_root_strings(label, rank):
+    # values and order: roots are indexed by their place in this tuple
+    rs = build_root_system(label, rank)
+    assert rs.positive_roots == root_string_positive_roots(rs)
 
 
 def test_g2_exact_roots_and_marks():

@@ -387,3 +387,18 @@ def test_import_does_not_load_numpy():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("label,rank", [("A", 15), ("B", 11), ("C", 11), ("D", 11), ("A", 16), ("B", 12)])
+def test_weyl_permutations_stop_at_256_roots(label, rank):
+    rs = build_root_system(label, rank)
+    basis = [rs.simple_root(i) for i in range(rs.rank)]
+    if len(rs.roots) > 256:
+        with pytest.raises(ValueError, match=f"{label}{rank} has {len(rs.roots)} roots.*at most 256"):
+            WeylSubgroup(rs, basis)
+        with pytest.raises(ValueError, match="at most 256"):
+            weyl_simple(rs, 0)
+    else:
+        assert [w.word for w in shortest_coset_reps(rs, WeylSubgroup(rs, basis))] == [()]
+        s0 = weyl_simple(rs, 0)
+        assert WeylElement.from_perm(rs, s0.perm).word == (0,) and s0.length() == 1
