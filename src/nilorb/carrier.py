@@ -8,6 +8,12 @@ conjugacy class under the Weyl group of g_0 (a class search that adds one
 degree-1 root at a time); each flat completion contributes the canonical
 form of twice its defining element, and distinct canonical forms are
 exactly the distinct orbits.
+
+The walk stays in integers from the class-search move to the canonical h
+of an orbit: one integer kernel per candidate tests root independence, and
+the completion solves its Cartan system and its centraliser kernel once
+each with linalg.solve_int and linalg.kernel_int.  Only the public
+completion builds Fraction elements, and the walk does not call it.
 """
 
 from __future__ import annotations
@@ -71,7 +77,9 @@ def candidate_pi_systems(grading: ThetaGrading) -> list[GradedCandidate]:
     pi-system conditions, so this reaches every class of graded pi-systems
     once.  Since the candidate already is a pi-system, a new root r keeps
     it one when r is outside the union of the candidate's difference masks
-    (and not in the candidate) and the rows stay independent.
+    (and not in the candidate) and the rows stay independent, that is,
+    when some vector of the integer kernel of the candidate's root rows
+    (one linalg.kernel_int per candidate) pairs with r to a nonzero value.
     """
     rs = grading.rs
     w0 = grading.weyl_subgroup()
@@ -83,11 +91,11 @@ def candidate_pi_systems(grading: ThetaGrading) -> list[GradedCandidate]:
         blocked = 0
         for i in map(rs.root_index.__getitem__, roots):
             blocked |= masks[i] | 1 << i
-        rows = [list(r) for r in roots]
+        kernel, _ = linalg.kernel_int(roots, rs.rank)
         return [
             GradedCandidate(cand.pi0, canonical(cand.pi1 + (r,)))
             for i, r in phi1
-            if not blocked >> i & 1 and linalg.rank_int(rows + [list(r)]) == len(rows) + 1
+            if not blocked >> i & 1 and any(sum(map(mul, k, r)) for k in kernel)
         ]
 
     start = [GradedCandidate(pi0, ()) for pi0 in classify_all(rs, basis=grading.delta0)]
@@ -111,18 +119,25 @@ def _difference_masks(rs: RootSystem) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def completion(grading: ThetaGrading, cand: GradedCandidate) -> CompletionResult | None:
-    """Defining element of the completion of the candidate's subalgebra.
+@dataclass
+class _IntCompletion:
+    """Integer form of a completion: h0 = hnum / den over h_1..h_l, values
+    the integers den * alpha(h0) in root order, and the centraliser
+    directions z / zden, z in z_num."""
 
-    Solves alpha(h0) = deg(alpha) over the span of the candidate's coroots,
-    computes the centraliser directions z, and reads off the degree-0 and
-    degree-1 root sets of the completion; returns None when no defining
-    element exists (the linear system is inconsistent).  Everything after
-    the solve is in integers: the solution's denominators are cleared once,
-    giving hnum = den * h0, and a root of degree 0 (or 1) with
-    den * alpha(h0) = 0 (or den) belongs to the completion when its integer
-    row of simple pairings is orthogonal to every integer z row.
-    """
+    hnum: list[int]
+    den: int
+    values: list[int]
+    z_num: list[list[int]]
+    zden: int
+    psi0: tuple[Root, ...]
+    psi1: tuple[Root, ...]
+    flat: bool
+
+
+def _complete(grading: ThetaGrading, cand: GradedCandidate) -> _IntCompletion | None:
+    """The completion of a non-empty candidate in integers (see completion),
+    or None when its Cartan system is inconsistent."""
     alg, rs = grading.alg, grading.rs
     pi = [rs.root_index[a] for a in cand.pi0 + cand.pi1]
     if not pi:
@@ -131,33 +146,53 @@ def completion(grading: ThetaGrading, cand: GradedCandidate) -> CompletionResult
     pair = alg.simple_pairings
     coroots = [alg.coroot_coords[j] for j in pi]
     rows = [[sum(map(mul, hc, pair[b])) for hc in coroots] for b in pi]
-    sol = linalg.solve(rows, degs)
+    sol = linalg.solve_int(rows, degs)
     if sol is None:
         log.debug("candidate %s: no defining element", cand)
         return None
-    solnum, den = linalg.clear_denominators(sol)
+    solnum, den = sol
     hnum = [sum(map(mul, solnum, col)) for col in zip(*coroots)]
-    z_rat = linalg.nullspace([pair[b] for b in pi])
-    z_int = [linalg.clear_denominators(v)[0] for v in z_rat]
+    values = alg.root_values(hnum)
+    z_num, zden = linalg.kernel_int([pair[b] for b in pi], rs.rank)
 
     def in_completion(i: int) -> bool:
-        return all(sum(map(mul, z, pair[i])) == 0 for z in z_int)
+        return all(sum(map(mul, z, pair[i])) == 0 for z in z_num)
 
     one = 1 % grading.m
     psi0, psi1 = [], []
-    for i, (d, v) in enumerate(zip(grading.deg_by_index, alg.root_values(hnum))):
+    for i, (d, v) in enumerate(zip(grading.deg_by_index, values)):
         # test both: at m = 1, one == 0, so a degree-0 root may be in psi1
         if d == 0 and v == 0 and in_completion(i):
             psi0.append(rs.roots[i])
         if d == one and v == den and in_completion(i):
             psi1.append(rs.roots[i])
     flat = len(pi) + len(psi0) == len(psi1)
+    return _IntCompletion(hnum, den, values, z_num, zden, tuple(psi0), tuple(psi1), flat)
+
+
+def completion(grading: ThetaGrading, cand: GradedCandidate) -> CompletionResult | None:
+    """Defining element of the completion of the candidate's subalgebra.
+
+    Solves alpha(h0) = deg(alpha) over the span of the candidate's coroots,
+    computes the centraliser directions z, and reads off the degree-0 and
+    degree-1 root sets of the completion; returns None when no defining
+    element exists (the linear system is inconsistent).  All of it is in
+    integers: linalg.solve_int gives hnum = den * h0 over the coroot span
+    and linalg.kernel_int the integer z rows, and a root of degree 0 (or 1)
+    with den * alpha(h0) = 0 (or den) belongs to the completion when its
+    integer row of simple pairings is orthogonal to every z row.  h0 and
+    z_basis are the only Fraction elements, built from those integers.
+    """
+    comp = _complete(grading, cand)
+    if comp is None:
+        return None
+    alg = grading.alg
     return CompletionResult(
-        alg.cartan(hnum, den),
-        tuple(alg.cartan(v) for v in z_rat),
-        tuple(psi0),
-        tuple(psi1),
-        flat,
+        alg.cartan(comp.hnum, comp.den),
+        tuple(alg.cartan(z, comp.zden) for z in comp.z_num),
+        comp.psi0,
+        comp.psi1,
+        comp.flat,
     )
 
 
@@ -171,22 +206,31 @@ def classify_by_carriers(
     Each flat completion contributes h = 2 h0, canonicalised into the
     dominant chamber of W_l on its integer root values; unseen canonical
     forms are completed to normal triples, which must succeed for a flat
-    carrier.
+    carrier.  The completion is the integer core of `completion`, so no
+    Fraction is built before the normal triple; one debug line on the
+    module logger counts the candidates, the non-empty ones, the solvable
+    and the flat completions, the distinct canonical h and the records.
     """
     check_omega_cap(omega_cap)
     alg, rs = grading.alg, grading.rs
     basis0 = [rs.root_index[b] for b in grading.delta0]
     records = [zero_record(alg)]
     seen = set()
-    for idx, cand in enumerate(candidate_pi_systems(grading)):
+    candidates = candidate_pi_systems(grading)
+    nonempty = solvable = flat = 0
+    for idx, cand in enumerate(candidates):
         if cand.is_empty():
             continue
-        comp = completion(grading, cand)
-        if comp is None or not comp.flat:
+        nonempty += 1
+        comp = _complete(grading, cand)
+        if comp is None:
             continue
-        _, den, values = alg.cartan_values(comp.h0.scale(2))
-        values = dominant_values(rs, basis0, values)
-        h = alg.cartan(alg.hnum_from_values([values[i] for i in rs.simple_indices]), den)
+        solvable += 1
+        if not comp.flat:
+            continue
+        flat += 1
+        values = dominant_values(rs, basis0, [2 * v for v in comp.values])
+        h = alg.cartan(alg.hnum_from_values([values[i] for i in rs.simple_indices]), comp.den)
         if h in seen:
             continue
         seen.add(h)
@@ -198,4 +242,8 @@ def classify_by_carriers(
         records.append(
             OrbitRecord(triple.h, triple.e, triple.f, ambient_wdd=wdd_of_cartan(alg, triple.h))
         )
+    log.debug(
+        "%s: %d candidates, %d non-empty, %d solvable, %d flat, %d distinct h, %d records",
+        grading, len(candidates), nonempty, solvable, flat, len(seen), len(records),
+    )
     return sort_records(records)

@@ -157,9 +157,10 @@ def cmd_nregular(args) -> int:
         raise ValueError(f"cannot parse order range {args.orders!r}; expected e.g. 2..5") from None
     if not 1 <= lo <= hi:
         raise ValueError(f"order range {args.orders!r} is empty or starts below 1")
-    print("order  kac  orbits  components  dim  rank")
     for m in range(lo, hi + 1):
         kd, s = nregular_survey(alg, m, method=args.method, seed=args.seed, omega_cap=args.omega_cap)
+        if m == lo:  # only after the first survey, so that a failed one prints no header
+            print("order  kac  orbits  components  dim  rank")
         star = "" if s.very_nregular else "*"
         labels = ",".join(map(str, kd.labels))
         print(f"{m}  {labels}  {s.orbit_count}  {s.component_count}{star}  {s.component_dim}  {s.rank}")

@@ -3,7 +3,10 @@
 Matrices are lists of row lists.  Entries are Python ints or Fractions;
 nothing here ever touches floating point.  Rows are scaled to integers, one
 fraction-free (Bareiss) elimination keeps intermediate growth polynomial,
-and only the back-substitution over the pivot rows makes Fractions.
+and the back-substitution over the pivot rows yields integer numerators
+over one common denominator.  `solve_int` and `kernel_int` return those
+integers; `solve`, `nullspace` and `rank_and_solve` only divide them into
+Fractions.
 """
 
 from __future__ import annotations
@@ -57,10 +60,12 @@ def _echelon(m: Matrix, ncols: int) -> list[int]:
     return piv_cols
 
 
-def _back_substitute(m: Matrix, piv_cols: list[int], col: int) -> list[Fraction]:
-    """The x with sum_k m[i][piv_cols[k]] x[k] = m[i][col] on the pivot rows
-    of an echelon form from _echelon.  Its last pivot d is +-det of the
-    pivot minor, so every d * x[k] is an integer (Cramer's rule)."""
+def _back_substitute(m: Matrix, piv_cols: list[int], col: int) -> tuple[list[int], int]:
+    """(num, d) with x = num / d the solution of sum_k m[i][piv_cols[k]] x[k]
+    = m[i][col] on the pivot rows of an echelon form from _echelon, and
+    d > 0.  d is |det| of the pivot minor, the last pivot up to sign, so
+    every d * x[k] is an integer (Cramer's rule), and d does not depend on
+    col."""
     r = len(piv_cols)
     d = m[r - 1][piv_cols[-1]] if r else 1
     num = [0] * r
@@ -70,7 +75,9 @@ def _back_substitute(m: Matrix, piv_cols: list[int], col: int) -> list[Fraction]
         for k in range(i + 1, r):
             acc -= row[piv_cols[k]] * num[k]
         num[i] = acc // row[piv_cols[i]]
-    return [Fraction(x, d) for x in num]
+    if d < 0:
+        return [-x for x in num], -d
+    return num, d
 
 
 def rank_int(rows: Matrix) -> int:
@@ -87,6 +94,54 @@ def in_span(vectors: Matrix, target: Row) -> bool:
     return not any(row[n] for row in m[rank:])
 
 
+def _solve_echelon(m: Matrix, ncols: int) -> tuple[int, tuple[list[int], int] | None]:
+    """Rank of A and (num, den) with x = num / den one solution of the
+    integer rows m = [A | b], free variables zero, or None if A x = b is
+    inconsistent; m is brought to echelon form in place."""
+    piv_cols = _echelon(m, ncols)
+    rank = len(piv_cols)
+    if any(row[ncols] for row in m[rank:]):
+        return rank, None
+    piv_num, den = _back_substitute(m, piv_cols, ncols)
+    num = [0] * ncols
+    for c, x in zip(piv_cols, piv_num):
+        num[c] = x
+    return rank, (num, den)
+
+
+def solve_int(rows: Matrix, rhs: Row) -> tuple[list[int], int] | None:
+    """(num, den) with x = num / den one exact solution of the integer
+    system A x = b, free variables zero and den > 0, or None if the system
+    is inconsistent."""
+    if not rows:
+        return ([], 1) if not any(rhs) else None
+    return _solve_echelon([list(r) + [b] for r, b in zip(rows, rhs)], len(rows[0]))[1]
+
+
+def kernel_int(rows: Matrix, ncols: int) -> tuple[list[Row], int]:
+    """(vectors, den) with the v / den, v in vectors, a basis of the right
+    kernel of the integer matrix A with ncols columns: one vector per free
+    column, 1 there and 0 at the other free columns, and den > 0."""
+    m = [list(r) for r in rows]
+    piv_cols = _echelon(m, ncols)
+    vectors = []
+    den = 1
+    for fc in range(ncols):
+        if fc in piv_cols:
+            continue
+        num, den = _back_substitute(m, piv_cols, fc)
+        v = [0] * ncols
+        v[fc] = den
+        for c, x in zip(piv_cols, num):
+            v[c] = -x
+        vectors.append(v)
+    return vectors, den
+
+
+def _fractions(num: Row, den: int) -> Row:
+    return [Fraction(x, den) for x in num]
+
+
 def rank_and_solve(m: Matrix, ncols: int) -> tuple[int, Row | None]:
     """Rank and one solution of an integer system, from one elimination.
 
@@ -95,14 +150,8 @@ def rank_and_solve(m: Matrix, ncols: int) -> tuple[int, Row | None]:
     exact solution with free variables zero, or None if the system is
     inconsistent.
     """
-    piv_cols = _echelon(m, ncols)
-    rank = len(piv_cols)
-    if any(row[ncols] for row in m[rank:]):
-        return rank, None
-    sol = [Fraction(0)] * ncols
-    for c, x in zip(piv_cols, _back_substitute(m, piv_cols, ncols)):
-        sol[c] = x
-    return rank, sol
+    rank, sol = _solve_echelon(m, ncols)
+    return rank, None if sol is None else _fractions(*sol)
 
 
 def solve(rows: Matrix, rhs: Row) -> Row | None:
@@ -120,16 +169,5 @@ def nullspace(rows: Matrix) -> list[Row]:
     """Basis of the right kernel of A, as rational vectors."""
     if not rows:
         return []
-    ncols = len(rows[0])
-    m = [clear_denominators(r)[0] for r in rows]
-    piv_cols = _echelon(m, ncols)
-    basis = []
-    for fc in range(ncols):
-        if fc in piv_cols:
-            continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for c, x in zip(piv_cols, _back_substitute(m, piv_cols, fc)):
-            v[c] = -x
-        basis.append(v)
-    return basis
+    vectors, den = kernel_int([clear_denominators(r)[0] for r in rows], len(rows[0]))
+    return [_fractions(v, den) for v in vectors]

@@ -589,7 +589,7 @@ def bareiss_row_reduce(vectors):
         return []
     piv_cols = linalg._echelon(m, len(m[0]))
     cols = [linalg._back_substitute(m, piv_cols, j) for j in range(len(m[0]))]
-    return [[col[i] for col in cols] for i in range(len(piv_cols))]
+    return [[Fraction(num[i], den) for num, den in cols] for i in range(len(piv_cols))]
 
 
 def in_span(vectors, target):

@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from nilorb import (
@@ -24,7 +26,6 @@ from oracles import (
     reference_candidates,
     reference_completion,
     root_value,
-    rref_row_reduce,
     same_partition,
     subgroup_matrices,
 )
@@ -124,9 +125,14 @@ def test_completion_matches_fraction_reference():
                 continue
             assert got.h0 == expected.h0, (g, cand)
             assert (got.psi0, got.psi1, got.flat) == (expected.psi0, expected.psi1, expected.flat)
-            span = [rref_row_reduce([z.cartan_part() for z in c.z_basis]) for c in (got, expected)]
-            assert span[0] == span[1], (g, cand)
+            assert got.z_basis == expected.z_basis, (g, cand)
     assert checked == 363
+
+
+def test_completion_of_an_inconsistent_candidate_is_none():
+    # alpha(h0) = 1 and (-alpha)(h0) = 1 have no common solution
+    g = grading_from_kac(A1, KacDiagram.from_labels(A1.rs, (1, 1)))
+    assert completion(g, GradedCandidate((), ((-1,), (1,)))) is None
 
 
 def test_candidate_move_matches_is_pi_system_move():
@@ -233,6 +239,16 @@ def test_conjugate_candidates_yield_same_canonical_h():
             lam, _ = to_subdominant(G2.rs, wl, dual_weight(G2, c.h0.scale(2)))
             return tuple(cartan_from_dual_weight(G2, lam).cartan_part())
         assert canon(comp) == canon(comp2)
+
+
+def test_carrier_walk_counts_go_to_the_debug_log(caplog, capsys):
+    g = grading_from_kac(G2, KacDiagram.from_labels(G2.rs, (0, 0, 1)))
+    with caplog.at_level(logging.DEBUG, logger="nilorb.carrier"):
+        records = classify_by_carriers(g)
+    assert len(records) == 6
+    line = f"{g}: 13 candidates, 12 non-empty, 12 solvable, 7 flat, 5 distinct h, 6 records"
+    assert caplog.messages.count(line) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_flat_carrier_must_be_normal(monkeypatch):

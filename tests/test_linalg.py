@@ -131,6 +131,53 @@ def test_kernel_matches_gauss_jordan_reference(system):
     assert linalg.in_span(columns[:-1], columns[-1]) == (sol is not None)
 
 
+@st.composite
+def integer_systems(draw):
+    """An integer matrix of up to 6 rows (possibly none) and 1 to 6 columns,
+    with zero rows and integer combinations of earlier rows mixed in, and a
+    right-hand side that is either A x for an integer x or arbitrary (often
+    inconsistent)."""
+    nrows = draw(st.integers(min_value=0, max_value=6))
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    entries = st.integers(min_value=-5, max_value=5)
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["random", "random", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "combination" and rows:
+            coeffs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)])
+        else:
+            rows.append(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+    if draw(st.booleans()):
+        x = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+        rhs = [sum(a * b for a, b in zip(r, x)) for r in rows]
+    else:
+        rhs = draw(st.lists(entries, min_size=nrows, max_size=nrows))
+    return rows, rhs, ncols
+
+
+def scale_back(num, den):
+    assert den > 0 and all(type(x) is int for x in num)
+    return [Fraction(x, den) for x in num]
+
+
+@given(integer_systems())
+@settings(max_examples=300, deadline=None)
+def test_integer_solve_and_kernel_scale_back_to_solve_and_nullspace(system):
+    rows, rhs, ncols = system
+    sol = linalg.solve_int(rows, rhs)
+    expected = linalg.solve(rows, rhs)
+    assert (sol is None) == (expected is None)
+    if sol is not None:
+        assert scale_back(*sol) == expected
+    vectors, den = linalg.kernel_int(rows, ncols)
+    # nullspace cannot see the width of a matrix without rows; its kernel is everything
+    unit = [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
+    assert [scale_back(v, den) for v in vectors] == (linalg.nullspace(rows) if rows else unit)
+
+
 def test_clear_denominators():
     assert linalg.clear_denominators([3, -2, 0]) == ([3, -2, 0], 1)
     assert linalg.clear_denominators([Fraction(-1, 2), Fraction(2, 3), 5]) == ([-3, 4, 30], 6)
