@@ -4,7 +4,9 @@ Nilpotent orbits of the ambient algebra are classified by weighted Dynkin
 diagrams.  For each dominant characteristic h, the images under the minimal
 coset representatives of W_l exhaust the chamber C_l + r, and testing each
 image for membership in a normal sl2-triple (h in g_0, e in g_1, f in
-g_{m-1}) yields one triple per nilpotent orbit of the theta-group.
+g_{m-1}) yields one triple per nilpotent orbit of the theta-group.  A
+graded form of the sl2 multiplicity bound, counted without elimination,
+drops most images before that test.
 """
 
 from __future__ import annotations
@@ -73,8 +75,12 @@ def decide_normal(
     """
     check_omega_cap(omega_cap)
     hnum, den, values = grading.alg.cartan_values(h)
+    eye = _spanning_eye(grading, hnum, den, values)
+    if eye is None:
+        return None
     return _normal_triple(
         grading,
+        eye,
         hnum,
         den,
         values,
@@ -83,8 +89,24 @@ def decide_normal(
     )
 
 
-def _normal_triple(grading, hnum, den, values, make_rng, omega_cap) -> Sl2Triple | None:
-    """decide_normal on integers: den * h = sum_k hnum[k] h_k and values[i] =
+def _spanning_eye(grading, hnum, den, values) -> list[int] | None:
+    """The roots of g_1(2), in root order, when h lies in [g_1(2), g_{m-1}(-2)],
+    else None; den * h = sum_k hnum[k] h_k and values[i] = den * alpha_i(h).
+
+    Only the alpha = beta pairs of [x_alpha, x_-beta] hit the Cartan, so the
+    test is whether hnum lies in the span of the coroots of these roots.  An
+    empty g_1(2) gives None, for h = 0 too: a normal triple has e != 0.
+    """
+    two = 2 * den
+    eye = [i for i in grading.phi1_indices if values[i] == two]
+    if not eye or not linalg.in_span([grading.alg.coroot_coords[i] for i in eye], hnum):
+        return None
+    return eye
+
+
+def _normal_triple(grading, eye, hnum, den, values, make_rng, omega_cap) -> Sl2Triple | None:
+    """decide_normal on integers, for the roots eye of g_1(2) that
+    _spanning_eye returned: den * h = sum_k hnum[k] h_k and values[i] =
     den * alpha_i(h) for every root i.
 
     With eye the roots gamma_t of g_1(2) and e = sum_t c_t x_gamma_t, the
@@ -103,16 +125,6 @@ def _normal_triple(grading, hnum, den, values, make_rng, omega_cap) -> Sl2Triple
     checks omega_cap >= 1 first: a cap of 0 would double n = 0 forever.
     """
     alg, rs = grading.alg, grading.rs
-    two = 2 * den
-    eye = [i for i in grading.phi1_indices if values[i] == two]
-    if not eye:
-        return None
-
-    # h in [g_1(2), g_{m-1}(-2)] iff h lies in the span of the coroots h_alpha,
-    # alpha in g_1(2): only the alpha = beta bracket pairs hit the Cartan.
-    if not linalg.in_span([alg.coroot_coords[i] for i in eye], hnum):
-        return None
-
     pair, consts = alg.simple_pairings, alg.structure_constants
     weights = alg.killing_weights
     rhs = [weights[i] * values[i] for i in rs.simple_indices]
@@ -232,8 +244,11 @@ def classify_nilpotent_g(alg: ChevalleyAlgebra) -> tuple:
     passed = 0
     for t_id, labels, hnum, den, values in _sl2_label_vectors(alg):
         passed += 1
+        eye = _spanning_eye(triv, hnum, den, values)
+        if eye is None:
+            continue
         triple = _normal_triple(
-            triv, hnum, den, values, partial(task_rng, 0xC1A55, t_id), DEFAULT_OMEGA_CAP
+            triv, eye, hnum, den, values, partial(task_rng, 0xC1A55, t_id), DEFAULT_OMEGA_CAP
         )
         if triple is not None:
             out.append((WeightedDynkinDiagram(labels), triple.h))
@@ -242,6 +257,37 @@ def classify_nilpotent_g(alg: ChevalleyAlgebra) -> tuple:
         alg, 3**alg.rs.rank - 1, passed, len(out),
     )
     return tuple(out)
+
+
+def _graded_sl2_bound(grading: ThetaGrading, perm, zero, two) -> bool:
+    """Whether dim g_i(0) >= dim g_{i+1}(2) for every i in Z/m, for the image
+    w h of a Cartan element h: zero and two are the roots (indices) with
+    alpha(h) = 0 and alpha(h) = 2, and perm[j] is the index of w(roots[j]),
+    so w h has the values 0 and 2 on the roots perm[j].  Pass perm =
+    range(len(roots)) to test h itself.
+
+    The bound is necessary for (w h, e, f) to be a normal triple.  Under the
+    triple g is a sum of irreducible modules V(n), and ad e maps the 0
+    weight space of each V(n), n >= 2 even, onto its 2 weight space; so
+    ad e: g(0) -> g(2) is onto.  With e in g_1, ad e maps g_i(0) into
+    g_{i+1}(2), and g(0), g(2) are the sums of these pieces over Z/m; so
+    each block g_i(0) -> g_{i+1}(2) is onto.  With w h in the Cartan
+    subalgebra, g_i(0) is spanned by the x_alpha of degree i with alpha(w h)
+    = 0, plus the Cartan subalgebra when i = 0, and g_{i+1}(2) by the
+    x_alpha of degree i + 1 with alpha(w h) = 2.  At m = 1 this is
+    d_0 >= d_2 of _sl2_module_multiplicities.
+    """
+    deg = grading.deg_by_index
+    have = [0] * grading.m  # dim g_i(0) minus the demand of g_{i+1}(2) so far
+    for j in zero:
+        have[deg[perm[j]]] += 1
+    have[0] += grading.rs.rank
+    for j in two:
+        d = deg[perm[j]] - 1  # -1 is the index of degree m - 1
+        have[d] -= 1
+        if have[d] < 0:
+            return False
+    return True
 
 
 def normal_list(
@@ -258,6 +304,12 @@ def normal_list(
     den * alpha(w h) = den * (w^-1 alpha)(h) are those of h permuted by the
     inverse root permutation of w.  Images with equal simple-root values are
     equal and tested once, under the index of the first w that gives them.
+    Each new image first meets the graded sl2 bound (_graded_sl2_bound),
+    read off w and the roots where h has the value 0 or 2; only an image
+    that passes gets its coordinates and the span test of _spanning_eye.
+    The bound is necessary, so it drops only images that have no triple,
+    and each image keeps the random draws of its index w: the triples are
+    those of testing every image.
     """
     check_omega_cap(omega_cap)
     alg = grading.alg
@@ -265,24 +317,37 @@ def normal_list(
     n_roots = len(vals)
     ident = bytes(range(n_roots))
     simple = grading.rs.simple_indices
+    zero = [j for j, v in enumerate(vals) if v == 0]
+    two = [j for j, v in enumerate(vals) if v == 2 * den]
     seen = set()
     triples = []
+    images = bounded = spanless = 0
     for idx, w in enumerate(coset_reps):
+        images += 1
         inv = bytes.maketrans(w.perm, ident)[:n_roots]
         key = tuple(vals[inv[i]] for i in simple)
         if key in seen:
             continue
         seen.add(key)
+        if not _graded_sl2_bound(grading, w.perm, zero, two):
+            bounded += 1
+            continue
+        hnum = alg.hnum_from_values(key)
+        values = [vals[i] for i in inv]
+        eye = _spanning_eye(grading, hnum, den, values)
+        if eye is None:
+            spanless += 1
+            continue
         triple = _normal_triple(
-            grading,
-            alg.hnum_from_values(key),
-            den,
-            [vals[i] for i in inv],
-            partial(task_rng, seed, idx),
-            omega_cap,
+            grading, eye, hnum, den, values, partial(task_rng, seed, idx), omega_cap
         )
         if triple is not None:
             triples.append(triple)
+    log.debug(
+        "%s, characteristic %r: %d images, %d merged, %d fail the graded sl2 bound, "
+        "%d fail the span test, %d triples",
+        grading, h, images, images - len(seen), bounded, spanless, len(triples),
+    )
     return triples
 
 
@@ -305,7 +370,6 @@ def classify_by_characteristics(
     )
     for t_id, (wdd, h) in enumerate(order):
         triples = normal_list(grading, reps, h, seed=seed ^ (t_id + 1), omega_cap=omega_cap)
-        log.debug("characteristic %s: %d triples", wdd.labels, len(triples))
         for tr in triples:
             records.append(OrbitRecord(tr.h, tr.e, tr.f, ambient_wdd=wdd))
     keys = [r.h_key() for r in records]

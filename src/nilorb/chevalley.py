@@ -5,7 +5,9 @@ generators h_1..h_l (the simple coroots).  Signs are fixed by setting the
 constant of each extraspecial pair positive, with all other constants
 derived through the standard bracket identities; any consistent convention
 is equivalent for the invariant quantities computed downstream.  One table,
-structure_constants, gives a bracket of root vectors in one lookup.
+structure_constants, gives a bracket of root vectors in one lookup, and one
+integer bracket over the tables serves both ChevalleyAlgebra.bracket and
+Sl2Triple.check.
 
 The algebra also owns the integer form of a Cartan element, which both
 listing methods test on: cartan_values gives den * h and den * alpha(h) for
@@ -100,15 +102,34 @@ class Sl2Triple:
     f: LieElement
 
     def check(self) -> None:
+        """Raise ValueError unless e != 0, [h,e] = 2e, [h,f] = -2f and [e,f] = h.
+
+        h, e and f are cleared to integers once, H = dh h, E = de e and
+        F = df f, and the three identities are compared as integer dicts
+        through the integer bracket B of ChevalleyAlgebra: B(H, E) = 2 dh E,
+        B(H, F) = -2 dh F and dh B(E, F) = de df H.  h need not lie in the
+        Cartan subalgebra.  No Fraction is built.
+        """
         alg = self.h.alg
         if self.e.is_zero():
             raise ValueError("sl2 triple with e = 0")
-        if alg.bracket(self.h, self.e) != self.e.scale(2):
+        hs, dh = _cleared(self.h)
+        es, de = _cleared(self.e)
+        fs, df = _cleared(self.f)
+        if alg._bracket_int(hs, es) != {k: 2 * dh * v for k, v in es.items()}:
             raise ValueError("[h,e] != 2e")
-        if alg.bracket(self.h, self.f) != self.f.scale(-2):
+        if alg._bracket_int(hs, fs) != {k: -2 * dh * v for k, v in fs.items()}:
             raise ValueError("[h,f] != -2f")
-        if alg.bracket(self.e, self.f) != self.h:
+        efs = alg._bracket_int(es, fs)
+        if {k: dh * v for k, v in efs.items()} != {k: de * df * v for k, v in hs.items()}:
             raise ValueError("[e,f] != h")
+
+
+def _cleared(x: LieElement) -> tuple[dict, int]:
+    """(coefficients of den * x as a dict of nonzero ints, den), with den the
+    least common denominator of the coefficients of x."""
+    nums, den = linalg.clear_denominators(x.coeffs.values())
+    return dict(zip(x.coeffs, nums)), den
 
 
 class ChevalleyAlgebra:
@@ -312,36 +333,37 @@ class ChevalleyAlgebra:
 
     # -- bracket and derived maps ----------------------------------------------
 
-    def bracket_basis(self, i: int, j: int) -> dict:
-        """Sparse bracket of two basis elements."""
-        n = self.n_roots
-        if i >= n and j >= n:
-            return {}
-        if i >= n:
-            out = self.bracket_basis(j, i)
-            return {k: -v for k, v in out.items()}
-        if j >= n:
-            c = -self.simple_pairings[i][j - n]
-            return {i: c} if c else {}
-        hit = self.structure_constants.get((i, j))
-        if hit is not None:
-            k, c = hit
-            return {k: c}
-        if abs(i - j) == self.rs.n_pos:  # j indexes -roots[i]
-            return {n + t: c for t, c in enumerate(self.coroot_coords[i]) if c}
-        return {}
+    def _bracket_int(self, x: dict, y: dict) -> dict:
+        """[x, y] for x and y given as dicts of int coefficients over the
+        basis, as a dict of nonzero ints, read off the structure tables:
+        [h_k, x_a] = <a, alpha_k^vee> x_a, [x_a, x_b] = N_ab x_{a+b} when
+        a + b is a root, and [x_a, x_-a] = h_a, the coroot of a."""
+        n, n_pos = self.n_roots, self.rs.n_pos
+        pair, consts, coroots = self.simple_pairings, self.structure_constants, self.coroot_coords
+        out: dict = {}
+        for i, a in x.items():
+            for j, b in y.items():
+                if i >= n:
+                    if j < n:
+                        out[j] = out.get(j, 0) + a * b * pair[j][i - n]
+                elif j >= n:
+                    out[i] = out.get(i, 0) - a * b * pair[i][j - n]
+                elif (hit := consts.get((i, j))) is not None:
+                    k, c = hit
+                    out[k] = out.get(k, 0) + a * b * c
+                elif abs(i - j) == n_pos:  # j indexes -roots[i]
+                    for t, c in enumerate(coroots[i], n):
+                        if c:
+                            out[t] = out.get(t, 0) + a * b * c
+        return {k: v for k, v in out.items() if v}
 
     def bracket(self, x: LieElement, y: LieElement) -> LieElement:
-        """[x, y], summed on integers: the coefficients of x and of y are
+        """[x, y] by the integer bracket: the coefficients of x and of y are
         scaled to integers once, and each coefficient of the result is
         divided back once."""
-        xs, dx = linalg.clear_denominators(x.coeffs.values())
-        ys, dy = linalg.clear_denominators(y.coeffs.values())
-        out: dict = {}
-        for i, ci in zip(x.coeffs, xs):
-            for j, cj in zip(y.coeffs, ys):
-                for k, v in self.bracket_basis(i, j).items():
-                    out[k] = out.get(k, 0) + ci * cj * v
+        xs, dx = _cleared(x)
+        ys, dy = _cleared(y)
+        out = self._bracket_int(xs, ys)
         den = dx * dy
         return LieElement(self, out if den == 1 else {k: Fraction(v, den) for k, v in out.items()})
 

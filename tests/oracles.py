@@ -91,12 +91,54 @@ def is_root(rs, v) -> bool:
     return tuple(v) in rs.root_index
 
 
+def bracket_basis(alg, i: int, j: int) -> dict:
+    """Sparse bracket of the basis elements i and j of alg, case by case."""
+    n = alg.n_roots
+    if i >= n and j >= n:
+        return {}
+    if i >= n:
+        return {k: -v for k, v in bracket_basis(alg, j, i).items()}
+    if j >= n:
+        c = -alg.simple_pairings[i][j - n]
+        return {i: c} if c else {}
+    hit = alg.structure_constants.get((i, j))
+    if hit is not None:
+        k, c = hit
+        return {k: c}
+    if abs(i - j) == alg.rs.n_pos:  # j indexes -roots[i]
+        return {n + t: c for t, c in enumerate(alg.coroot_coords[i]) if c}
+    return {}
+
+
+def reference_bracket(alg, x, y):
+    """[x, y] summed in Fractions over the pairs of basis elements."""
+    from nilorb.chevalley import LieElement
+
+    out: dict = {}
+    for i, a in x.coeffs.items():
+        for j, b in y.coeffs.items():
+            for k, v in bracket_basis(alg, i, j).items():
+                out[k] = out.get(k, 0) + Fraction(a) * b * v
+    return LieElement(alg, out)
+
+
+def graded_sl2_bound_of(grading, h) -> bool:
+    """The graded sl2 bound of the coset sweep on a Cartan element h itself
+    (the identity permutation)."""
+    from nilorb import characteristics
+
+    _, den, values = grading.alg.cartan_values(h)
+    zero = [j for j, v in enumerate(values) if v == 0]
+    two = [j for j, v in enumerate(values) if v == 2 * den]
+    return characteristics._graded_sl2_bound(grading, range(len(values)), zero, two)
+
+
 def n_const(alg, i: int, j: int):
     """The structure constant N with [x_a, x_b] = N x_{a+b}, for the roots a,
     b of indices i, j; 0 when a + b is not a root."""
     rs = alg.rs
     s = tuple(x + y for x, y in zip(rs.roots[i], rs.roots[j]))
-    return alg.bracket_basis(i, j).get(rs.root_index[s], 0) if s in rs.root_index else 0
+    return bracket_basis(alg, i, j).get(rs.root_index[s], 0) if s in rs.root_index else 0
 
 
 def component_basis(grading, i: int):

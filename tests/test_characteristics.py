@@ -1,3 +1,4 @@
+import logging
 from itertools import product
 
 import pytest
@@ -8,6 +9,7 @@ from nilorb import (
     build_algebra,
     build_root_system,
     classify_by_characteristics,
+    classify_orbits,
     classify_nilpotent_g,
     decide_normal,
     enumerate_kac_diagrams,
@@ -20,6 +22,7 @@ from nilorb import (
 from nilorb import characteristics
 from nilorb.characteristics import task_rng
 from oracles import (
+    graded_sl2_bound_of,
     is_nilpotent,
     partition_count,
     reference_classify_nilpotent_g,
@@ -213,9 +216,12 @@ def test_complete_sl2_matches_dense_reference_on_ambient_calls(monkeypatch, labe
 
 
 def test_complete_sl2_matches_dense_reference_on_a_method1_grading(monkeypatch):
-    g = grading_from_kac(F4, KacDiagram.from_labels(F4.rs, (0, 1, 0, 0, 1)))
+    # the graded sl2 bound leaves this order-3 sweep one image with no f, out
+    # of 20 completions; on 0,1,0,0,1 it leaves none
+    g = grading_from_kac(F4, KacDiagram.from_labels(F4.rs, (0, 0, 1, 0, 0)))
     classify_nilpotent_g(F4)  # record only the sweep, not the ambient loop
     calls = recorded_completions(monkeypatch, lambda: classify_by_characteristics(g))
+    assert len(calls) == 20 and sum(c[-1] is None for c in calls) == 1
     assert_matches_reference(g, calls)
 
 
@@ -341,3 +347,60 @@ def test_omega_cap_below_one_is_rejected_before_any_work():
         classify_by_characteristics(g, omega_cap=0)
     with pytest.raises(ValueError, match="omega cap"):
         decide_normal(g, h, omega_cap=0)
+
+
+def _method2_gradings():
+    # method 2 never applies the bound; about 1.3 s in all
+    e6 = build_algebra(build_root_system("E", 6))
+    for alg, orders in [(F4, (2, 3, 4, 5)), (e6, (2, 3))]:
+        for m in orders:
+            yield pytest.param(alg, m, id=f"{alg.rs.type_label}{alg.rs.rank}-order-{m}")
+
+
+@pytest.mark.parametrize("alg, m", _method2_gradings())
+def test_graded_sl2_bound_accepts_every_normal_h_of_method_2(alg, m):
+    for kd in enumerate_kac_diagrams(alg.rs, m):
+        g = grading_from_kac(alg, kd)
+        for r in classify_orbits(g, method="2", seed=1):
+            if not r.is_zero():
+                assert graded_sl2_bound_of(g, r.h), (kd.labels, r.h)
+
+
+def test_graded_sl2_bound_rejects_an_h_that_passes_the_span_test():
+    # B3 with Kac labels 0,0,0,1 (m = 2): a root has degree 1 exactly when
+    # its alpha_3 coefficient is odd.  h has the labels (0, 2, 0), so alpha(h)
+    # is twice the alpha_2 coefficient of alpha.  g_1(0) is spanned by
+    # x_{+-alpha_3} (dim 2), and g_0(2) by the x_alpha of alpha = (0,1,0),
+    # (1,1,0), (0,1,2), (1,1,2) (dim 4): ad e cannot map g_1(0) onto g_0(2).
+    # The block g_0(0) -> g_1(2) passes, 3 + 2 (the Cartan and x_{+-alpha_1})
+    # against 2 (alpha = (0,1,1), (1,1,1)), and so does the span test.
+    b3 = build_algebra(build_root_system("B", 3))
+    g = grading_from_kac(b3, KacDiagram.from_labels(b3.rs, (0, 0, 0, 1)))
+    h = h_from_wdd(b3, WeightedDynkinDiagram((0, 2, 0)))
+    hnum, den, values = b3.cartan_values(h)
+    eye = characteristics._spanning_eye(g, hnum, den, values)
+    assert [b3.rs.roots[i] for i in eye] == [(0, 1, 1), (1, 1, 1)]
+    assert not graded_sl2_bound_of(g, h)
+    assert decide_normal(g, h) is None
+
+
+def test_sweep_counts_go_to_the_debug_log(caplog, capsys):
+    g = grading_from_kac(F4, KacDiagram.from_labels(F4.rs, (0, 0, 1, 0, 0)))
+    classify_nilpotent_g(F4)  # log only the sweep
+    with caplog.at_level(logging.DEBUG, logger="nilorb.characteristics"):
+        records = classify_by_characteristics(g)
+    lines = [m for m in caplog.messages if m.startswith(f"{g}, characteristic ")]
+    assert len(lines) == len(classify_nilpotent_g(F4)) - 1  # one per nonzero characteristic
+    counts = [
+        [int(x.split()[0]) for x in line.split(": ", 1)[1].split(", ")] for line in lines
+    ]
+    reps = shortest_coset_reps(F4.rs, g.weyl_subgroup())
+    for images, merged, bounded, spanless, triples in counts:
+        assert images == len(reps)
+        assert merged + bounded + spanless + triples <= images
+    # 480 images: 318 merged, 109 fail the bound, 33 the span test, 19 give
+    # a triple, and the one left over has no f (the None completion of
+    # test_complete_sl2_matches_dense_reference_on_a_method1_grading)
+    assert [sum(col) for col in zip(*counts)] == [480, 318, 109, 33, 19]
+    assert len(records) == 20
+    assert capsys.readouterr().out == ""

@@ -1,12 +1,17 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilorb import (
+    LieElement,
     Sl2Triple,
     build_algebra,
     build_root_system,
+    classify_nilpotent_g,
     decide_normal,
     orbit_dimension,
     trivial_grading,
@@ -18,6 +23,7 @@ from oracles import (
     is_nilpotent,
     killing_form,
     n_const,
+    reference_bracket,
     reference_complete_sl2,
     root_value,
 )
@@ -232,6 +238,81 @@ def test_is_nilpotent_examples():
     e, f = A1.root_vector((1,)), A1.root_vector((-1,))
     assert is_nilpotent(A1, e)
     assert not is_nilpotent(A1, e + f)  # semisimple, conjugate to the Cartan
+
+
+def a1_triples():
+    """The standard triple of A1, and its image (h - 2e, e, f + h - e) under
+    exp(ad e), whose h has a root part."""
+    h, e, f = A1.cartan([1]), A1.root_vector((1,)), A1.root_vector((-1,))
+    return (h, e, f), (h - e.scale(2), e, f + h - e)
+
+
+def test_check_accepts_a_triple_with_a_non_cartan_h():
+    standard, moved = a1_triples()
+    assert not moved[0].is_cartan()
+    for h, e, f in (standard, moved):
+        Sl2Triple(h, e, f).check()
+        Sl2Triple(h, e.scale(Fraction(1, 3)), f.scale(3)).check()
+
+
+def perturbed_triples():
+    (h, e, f), (h1, e1, f1) = a1_triples()
+    return [
+        ("sl2 triple with e = 0", (h, A1.zero(), f)),
+        ("[h,e] != 2e", (h, e + f, f)),
+        ("[h,f] != -2f", (h, e, f + e.scale(Fraction(1, 2)))),
+        ("[e,f] != h", (h1, e1, f1.scale(Fraction(1, 3)))),  # h1 is not Cartan
+    ]
+
+
+@pytest.mark.parametrize("message, triple", perturbed_triples())
+def test_check_names_the_failing_identity(message, triple):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Sl2Triple(*triple).check()
+
+
+def test_check_builds_no_fraction(monkeypatch):
+    g2 = trivial_grading(G2)
+    triples = [decide_normal(g2, h) for wdd, h in classify_nilpotent_g(G2) if not wdd.is_zero()]
+    assert any(isinstance(c, Fraction) and c.denominator > 1 for t in triples for c in t.f.coeffs.values())
+    made = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    for t in triples:
+        t.check()
+    monkeypatch.undo()
+    assert made == []
+
+
+C3 = build_algebra(build_root_system("C", 3))
+
+
+@st.composite
+def sparse_element_pairs(draw):
+    """An algebra and two elements with Fraction coefficients on a few root
+    vectors and at least one Cartan generator."""
+    alg = draw(st.sampled_from([A2, B2, G2, C3]))
+    coefficient = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+    def element():
+        keys = draw(st.lists(st.integers(0, alg.n_roots - 1), max_size=5, unique=True))
+        keys += draw(st.lists(st.integers(alg.n_roots, alg.dim - 1), min_size=1, unique=True))
+        return LieElement(alg, {k: draw(coefficient) for k in keys})
+
+    return alg, element(), element()
+
+
+@given(sparse_element_pairs())
+@settings(max_examples=200, deadline=None)
+def test_bracket_matches_the_basis_bracket_reference(pair):
+    alg, x, y = pair
+    assert alg.bracket(x, y) == reference_bracket(alg, x, y)
+    assert alg.bracket(y, x) == -reference_bracket(alg, x, y)
 
 
 def test_complete_sl2_standard_triple():

@@ -262,3 +262,17 @@ def test_more_than_256_roots_is_an_error_line(capsys, argv, type_name, roots):
     assert code == 1
     assert out == ""
     assert err == f"error: {type_name} has {roots} roots; Weyl group permutations support at most 256 roots\n"
+
+
+def test_orbits_of_a_grading_of_order_above_255(capsys):
+    # m = 303: the degrees of the roots do not fit in a byte
+    code, out, err = run(capsys, ["orbits", "--type", "G2", "--kac", "300,1,0", "--method", "1"])
+    assert code == 0 and err == ""
+    dims = ",".join(map(str, [4, 2, 1, 2] + [0] * 296 + [2, 1, 2]))
+    assert out == (
+        "algebra G2  kac=300,1,0  seed=0\n"
+        f'grading {{"component_dims":[{dims}],"m":303,"phi0_type":"A1"}}\n'
+        "h=(0,0)  dim=0  wdd=00  e=0\n"
+        "h=(1,3)  dim=2  wdd=10  e=4*x[1,1]\n"
+        "1 nonzero orbits, 1 component(s), dim 2, rank 0\n"
+    )

@@ -27,6 +27,7 @@ from oracles import (
     cartan_from_dual_weight,
     component_basis,
     dual_weight,
+    graded_sl2_bound_of,
     mat_vec,
     orbit_dimension_by_rank,
     reference_wdd_of_cartan,
@@ -142,6 +143,8 @@ def test_both_methods_agree_on_random_kac_diagrams(diagram):
             assert r.h.is_cartan()
             assert set(r.e.coeffs) <= span[1] and set(r.f.coeffs) <= span[g.m - 1]
             Sl2Triple(r.h, r.e, r.f).check()
+    # method 2 never applies the graded sl2 bound of the sweep
+    assert all(graded_sl2_bound_of(g, r.h) for r in listings["2"] if not r.is_zero())
 
 
 def test_classify_orbits_rejects_unknown_method():
