@@ -24,7 +24,7 @@ from functools import lru_cache
 from operator import mul
 
 from . import linalg
-from .characteristics import DEFAULT_OMEGA_CAP, check_omega_cap, decide_normal, task_rng
+from .characteristics import decide_normal, task_rng
 from .chevalley import LieElement
 from .grading import ThetaGrading
 from .pisystems import canonical, classify_all
@@ -196,11 +196,7 @@ def completion(grading: ThetaGrading, cand: GradedCandidate) -> CompletionResult
     )
 
 
-def classify_by_carriers(
-    grading: ThetaGrading,
-    seed: int = 0,
-    omega_cap: int = DEFAULT_OMEGA_CAP,
-) -> list[OrbitRecord]:
+def classify_by_carriers(grading: ThetaGrading, seed: int = 0) -> list[OrbitRecord]:
     """All nilpotent orbits of the theta-group via flat carrier candidates.
 
     Each flat completion contributes h = 2 h0, canonicalised into the
@@ -211,7 +207,6 @@ def classify_by_carriers(
     module logger counts the candidates, the non-empty ones, the solvable
     and the flat completions, the distinct canonical h and the records.
     """
-    check_omega_cap(omega_cap)
     alg, rs = grading.alg, grading.rs
     basis0 = [rs.root_index[b] for b in grading.delta0]
     records = [zero_record(alg)]
@@ -234,7 +229,7 @@ def classify_by_carriers(
         if h in seen:
             continue
         seen.add(h)
-        triple = decide_normal(grading, h, rng=task_rng(seed, idx), omega_cap=omega_cap)
+        triple = decide_normal(grading, h, rng=task_rng(seed, idx))
         if triple is None:
             raise InternalConsistencyError(
                 f"flat carrier {cand} produced non-normal canonical h = {h!r}"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import random
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 
 from . import linalg
@@ -26,18 +26,19 @@ from .records import (
     sort_records,
     zero_record,
 )
-from .weyl import shortest_coset_reps
+from .weyl import check_root_count, shortest_coset_reps
 
 log = logging.getLogger(__name__)
 
-DEFAULT_OMEGA_CAP = 2**20
+# Largest coefficient range of the random search for e in general position.
+OMEGA_CAP = 2**20
 
 _MASK64 = (1 << 64) - 1
 
 
 class RetryBudgetError(RuntimeError):
     """The random search for an element in general position exhausted its
-    coefficient budget; retry with a different seed or a larger cap."""
+    coefficient budget (OMEGA_CAP); retry with a different seed."""
 
 
 def task_rng(seed: int, task_id: int) -> random.Random:
@@ -53,40 +54,24 @@ def h_from_wdd(alg: ChevalleyAlgebra, wdd: WeightedDynkinDiagram) -> LieElement:
     return alg.cartan(*alg.cartan_solution(wdd.labels))
 
 
-def check_omega_cap(omega_cap: int) -> None:
-    if omega_cap < 1:
-        raise ValueError(f"omega cap must be >= 1, got {omega_cap}")
-
-
 def decide_normal(
-    grading: ThetaGrading,
-    h: LieElement,
-    rng: random.Random | None = None,
-    omega_cap: int = DEFAULT_OMEGA_CAP,
+    grading: ThetaGrading, h: LieElement, rng: random.Random | None = None
 ) -> Sl2Triple | None:
     """Normal sl2-triple (h, e, f) with e in g_1(2), f in g_{m-1}(-2), or None.
 
     h must lie in the Cartan subalgebra of g_0.  Steps, all on the integers
     den * h and den * alpha(h) (see _normal_triple): quick membership test
     of h in [g_1(2), g_{m-1}(-2)]; random search for e in general position
-    ([g_0(0), e] = g_1(2)), with coefficients uniform in {0..n} and n doubled
-    after every failure (n starts at min(4, omega_cap)); f from the same
-    elimination as the general-position test, through the Killing form.
+    ([g_0(0), e] = g_1(2)), with coefficients uniform in {0..n}, n = 4 doubled
+    after every failure up to OMEGA_CAP; f from the same elimination as the
+    general-position test, through the Killing form.  Without rng the draws
+    come from task_rng(0, 0).
     """
-    check_omega_cap(omega_cap)
     hnum, den, values = grading.alg.cartan_values(h)
     eye = _spanning_eye(grading, hnum, den, values)
     if eye is None:
         return None
-    return _normal_triple(
-        grading,
-        eye,
-        hnum,
-        den,
-        values,
-        lambda: task_rng(0, 0) if rng is None else rng,
-        omega_cap,
-    )
+    return _normal_triple(grading, eye, hnum, den, values, task_rng(0, 0) if rng is None else rng)
 
 
 def _spanning_eye(grading, hnum, den, values) -> list[int] | None:
@@ -104,7 +89,7 @@ def _spanning_eye(grading, hnum, den, values) -> list[int] | None:
     return eye
 
 
-def _normal_triple(grading, eye, hnum, den, values, make_rng, omega_cap) -> Sl2Triple | None:
+def _normal_triple(grading, eye, hnum, den, values, rng) -> Sl2Triple | None:
     """decide_normal on integers, for the roots eye of g_1(2) that
     _spanning_eye returned: den * h = sum_k hnum[k] h_k and values[i] =
     den * alpha_i(h) for every root i.
@@ -119,10 +104,11 @@ def _normal_triple(grading, eye, hnum, den, values, make_rng, omega_cap) -> Sl2T
     (weights w) r_k = w_k * values[simple_k] on the h_k rows, r = 0 on the
     x_beta rows, and u_t = den * w_gamma_t * y_t.  One elimination of
     [M | r] per try gives both the rank and f, which is unique given (h, e).
+    The triple is checked (Sl2Triple.check) before it is returned.
 
-    make_rng() is called only when the search for e starts, and the Fraction
-    h is built only for the completion (or the error message).  Every caller
-    checks omega_cap >= 1 first: a cap of 0 would double n = 0 forever.
+    The range n starts at 4 and doubles after every failure; past OMEGA_CAP,
+    read at call time, the search raises RetryBudgetError.  The Fraction h is
+    built only for the triple (or the error message).
     """
     alg, rs = grading.alg, grading.rs
     pair, consts = alg.simple_pairings, alg.structure_constants
@@ -131,9 +117,8 @@ def _normal_triple(grading, eye, hnum, den, values, make_rng, omega_cap) -> Sl2T
     zero_idx = [i for i in grading.phi0_indices if values[i] == 0]
     pos_in_eye = {i: t for t, i in enumerate(eye)}
     s = len(eye)
-    rng = make_rng()
 
-    n = min(4, omega_cap)
+    n = 4
     while True:
         coeffs = [rng.randint(0, n) for _ in range(s)]
         rows = []
@@ -151,29 +136,19 @@ def _normal_triple(grading, eye, hnum, den, values, make_rng, omega_cap) -> Sl2T
         if rank == s:
             break
         n *= 2
-        if n > omega_cap:
+        if n > OMEGA_CAP:
             raise RetryBudgetError(
                 f"no element in general position found for h = {alg.cartan(hnum, den)!r} "
-                f"with coefficients up to omega cap {omega_cap}"
+                f"with coefficients up to {OMEGA_CAP}"
             )
 
-    e = LieElement(alg, dict(zip(eye, coeffs)))
-    f = None
-    if u is not None:
-        n_pos = rs.n_pos
-        f = {
-            i + n_pos if i < n_pos else i - n_pos: x / (den * weights[i])
-            for i, x in zip(eye, u)
-        }
-    return _complete(alg.cartan(hnum, den), e, f)
-
-
-def _complete(h: LieElement, e: LieElement, f: dict | None) -> Sl2Triple | None:
-    """The triple (h, e, f) for the coefficients f solved by _normal_triple,
-    after Sl2Triple.check, or None when no f exists."""
-    if f is None:
+    if u is None:
         return None
-    triple = Sl2Triple(h, e, LieElement(h.alg, f))
+    n_pos = rs.n_pos
+    f = {i + n_pos if i < n_pos else i - n_pos: x / (den * weights[i]) for i, x in zip(eye, u)}
+    triple = Sl2Triple(
+        alg.cartan(hnum, den), LieElement(alg, dict(zip(eye, coeffs))), LieElement(alg, f)
+    )
     triple.check()
     return triple
 
@@ -237,8 +212,11 @@ def classify_nilpotent_g(alg: ChevalleyAlgebra) -> tuple:
     the trivial grading, on the integers den * h of
     ChevalleyAlgebra.cartan_solution.  The random draws of a vector depend
     only on its index in product order, and the surviving set does not
-    depend on them, so the result is cached per algebra.
+    depend on them, so the result is cached per algebra.  A type with more
+    than 256 roots, which the coset and carrier stages refuse too, is refused
+    before the 3^l label vectors.
     """
+    check_root_count(alg.rs)
     triv = trivial_grading(alg)
     out = [(WeightedDynkinDiagram((0,) * alg.rs.rank), alg.zero())]
     passed = 0
@@ -247,9 +225,7 @@ def classify_nilpotent_g(alg: ChevalleyAlgebra) -> tuple:
         eye = _spanning_eye(triv, hnum, den, values)
         if eye is None:
             continue
-        triple = _normal_triple(
-            triv, eye, hnum, den, values, partial(task_rng, 0xC1A55, t_id), DEFAULT_OMEGA_CAP
-        )
+        triple = _normal_triple(triv, eye, hnum, den, values, task_rng(0xC1A55, t_id))
         if triple is not None:
             out.append((WeightedDynkinDiagram(labels), triple.h))
     log.debug(
@@ -291,11 +267,7 @@ def _graded_sl2_bound(grading: ThetaGrading, perm, zero, two) -> bool:
 
 
 def normal_list(
-    grading: ThetaGrading,
-    coset_reps,
-    h: LieElement,
-    seed: int = 0,
-    omega_cap: int = DEFAULT_OMEGA_CAP,
+    grading: ThetaGrading, coset_reps, h: LieElement, seed: int = 0
 ) -> list[Sl2Triple]:
     """Normal sl2-triples whose h lies in C_l + r and is W-conjugate to h.
 
@@ -311,7 +283,6 @@ def normal_list(
     and each image keeps the random draws of its index w: the triples are
     those of testing every image.
     """
-    check_omega_cap(omega_cap)
     alg = grading.alg
     _, den, vals = alg.cartan_values(h)
     n_roots = len(vals)
@@ -338,9 +309,7 @@ def normal_list(
         if eye is None:
             spanless += 1
             continue
-        triple = _normal_triple(
-            grading, eye, hnum, den, values, partial(task_rng, seed, idx), omega_cap
-        )
+        triple = _normal_triple(grading, eye, hnum, den, values, task_rng(seed, idx))
         if triple is not None:
             triples.append(triple)
     log.debug(
@@ -351,16 +320,10 @@ def normal_list(
     return triples
 
 
-def classify_by_characteristics(
-    grading: ThetaGrading,
-    seed: int = 0,
-    omega_cap: int = DEFAULT_OMEGA_CAP,
-) -> list[OrbitRecord]:
+def classify_by_characteristics(grading: ThetaGrading, seed: int = 0) -> list[OrbitRecord]:
     """All nilpotent orbits of the theta-group, one record per orbit, by
     sweeping coset images of every ambient characteristic."""
-    check_omega_cap(omega_cap)
     alg = grading.alg
-    # cosets first: a type with too many roots fails before the 3^l ambient vectors
     reps = shortest_coset_reps(grading.rs, grading.weyl_subgroup())
     characteristics = classify_nilpotent_g(alg)
     records = [zero_record(alg)]
@@ -369,7 +332,7 @@ def classify_by_characteristics(
         key=lambda item: -sum(item[0].labels),
     )
     for t_id, (wdd, h) in enumerate(order):
-        triples = normal_list(grading, reps, h, seed=seed ^ (t_id + 1), omega_cap=omega_cap)
+        triples = normal_list(grading, reps, h, seed=seed ^ (t_id + 1))
         for tr in triples:
             records.append(OrbitRecord(tr.h, tr.e, tr.f, ambient_wdd=wdd))
     keys = [r.h_key() for r in records]

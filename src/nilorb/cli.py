@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .characteristics import DEFAULT_OMEGA_CAP, RetryBudgetError, classify_nilpotent_g
+from .characteristics import RetryBudgetError, classify_nilpotent_g
 from .chevalley import build_algebra
 from .grading import KacDiagram, grading_from_kac, nregular_kac_diagram
 from .nullcone import check_nregular, classify_orbits, nregular_survey, summarize
@@ -116,9 +116,7 @@ def cmd_orbits(args) -> int:
     else:
         kd = nregular_kac_diagram(rs, args.nregular_order)
     grading = grading_from_kac(alg, kd)
-    records = classify_orbits(
-        grading, method=args.method, seed=args.seed, omega_cap=args.omega_cap
-    )
+    records = classify_orbits(grading, method=args.method, seed=args.seed)
     summary = summarize(grading, records)
     if args.kac is None:
         check_nregular(alg, kd, summary)
@@ -158,7 +156,7 @@ def cmd_nregular(args) -> int:
     if not 1 <= lo <= hi:
         raise ValueError(f"order range {args.orders!r} is empty or starts below 1")
     for m in range(lo, hi + 1):
-        kd, s = nregular_survey(alg, m, method=args.method, seed=args.seed, omega_cap=args.omega_cap)
+        kd, s = nregular_survey(alg, m, method=args.method, seed=args.seed)
         if m == lo:  # only after the first survey, so that a failed one prints no header
             print("order  kac  orbits  components  dim  rank")
         star = "" if s.very_nregular else "*"
@@ -174,7 +172,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=("auto", "1", "2"), default="auto")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--omega-cap", type=int, default=DEFAULT_OMEGA_CAP)
     p.add_argument("--outer", action="store_true", help=argparse.SUPPRESS)
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .carrier import classify_by_carriers
-from .characteristics import DEFAULT_OMEGA_CAP, classify_by_characteristics
+from .characteristics import classify_by_characteristics
 from .chevalley import ChevalleyAlgebra, LieElement
 from .grading import KacDiagram, ThetaGrading, grading_from_kac, nregular_kac_diagram
 from .records import InternalConsistencyError, OrbitRecord
@@ -83,10 +83,7 @@ def summarize(grading: ThetaGrading, records: list[OrbitRecord]) -> NullconeSumm
 
 
 def classify_orbits(
-    grading: ThetaGrading,
-    method: str = "auto",
-    seed: int = 0,
-    omega_cap: int = DEFAULT_OMEGA_CAP,
+    grading: ThetaGrading, method: str = "auto", seed: int = 0
 ) -> list[OrbitRecord]:
     """Orbit records with dimensions filled, by either listing method.
 
@@ -96,9 +93,9 @@ def classify_orbits(
     if method == "auto":
         method = "1" if grading.coset_index() <= METHOD_INDEX_THRESHOLD else "2"
     if method == "1":
-        records = classify_by_characteristics(grading, seed=seed, omega_cap=omega_cap)
+        records = classify_by_characteristics(grading, seed=seed)
     elif method == "2":
-        records = classify_by_carriers(grading, seed=seed, omega_cap=omega_cap)
+        records = classify_by_carriers(grading, seed=seed)
     else:
         raise ValueError(f"unknown method {method!r}; expected 'auto', '1' or '2'")
     for r in records:
@@ -108,11 +105,7 @@ def classify_orbits(
 
 
 def nregular_survey(
-    alg: ChevalleyAlgebra,
-    m: int,
-    method: str = "auto",
-    seed: int = 0,
-    omega_cap: int = DEFAULT_OMEGA_CAP,
+    alg: ChevalleyAlgebra, m: int, method: str = "auto", seed: int = 0
 ) -> tuple[KacDiagram, NullconeSummary]:
     """The order-m inner automorphism whose g_1 contains a regular nilpotent
     element, with its nullcone summary.
@@ -123,7 +116,7 @@ def nregular_survey(
     """
     kd = nregular_kac_diagram(alg.rs, m)
     grading = grading_from_kac(alg, kd)
-    records = classify_orbits(grading, method=method, seed=seed, omega_cap=omega_cap)
+    records = classify_orbits(grading, method=method, seed=seed)
     summary = summarize(grading, records)
     check_nregular(alg, kd, summary)
     return kd, summary

@@ -31,7 +31,8 @@ def _compose(p: bytes, q: bytes) -> bytes:
     return q.translate(p.ljust(256, b"\0"))
 
 
-def _check_root_count(rs: RootSystem) -> None:
+def check_root_count(rs: RootSystem) -> None:
+    """Raise ValueError when rs has more roots than a bytes permutation holds."""
     if len(rs.roots) > 256:
         raise ValueError(
             f"{rs.type_label}{rs.rank} has {len(rs.roots)} roots; Weyl group "
@@ -123,7 +124,7 @@ class WeylSubgroup:
     __slots__ = ("rs", "basis")
 
     def __init__(self, rs: RootSystem, basis):
-        _check_root_count(rs)
+        check_root_count(rs)
         basis = tuple(tuple(b) for b in basis)
         for b in basis:
             if b not in rs.root_index:
@@ -215,7 +216,7 @@ def _coroot_column(rs: RootSystem, j: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _reflection_row(rs: RootSystem, j: int) -> bytes:
     """The reflection in roots[j] as a permutation of root indices."""
-    _check_root_count(rs)
+    check_root_count(rs)
     root = rs.roots[j]
     return bytes(
         rs.root_index[tuple(x - c * y for x, y in zip(r, root))]

@@ -5,6 +5,7 @@ import pytest
 
 from nilorb import (
     KacDiagram,
+    LieElement,
     WeightedDynkinDiagram,
     build_algebra,
     build_root_system,
@@ -150,7 +151,7 @@ def test_retry_budget_error():
 
     g = grading_from_kac(A1, KacDiagram.from_labels(A1.rs, (1, 1)))
     with pytest.raises(RetryBudgetError):
-        decide_normal(g, A1.coroot((1,)), rng=ZeroRng(), omega_cap=16)
+        decide_normal(g, A1.coroot((1,)), rng=ZeroRng())
 
 
 def test_records_are_deterministic_for_fixed_seed():
@@ -166,16 +167,25 @@ def test_records_are_deterministic_for_fixed_seed():
 
 def recorded_completions(monkeypatch, run):
     """(h, e, result) of every completion _normal_triple decides in run(),
-    None results included."""
+    None results included; e is read off the generator's last draws."""
     calls = []
-    original = characteristics._complete
+    original = characteristics._normal_triple
 
-    def record(h, e, f):
-        result = original(h, e, f)
-        calls.append((h, e, result))
+    def record(grading, eye, hnum, den, values, rng):
+        draws = []
+
+        class RecordingRng:
+            def randint(self, a, b):
+                draws.append(rng.randint(a, b))
+                return draws[-1]
+
+        result = original(grading, eye, hnum, den, values, RecordingRng())
+        e = LieElement(grading.alg, dict(zip(eye, draws[-len(eye):])))
+        assert result is None or result.e == e
+        calls.append((grading.alg.cartan(hnum, den), e, result))
         return result
 
-    monkeypatch.setattr(characteristics, "_complete", record)
+    monkeypatch.setattr(characteristics, "_normal_triple", record)
     run()
     return calls
 
@@ -333,20 +343,6 @@ def test_normal_list_matches_the_weight_reference(alg, kd):
     for wdd, h in classify_nilpotent_g(alg):
         for seed in (0, 11):
             assert normal_list(g, reps, h, seed=seed) == reference_normal_list(g, reps, h, seed=seed)
-
-
-def test_omega_cap_below_one_is_rejected_before_any_work():
-    # a cap of 0 would make the coefficient range n = min(4, 0) double forever
-    g = grading_from_kac(G2, KacDiagram.from_labels(G2.rs, (0, 0, 1)))
-    reps = shortest_coset_reps(G2.rs, g.weyl_subgroup())
-    h = classify_nilpotent_g(G2)[-1][1]
-    for coset_reps in (reps, []):
-        with pytest.raises(ValueError, match="omega cap"):
-            normal_list(g, coset_reps, h, omega_cap=0)
-    with pytest.raises(ValueError, match="omega cap"):
-        classify_by_characteristics(g, omega_cap=0)
-    with pytest.raises(ValueError, match="omega cap"):
-        decide_normal(g, h, omega_cap=0)
 
 
 def _method2_gradings():

@@ -1,12 +1,14 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from nilorb.cli import canonical_json, main
+from nilorb.cli import build_parser, canonical_json, main
 
 
 def run(capsys, argv):
@@ -188,28 +190,21 @@ def test_bad_order_is_an_error_line(capsys, argv, message):
     assert err.startswith("error:") and message in err
 
 
-def test_retry_budget_is_an_error_line(capsys):
-    code, out, err = run(capsys, ["orbits", "--type", "G2", "--kac", "1,0,1", "--omega-cap", "4"])
+def test_retry_budget_is_an_error_line(capsys, monkeypatch):
+    import nilorb.characteristics as characteristics_mod
+
+    # one try at coefficients up to 4, then the budget is spent
+    monkeypatch.setattr(characteristics_mod, "OMEGA_CAP", 4)
+    code, out, err = run(capsys, ["orbits", "--type", "G2", "--kac", "1,0,1"])
     assert code == 3
     assert out == ""
-    assert err.startswith("error:") and "h = " in err and "omega cap 4" in err
+    assert err.startswith("error:") and "h = " in err
 
 
-def test_omega_cap_below_one_is_an_error_line(capsys):
-    code, out, err = run(capsys, ["orbits", "--type", "G2", "--kac", "0,0,1", "--omega-cap", "0"])
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:") and "omega cap" in err
-
-
-@pytest.mark.parametrize("method", ["1", "2"])
-def test_omega_cap_below_one_is_rejected_by_both_methods(capsys, method):
-    # g_1 = 0 here, so the carrier walk never calls decide_normal
-    argv = ["orbits", "--type", "G2", "--kac", "2,0,0", "--method", method, "--omega-cap", "0"]
-    code, out, err = run(capsys, argv)
-    assert code == 1
-    assert out == ""
-    assert err == "error: omega cap must be >= 1, got 0\n"
+def test_omega_cap_option_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["orbits", "--type", "G2", "--kac", "1,0,1", "--omega-cap", "4"])
+    assert exc.value.code == 2
 
 
 def test_unparsable_kac_is_an_error_line(capsys):
@@ -217,29 +212,6 @@ def test_unparsable_kac_is_an_error_line(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "--kac" in err and "comma-separated integers" in err
-
-
-def test_nregular_survey_honours_omega_cap(capsys):
-    code, out, err = run(capsys, ["nregular", "--type", "G2", "--orders", "2", "--omega-cap", "0"])
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:") and "omega cap" in err
-
-
-def test_orbits_passes_omega_cap_to_the_survey(capsys, monkeypatch):
-    import nilorb.cli as cli_mod
-
-    seen = {}
-    classify = cli_mod.classify_orbits
-
-    def spy(*args, **kwargs):
-        seen.update(kwargs)
-        return classify(*args, **kwargs)
-
-    monkeypatch.setattr(cli_mod, "classify_orbits", spy)
-    code, _, err = run(capsys, ["orbits", "--type", "G2", "--nregular-order", "2", "--omega-cap", "0"])
-    assert code == 1 and err.startswith("error:")
-    assert seen["omega_cap"] == 0
 
 
 A16_KAC = ",".join(["1", "1"] + ["0"] * 15)
@@ -254,10 +226,11 @@ A16_KAC = ",".join(["1", "1"] + ["0"] * 15)
         (["orbits", "--type", "A16", "--kac", A16_KAC, "--method", "2"], "A16", 272),
         # the table header waits for the first survey
         (["nregular", "--type", "A16", "--orders", "2"], "A16", 272),
+        (["wdd", "--type", "A16"], "A16", 272),
     ],
 )
 def test_more_than_256_roots_is_an_error_line(capsys, argv, type_name, roots):
-    # method 1 must fail on the cosets, before the 3^16-vector ambient loop
+    # every command must fail before the 3^16-vector ambient loop
     code, out, err = run(capsys, argv)
     assert code == 1
     assert out == ""
@@ -276,3 +249,25 @@ def test_orbits_of_a_grading_of_order_above_255(capsys):
         "h=(1,3)  dim=2  wdd=10  e=4*x[1,1]\n"
         "1 nonzero orbits, 1 component(s), dim 2, rank 0\n"
     )
+
+
+def cli_options():
+    """(subcommand, option) for every option of build_parser() that --help
+    lists, --help itself left out."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, p in sub.choices.items():
+        for action in p._actions:
+            if action.help != argparse.SUPPRESS and not isinstance(action, argparse._HelpAction):
+                yield from ((name, opt) for opt in action.option_strings)
+
+
+def test_readme_documents_every_cli_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    options = list(cli_options())
+    missing = [f"{name} {opt}" for name, opt in options if not re.search(rf"{opt}(?![\w-])", readme)]
+    assert missing == []
+    # and its Command line section names no option the parser lacks
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    unknown = set(re.findall(r"--[a-z][a-z-]*", section)) - {opt for _, opt in options}
+    assert sorted(unknown) == []
