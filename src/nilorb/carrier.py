@@ -10,10 +10,11 @@ form of twice its defining element, and distinct canonical forms are
 exactly the distinct orbits.
 
 The walk stays in integers from the class-search move to the canonical h
-of an orbit: one integer kernel per candidate tests root independence, and
-the completion solves its Cartan system and its centraliser kernel once
-each with linalg.solve_int and linalg.kernel_int.  Only the public
-completion builds Fraction elements, and the walk does not call it.
+of an orbit: one integer kernel of the candidate's root rows per candidate
+tests root independence, and completion solves the Cartan system with
+linalg.solve_int and tests membership in the completion with that same
+kind of kernel.  A CompletionResult builds its Fraction elements h0 and
+z_basis only when they are read, and the walk reads neither.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from operator import mul
 
 from . import linalg
 from .characteristics import decide_normal, task_rng
-from .chevalley import LieElement
+from .chevalley import ChevalleyAlgebra, LieElement
 from .grading import ThetaGrading
 from .pisystems import canonical, classify_all
 from .records import (
@@ -57,13 +58,38 @@ class GradedCandidate:
 
 @dataclass
 class CompletionResult:
-    """Defining element and root data of the completion of a candidate."""
+    """The completion of a candidate, in integers.
 
-    h0: LieElement
-    z_basis: tuple[LieElement, ...]
+    den * h0 = sum_k hnum[k] h_k with den > 0, values[i] = den * alpha_i(h0)
+    in root order, psi0 and psi1 the degree-0 and degree-1 roots of the
+    completed subalgebra, and flat when the candidate and psi0 together have
+    as many roots as psi1.  The Fraction elements h0 and z_basis are built
+    from alg and cand only when read.
+    """
+
+    alg: ChevalleyAlgebra
+    cand: GradedCandidate
+    hnum: list[int]
+    den: int
+    values: list[int]
     psi0: tuple[Root, ...]
     psi1: tuple[Root, ...]
     flat: bool
+
+    @property
+    def h0(self) -> LieElement:
+        """The defining element hnum / den."""
+        return self.alg.cartan(self.hnum, self.den)
+
+    @property
+    def z_basis(self) -> tuple[LieElement, ...]:
+        """Centraliser directions: a basis of the Cartan elements on which
+        every root of the candidate vanishes, the kernel of its rows of
+        simple pairings."""
+        alg = self.alg
+        pair, index = alg.simple_pairings, alg.rs.root_index
+        kernel, den = linalg.kernel_int([pair[index[b]] for b in self.cand.roots()], alg.rs.rank)
+        return tuple(alg.cartan(z, den) for z in kernel)
 
 
 def candidate_pi_systems(grading: ThetaGrading) -> list[GradedCandidate]:
@@ -119,29 +145,23 @@ def _difference_masks(rs: RootSystem) -> tuple[int, ...]:
     return tuple(masks)
 
 
-@dataclass
-class _IntCompletion:
-    """Integer form of a completion: h0 = hnum / den over h_1..h_l, values
-    the integers den * alpha(h0) in root order, and the centraliser
-    directions z / zden, z in z_num."""
+def completion(grading: ThetaGrading, cand: GradedCandidate) -> CompletionResult | None:
+    """The completion of a non-empty candidate's subalgebra, or None when
+    no defining element exists (the linear system is inconsistent).
 
-    hnum: list[int]
-    den: int
-    values: list[int]
-    z_num: list[list[int]]
-    zden: int
-    psi0: tuple[Root, ...]
-    psi1: tuple[Root, ...]
-    flat: bool
-
-
-def _complete(grading: ThetaGrading, cand: GradedCandidate) -> _IntCompletion | None:
-    """The completion of a non-empty candidate in integers (see completion),
-    or None when its Cartan system is inconsistent."""
+    Solves alpha(h0) = deg(alpha) over the span of the candidate's coroots
+    with linalg.solve_int.  A root of degree 0 (or 1) with den * alpha(h0) =
+    0 (or den) is in the completion when it lies in the span of the
+    candidate's roots, that is, when the integer kernel of their rows (as
+    in the class-search move) pairs with it to zero.  A pairing row is the
+    root row times the invertible Cartan matrix, so this is the test
+    against z_basis.
+    """
     alg, rs = grading.alg, grading.rs
-    pi = [rs.root_index[a] for a in cand.pi0 + cand.pi1]
-    if not pi:
+    roots = cand.roots()
+    if not roots:
         raise ValueError("empty candidate has no completion; handle upstream")
+    pi = [rs.root_index[a] for a in roots]
     degs = [0] * len(cand.pi0) + [1] * len(cand.pi1)
     pair = alg.simple_pairings
     coroots = [alg.coroot_coords[j] for j in pi]
@@ -153,47 +173,16 @@ def _complete(grading: ThetaGrading, cand: GradedCandidate) -> _IntCompletion | 
     solnum, den = sol
     hnum = [sum(map(mul, solnum, col)) for col in zip(*coroots)]
     values = alg.root_values(hnum)
-    z_num, zden = linalg.kernel_int([pair[b] for b in pi], rs.rank)
-
-    def in_completion(i: int) -> bool:
-        return all(sum(map(mul, z, pair[i])) == 0 for z in z_num)
-
+    kernel, _ = linalg.kernel_int(roots, rs.rank)
     one = 1 % grading.m
     psi0, psi1 = [], []
-    for i, (d, v) in enumerate(zip(grading.deg_by_index, values)):
-        # test both: at m = 1, one == 0, so a degree-0 root may be in psi1
-        if d == 0 and v == 0 and in_completion(i):
-            psi0.append(rs.roots[i])
-        if d == one and v == den and in_completion(i):
-            psi1.append(rs.roots[i])
-    flat = len(pi) + len(psi0) == len(psi1)
-    return _IntCompletion(hnum, den, values, z_num, zden, tuple(psi0), tuple(psi1), flat)
-
-
-def completion(grading: ThetaGrading, cand: GradedCandidate) -> CompletionResult | None:
-    """Defining element of the completion of the candidate's subalgebra.
-
-    Solves alpha(h0) = deg(alpha) over the span of the candidate's coroots,
-    computes the centraliser directions z, and reads off the degree-0 and
-    degree-1 root sets of the completion; returns None when no defining
-    element exists (the linear system is inconsistent).  All of it is in
-    integers: linalg.solve_int gives hnum = den * h0 over the coroot span
-    and linalg.kernel_int the integer z rows, and a root of degree 0 (or 1)
-    with den * alpha(h0) = 0 (or den) belongs to the completion when its
-    integer row of simple pairings is orthogonal to every z row.  h0 and
-    z_basis are the only Fraction elements, built from those integers.
-    """
-    comp = _complete(grading, cand)
-    if comp is None:
-        return None
-    alg = grading.alg
-    return CompletionResult(
-        alg.cartan(comp.hnum, comp.den),
-        tuple(alg.cartan(z, comp.zden) for z in comp.z_num),
-        comp.psi0,
-        comp.psi1,
-        comp.flat,
-    )
+    for r, d, v in zip(rs.roots, grading.deg_by_index, values):
+        # at m = 1, one == 0: a degree-0 root with value den goes to psi1
+        psi = psi0 if d == 0 and v == 0 else psi1 if d == one and v == den else None
+        if psi is not None and not any(sum(map(mul, k, r)) for k in kernel):
+            psi.append(r)
+    flat = len(roots) + len(psi0) == len(psi1)
+    return CompletionResult(alg, cand, hnum, den, values, tuple(psi0), tuple(psi1), flat)
 
 
 def classify_by_carriers(grading: ThetaGrading, seed: int = 0) -> list[OrbitRecord]:
@@ -202,10 +191,10 @@ def classify_by_carriers(grading: ThetaGrading, seed: int = 0) -> list[OrbitReco
     Each flat completion contributes h = 2 h0, canonicalised into the
     dominant chamber of W_l on its integer root values; unseen canonical
     forms are completed to normal triples, which must succeed for a flat
-    carrier.  The completion is the integer core of `completion`, so no
-    Fraction is built before the normal triple; one debug line on the
-    module logger counts the candidates, the non-empty ones, the solvable
-    and the flat completions, the distinct canonical h and the records.
+    carrier.  completion works in integers, so no Fraction is built before
+    the normal triple; one debug line on the module logger counts the
+    candidates, the non-empty ones, the solvable and the flat completions,
+    the distinct canonical h and the records.
     """
     alg, rs = grading.alg, grading.rs
     basis0 = [rs.root_index[b] for b in grading.delta0]
@@ -217,7 +206,7 @@ def classify_by_carriers(grading: ThetaGrading, seed: int = 0) -> list[OrbitReco
         if cand.is_empty():
             continue
         nonempty += 1
-        comp = _complete(grading, cand)
+        comp = completion(grading, cand)
         if comp is None:
             continue
         solvable += 1

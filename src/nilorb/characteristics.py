@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -38,7 +39,9 @@ _MASK64 = (1 << 64) - 1
 
 class RetryBudgetError(RuntimeError):
     """The random search for an element in general position exhausted its
-    coefficient budget (OMEGA_CAP); retry with a different seed."""
+    coefficient budget (OMEGA_CAP).  The message names the grading and h.
+    The ambient stage draws from task_rng(0xC1A55, t_id), which no seed
+    option reaches, so another seed does not always help."""
 
 
 def task_rng(seed: int, task_id: int) -> random.Random:
@@ -103,12 +106,15 @@ def _normal_triple(grading, eye, hnum, den, values, rng) -> Sl2Triple | None:
     M u = r, where in the integer form B' of ChevalleyAlgebra.killing_weights
     (weights w) r_k = w_k * values[simple_k] on the h_k rows, r = 0 on the
     x_beta rows, and u_t = den * w_gamma_t * y_t.  One elimination of
-    [M | r] per try gives both the rank and f, which is unique given (h, e).
-    The triple is checked (Sl2Triple.check) before it is returned.
+    [M | r] per try gives both the rank and f, which is unique given (h, e):
+    linalg.rank_and_solve returns u = num / d, so y_t = num_t / (d * den *
+    w_gamma_t), one Fraction per coefficient.  The triple is checked
+    (Sl2Triple.check) before it is returned.
 
     The range n starts at 4 and doubles after every failure; past OMEGA_CAP,
-    read at call time, the search raises RetryBudgetError.  The Fraction h is
-    built only for the triple (or the error message).
+    read at call time, the search raises RetryBudgetError naming the grading
+    and h.  The Fraction h is built only for the triple (or the error
+    message).
     """
     alg, rs = grading.alg, grading.rs
     pair, consts = alg.simple_pairings, alg.structure_constants
@@ -132,20 +138,24 @@ def _normal_triple(grading, eye, hnum, den, values, rng) -> Sl2Triple | None:
                     target, c = hit
                     row[pos_in_eye[target]] += coeffs[t] * c
             rows.append(row)
-        rank, u = linalg.rank_and_solve(rows, s)
+        rank, sol = linalg.rank_and_solve(rows, s)
         if rank == s:
             break
         n *= 2
         if n > OMEGA_CAP:
             raise RetryBudgetError(
-                f"no element in general position found for h = {alg.cartan(hnum, den)!r} "
-                f"with coefficients up to {OMEGA_CAP}"
+                f"{grading}: no element in general position found for "
+                f"h = {alg.cartan(hnum, den)!r} with coefficients up to {OMEGA_CAP}"
             )
 
-    if u is None:
+    if sol is None:
         return None
+    u, d = sol
     n_pos = rs.n_pos
-    f = {i + n_pos if i < n_pos else i - n_pos: x / (den * weights[i]) for i, x in zip(eye, u)}
+    f = {
+        i + n_pos if i < n_pos else i - n_pos: Fraction(x, d * den * weights[i])
+        for i, x in zip(eye, u)
+    }
     triple = Sl2Triple(
         alg.cartan(hnum, den), LieElement(alg, dict(zip(eye, coeffs))), LieElement(alg, f)
     )

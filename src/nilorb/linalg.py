@@ -4,9 +4,9 @@ Matrices are lists of row lists.  Entries are Python ints or Fractions;
 nothing here ever touches floating point.  Rows are scaled to integers, one
 fraction-free (Bareiss) elimination keeps intermediate growth polynomial,
 and the back-substitution over the pivot rows yields integer numerators
-over one common denominator.  `solve_int` and `kernel_int` return those
-integers; `solve`, `nullspace` and `rank_and_solve` only divide them into
-Fractions.
+over one common denominator.  `rank_and_solve`, `solve_int` and
+`kernel_int` return those integers; `solve` and `nullspace` only divide
+them into Fractions.
 """
 
 from __future__ import annotations
@@ -94,10 +94,14 @@ def in_span(vectors: Matrix, target: Row) -> bool:
     return not any(row[n] for row in m[rank:])
 
 
-def _solve_echelon(m: Matrix, ncols: int) -> tuple[int, tuple[list[int], int] | None]:
-    """Rank of A and (num, den) with x = num / den one solution of the
-    integer rows m = [A | b], free variables zero, or None if A x = b is
-    inconsistent; m is brought to echelon form in place."""
+def rank_and_solve(m: Matrix, ncols: int) -> tuple[int, tuple[list[int], int] | None]:
+    """Rank and one solution of an integer system, from one elimination.
+
+    m holds the integer rows [A | b] of A x = b, A with ncols columns; it is
+    brought to echelon form in place.  Returns (rank of A, (num, den)), where
+    x = num / den is one exact solution with free variables zero and den > 0,
+    or (rank of A, None) if the system is inconsistent.
+    """
     piv_cols = _echelon(m, ncols)
     rank = len(piv_cols)
     if any(row[ncols] for row in m[rank:]):
@@ -115,7 +119,7 @@ def solve_int(rows: Matrix, rhs: Row) -> tuple[list[int], int] | None:
     is inconsistent."""
     if not rows:
         return ([], 1) if not any(rhs) else None
-    return _solve_echelon([list(r) + [b] for r, b in zip(rows, rhs)], len(rows[0]))[1]
+    return rank_and_solve([list(r) + [b] for r, b in zip(rows, rhs)], len(rows[0]))[1]
 
 
 def kernel_int(rows: Matrix, ncols: int) -> tuple[list[Row], int]:
@@ -142,18 +146,6 @@ def _fractions(num: Row, den: int) -> Row:
     return [Fraction(x, den) for x in num]
 
 
-def rank_and_solve(m: Matrix, ncols: int) -> tuple[int, Row | None]:
-    """Rank and one solution of an integer system, from one elimination.
-
-    m holds the integer rows [A | b] of A x = b, A with ncols columns; it is
-    brought to echelon form in place.  Returns (rank of A, x), where x is one
-    exact solution with free variables zero, or None if the system is
-    inconsistent.
-    """
-    rank, sol = _solve_echelon(m, ncols)
-    return rank, None if sol is None else _fractions(*sol)
-
-
 def solve(rows: Matrix, rhs: Row) -> Row | None:
     """One exact solution x of A x = b, or None if the system is inconsistent.
 
@@ -162,7 +154,8 @@ def solve(rows: Matrix, rhs: Row) -> Row | None:
     if not rows:
         return [] if all(v == 0 for v in rhs) else None
     m = [clear_denominators(list(r) + [b])[0] for r, b in zip(rows, rhs)]
-    return rank_and_solve(m, len(rows[0]))[1]
+    sol = rank_and_solve(m, len(rows[0]))[1]
+    return None if sol is None else _fractions(*sol)
 
 
 def nullspace(rows: Matrix) -> list[Row]:

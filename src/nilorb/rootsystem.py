@@ -15,6 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from . import linalg
+
 Root = tuple  # integer coordinates in the simple-root basis
 Weight = tuple  # rational coordinates in the simple-root basis
 
@@ -277,8 +279,6 @@ class RootSystem:
         for b in basis:
             if b not in self.root_index:
                 raise ValueError(f"{b} is not a root of {self!r}")
-        from . import linalg
-
         gram = [[self.inner(a, b) for b in basis] for a in basis]
         if linalg.rank_int(gram) != len(basis):
             raise ValueError("basis is not linearly independent")

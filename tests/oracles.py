@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 
 def dense(x):
@@ -489,11 +490,20 @@ def orbit_dimension_by_rank(grading, e):
     return linalg.rank_int(rows)
 
 
+class ReferenceCompletion(NamedTuple):
+    """The Fraction record of reference_completion."""
+
+    h0: object
+    z_basis: tuple
+    psi0: tuple
+    psi1: tuple
+    flat: bool
+
+
 def reference_completion(grading, cand):
     """The completion of a candidate computed with LieElement coroots and
-    Fraction root values alpha(h) throughout."""
+    Fraction root values alpha(h) throughout, as a ReferenceCompletion."""
     from nilorb import linalg
-    from nilorb.carrier import CompletionResult
 
     alg, rs = grading.alg, grading.rs
     pi = list(cand.pi0) + list(cand.pi1)
@@ -525,7 +535,7 @@ def reference_completion(grading, cand):
         if d == one and root_value(alg, r, h0) == 1 and in_completion(r)
     )
     flat = len(pi) + len(psi0) == len(psi1)
-    return CompletionResult(h0, z_basis, psi0, psi1, flat)
+    return ReferenceCompletion(h0, z_basis, psi0, psi1, flat)
 
 
 def reference_candidate_pi_systems(grading):

@@ -126,6 +126,8 @@ def test_completion_matches_fraction_reference():
             assert got.h0 == expected.h0, (g, cand)
             assert (got.psi0, got.psi1, got.flat) == (expected.psi0, expected.psi1, expected.flat)
             assert got.z_basis == expected.z_basis, (g, cand)
+            assert got.den > 0
+            assert got.values == [got.den * root_value(g.alg, r, expected.h0) for r in g.rs.roots]
     assert checked == 363
 
 

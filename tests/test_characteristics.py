@@ -150,8 +150,12 @@ def test_retry_budget_error():
             return 0
 
     g = grading_from_kac(A1, KacDiagram.from_labels(A1.rs, (1, 1)))
-    with pytest.raises(RetryBudgetError):
-        decide_normal(g, A1.coroot((1,)), rng=ZeroRng())
+    h = A1.coroot((1,))
+    with pytest.raises(RetryBudgetError) as err:
+        decide_normal(g, h, rng=ZeroRng())
+    message = str(err.value)
+    assert message.startswith("ThetaGrading(A1, m=2): ")
+    assert f"h = {h!r}" in message
 
 
 def test_records_are_deterministic_for_fixed_seed():

@@ -172,6 +172,12 @@ def test_integer_solve_and_kernel_scale_back_to_solve_and_nullspace(system):
     assert (sol is None) == (expected is None)
     if sol is not None:
         assert scale_back(*sol) == expected
+    if rows:
+        rank, sol = linalg.rank_and_solve([list(r) + [b] for r, b in zip(rows, rhs)], ncols)
+        assert rank == linalg.rank_int(rows)
+        assert (sol is None) == (expected is None)
+        if sol is not None:
+            assert scale_back(*sol) == expected
     vectors, den = linalg.kernel_int(rows, ncols)
     # nullspace cannot see the width of a matrix without rows; its kernel is everything
     unit = [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]

@@ -15,8 +15,9 @@ ENV = dict(
     PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
 )
 
-# Loads the tracer by path, installs it on a fresh nilorb and makes one
-# traced call; prints the span names that recorded a call.
+# Loads the tracer by path, installs it on a fresh nilorb, makes one traced
+# call and runs the carrier walk (method 2) on G2 with Kac labels 0,0,1;
+# prints name=calls for the span names that recorded a call.
 TRACER_RUN = """
 import importlib.util, sys
 import nilorb
@@ -28,7 +29,10 @@ tracer.install()
 from nilorb.weyl import WeylSubgroup, conjugate_sets
 rs = nilorb.build_root_system("A", 2)
 assert conjugate_sets(rs, WeylSubgroup(rs, [(1, 0), (0, 1)]), [(1, 0)], [(0, 1)]) is not None
-print(" ".join(sorted(name for name, stats in tracer.stats.items() if stats[0])))
+g2 = nilorb.build_algebra(nilorb.build_root_system("G", 2))
+g = nilorb.grading_from_kac(g2, nilorb.KacDiagram.from_labels(g2.rs, (0, 0, 1)))
+assert len(nilorb.classify_orbits(g, method="2")) == 6
+print(" ".join(f"{name}={stats[0]}" for name, stats in sorted(tracer.stats.items()) if stats[0]))
 """
 
 
@@ -44,8 +48,11 @@ def test_benchmark_tracer_installs_on_every_traced_name():
         capture_output=True, text=True, env=ENV, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    called = set(proc.stdout.split())
-    assert {"rootsystem.build_root_system", "weyl.conjugate_sets", "weyl.conjugate_tuples"} <= called
+    called = dict(item.split("=") for item in proc.stdout.split())
+    assert {"rootsystem.build_root_system", "weyl.conjugate_sets", "weyl.conjugate_tuples"} <= called.keys()
+    # the walk completes each of the 12 non-empty candidates through the
+    # traced public name
+    assert called["carrier.completion"] == "12"
 
 
 def module_trees():
@@ -89,3 +96,16 @@ def test_no_module_reads_another_modules_private_attributes():
             and node.attr not in own
         ]
     assert borrowed == []
+
+
+def test_no_function_imports_inside_its_body():
+    # imports stand at the top of a module, where its dependencies show
+    local = sorted({
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for path, tree in module_trees()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+    assert local == []
