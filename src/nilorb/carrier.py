@@ -9,12 +9,15 @@ degree-1 root at a time); each flat completion contributes the canonical
 form of twice its defining element, and distinct canonical forms are
 exactly the distinct orbits.
 
-The walk stays in integers from the class-search move to the canonical h
-of an orbit: one integer kernel of the candidate's root rows per candidate
-tests root independence, and completion solves the Cartan system with
-linalg.solve_int and tests membership in the completion with that same
-kind of kernel.  A CompletionResult builds its Fraction elements h0 and
-z_basis only when they are read, and the walk reads neither.
+The walk stays in integers from the class-search move to the normal
+triple of an orbit.  Each candidate computes the integer kernel of its
+root rows once (GradedCandidate.root_kernel): the class-search move tests
+root independence with it, and completion, which solves the Cartan system
+with linalg.solve_int, tests membership in the completion with it.  The
+canonical h goes to characteristics.decide_normal_int and
+records.wdd_of_values as (hnum, den, values).  A CompletionResult builds
+its Fraction elements h0 and z_basis only when they are read, and the walk
+reads neither; the first Fraction is the h of the normal triple.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from operator import mul
 
 from . import linalg
-from .characteristics import decide_normal, task_rng
+from .characteristics import decide_normal_int, task_rng
 from .chevalley import ChevalleyAlgebra, LieElement
 from .grading import ThetaGrading
 from .pisystems import canonical, classify_all
@@ -33,7 +37,7 @@ from .records import (
     InternalConsistencyError,
     OrbitRecord,
     sort_records,
-    wdd_of_cartan,
+    wdd_of_values,
     zero_record,
 )
 from .rootsystem import Root, RootSystem
@@ -54,6 +58,18 @@ class GradedCandidate:
 
     def is_empty(self) -> bool:
         return not self.pi0 and not self.pi1
+
+    def root_kernel(self, rank: int) -> list[list[int]]:
+        """The vectors of linalg.kernel_int of the root rows in rank
+        columns: a root lies in the span of the candidate's roots exactly
+        when it pairs with every vector to zero.  Computed on the first call
+        and kept by the candidate (with its rank, since the empty candidate
+        has the same roots in every root system)."""
+        kept = self.__dict__.get("_root_kernel")
+        if kept is None or kept[0] != rank:
+            kept = (rank, linalg.kernel_int(self.roots(), rank)[0])
+            object.__setattr__(self, "_root_kernel", kept)
+        return kept[1]
 
 
 @dataclass
@@ -104,8 +120,8 @@ def candidate_pi_systems(grading: ThetaGrading) -> list[GradedCandidate]:
     once.  Since the candidate already is a pi-system, a new root r keeps
     it one when r is outside the union of the candidate's difference masks
     (and not in the candidate) and the rows stay independent, that is,
-    when some vector of the integer kernel of the candidate's root rows
-    (one linalg.kernel_int per candidate) pairs with r to a nonzero value.
+    when some vector of the candidate's root_kernel pairs with r to a
+    nonzero value.
     """
     rs = grading.rs
     w0 = grading.weyl_subgroup()
@@ -117,7 +133,7 @@ def candidate_pi_systems(grading: ThetaGrading) -> list[GradedCandidate]:
         blocked = 0
         for i in map(rs.root_index.__getitem__, roots):
             blocked |= masks[i] | 1 << i
-        kernel, _ = linalg.kernel_int(roots, rs.rank)
+        kernel = cand.root_kernel(rs.rank)
         return [
             GradedCandidate(cand.pi0, canonical(cand.pi1 + (r,)))
             for i, r in phi1
@@ -152,8 +168,8 @@ def completion(grading: ThetaGrading, cand: GradedCandidate) -> CompletionResult
     Solves alpha(h0) = deg(alpha) over the span of the candidate's coroots
     with linalg.solve_int.  A root of degree 0 (or 1) with den * alpha(h0) =
     0 (or den) is in the completion when it lies in the span of the
-    candidate's roots, that is, when the integer kernel of their rows (as
-    in the class-search move) pairs with it to zero.  A pairing row is the
+    candidate's roots, that is, when the candidate's root_kernel (the one
+    the class-search move read) pairs with it to zero.  A pairing row is the
     root row times the invertible Cartan matrix, so this is the test
     against z_basis.
     """
@@ -173,7 +189,7 @@ def completion(grading: ThetaGrading, cand: GradedCandidate) -> CompletionResult
     solnum, den = sol
     hnum = [sum(map(mul, solnum, col)) for col in zip(*coroots)]
     values = alg.root_values(hnum)
-    kernel, _ = linalg.kernel_int(roots, rs.rank)
+    kernel = cand.root_kernel(rs.rank)
     one = 1 % grading.m
     psi0, psi1 = [], []
     for r, d, v in zip(rs.roots, grading.deg_by_index, values):
@@ -190,11 +206,13 @@ def classify_by_carriers(grading: ThetaGrading, seed: int = 0) -> list[OrbitReco
 
     Each flat completion contributes h = 2 h0, canonicalised into the
     dominant chamber of W_l on its integer root values; unseen canonical
-    forms are completed to normal triples, which must succeed for a flat
-    carrier.  completion works in integers, so no Fraction is built before
-    the normal triple; one debug line on the module logger counts the
-    candidates, the non-empty ones, the solvable and the flat completions,
-    the distinct canonical h and the records.
+    forms (hnum / den reduced by the gcd, since completion's den need not
+    be the least) are completed to normal triples by decide_normal_int,
+    which must succeed for a flat carrier, and get their weighted Dynkin
+    diagram from wdd_of_values on the same integers.  No Fraction is built
+    before the normal triple; one debug line on the module logger counts
+    the candidates, the non-empty ones, the solvable and the flat
+    completions, the distinct canonical h and the records.
     """
     alg, rs = grading.alg, grading.rs
     basis0 = [rs.root_index[b] for b in grading.delta0]
@@ -213,18 +231,21 @@ def classify_by_carriers(grading: ThetaGrading, seed: int = 0) -> list[OrbitReco
         if not comp.flat:
             continue
         flat += 1
+        den = comp.den
         values = dominant_values(rs, basis0, [2 * v for v in comp.values])
-        h = alg.cartan(alg.hnum_from_values([values[i] for i in rs.simple_indices]), comp.den)
-        if h in seen:
+        hnum = alg.hnum_from_values([values[i] for i in rs.simple_indices])
+        g = gcd(den, *hnum)
+        key = (den // g, *(x // g for x in hnum))
+        if key in seen:
             continue
-        seen.add(h)
-        triple = decide_normal(grading, h, rng=task_rng(seed, idx))
+        seen.add(key)
+        triple = decide_normal_int(grading, hnum, den, values, task_rng(seed, idx))
         if triple is None:
             raise InternalConsistencyError(
-                f"flat carrier {cand} produced non-normal canonical h = {h!r}"
+                f"flat carrier {cand} produced non-normal canonical h = {alg.cartan(hnum, den)!r}"
             )
         records.append(
-            OrbitRecord(triple.h, triple.e, triple.f, ambient_wdd=wdd_of_cartan(alg, triple.h))
+            OrbitRecord(triple.h, triple.e, triple.f, ambient_wdd=wdd_of_values(rs, den, values))
         )
     log.debug(
         "%s: %d candidates, %d non-empty, %d solvable, %d flat, %d distinct h, %d records",

@@ -62,19 +62,34 @@ def decide_normal(
 ) -> Sl2Triple | None:
     """Normal sl2-triple (h, e, f) with e in g_1(2), f in g_{m-1}(-2), or None.
 
-    h must lie in the Cartan subalgebra of g_0.  Steps, all on the integers
-    den * h and den * alpha(h) (see _normal_triple): quick membership test
-    of h in [g_1(2), g_{m-1}(-2)]; random search for e in general position
-    ([g_0(0), e] = g_1(2)), with coefficients uniform in {0..n}, n = 4 doubled
-    after every failure up to OMEGA_CAP; f from the same elimination as the
-    general-position test, through the Killing form.  Without rng the draws
-    come from task_rng(0, 0).
+    h must lie in the Cartan subalgebra of g_0.  This is
+    ChevalleyAlgebra.cartan_values followed by decide_normal_int, which
+    does the work on the integers den * h and den * alpha(h).  Without rng
+    the draws come from task_rng(0, 0).
     """
     hnum, den, values = grading.alg.cartan_values(h)
+    return decide_normal_int(grading, hnum, den, values, task_rng(0, 0) if rng is None else rng)
+
+
+def decide_normal_int(
+    grading: ThetaGrading, hnum, den: int, values, rng: random.Random
+) -> Sl2Triple | None:
+    """decide_normal on the integer form of h: den * h = sum_k hnum[k] h_k
+    with den > 0, not necessarily the least, and values[i] = den * alpha_i(h)
+    for every root.
+
+    Steps (see _spanning_eye and _normal_triple): quick membership test of h
+    in [g_1(2), g_{m-1}(-2)]; random search for e in general position
+    ([g_0(0), e] = g_1(2)), with coefficients uniform in {0..n}, n = 4
+    doubled after every failure up to OMEGA_CAP; f from the same
+    elimination as the general-position test, through the Killing form.
+    Scaling (hnum, den, values) by a common factor changes neither the
+    draws nor the triple.
+    """
     eye = _spanning_eye(grading, hnum, den, values)
     if eye is None:
         return None
-    return _normal_triple(grading, eye, hnum, den, values, task_rng(0, 0) if rng is None else rng)
+    return _normal_triple(grading, eye, hnum, den, values, rng)
 
 
 def _spanning_eye(grading, hnum, den, values) -> list[int] | None:
@@ -93,8 +108,8 @@ def _spanning_eye(grading, hnum, den, values) -> list[int] | None:
 
 
 def _normal_triple(grading, eye, hnum, den, values, rng) -> Sl2Triple | None:
-    """decide_normal on integers, for the roots eye of g_1(2) that
-    _spanning_eye returned: den * h = sum_k hnum[k] h_k and values[i] =
+    """decide_normal_int past the span test, for the roots eye of g_1(2)
+    that _spanning_eye returned: den * h = sum_k hnum[k] h_k and values[i] =
     den * alpha_i(h) for every root i.
 
     With eye the roots gamma_t of g_1(2) and e = sum_t c_t x_gamma_t, the

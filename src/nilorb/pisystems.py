@@ -13,7 +13,9 @@ every class that the whole closure reaches.
 
 from __future__ import annotations
 
-from .rootsystem import RootSystem
+from functools import lru_cache
+
+from .rootsystem import Root, RootSystem
 from .weyl import WeylSubgroup, conjugacy_classes
 
 PiSystem = tuple  # canonically sorted tuple of roots
@@ -71,13 +73,21 @@ def classify_maximal(rs: RootSystem, basis=None) -> list[PiSystem]:
 def classify_all(rs: RootSystem, basis=None) -> list[PiSystem]:
     """All pi-systems (the empty one included) up to conjugacy under the
     Weyl subgroup of the basis: the class search from the maximal classes,
-    dropping one root at a time, ordered by size and then by roots."""
+    dropping one root at a time, ordered by size and then by roots.
+
+    The classes are computed once per root system and basis (gradings with
+    the same Delta_0 share them); every call returns a new list."""
     if basis is None:
         basis = tuple(rs.simple_root(i) for i in range(rs.rank))
+    return list(_classes(rs, tuple(map(tuple, basis))))
+
+
+@lru_cache(maxsize=None)
+def _classes(rs: RootSystem, basis: tuple[Root, ...]) -> tuple[PiSystem, ...]:
     reps = conjugacy_classes(
         rs,
         WeylSubgroup(rs, basis),
         classify_maximal(rs, basis),
         moves=lambda pi: [pi[:i] + pi[i + 1 :] for i in range(len(pi))],
     )
-    return sorted(reps, key=lambda p: (len(p), p))
+    return tuple(sorted(reps, key=lambda p: (len(p), p)))

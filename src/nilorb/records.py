@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chevalley import ChevalleyAlgebra, LieElement
+from .rootsystem import RootSystem
 from .weyl import dominant_values
 
 
@@ -61,15 +62,22 @@ def sort_records(records: list[OrbitRecord]) -> list[OrbitRecord]:
 
 
 def wdd_of_cartan(alg: ChevalleyAlgebra, h: LieElement) -> WeightedDynkinDiagram:
-    """Weighted Dynkin diagram of the dominant Weyl conjugate of h.
-
-    Works on the integers den * alpha(h), one per root, made dominant for
-    the simple roots by weyl.dominant_values.  The labels are then the
-    values at the simple roots, which must be 0, 1 or 2 (and so integral).
-    """
+    """Weighted Dynkin diagram of the dominant Weyl conjugate of h: the
+    integer form of ChevalleyAlgebra.cartan_values read by wdd_of_values."""
     _, den, values = alg.cartan_values(h)
-    simple = alg.rs.simple_indices
-    values = dominant_values(alg.rs, simple, values)
+    return wdd_of_values(alg.rs, den, values)
+
+
+def wdd_of_values(rs: RootSystem, den: int, values) -> WeightedDynkinDiagram:
+    """Weighted Dynkin diagram of the dominant Weyl conjugate of the Cartan
+    element h with values[i] = den * alpha_i(h) for every root, den > 0.
+
+    The values are made dominant for the simple roots by
+    weyl.dominant_values.  The labels are then the values at the simple
+    roots over den, which must be 0, 1 or 2 (and so integral).
+    """
+    simple = rs.simple_indices
+    values = dominant_values(rs, simple, values)
     labels = []
     for s in simple:
         label, rest = divmod(values[s], den)

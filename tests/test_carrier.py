@@ -1,4 +1,8 @@
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -257,6 +261,46 @@ def test_flat_carrier_must_be_normal(monkeypatch):
     import nilorb.carrier as carrier_mod
 
     g = grading_from_kac(A1, KacDiagram.from_labels(A1.rs, (1, 1)))
-    monkeypatch.setattr(carrier_mod, "decide_normal", lambda *a, **k: None)
+    monkeypatch.setattr(carrier_mod, "decide_normal_int", lambda *a, **k: None)
     with pytest.raises(InternalConsistencyError):
         classify_by_carriers(g)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+)
+
+# With the argument "F4-first", runs the carrier walk on every F4 grading of
+# order 3 first; then prints the full records of E6 principal order 7
+# (method 2, seed 1), one line per record.
+ISOLATION_RUN = """
+import sys
+import nilorb
+if sys.argv[1:] == ["F4-first"]:
+    f4 = nilorb.build_algebra(nilorb.build_root_system("F", 4))
+    for kd in nilorb.enumerate_kac_diagrams(f4.rs, 3):
+        nilorb.classify_orbits(nilorb.grading_from_kac(f4, kd), method="2")
+e6 = nilorb.build_algebra(nilorb.build_root_system("E", 6))
+g = nilorb.principal_nregular_grading(e6, 7)
+for r in nilorb.classify_orbits(g, method="2", seed=1):
+    print(r.h.to_triples(), r.e.to_triples(), r.f.to_triples(), r.ambient_wdd.labels, r.dim)
+"""
+
+
+def test_carrier_results_do_not_depend_on_earlier_gradings():
+    # the kernels the candidates keep and the pi-system classes shared per
+    # Delta_0 must not leak from one root system into another: E6 after the
+    # F4 gradings gives the records of E6 in a fresh process
+    def run(*args):
+        proc = subprocess.run(
+            [sys.executable, "-c", ISOLATION_RUN, *args],
+            capture_output=True, text=True, env=ENV, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    fresh = run()
+    assert len(fresh.splitlines()) > 1
+    assert run("F4-first") == fresh

@@ -13,6 +13,7 @@ from nilorb import (
     classify_orbits,
     classify_nilpotent_g,
     decide_normal,
+    decide_normal_int,
     enumerate_kac_diagrams,
     grading_from_kac,
     h_from_wdd,
@@ -79,6 +80,32 @@ def test_decide_normal_rejects_non_normal():
         if not wdd.is_zero() and decide_normal(g, h, rng=task_rng(0, 1)) is not None
     )
     assert found < len(chars) - 1  # at least one dominant characteristic fails
+
+
+def test_decide_normal_int_matches_decide_normal():
+    # the integer entry point returns decide_normal's triple (or None) under
+    # the same draws, from the least den and from a den three times larger
+    cases = [
+        (trivial_grading(alg), h)
+        for alg in (G2, F4)
+        for wdd, h in classify_nilpotent_g(alg)
+        if not wdd.is_zero()
+    ]
+    for labels in [(0, 0, 1, 0, 0), (1, 1, 0, 0, 0)]:
+        g = grading_from_kac(F4, KacDiagram.from_labels(F4.rs, labels))
+        cases += [(g, r.h) for r in classify_orbits(g) if not r.is_zero()]
+        cases += [(g, h) for wdd, h in classify_nilpotent_g(F4) if not wdd.is_zero()]
+    normal = 0
+    for t_id, (g, h) in enumerate(cases):
+        expected = decide_normal(g, h, rng=task_rng(7, t_id))
+        hnum, den, values = g.alg.cartan_values(h)
+        for k in (1, 3):
+            got = decide_normal_int(
+                g, [k * x for x in hnum], k * den, [k * v for v in values], task_rng(7, t_id)
+            )
+            assert got == expected, (g, h, k)
+        normal += expected is not None
+    assert 0 < normal < len(cases)
 
 
 def test_decide_normal_sl4_example():

@@ -8,6 +8,7 @@ from nilorb import (
     KacDiagram,
     build_algebra,
     build_root_system,
+    classify_by_characteristics,
     classify_orbits,
     decide_normal,
     enumerate_kac_diagrams,
@@ -21,7 +22,7 @@ from nilorb import (
     trivial_grading,
 )
 from nilorb.chevalley import Sl2Triple
-from nilorb.records import WeightedDynkinDiagram, wdd_of_cartan
+from nilorb.records import WeightedDynkinDiagram, wdd_of_cartan, wdd_of_values
 
 from oracles import (
     cartan_from_dual_weight,
@@ -169,6 +170,33 @@ def test_ambient_wdd_rejects_half_integral_h():
     # alpha_1(h) = 1, alpha_2(h) = -1/2: not dominant
     with pytest.raises(InternalConsistencyError):
         wdd_of_cartan(A2, A2.cartan([Fraction(1, 2), 0]))
+
+
+def test_wdd_of_values_matches_wdd_of_cartan_on_f4_records():
+    # every record of the F4 gradings of orders 3 and 4, from the least den
+    # and from a den three times larger
+    f4 = build_algebra(build_root_system("F", 4))
+    checked = 0
+    for m in (3, 4):
+        for kd in enumerate_kac_diagrams(f4.rs, m):
+            g = grading_from_kac(f4, kd)
+            for r in classify_by_characteristics(g):
+                _, den, values = f4.cartan_values(r.h)
+                expected = wdd_of_cartan(f4, r.h)
+                assert expected == r.ambient_wdd
+                assert wdd_of_values(f4.rs, den, values) == expected
+                assert wdd_of_values(f4.rs, 3 * den, [3 * v for v in values]) == expected
+                checked += 1
+    assert checked > 100
+
+
+def test_wdd_of_values_rejects_non_characteristic():
+    from nilorb import InternalConsistencyError
+
+    with pytest.raises(InternalConsistencyError):
+        wdd_of_values(A1.rs, 3, [12, -12])  # alpha(h) = 4
+    with pytest.raises(InternalConsistencyError):
+        wdd_of_values(A1.rs, 2, [3, -3])  # alpha(h) = 3/2
 
 
 @pytest.mark.parametrize("label,rank", [("G", 2), ("B", 3), ("F", 4)])

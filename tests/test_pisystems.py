@@ -76,6 +76,17 @@ def test_classify_all_a1():
     assert () in classes
 
 
+def test_classify_all_returns_a_new_list_each_call():
+    # the classes are computed once per root system and basis; mutating a
+    # returned list must not change what the next call returns
+    first = classify_all(G2)
+    expected = list(first)
+    first.append(((9, 9),))
+    classify_all(G2, basis=[(1, 0), (0, 1)]).clear()
+    assert classify_all(G2) == expected
+    assert classify_all(G2, basis=[(1, 0)]) == [(), ((1, 0),)]
+
+
 def test_classify_maximal_a2():
     assert len(classify_maximal(A2)) == 1
 
