@@ -114,7 +114,10 @@ def _normal_triple(grading, eye, hnum, den, values, rng) -> Sl2Triple | None:
 
     With eye the roots gamma_t of g_1(2) and e = sum_t c_t x_gamma_t, the
     matrix M of ad e: g_0(0) -> g_1(2) has one row per basis element b of
-    g_0(0) (h_k, then x_beta with beta(h) = 0) and one column per gamma_t.
+    g_0(0) and one column per gamma_t.  The sparse x_beta rows (beta(h) =
+    0) come before the dense h_k rows: neither the rank nor the unique
+    solution depends on the row order, and sparse pivot rows leave more
+    zero multipliers, whose rows the elimination skips (linalg._echelon).
     e is in general position when M has rank len(eye).  For f = sum_t y_t
     x_-gamma_t, [e, f] - h lies in g_0(0), on which the invariant form B is
     nondegenerate, and B([e, f], b) = B(f, [b, e]); so [e, f] = h iff
@@ -143,8 +146,6 @@ def _normal_triple(grading, eye, hnum, den, values, rng) -> Sl2Triple | None:
     while True:
         coeffs = [rng.randint(0, n) for _ in range(s)]
         rows = []
-        for k in range(rs.rank):  # [h_k, e] | r_k
-            rows.append([coeffs[t] * pair[eye[t]][k] for t in range(s)] + [rhs[k]])
         for j in zero_idx:  # [x_beta, e] | 0
             row = [0] * (s + 1)
             for t, i in enumerate(eye):
@@ -153,6 +154,8 @@ def _normal_triple(grading, eye, hnum, den, values, rng) -> Sl2Triple | None:
                     target, c = hit
                     row[pos_in_eye[target]] += coeffs[t] * c
             rows.append(row)
+        for k in range(rs.rank):  # [h_k, e] | r_k
+            rows.append([coeffs[t] * pair[eye[t]][k] for t in range(s)] + [rhs[k]])
         rank, sol = linalg.rank_and_solve(rows, s)
         if rank == s:
             break
@@ -179,15 +182,21 @@ def _normal_triple(grading, eye, hnum, den, values, rng) -> Sl2Triple | None:
 
 
 def _sl2_module_multiplicities(rank: int, pos: list[int]) -> bool:
-    """Whether d_k >= d_{k+2} for every k >= 0, where d_k is the multiplicity
-    of the eigenvalue k of ad h on g, for the dominant h with pos the values
-    alpha(h) >= 0 of the positive roots: d_0 = rank + 2 #{alpha(h) = 0} and
-    d_k = #{alpha(h) = k} for k >= 1."""
+    """Whether d_1 is even and d_k >= d_{k+2} for every k >= 0, where d_k
+    is the multiplicity of the eigenvalue k of ad h on g, for the dominant h
+    with pos the values alpha(h) >= 0 of the positive roots: d_0 = rank +
+    2 #{alpha(h) = 0} and d_k = #{alpha(h) = k} for k >= 1.
+
+    Both are necessary for h to lie in an sl2-triple (h, e, f).  For the
+    parity: ad f maps g(1) bijectively onto g(-1) (weight 1 to weight -1 in
+    each odd V(n)), and the Killing form B pairs g(-1) with g(1), so
+    omega(x, y) = B(f, [x, y]) is a nondegenerate skew form on g(1), whose
+    dimension d_1 is then even."""
     counts = [0] * (max(pos) + 3)
     for v in pos:
         counts[v] += 1
     counts[0] = rank + 2 * counts[0]
-    return all(a >= b for a, b in zip(counts, counts[2:]))
+    return counts[1] % 2 == 0 and all(a >= b for a, b in zip(counts, counts[2:]))
 
 
 def _sl2_label_vectors(alg: ChevalleyAlgebra):
@@ -231,15 +240,16 @@ def classify_nilpotent_g(alg: ChevalleyAlgebra) -> tuple:
     every k >= 0 (Kostant, "The principal three-dimensional subgroup and
     the Betti numbers of a complex simple Lie group", Amer. J. Math. 81,
     1959; Collingwood and McGovern, Nilpotent Orbits in Semisimple Lie
-    Algebras, 1993, section 3.3).  Label vectors failing this necessary
-    condition are no characteristics and are skipped before any
-    elimination.  Every other nonzero vector runs the normality test over
-    the trivial grading, on the integers den * h of
-    ChevalleyAlgebra.cartan_solution.  The random draws of a vector depend
-    only on its index in product order, and the surviving set does not
-    depend on them, so the result is cached per algebra.  A type with more
-    than 256 roots, which the coset and carrier stages refuse too, is refused
-    before the 3^l label vectors.
+    Algebras, 1993, section 3.3).  Besides, d_1 = dim g(1) carries the
+    nondegenerate skew form B(f, [x, y]), so it is even.  Label vectors
+    failing these necessary conditions (_sl2_module_multiplicities) are no
+    characteristics and are skipped before any elimination.  Every other
+    nonzero vector runs the normality test over the trivial grading, on
+    the integers den * h of ChevalleyAlgebra.cartan_solution.  The random
+    draws of a vector depend only on its index in product order, and the
+    surviving set does not depend on them, so the result is cached per
+    algebra.  A type with more than 256 roots, which the coset and carrier
+    stages refuse too, is refused before the 3^l label vectors.
     """
     check_root_count(alg.rs)
     triv = trivial_grading(alg)

@@ -32,10 +32,21 @@ def _echelon(m: Matrix, ncols: int) -> list[int]:
     """Bring the integer rows m in place to echelon form by fraction-free
     (Bareiss) elimination, pivoting on the first ncols columns only; later
     columns go through the same row operations.  Returns the pivot columns;
-    rows past the last pivot are zero in the first ncols columns."""
+    rows past the last pivot are zero in the first ncols columns.
+
+    Step k with pivot p_k rewrites every row i below it as (p_k * row_i -
+    f * row_p) / p_{k-1}, f the entry of row i in the pivot column.  For
+    f = 0 that is only row_i * p_k / p_{k-1}, so such a row is skipped and
+    remembers the steps it has gone through (seen[i]); before it serves as
+    a pivot or meets a nonzero f it catches up with one scaling by
+    pivots[k] / pivots[seen[i]], exact because the result is the integer
+    Bareiss minor that eager elimination holds there.  At the end the rows
+    past the last pivot catch up too, so m holds exactly the eager result.
+    """
     nrows = len(m)
     piv_cols: list[int] = []
-    prev = 1
+    pivots = [1]  # pivots[k]: the divisor of step k, the pivot of step k - 1
+    seen = [0] * nrows
     for col in range(ncols):
         rank = len(piv_cols)
         piv = None
@@ -46,17 +57,39 @@ def _echelon(m: Matrix, ncols: int) -> list[int]:
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
+        seen[rank], seen[piv] = seen[piv], seen[rank]
         row_p = m[rank]
+        width = len(row_p)
+        prev = pivots[rank]
+        if seen[rank] < rank:
+            old = pivots[seen[rank]]
+            for j in range(col, width):
+                row_p[j] = row_p[j] * prev // old
         p = row_p[col]
         for i in range(rank + 1, nrows):
-            f = m[i][col]
             row_i = m[i]
-            for j in range(col, len(row_p)):
+            f = row_i[col]
+            if f == 0:
+                continue
+            if seen[i] < rank:
+                old = pivots[seen[i]]
+                for j in range(col, width):
+                    row_i[j] = row_i[j] * prev // old
+                f = row_i[col]
+            for j in range(col, width):
                 row_i[j] = (p * row_i[j] - f * row_p[j]) // prev
-        prev = p
+            seen[i] = rank + 1
+        pivots.append(p)
         piv_cols.append(col)
         if rank + 1 == nrows:
             break
+    rank = len(piv_cols)
+    last = pivots[rank]
+    for i in range(rank, nrows):
+        if seen[i] < rank:
+            row_i, old = m[i], pivots[seen[i]]
+            for j in range(ncols, len(row_i)):
+                row_i[j] = row_i[j] * last // old
     return piv_cols
 
 

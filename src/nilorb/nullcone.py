@@ -123,9 +123,19 @@ def nregular_survey(
 
 
 def check_nregular(alg: ChevalleyAlgebra, kd: KacDiagram, summary: NullconeSummary) -> None:
-    """Raise InternalConsistencyError unless the summary is N-regular."""
+    """Raise InternalConsistencyError unless the summary is N-regular and
+    its rank is Springer's count: for an N-regular grading of order m the
+    invariants of G_0 on g_1 are free, of the degrees d_i of W that m
+    divides (Springer, "Regular elements of finite reflection groups",
+    Invent. Math. 25, 1974; Panyushev 2005), so rank = #{i : m | d_i}."""
+    name, labels = f"{alg.rs.type_label}{alg.rs.rank}", ",".join(map(str, kd.labels))
     if not summary.nregular:
         raise InternalConsistencyError(
-            f"{alg.rs.type_label}{alg.rs.rank}: the closed-form diagram "
-            f"{','.join(map(str, kd.labels))} of order {kd.order} is not N-regular"
+            f"{name}: the closed-form diagram {labels} of order {kd.order} is not N-regular"
+        )
+    expected = sum(d % kd.order == 0 for d in alg.rs.degrees())
+    if summary.rank != expected:
+        raise InternalConsistencyError(
+            f"{name}: the N-regular diagram {labels} of order {kd.order} has rank "
+            f"{summary.rank}, but {expected} degrees of W are divisible by {kd.order}"
         )

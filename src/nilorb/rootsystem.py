@@ -11,6 +11,7 @@ the simple roots under the simple reflections.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -309,6 +310,15 @@ class RootSystem:
         for letter, rank in self.dynkin_type(basis):
             order *= _WEYL_ORDERS[letter](rank)
         return order
+
+    def degrees(self) -> tuple[int, ...]:
+        """Degrees of the basic invariants of W, ascending.  With n_k the
+        number of positive roots of height k, the exponent k occurs
+        n_k - n_{k+1} times, and its degree is k + 1 (Kostant, "The principal
+        three-dimensional subgroup and the Betti numbers of a complex simple
+        Lie group", Amer. J. Math. 81, 1959)."""
+        n = Counter(sum(r) for r in self.positive_roots)
+        return tuple(k + 1 for k in range(1, max(n) + 1) for _ in range(n[k] - n[k + 1]))
 
     # -- extended diagram -----------------------------------------------------
 

@@ -630,6 +630,34 @@ def reference_wdd_of_cartan(alg, h):
     return tuple(Fraction(rs.inner(rs.simple_root(i), lam), den) for i in range(rs.rank))
 
 
+def eager_echelon(m, ncols):
+    """linalg._echelon without deferred scaling: every step rewrites every
+    row below the pivot, (p * row_i - f * row_p) / prev, also when f = 0.
+    Brings the integer rows m in place to echelon form, pivoting on the
+    first ncols columns, and returns the pivot columns."""
+    nrows = len(m)
+    piv_cols = []
+    prev = 1
+    for col in range(ncols):
+        rank = len(piv_cols)
+        piv = next((i for i in range(rank, nrows) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        row_p = m[rank]
+        p = row_p[col]
+        for i in range(rank + 1, nrows):
+            f = m[i][col]
+            row_i = m[i]
+            for j in range(col, len(row_p)):
+                row_i[j] = (p * row_i[j] - f * row_p[j]) // prev
+        prev = p
+        piv_cols.append(col)
+        if rank + 1 == nrows:
+            break
+    return piv_cols
+
+
 def bareiss_row_reduce(vectors):
     """Reduced row-echelon basis of the row span (zero rows dropped), through
     linalg's fraction-free elimination and back-substitution on every

@@ -247,9 +247,18 @@ def test_criterion_7_method_equivalence_e7_order2():
         assert k1 == k2
 
 
-# Degrees of the basic invariants of W(E7) and W(E8).
-E7_DEGREES = (2, 6, 8, 10, 12, 14, 18)
-E8_DEGREES = (2, 8, 12, 14, 18, 20, 24, 30)
+def test_weyl_group_degrees_match_published_lists():
+    # degrees of the basic invariants (Bourbaki, Lie Groups and Lie
+    # Algebras, ch. V-VI, plates), against the root-height count
+    published = {
+        ("G", 2): (2, 6),
+        ("F", 4): (2, 6, 8, 12),
+        ("E", 6): (2, 5, 6, 8, 9, 12),
+        ("E", 7): (2, 6, 8, 10, 12, 14, 18),
+        ("E", 8): (2, 8, 12, 14, 18, 20, 24, 30),
+    }
+    for (label, rank), degrees in published.items():
+        assert build_root_system(label, rank).degrees() == degrees
 
 
 def test_e8_principal_order2_row():
@@ -261,13 +270,16 @@ def test_e8_principal_order2_row():
     g = principal_nregular_grading(alg, 2)
     s = summarize(g, classify_orbits(g, method="2"))
     assert summary_tuple(s) == (115, 1, 120, 8)
-    assert s.rank == sum(d % 2 == 0 for d in E8_DEGREES)
+    assert s.rank == sum(d % 2 == 0 for d in g.rs.degrees())
     assert s.nregular
 
 
 @pytest.mark.parametrize(
     "rank,m,row,degrees",
-    [(7, 6, (233, 10, 21, 3), E7_DEGREES), (8, 30, (510, 9, 8, 1), E8_DEGREES)],
+    [
+        (7, 6, (233, 10, 21, 3), build_root_system("E", 7).degrees()),
+        (8, 30, (510, 9, 8, 1), build_root_system("E", 8).degrees()),
+    ],
 )
 def test_closed_form_nregular_rows_e7_e8(rank, m, row, degrees):
     # The N-regular gradings of E7 order 6 and E8 order 30 from the

@@ -314,12 +314,12 @@ def test_classify_nilpotent_g_matches_the_fraction_reference(label, rank):
     assert classify_nilpotent_g.__wrapped__(alg) == reference_classify_nilpotent_g(alg)
 
 
-# label vectors in {0, 1, 2}^l \ {0} that pass the sl2 test; A1, A2 and B2
-# pass all of them
+# label vectors in {0, 1, 2}^l \ {0} that pass the sl2 test (d_k >= d_{k+2}
+# and d_1 even)
 SL2_SURVIVORS = {
-    ("A", 1): 2, ("A", 2): 8, ("A", 3): 23, ("A", 4): 62, ("B", 2): 8, ("B", 3): 20,
-    ("B", 4): 46, ("C", 3): 20, ("C", 4): 45, ("D", 4): 60, ("G", 2): 6, ("F", 4): 27,
-    ("E", 6): 211,
+    ("A", 1): 1, ("A", 2): 6, ("A", 3): 16, ("A", 4): 44, ("B", 2): 5, ("B", 3): 13,
+    ("B", 4): 30, ("C", 3): 14, ("C", 4): 32, ("D", 4): 42, ("G", 2): 5, ("F", 4): 20,
+    ("E", 6): 139,
 }
 
 
@@ -331,8 +331,7 @@ def test_sl2_test_keeps_every_weighted_dynkin_diagram(label, rank):
     wdds = {wdd.labels for wdd, _ in reference_classify_nilpotent_g(alg) if not wdd.is_zero()}
     assert wdds <= set(survivors)
     assert len(survivors) == SL2_SURVIVORS[(label, rank)]
-    if (label, rank) not in {("A", 1), ("A", 2), ("B", 2)}:
-        assert len(survivors) < 3**rank - 1  # not a no-op
+    assert len(survivors) < 3**rank - 1  # not a no-op
 
 
 def test_sl2_test_multiplicities():
@@ -348,6 +347,23 @@ def test_sl2_test_multiplicities():
     assert not passes((1, 2, 0))
     # d_0 = 1 + 0 < d_2 = 2
     assert not characteristics._sl2_module_multiplicities(1, [2, 2])
+    # A1 with label 1: d = [1, 1, 0] has d_k >= d_{k+2}, but d_1 = dim g(1)
+    # is odd, so it carries no nondegenerate skew form
+    assert not characteristics._sl2_module_multiplicities(1, [1])
+    # (1, 0, 1), the diagram of the partition (2, 1, 1): d_1 = 4 is even
+    assert passes((1, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "label, rank",
+    [("G", 2), ("F", 4), ("E", 6), ("E", 7), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
+     ("B", 3), ("C", 3), ("D", 4)],
+)
+def test_every_weighted_dynkin_diagram_has_even_dim_g1(label, rank):
+    rs = build_root_system(label, rank)
+    for wdd, _ in classify_nilpotent_g(build_algebra(rs)):
+        ones = sum(sum(c * x for c, x in zip(r, wdd.labels)) == 1 for r in rs.positive_roots)
+        assert ones % 2 == 0, wdd.labels
 
 
 def test_sl2_survivor_values_are_the_root_values():

@@ -1,11 +1,19 @@
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilorb import linalg
 
-from oracles import bareiss_row_reduce, in_span, rref_nullspace, rref_row_reduce, rref_solve
+from oracles import (
+    bareiss_row_reduce,
+    eager_echelon,
+    in_span,
+    rref_nullspace,
+    rref_row_reduce,
+    rref_solve,
+)
 
 
 def frac_rank(rows):
@@ -182,6 +190,42 @@ def test_integer_solve_and_kernel_scale_back_to_solve_and_nullspace(system):
     # nullspace cannot see the width of a matrix without rows; its kernel is everything
     unit = [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
     assert [scale_back(v, den) for v in vectors] == (linalg.nullspace(rows) if rows else unit)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """An integer matrix of up to 8 rows and 1 to 8 columns, mostly zeros,
+    with zero rows mixed in, and a pivot width ncols of 0 up to the width."""
+    nrows = draw(st.integers(min_value=0, max_value=8))
+    width = draw(st.integers(min_value=1, max_value=8))
+    entries = st.one_of(st.just(0), st.just(0), st.integers(min_value=-5, max_value=5))
+    rows = []
+    for _ in range(nrows):
+        if draw(st.integers(min_value=0, max_value=4)) == 0:
+            rows.append([0] * width)
+        else:
+            rows.append(draw(st.lists(entries, min_size=width, max_size=width)))
+    return rows, draw(st.integers(min_value=0, max_value=width))
+
+
+@given(sparse_matrices())
+@settings(max_examples=500, deadline=None)
+def test_echelon_leaves_the_eager_bareiss_matrix(system):
+    # the deferred row scaling must leave, entry for entry, what eager
+    # Bareiss elimination leaves; rank_and_solve and kernel_int on the eager
+    # kernel must give the same results
+    rows, ncols = system
+    m, eager = [list(r) for r in rows], [list(r) for r in rows]
+    assert linalg._echelon(m, ncols) == eager_echelon(eager, ncols)
+    assert m == eager
+    if not rows:
+        return
+    width = len(rows[0])
+    with mock.patch.object(linalg, "_echelon", eager_echelon):
+        expected_solve = linalg.rank_and_solve([list(r) for r in rows], width - 1)
+        expected_kernel = linalg.kernel_int(rows, width)
+    assert linalg.rank_and_solve([list(r) for r in rows], width - 1) == expected_solve
+    assert linalg.kernel_int(rows, width) == expected_kernel
 
 
 def test_clear_denominators():

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -248,6 +249,19 @@ def test_survey_uniqueness_is_enforced(monkeypatch):
         lambda g, r: NullconeSummary(0, 0, 0, 0, False, True),
     )
     with pytest.raises(InternalConsistencyError):
+        nullcone_mod.nregular_survey(G2, 2)
+
+
+def test_survey_rank_must_be_springers_count(monkeypatch):
+    # G2 order 2: both degrees 2 and 6 are even, so the rank must be 2
+    import nilorb.nullcone as nullcone_mod
+    from nilorb import InternalConsistencyError
+
+    summarize = nullcone_mod.summarize
+    monkeypatch.setattr(
+        nullcone_mod, "summarize", lambda g, r: dataclasses.replace(summarize(g, r), rank=1)
+    )
+    with pytest.raises(InternalConsistencyError, match=r"G2: .* 0,0,1 of order 2 has rank 1, but 2"):
         nullcone_mod.nregular_survey(G2, 2)
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -194,6 +195,16 @@ def test_weyl_orders():
     assert build_root_system("A", 3).weyl_order() == 24
     b2 = build_root_system("B", 2)
     assert b2.weyl_order([(1, 0)]) == 2
+
+
+@pytest.mark.parametrize("label,rank", sorted(ROOT_COUNTS))
+def test_degrees_multiply_to_the_weyl_order(label, rank):
+    # prod d_i = |W| and sum (d_i - 1) = #positive roots (Chevalley)
+    rs = build_root_system(label, rank)
+    degrees = rs.degrees()
+    assert len(degrees) == rank and list(degrees) == sorted(degrees)
+    assert math.prod(degrees) == rs.weyl_order()
+    assert sum(d - 1 for d in degrees) == rs.n_pos
 
 
 def test_extended_diagram_automorphisms():
