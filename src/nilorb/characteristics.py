@@ -27,7 +27,7 @@ from .records import (
     sort_records,
     zero_record,
 )
-from .weyl import check_root_count, shortest_coset_reps
+from .weyl import WeylElement, check_root_count, shortest_coset_reps
 
 log = logging.getLogger(__name__)
 
@@ -311,34 +311,41 @@ def normal_list(
     den * alpha(w h) = den * (w^-1 alpha)(h) are those of h permuted by the
     inverse root permutation of w.  Images with equal simple-root values are
     equal and tested once, under the index of the first w that gives them.
+
+    The images are keyed all at once: the bytes w^-1(alpha_1)..w^-1(alpha_l)
+    of every w (WeylElement.inverse_simple_images) are joined, mapped by one
+    translate from root index to a one-byte code of the value of h there
+    (at most 256 roots, hence at most 256 values), and sliced into one key
+    per w.
     Each new image first meets the graded sl2 bound (_graded_sl2_bound),
     read off w and the roots where h has the value 0 or 2; only an image
-    that passes gets its coordinates and the span test of _spanning_eye.
-    The bound is necessary, so it drops only images that have no triple,
-    and each image keeps the random draws of its index w: the triples are
-    those of testing every image.
+    that passes gets its inverse permutation, its coordinates and the span
+    test of _spanning_eye.  The bound is necessary, so it drops only images
+    that have no triple, and each image keeps the random draws of its index
+    w: the triples are those of testing every image.
     """
     alg = grading.alg
+    l = grading.rs.rank
     _, den, vals = alg.cartan_values(h)
     n_roots = len(vals)
     ident = bytes(range(n_roots))
-    simple = grading.rs.simple_indices
+    code = {v: c for c, v in enumerate(sorted(set(vals)))}
+    codes = b"".join(map(WeylElement.inverse_simple_images, coset_reps)).translate(
+        bytes(code[v] for v in vals).ljust(256, b"\0")
+    )
+    keys = [codes[i : i + l] for i in range(0, len(codes), l)]
+    first = sorted(dict(zip(reversed(keys), reversed(range(len(keys))))).values())
     zero = [j for j, v in enumerate(vals) if v == 0]
     two = [j for j, v in enumerate(vals) if v == 2 * den]
-    seen = set()
     triples = []
-    images = bounded = spanless = 0
-    for idx, w in enumerate(coset_reps):
-        images += 1
-        inv = bytes.maketrans(w.perm, ident)[:n_roots]
-        key = tuple(vals[inv[i]] for i in simple)
-        if key in seen:
-            continue
-        seen.add(key)
+    bounded = spanless = 0
+    for idx in first:
+        w = coset_reps[idx]
         if not _graded_sl2_bound(grading, w.perm, zero, two):
             bounded += 1
             continue
-        hnum = alg.hnum_from_values(key)
+        inv = bytes.maketrans(w.perm, ident)[:n_roots]
+        hnum = alg.hnum_from_values([vals[i] for i in w.inverse_simple_images()])
         values = [vals[i] for i in inv]
         eye = _spanning_eye(grading, hnum, den, values)
         if eye is None:
@@ -350,7 +357,7 @@ def normal_list(
     log.debug(
         "%s, characteristic %r: %d images, %d merged, %d fail the graded sl2 bound, "
         "%d fail the span test, %d triples",
-        grading, h, images, images - len(seen), bounded, spanless, len(triples),
+        grading, h, len(keys), len(keys) - len(first), bounded, spanless, len(triples),
     )
     return triples
 

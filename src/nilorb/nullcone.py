@@ -13,8 +13,13 @@ from .grading import KacDiagram, ThetaGrading, grading_from_kac, nregular_kac_di
 from .records import InternalConsistencyError, OrbitRecord
 
 # Coset index above which 'auto' picks the carrier walk.  Not derived from
-# data: perfbench/method_selection.json has the carrier walk faster on 13 of
-# the 14 gradings of index >= 96 timed by both.  Changing it changes output.
+# data, and no longer at the crossover: in fresh processes (2-vCPU Xeon VM,
+# Python 3.11.7) the sweep took 0.50 s on E7 order 4 (index 4032; carrier
+# walk 0.59 s) and 1.36 s on E8 order 4 (index 15120; carrier walk 1.94 s),
+# the carrier walk winning only on E7 order 5 (index 10080; 0.40 s against
+# 0.59 s).  It stays because the methods print different e and f for the
+# same h, so moving it changes the output of 'auto'.  Once e is drawn from h
+# alone (ROADMAP item 5), item 6 re-derives it from committed timings.
 METHOD_INDEX_THRESHOLD = 5000
 
 
@@ -89,6 +94,8 @@ def classify_orbits(
 
     method 'auto' sweeps characteristics while the coset index of W_l stays
     small and switches to carrier algebras when it grows past the threshold.
+    On a grading of order 2 every record is checked against the
+    Kostant-Rallis identity (check_kostant_rallis).
     """
     if method == "auto":
         method = "1" if grading.coset_index() <= METHOD_INDEX_THRESHOLD else "2"
@@ -101,7 +108,25 @@ def classify_orbits(
     for r in records:
         if r.dim is None:
             r.dim = orbit_dimension(grading, r.h)
+        if grading.m == 2:
+            check_kostant_rallis(grading, r)
     return records
+
+
+def check_kostant_rallis(grading: ThetaGrading, record: OrbitRecord) -> None:
+    """Raise InternalConsistencyError unless 2 dim G_0.e = dim G.e for a
+    record of a grading of order 2 (Kostant and Rallis, "Orbits and
+    representations associated with symmetric spaces", Amer. J. Math. 93,
+    1971), where dim G.e = dim g - dim g(0) - dim g(1) over the ad h
+    eigenspaces = #{alpha : alpha(h) not in {0, 1}}."""
+    _, den, values = grading.alg.cartan_values(record.h)
+    ambient = sum(v != 0 and v != den for v in values)
+    if 2 * record.dim != ambient:
+        degrees = ",".join(str(grading.deg_by_index[i]) for i in grading.rs.simple_indices)
+        raise InternalConsistencyError(
+            f"{grading} with simple-root degrees {degrees}: the orbit of h = {record.h!r} "
+            f"has dimension {record.dim}, but dim G.e = {ambient} is not twice that"
+        )
 
 
 def nregular_survey(

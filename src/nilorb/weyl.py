@@ -6,7 +6,10 @@ indices (E8 has 240 roots), so composing two is one `bytes.translate`;
 elements, coset enumeration and the conjugacy tests all use this one format,
 and a type with more than 256 roots is rejected with a ValueError.
 Equality is equality of the root permutation; words are kept for display
-but are not canonical.
+but are not canonical.  An element is also determined by the l bytes of its
+simple-root images: shortest_coset_reps keys each level on w(alpha_i), and
+the coset sweep keys the images of h on w^-1(alpha_i), which an element
+computes once and keeps (inverse_simple_images).
 
 Conjugacy rests on one chamber walk (_dominant_perm): each root in turn is
 reflected into the chamber of the basis roots that fix the images already
@@ -24,6 +27,9 @@ from functools import lru_cache
 
 from .linalg import rank_int
 from .rootsystem import RootSystem
+
+
+_IDENTITY = bytes(range(256))
 
 
 def _compose(p: bytes, q: bytes) -> bytes:
@@ -56,13 +62,14 @@ def _simple_perm_table(rs: RootSystem) -> tuple[bytes, ...]:
 class WeylElement:
     """A Weyl group element; word (i1..ik) denotes s_{i1} o ... o s_{ik}."""
 
-    __slots__ = ("rs", "perm", "word", "_matrix")
+    __slots__ = ("rs", "perm", "word", "_matrix", "_inverse_simples")
 
     def __init__(self, rs: RootSystem, perm: bytes, word: tuple[int, ...]):
         self.rs = rs
         self.perm = perm
         self.word = word
         self._matrix = None
+        self._inverse_simples = None
 
     @staticmethod
     def from_perm(rs: RootSystem, perm: bytes) -> "WeylElement":
@@ -87,6 +94,15 @@ class WeylElement:
 
     def inverse(self) -> "WeylElement":
         return WeylElement(self.rs, _inverse(self.perm), tuple(reversed(self.word)))
+
+    def inverse_simple_images(self) -> bytes:
+        """The root indices of w^-1(alpha_1)..w^-1(alpha_l), one byte each,
+        computed on the first call and kept."""
+        if self._inverse_simples is None:
+            self._inverse_simples = bytes(self.rs.simple_indices).translate(
+                bytes.maketrans(self.perm, _IDENTITY[: len(self.perm)])
+            )
+        return self._inverse_simples
 
     def length(self) -> int:
         """Number of positive roots sent to negative roots."""
@@ -165,25 +181,39 @@ def shortest_coset_reps(rs: RootSystem, sub: WeylSubgroup) -> list[WeylElement]:
     previous level in order and i upwards.  By induction on the length that
     is the element's least reduced word, and the level comes out sorted by
     it.
+
+    A level is keyed on the images w(alpha_1)..w(alpha_l), which determine
+    w.  Since (w s_i)(alpha_j) = w(s_i alpha_j), the key of w s_i is the
+    fixed string s_i(alpha_1)..s_i(alpha_l) mapped through w, one
+    translate; the full permutation of w s_i is built only for a new key.
+    The key of w, mapped through the blocked mask, also gives the letters
+    i that extend w, looked up per mask.
     """
     simples = _simple_perm_table(rs)
-    simple_idx = rs.simple_indices
-    # w(alpha_i) in `blocked`: l(w s_i) < l(w), or w s_i leaves the coset condition
-    blocked = set(range(rs.n_pos, len(rs.roots)))
-    blocked.update(rs.root_index[b] for b in sub.basis)
-    ident = bytes(range(len(rs.roots)))
+    simple_bytes = bytes(rs.simple_indices)
+    picks = [simple_bytes.translate(s.ljust(256, b"\0")) for s in simples]
+    # w(alpha_i) is blocked when l(w s_i) < l(w) or w s_i leaves the coset condition
+    blocked = bytearray(256)
+    blocked[rs.n_pos : len(rs.roots)] = b"\1" * rs.n_pos
+    for b in sub.basis:
+        blocked[rs.root_index[b]] = 1
+    blocked = bytes(blocked)
+    letters: dict[bytes, tuple[int, ...]] = {}  # blocked mask of a key -> open letters
     reps: list[WeylElement] = []
-    level = {ident: ()}  # perm -> word
+    level = {simple_bytes: (bytes(range(len(rs.roots))), ())}  # key -> (perm, word)
     while level:
         nxt = {}
-        for perm, word in level.items():
+        for key, (perm, word) in level.items():
             reps.append(WeylElement(rs, perm, word))
-            table = perm.ljust(256, b"\0")  # _compose(perm, .) for every s_i
-            for i, k in enumerate(simple_idx):
-                if perm[k] not in blocked:
-                    new_perm = simples[i].translate(table)
-                    if new_perm not in nxt:
-                        nxt[new_perm] = word + (i,)
+            mask = key.translate(blocked)
+            open_letters = letters.get(mask)
+            if open_letters is None:
+                open_letters = letters[mask] = tuple(i for i, x in enumerate(mask) if not x)
+            table = perm.ljust(256, b"\0")  # _compose(perm, .)
+            for i in open_letters:
+                new_key = picks[i].translate(table)
+                if new_key not in nxt:
+                    nxt[new_key] = (simples[i].translate(table), word + (i,))
         level = nxt
     return reps
 

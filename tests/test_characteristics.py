@@ -18,12 +18,14 @@ from nilorb import (
     grading_from_kac,
     h_from_wdd,
     normal_list,
+    nregular_kac_diagram,
     shortest_coset_reps,
     trivial_grading,
 )
-from nilorb import characteristics
+from nilorb import characteristics, linalg
 from nilorb.characteristics import task_rng
 from oracles import (
+    dual_weight,
     graded_sl2_bound_of,
     is_nilpotent,
     partition_count,
@@ -447,3 +449,34 @@ def test_sweep_counts_go_to_the_debug_log(caplog, capsys):
     assert [sum(col) for col in zip(*counts)] == [480, 318, 109, 33, 19]
     assert len(records) == 20
     assert capsys.readouterr().out == ""
+
+
+def _merge_count_gradings():
+    # every F4 grading of orders 3-4, and E7 principal order 2 (coset index 72)
+    for m in (3, 4):
+        for kd in enumerate_kac_diagrams(F4.rs, m):
+            yield pytest.param(F4, kd, id=f"F4-{kd.labels}")
+    e7 = build_algebra(build_root_system("E", 7))
+    yield pytest.param(e7, nregular_kac_diagram(e7.rs, 2), id="E7-principal-order-2")
+
+
+@pytest.mark.parametrize("alg, kd", _merge_count_gradings())
+def test_sweep_merge_counts_match_the_weight_orbits(alg, kd, caplog):
+    # the distinct images normal_list tests are the distinct w(lam), lam the
+    # dual weight of h: a key collision that drops an image without a
+    # triple shows here, though not in the triples
+    g = grading_from_kac(alg, kd)
+    reps = shortest_coset_reps(alg.rs, g.weyl_subgroup())
+    distinct = 0
+    for wdd, h in classify_nilpotent_g(alg)[1:]:
+        lam, _ = linalg.clear_denominators(dual_weight(alg, h))
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="nilorb.characteristics"):
+            normal_list(g, reps, h)
+        [line] = [m for m in caplog.messages if m.startswith(f"{g}, characteristic ")]
+        images, merged = (int(x.split()[0]) for x in line.split(": ", 1)[1].split(", ")[:2])
+        assert images == len(reps)
+        assert images - merged == len({w.act_weight(lam) for w in reps}), wdd.labels
+        distinct += images - merged
+    if alg.rs.rank == 7:
+        assert distinct == 721  # over the 44 nonzero characteristics of E7

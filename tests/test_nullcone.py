@@ -316,3 +316,22 @@ def test_closed_form_rejects_order_below_one():
     for m in (0, -3):
         with pytest.raises(ValueError, match=">= 1"):
             nregular_kac_diagram(G2.rs, m)
+
+
+@pytest.mark.parametrize("method", ["1", "2"])
+def test_order_two_dimensions_must_satisfy_kostant_rallis(monkeypatch, method):
+    # G2 Kac 0,0,1 (m = 2): an orbit dimension one too large breaks
+    # 2 dim G_0.e = dim G.e on the first nonzero record
+    import nilorb.nullcone as nullcone_mod
+    from nilorb import InternalConsistencyError
+
+    g = grading_from_kac(G2, KacDiagram.from_labels(G2.rs, (0, 0, 1)))
+    assert all(r.dim is not None for r in classify_orbits(g, method=method))
+    dimension = nullcone_mod.orbit_dimension
+    monkeypatch.setattr(nullcone_mod, "orbit_dimension", lambda g, h: dimension(g, h) + 1)
+    with pytest.raises(
+        InternalConsistencyError,
+        match=r"ThetaGrading\(G2, m=2\) with simple-root degrees 0,1: the orbit of h = .* "
+        r"has dimension \d+, but dim G.e = \d+ is not twice that",
+    ):
+        classify_orbits(g, method=method)

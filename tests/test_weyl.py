@@ -159,6 +159,25 @@ def test_coset_reps_come_by_length_then_word(label, rank, kind, arg):
     assert reps == sorted(reps, key=lambda w: (w.length(), w.word))
 
 
+@pytest.mark.parametrize("label,rank,kind,arg", COSET_CASES)
+def test_inverse_simple_images_are_kept_per_element(label, rank, kind, arg):
+    rs, sub = coset_case(label, rank, kind, arg)
+    reps = shortest_coset_reps(rs, sub)
+
+    def expected(w):
+        return bytes(w.inverse().perm[k] for k in rs.simple_indices)
+
+    for w in reps:
+        assert w.inverse_simple_images() == expected(w)
+        assert w.inverse_simple_images() == expected(w)  # the kept bytes
+    # a product or an inverse of elements whose images are kept starts afresh
+    if len(reps) > 1:
+        w, v = reps[-1], reps[1]
+        for u in (w * v, v * w, w.inverse(), v.inverse()):
+            assert u.inverse_simple_images() == expected(u)
+        assert (w * v).inverse_simple_images() != w.inverse_simple_images()
+
+
 @functools.lru_cache(maxsize=None)
 def least_words_b3():
     """The first word of each element of W(B3), over all words taken by
