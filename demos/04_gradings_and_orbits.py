@@ -38,6 +38,6 @@ print(
     f"of dim {s.component_dim}, rank {s.rank}"
 )
 
-k1 = sorted(tuple(r.h_key()) for r in classify_by_characteristics(g))
-k2 = sorted(tuple(r.h_key()) for r in classify_by_carriers(g))
-print("characteristic sweep and carrier walk agree:", k1 == k2)
+t1 = [(r.h, r.e, r.f) for r in classify_by_characteristics(g)]
+t2 = [(r.h, r.e, r.f) for r in classify_by_carriers(g)]
+print("characteristic sweep and carrier walk give the same triples:", t1 == t2)

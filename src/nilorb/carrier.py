@@ -25,11 +25,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 from operator import mul
 
 from . import linalg
-from .characteristics import decide_normal_int, task_rng
+from .characteristics import cartan_key, decide_normal_int
 from .chevalley import ChevalleyAlgebra, LieElement
 from .grading import ThetaGrading
 from .pisystems import canonical, classify_all
@@ -206,8 +205,8 @@ def classify_by_carriers(grading: ThetaGrading, seed: int = 0) -> list[OrbitReco
 
     Each flat completion contributes h = 2 h0, canonicalised into the
     dominant chamber of W_l on its integer root values; unseen canonical
-    forms (hnum / den reduced by the gcd, since completion's den need not
-    be the least) are completed to normal triples by decide_normal_int,
+    forms (characteristics.cartan_key, since completion's den need not be
+    the least) are completed to normal triples by decide_normal_int,
     which must succeed for a flat carrier, and get their weighted Dynkin
     diagram from wdd_of_values on the same integers.  No Fraction is built
     before the normal triple; one debug line on the module logger counts
@@ -220,7 +219,7 @@ def classify_by_carriers(grading: ThetaGrading, seed: int = 0) -> list[OrbitReco
     seen = set()
     candidates = candidate_pi_systems(grading)
     nonempty = solvable = flat = 0
-    for idx, cand in enumerate(candidates):
+    for cand in candidates:
         if cand.is_empty():
             continue
         nonempty += 1
@@ -234,12 +233,11 @@ def classify_by_carriers(grading: ThetaGrading, seed: int = 0) -> list[OrbitReco
         den = comp.den
         values = dominant_values(rs, basis0, [2 * v for v in comp.values])
         hnum = alg.hnum_from_values([values[i] for i in rs.simple_indices])
-        g = gcd(den, *hnum)
-        key = (den // g, *(x // g for x in hnum))
+        key = cartan_key(hnum, den)
         if key in seen:
             continue
         seen.add(key)
-        triple = decide_normal_int(grading, hnum, den, values, task_rng(seed, idx))
+        triple = decide_normal_int(grading, hnum, den, values, seed)
         if triple is None:
             raise InternalConsistencyError(
                 f"flat carrier {cand} produced non-normal canonical h = {alg.cartan(hnum, den)!r}"

@@ -16,6 +16,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import gcd
 
 from . import linalg
 from .chevalley import ChevalleyAlgebra, LieElement, Sl2Triple
@@ -34,22 +35,26 @@ log = logging.getLogger(__name__)
 # Largest coefficient range of the random search for e in general position.
 OMEGA_CAP = 2**20
 
-_MASK64 = (1 << 64) - 1
-
 
 class RetryBudgetError(RuntimeError):
     """The random search for an element in general position exhausted its
     coefficient budget (OMEGA_CAP).  The message names the grading and h.
-    The ambient stage draws from task_rng(0xC1A55, t_id), which no seed
-    option reaches, so another seed does not always help."""
+    The ambient stage draws with seed 0, which no seed option reaches, so
+    another seed does not always help."""
 
 
-def task_rng(seed: int, task_id: int) -> random.Random:
-    """Per-task generator: splitmix64 applied to seed xor golden-ratio*id."""
-    z = (seed ^ (task_id * 0x9E3779B97F4A7C15)) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return random.Random(z ^ (z >> 31))
+def cartan_key(hnum, den: int) -> tuple[int, ...]:
+    """(den, *hnum) reduced by their gcd: the same for every integer form
+    den * h = sum_k hnum[k] h_k of one Cartan element h."""
+    g = gcd(den, *hnum)
+    return (den // g, *(x // g for x in hnum))
+
+
+def h_rng(seed: int, hnum, den: int) -> random.Random:
+    """The generator of the normality search for h = hnum / den, seeded from
+    the repr of (seed, *cartan_key(hnum, den)): the draws depend on the seed
+    and h alone, in every process and Python version."""
+    return random.Random(repr((seed, *cartan_key(hnum, den))))
 
 
 def h_from_wdd(alg: ChevalleyAlgebra, wdd: WeightedDynkinDiagram) -> LieElement:
@@ -57,22 +62,19 @@ def h_from_wdd(alg: ChevalleyAlgebra, wdd: WeightedDynkinDiagram) -> LieElement:
     return alg.cartan(*alg.cartan_solution(wdd.labels))
 
 
-def decide_normal(
-    grading: ThetaGrading, h: LieElement, rng: random.Random | None = None
-) -> Sl2Triple | None:
+def decide_normal(grading: ThetaGrading, h: LieElement, seed: int = 0) -> Sl2Triple | None:
     """Normal sl2-triple (h, e, f) with e in g_1(2), f in g_{m-1}(-2), or None.
 
     h must lie in the Cartan subalgebra of g_0.  This is
     ChevalleyAlgebra.cartan_values followed by decide_normal_int, which
-    does the work on the integers den * h and den * alpha(h).  Without rng
-    the draws come from task_rng(0, 0).
+    does the work on the integers den * h and den * alpha(h).
     """
     hnum, den, values = grading.alg.cartan_values(h)
-    return decide_normal_int(grading, hnum, den, values, task_rng(0, 0) if rng is None else rng)
+    return decide_normal_int(grading, hnum, den, values, seed)
 
 
 def decide_normal_int(
-    grading: ThetaGrading, hnum, den: int, values, rng: random.Random
+    grading: ThetaGrading, hnum, den: int, values, seed: int = 0
 ) -> Sl2Triple | None:
     """decide_normal on the integer form of h: den * h = sum_k hnum[k] h_k
     with den > 0, not necessarily the least, and values[i] = den * alpha_i(h)
@@ -83,13 +85,13 @@ def decide_normal_int(
     ([g_0(0), e] = g_1(2)), with coefficients uniform in {0..n}, n = 4
     doubled after every failure up to OMEGA_CAP; f from the same
     elimination as the general-position test, through the Killing form.
-    Scaling (hnum, den, values) by a common factor changes neither the
-    draws nor the triple.
+    The draws come from h_rng(seed, hnum, den), so scaling (hnum, den,
+    values) by a common factor changes neither the draws nor the triple.
     """
     eye = _spanning_eye(grading, hnum, den, values)
     if eye is None:
         return None
-    return _normal_triple(grading, eye, hnum, den, values, rng)
+    return _normal_triple(grading, eye, hnum, den, values, seed)
 
 
 def _spanning_eye(grading, hnum, den, values) -> list[int] | None:
@@ -107,7 +109,7 @@ def _spanning_eye(grading, hnum, den, values) -> list[int] | None:
     return eye
 
 
-def _normal_triple(grading, eye, hnum, den, values, rng) -> Sl2Triple | None:
+def _normal_triple(grading, eye, hnum, den, values, seed) -> Sl2Triple | None:
     """decide_normal_int past the span test, for the roots eye of g_1(2)
     that _spanning_eye returned: den * h = sum_k hnum[k] h_k and values[i] =
     den * alpha_i(h) for every root i.
@@ -129,7 +131,8 @@ def _normal_triple(grading, eye, hnum, den, values, rng) -> Sl2Triple | None:
     w_gamma_t), one Fraction per coefficient.  The triple is checked
     (Sl2Triple.check) before it is returned.
 
-    The range n starts at 4 and doubles after every failure; past OMEGA_CAP,
+    The coefficients come from h_rng(seed, hnum, den).  The range n starts
+    at 4 and doubles after every failure; past OMEGA_CAP,
     read at call time, the search raises RetryBudgetError naming the grading
     and h.  The Fraction h is built only for the triple (or the error
     message).
@@ -141,6 +144,7 @@ def _normal_triple(grading, eye, hnum, den, values, rng) -> Sl2Triple | None:
     zero_idx = [i for i in grading.phi0_indices if values[i] == 0]
     pos_in_eye = {i: t for t, i in enumerate(eye)}
     s = len(eye)
+    rng = h_rng(seed, hnum, den)
 
     n = 4
     while True:
@@ -200,10 +204,10 @@ def _sl2_module_multiplicities(rank: int, pos: list[int]) -> bool:
 
 
 def _sl2_label_vectors(alg: ChevalleyAlgebra):
-    """(t_id, labels, hnum, den, values) for every nonzero label vector in
-    {0, 1, 2}^l whose ad h multiplicities pass _sl2_module_multiplicities,
-    t_id its index in product order; h = hnum / den has alpha_i(h) =
-    labels[i] and values = root_values(hnum).
+    """(labels, hnum, den, values) for every nonzero label vector in
+    {0, 1, 2}^l whose ad h multiplicities pass _sl2_module_multiplicities;
+    h = hnum / den has alpha_i(h) = labels[i] and values =
+    root_values(hnum).
 
     The values come from the integers alpha(h) = coords(alpha) . labels of
     the positive roots, summed a column at a time.  Product order steps the
@@ -215,7 +219,7 @@ def _sl2_label_vectors(alg: ChevalleyAlgebra):
     l = rs.rank
     columns = list(zip(*rs.positive_roots))
     prefix = [[0] * rs.n_pos] * (l + 1)
-    for t_id, labels in enumerate(product((0, 1, 2), repeat=l)):
+    for labels in product((0, 1, 2), repeat=l):
         if not any(labels):
             continue
         k = max(i for i, c in enumerate(labels) if c)
@@ -225,7 +229,7 @@ def _sl2_label_vectors(alg: ChevalleyAlgebra):
         if _sl2_module_multiplicities(l, pos):
             hnum, den = alg.cartan_solution(labels)
             values = [den * v for v in pos]
-            yield t_id, labels, hnum, den, values + [-v for v in values]
+            yield labels, hnum, den, values + [-v for v in values]
 
 
 @lru_cache(maxsize=None)
@@ -245,22 +249,21 @@ def classify_nilpotent_g(alg: ChevalleyAlgebra) -> tuple:
     failing these necessary conditions (_sl2_module_multiplicities) are no
     characteristics and are skipped before any elimination.  Every other
     nonzero vector runs the normality test over the trivial grading, on
-    the integers den * h of ChevalleyAlgebra.cartan_solution.  The random
-    draws of a vector depend only on its index in product order, and the
-    surviving set does not depend on them, so the result is cached per
-    algebra.  A type with more than 256 roots, which the coset and carrier
+    the integers den * h of ChevalleyAlgebra.cartan_solution, with the
+    draws of h_rng at seed 0; the surviving set does not depend on the
+    draws, so the result is cached per algebra.  A type with more than 256 roots, which the coset and carrier
     stages refuse too, is refused before the 3^l label vectors.
     """
     check_root_count(alg.rs)
     triv = trivial_grading(alg)
     out = [(WeightedDynkinDiagram((0,) * alg.rs.rank), alg.zero())]
     passed = 0
-    for t_id, labels, hnum, den, values in _sl2_label_vectors(alg):
+    for labels, hnum, den, values in _sl2_label_vectors(alg):
         passed += 1
         eye = _spanning_eye(triv, hnum, den, values)
         if eye is None:
             continue
-        triple = _normal_triple(triv, eye, hnum, den, values, task_rng(0xC1A55, t_id))
+        triple = _normal_triple(triv, eye, hnum, den, values, 0)
         if triple is not None:
             out.append((WeightedDynkinDiagram(labels), triple.h))
     log.debug(
@@ -310,7 +313,7 @@ def normal_list(
     that embed in a normal triple, testing each on integers: the values
     den * alpha(w h) = den * (w^-1 alpha)(h) are those of h permuted by the
     inverse root permutation of w.  Images with equal simple-root values are
-    equal and tested once, under the index of the first w that gives them.
+    equal and tested once.
 
     The images are keyed all at once: the bytes w^-1(alpha_1)..w^-1(alpha_l)
     of every w (WeylElement.inverse_simple_images) are joined, mapped by one
@@ -321,8 +324,8 @@ def normal_list(
     read off w and the roots where h has the value 0 or 2; only an image
     that passes gets its inverse permutation, its coordinates and the span
     test of _spanning_eye.  The bound is necessary, so it drops only images
-    that have no triple, and each image keeps the random draws of its index
-    w: the triples are those of testing every image.
+    that have no triple, and the draws depend on the image alone
+    (h_rng): the triples are those of testing every image.
     """
     alg = grading.alg
     l = grading.rs.rank
@@ -334,13 +337,12 @@ def normal_list(
         bytes(code[v] for v in vals).ljust(256, b"\0")
     )
     keys = [codes[i : i + l] for i in range(0, len(codes), l)]
-    first = sorted(dict(zip(reversed(keys), reversed(range(len(keys))))).values())
+    images = dict(zip(keys, coset_reps))
     zero = [j for j, v in enumerate(vals) if v == 0]
     two = [j for j, v in enumerate(vals) if v == 2 * den]
     triples = []
     bounded = spanless = 0
-    for idx in first:
-        w = coset_reps[idx]
+    for w in images.values():
         if not _graded_sl2_bound(grading, w.perm, zero, two):
             bounded += 1
             continue
@@ -351,13 +353,13 @@ def normal_list(
         if eye is None:
             spanless += 1
             continue
-        triple = _normal_triple(grading, eye, hnum, den, values, task_rng(seed, idx))
+        triple = _normal_triple(grading, eye, hnum, den, values, seed)
         if triple is not None:
             triples.append(triple)
     log.debug(
         "%s, characteristic %r: %d images, %d merged, %d fail the graded sl2 bound, "
         "%d fail the span test, %d triples",
-        grading, h, len(keys), len(keys) - len(first), bounded, spanless, len(triples),
+        grading, h, len(keys), len(keys) - len(images), bounded, spanless, len(triples),
     )
     return triples
 
@@ -369,13 +371,10 @@ def classify_by_characteristics(grading: ThetaGrading, seed: int = 0) -> list[Or
     reps = shortest_coset_reps(grading.rs, grading.weyl_subgroup())
     characteristics = classify_nilpotent_g(alg)
     records = [zero_record(alg)]
-    order = sorted(
-        (item for item in characteristics if not item[0].is_zero()),
-        key=lambda item: -sum(item[0].labels),
-    )
-    for t_id, (wdd, h) in enumerate(order):
-        triples = normal_list(grading, reps, h, seed=seed ^ (t_id + 1))
-        for tr in triples:
+    for wdd, h in characteristics:
+        if wdd.is_zero():
+            continue
+        for tr in normal_list(grading, reps, h, seed=seed):
             records.append(OrbitRecord(tr.h, tr.e, tr.f, ambient_wdd=wdd))
     keys = [r.h_key() for r in records]
     if len(set(keys)) != len(keys):

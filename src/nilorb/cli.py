@@ -2,8 +2,9 @@
 
 Output is deterministic for a fixed (arguments, seed) pair: records are
 canonically sorted, JSON is emitted with sorted keys and lowest-terms
-rationals, and all randomness derives from the single seed through the
-per-task generator scheme.
+rationals, and the random e of each record is drawn from a generator keyed
+on the seed and its h alone (characteristics.h_rng), so both methods print
+the same bytes.
 """
 
 from __future__ import annotations

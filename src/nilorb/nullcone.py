@@ -17,9 +17,9 @@ from .records import InternalConsistencyError, OrbitRecord
 # Python 3.11.7) the sweep took 0.50 s on E7 order 4 (index 4032; carrier
 # walk 0.59 s) and 1.36 s on E8 order 4 (index 15120; carrier walk 1.94 s),
 # the carrier walk winning only on E7 order 5 (index 10080; 0.40 s against
-# 0.59 s).  It stays because the methods print different e and f for the
-# same h, so moving it changes the output of 'auto'.  Once e is drawn from h
-# alone (ROADMAP item 5), item 6 re-derives it from committed timings.
+# 0.59 s).  Both methods draw e from h and the seed alone (h_rng), so they
+# print the same bytes and moving it changes no output; ROADMAP item 6
+# re-derives it from committed timings.
 METHOD_INDEX_THRESHOLD = 5000
 
 

@@ -577,19 +577,19 @@ def reference_normal_list(grading, coset_reps, h, seed=0):
     are merged, and every new image is built as a Fraction Cartan element
     and handed to decide_normal."""
     from nilorb import linalg
-    from nilorb.characteristics import decide_normal, task_rng
+    from nilorb.characteristics import decide_normal
 
     alg = grading.alg
     lam, den = linalg.clear_denominators(dual_weight(alg, h))
     seen = set()
     triples = []
-    for idx, w in enumerate(coset_reps):
+    for w in coset_reps:
         mu = w.act_weight(lam)
         if mu in seen:
             continue
         seen.add(mu)
         image = cartan_from_dual_weight(alg, [Fraction(x, den) for x in mu])
-        triple = decide_normal(grading, image, rng=task_rng(seed, idx))
+        triple = decide_normal(grading, image, seed=seed)
         if triple is not None:
             triples.append(triple)
     return triples
@@ -600,18 +600,18 @@ def reference_classify_nilpotent_g(alg):
     nonzero label vector in {0, 1, 2}^l."""
     from itertools import product
 
-    from nilorb.characteristics import decide_normal, h_from_wdd, task_rng
+    from nilorb.characteristics import decide_normal, h_from_wdd
     from nilorb.grading import trivial_grading
     from nilorb.records import WeightedDynkinDiagram
 
     triv = trivial_grading(alg)
     out = [(WeightedDynkinDiagram((0,) * alg.rs.rank), alg.zero())]
-    for t_id, labels in enumerate(product((0, 1, 2), repeat=alg.rs.rank)):
+    for labels in product((0, 1, 2), repeat=alg.rs.rank):
         if not any(labels):
             continue
         wdd = WeightedDynkinDiagram(labels)
         h = h_from_wdd(alg, wdd)
-        if decide_normal(triv, h, rng=task_rng(0xC1A55, t_id)) is not None:
+        if decide_normal(triv, h) is not None:
             out.append((wdd, h))
     return tuple(out)
 

@@ -25,6 +25,7 @@ from nilorb import (
     shortest_coset_reps,
     summarize,
 )
+from nilorb.cli import _record_json, canonical_json
 from oracles import (
     brute_pi_classes,
     component_basis,
@@ -201,50 +202,41 @@ def test_criterion_6_pisystem_classification():
             assert len(classify_all(rs)) == len(brute_pi_classes(rs))
 
 
-def test_criterion_7_method_equivalence():
-    with criterion(7, "method equivalence on all G2/F4 gradings, orders 2-6"):
-        for label, rank in [("G", 2), ("F", 4)]:
-            alg = build_algebra(build_root_system(label, rank))
-            for m in range(2, 7):
-                for kd in enumerate_kac_diagrams(alg.rs, m):
-                    g = grading_from_kac(alg, kd)
-                    k1 = sorted(r.h_key() for r in classify_by_characteristics(g))
-                    k2 = sorted(r.h_key() for r in classify_by_carriers(g))
-                    assert k1 == k2, (label, rank, kd.labels)
+# case: (types, orders, number of gradings)
+CRITERION_7_CASES = {
+    "G2-F4-orders-2-6": ([("G", 2), ("F", 4)], range(2, 7), 63),
+    "E6-order-3": ([("E", 6)], [3], 6),
+    "E6-order-2": ([("E", 6)], [2], 3),
+}
 
 
-def test_criterion_7_method_equivalence_e6_order3():
-    with criterion(7, "method equivalence on the six E6 order-3 gradings"):
-        alg = build_algebra(build_root_system("E", 6))
-        diagrams = enumerate_kac_diagrams(alg.rs, 3)
-        assert len(diagrams) == 6
-        for kd in diagrams:
-            g = grading_from_kac(alg, kd)
-            k1 = sorted(r.h_key() for r in classify_by_characteristics(g))
-            k2 = sorted(r.h_key() for r in classify_by_carriers(g))
-            assert k1 == k2, kd.labels
+def criterion_7_gradings(case):
+    """Every grading of a case of CRITERION_7_CASES, or the E7 principal
+    grading of order 2."""
+    if case == "E7-principal-order-2":
+        return [principal_nregular_grading(build_algebra(build_root_system("E", 7)), 2)]
+    types, orders, count = CRITERION_7_CASES[case]
+    gradings = [
+        grading_from_kac(alg, kd)
+        for alg in (build_algebra(build_root_system(*t)) for t in types)
+        for m in orders
+        for kd in enumerate_kac_diagrams(alg.rs, m)
+    ]
+    assert len(gradings) == count
+    return gradings
 
 
-def test_criterion_7_method_equivalence_e6_order2():
-    with criterion(7, "method equivalence on the three E6 order-2 gradings"):
-        alg = build_algebra(build_root_system("E", 6))
-        diagrams = enumerate_kac_diagrams(alg.rs, 2)
-        assert len(diagrams) == 3
-        for kd in diagrams:
-            g = grading_from_kac(alg, kd)
-            k1 = sorted(r.h_key() for r in classify_by_characteristics(g))
-            k2 = sorted(r.h_key() for r in classify_by_carriers(g))
-            assert k1 == k2, kd.labels
-
-
-
-def test_criterion_7_method_equivalence_e7_order2():
-    with criterion(7, "method equivalence on the E7 principal order-2 grading"):
-        alg = build_algebra(build_root_system("E", 7))
-        g = principal_nregular_grading(alg, 2)
-        k1 = sorted(r.h_key() for r in classify_by_characteristics(g))
-        k2 = sorted(r.h_key() for r in classify_by_carriers(g))
-        assert k1 == k2
+@pytest.mark.parametrize("case", [*CRITERION_7_CASES, "E7-principal-order-2"])
+def test_criterion_7_whole_record_equivalence(case):
+    # both methods draw e from (seed, h) alone, so method 1, method 2 and
+    # auto print the same JSON record (h, e, f, dim, wdd) for every orbit
+    with criterion(7, f"whole-record method equivalence, {case}"):
+        for g in criterion_7_gradings(case):
+            printed = {
+                method: [canonical_json(_record_json(r)) for r in classify_orbits(g, method, seed=3)]
+                for method in ("1", "2", "auto")
+            }
+            assert printed["1"] == printed["2"] == printed["auto"], g
 
 
 def test_weyl_group_degrees_match_published_lists():

@@ -23,7 +23,6 @@ from nilorb import (
     trivial_grading,
 )
 from nilorb import characteristics, linalg
-from nilorb.characteristics import task_rng
 from oracles import (
     dual_weight,
     graded_sl2_bound_of,
@@ -79,14 +78,15 @@ def test_decide_normal_rejects_non_normal():
     found = sum(
         1
         for wdd, h in chars
-        if not wdd.is_zero() and decide_normal(g, h, rng=task_rng(0, 1)) is not None
+        if not wdd.is_zero() and decide_normal(g, h, seed=1) is not None
     )
     assert found < len(chars) - 1  # at least one dominant characteristic fails
 
 
 def test_decide_normal_int_matches_decide_normal():
     # the integer entry point returns decide_normal's triple (or None) under
-    # the same draws, from the least den and from a den three times larger
+    # the same seed, from the least den and from a den three times larger:
+    # the draws are keyed on h, not on its integer form
     cases = [
         (trivial_grading(alg), h)
         for alg in (G2, F4)
@@ -98,13 +98,11 @@ def test_decide_normal_int_matches_decide_normal():
         cases += [(g, r.h) for r in classify_orbits(g) if not r.is_zero()]
         cases += [(g, h) for wdd, h in classify_nilpotent_g(F4) if not wdd.is_zero()]
     normal = 0
-    for t_id, (g, h) in enumerate(cases):
-        expected = decide_normal(g, h, rng=task_rng(7, t_id))
+    for g, h in cases:
+        expected = decide_normal(g, h, seed=7)
         hnum, den, values = g.alg.cartan_values(h)
         for k in (1, 3):
-            got = decide_normal_int(
-                g, [k * x for x in hnum], k * den, [k * v for v in values], task_rng(7, t_id)
-            )
+            got = decide_normal_int(g, [k * x for x in hnum], k * den, [k * v for v in values], 7)
             assert got == expected, (g, h, k)
         normal += expected is not None
     assert 0 < normal < len(cases)
@@ -171,17 +169,18 @@ def test_method1_g2_order2():
         assert set(r.ambient_wdd.labels) <= {0, 1, 2}
 
 
-def test_retry_budget_error():
+def test_retry_budget_error(monkeypatch):
     from nilorb import RetryBudgetError
 
     class ZeroRng:
         def randint(self, a, b):
             return 0
 
+    monkeypatch.setattr(characteristics, "h_rng", lambda seed, hnum, den: ZeroRng())
     g = grading_from_kac(A1, KacDiagram.from_labels(A1.rs, (1, 1)))
     h = A1.coroot((1,))
     with pytest.raises(RetryBudgetError) as err:
-        decide_normal(g, h, rng=ZeroRng())
+        decide_normal(g, h)
     message = str(err.value)
     assert message.startswith("ThetaGrading(A1, m=2): ")
     assert f"h = {h!r}" in message
@@ -201,23 +200,26 @@ def test_records_are_deterministic_for_fixed_seed():
 def recorded_completions(monkeypatch, run):
     """(h, e, result) of every completion _normal_triple decides in run(),
     None results included; e is read off the generator's last draws."""
-    calls = []
-    original = characteristics._normal_triple
+    calls, draws = [], []
+    original, make_rng = characteristics._normal_triple, characteristics.h_rng
 
-    def record(grading, eye, hnum, den, values, rng):
-        draws = []
+    class RecordingRng:
+        def __init__(self, rng):
+            self.rng = rng
 
-        class RecordingRng:
-            def randint(self, a, b):
-                draws.append(rng.randint(a, b))
-                return draws[-1]
+        def randint(self, a, b):
+            draws.append(self.rng.randint(a, b))
+            return draws[-1]
 
-        result = original(grading, eye, hnum, den, values, RecordingRng())
+    def record(grading, eye, hnum, den, values, seed):
+        draws.clear()
+        result = original(grading, eye, hnum, den, values, seed)
         e = LieElement(grading.alg, dict(zip(eye, draws[-len(eye):])))
         assert result is None or result.e == e
         calls.append((grading.alg.cartan(hnum, den), e, result))
         return result
 
+    monkeypatch.setattr(characteristics, "h_rng", lambda *key: RecordingRng(make_rng(*key)))
     monkeypatch.setattr(characteristics, "_normal_triple", record)
     run()
     return calls
@@ -329,7 +331,7 @@ SL2_SURVIVORS = {
 def test_sl2_test_keeps_every_weighted_dynkin_diagram(label, rank):
     # necessary: the reference runs the normality test on every vector
     alg = build_algebra(build_root_system(label, rank))
-    survivors = [v[1] for v in characteristics._sl2_label_vectors(alg)]
+    survivors = [v[0] for v in characteristics._sl2_label_vectors(alg)]
     wdds = {wdd.labels for wdd, _ in reference_classify_nilpotent_g(alg) if not wdd.is_zero()}
     assert wdds <= set(survivors)
     assert len(survivors) == SL2_SURVIVORS[(label, rank)]
@@ -369,11 +371,12 @@ def test_every_weighted_dynkin_diagram_has_even_dim_g1(label, rank):
 
 
 def test_sl2_survivor_values_are_the_root_values():
-    vectors = list(product((0, 1, 2), repeat=F4.rs.rank))
-    for t_id, labels, hnum, den, values in characteristics._sl2_label_vectors(F4):
-        assert vectors[t_id] == labels
+    survivors = list(characteristics._sl2_label_vectors(F4))
+    for labels, hnum, den, values in survivors:
         assert (hnum, den) == F4.cartan_solution(labels)
         assert values == F4.root_values(hnum)
+    labels = {v[0] for v in survivors}  # in product order, each once
+    assert [v[0] for v in survivors] == [v for v in product((0, 1, 2), repeat=4) if v in labels]
 
 
 def _sweep_gradings():

@@ -247,7 +247,7 @@ def test_orbits_of_a_grading_of_order_above_255(capsys):
         "algebra G2  kac=300,1,0  seed=0\n"
         f'grading {{"component_dims":[{dims}],"m":303,"phi0_type":"A1"}}\n'
         "h=(0,0)  dim=0  wdd=00  e=0\n"
-        "h=(1,3)  dim=2  wdd=10  e=4*x[1,1]\n"
+        "h=(1,3)  dim=2  wdd=10  e=1*x[1,1]\n"
         "1 nonzero orbits, 1 component(s), dim 2, rank 0\n"
     )
 

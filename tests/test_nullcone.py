@@ -335,3 +335,28 @@ def test_order_two_dimensions_must_satisfy_kostant_rallis(monkeypatch, method):
         r"has dimension \d+, but dim G.e = \d+ is not twice that",
     ):
         classify_orbits(g, method=method)
+
+
+def test_kostant_rallis_holds_on_the_order_two_range(monkeypatch):
+    # method 1 on every order-2 grading of A2-A6, B2-B4, C3-C4, D4-D5, G2,
+    # F4 and E6 runs the production check on each of its records
+    import nilorb.nullcone as nullcone_mod
+
+    checked = []
+    check = nullcone_mod.check_kostant_rallis
+
+    def counted(grading, record):
+        checked.append(record)
+        check(grading, record)
+
+    monkeypatch.setattr(nullcone_mod, "check_kostant_rallis", counted)
+    types = [("A", n) for n in range(2, 7)] + [("B", n) for n in range(2, 5)]
+    types += [("C", 3), ("C", 4), ("D", 4), ("D", 5), ("G", 2), ("F", 4), ("E", 6)]
+    gradings = nonzero = 0
+    for label, rank in types:
+        alg = build_algebra(build_root_system(label, rank))
+        for kd in enumerate_kac_diagrams(alg.rs, 2):
+            records = classify_orbits(grading_from_kac(alg, kd), method="1")
+            gradings += 1
+            nonzero += sum(not r.is_zero() for r in records)
+    assert (gradings, nonzero, len(checked)) == (50, 443, 443 + 50)

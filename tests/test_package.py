@@ -109,3 +109,19 @@ def test_no_function_imports_inside_its_body():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     })
     assert local == []
+
+
+def test_one_draw_policy():
+    # every random draw of the package comes from one generator, keyed on
+    # the seed and h (characteristics.h_rng)
+    importers, built = [], []
+    for path, tree in module_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                importers += [path.name for alias in node.names if alias.name == "random"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "random":
+                importers.append(path.name)
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) in ("random.Random", "Random"):
+                built.append(path.name)
+    assert importers == ["characteristics.py"]
+    assert built == ["characteristics.py"]
