@@ -10,14 +10,16 @@ form of twice its defining element, and distinct canonical forms are
 exactly the distinct orbits.
 
 The walk stays in integers from the class-search move to the normal
-triple of an orbit.  Each candidate computes the integer kernel of its
-root rows once (GradedCandidate.root_kernel): the class-search move tests
-root independence with it, and completion, which solves the Cartan system
-with linalg.solve_int, tests membership in the completion with it.  The
-canonical h goes to characteristics.decide_normal_int and
-records.wdd_of_values as (hnum, den, values).  A CompletionResult builds
-its Fraction elements h0 and z_basis only when they are read, and the walk
-reads neither; the first Fraction is the h of the normal triple.
+triple of an orbit.  Each candidate keeps an integer basis of the kernel
+of its root rows (GradedCandidate.root_kernel), derived from its parent's
+when the class-search move made it: the move tests root independence with
+it, and completion, which solves the Cartan system with linalg.solve_int,
+tests membership in the completion with it.  A candidate with no degree-1
+root has defining element 0 and is never flat, so the walk does not
+complete it.  The canonical h goes to characteristics.decide_normal_int
+and records.wdd_of_values as (hnum, den, values).  A CompletionResult
+builds its Fraction elements h0 and z_basis only when they are read, and
+the walk reads neither; the first Fraction is the h of the normal triple.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from operator import mul
 
 from . import linalg
@@ -39,7 +42,7 @@ from .records import (
     wdd_of_values,
     zero_record,
 )
-from .rootsystem import Root, RootSystem
+from .rootsystem import Root
 from .weyl import conjugacy_classes, dominant_values
 
 log = logging.getLogger(__name__)
@@ -59,16 +62,48 @@ class GradedCandidate:
         return not self.pi0 and not self.pi1
 
     def root_kernel(self, rank: int) -> list[list[int]]:
-        """The vectors of linalg.kernel_int of the root rows in rank
-        columns: a root lies in the span of the candidate's roots exactly
-        when it pairs with every vector to zero.  Computed on the first call
-        and kept by the candidate (with its rank, since the empty candidate
-        has the same roots in every root system)."""
+        """Integer vectors spanning the kernel of the root rows in rank
+        columns, rank minus the number of roots of them: a root lies in the
+        span of the candidate's roots exactly when it pairs with every
+        vector to zero.  A candidate made by `extend` derives them from its
+        parent's (_kernel_with); any other takes linalg.kernel_int.  Computed
+        on the first call and kept by the candidate (with its rank, since
+        the empty candidate has the same roots in every root system)."""
         kept = self.__dict__.get("_root_kernel")
-        if kept is None or kept[0] != rank:
-            kept = (rank, linalg.kernel_int(self.roots(), rank)[0])
-            object.__setattr__(self, "_root_kernel", kept)
-        return kept[1]
+        if kept is not None and kept[0] == rank:
+            return kept[1]
+        parent = self.__dict__.get("_parent_kernel")
+        if parent is not None and parent[0] == rank:
+            vectors = _kernel_with(parent[1], parent[2])
+        else:
+            vectors = linalg.kernel_int(self.roots(), rank)[0]
+        object.__setattr__(self, "_root_kernel", (rank, vectors))
+        return vectors
+
+    def extend(self, root: Root, rank: int) -> "GradedCandidate":
+        """The candidate with one more degree-1 root, which must be
+        independent of the candidate's roots; its root_kernel will come from
+        this one's."""
+        child = GradedCandidate(self.pi0, canonical(self.pi1 + (root,)))
+        object.__setattr__(child, "_parent_kernel", (rank, self.root_kernel(rank), root))
+        return child
+
+
+def _kernel_with(kernel: list[list[int]], root: Root) -> list[list[int]]:
+    """A basis of the vectors in the span of `kernel` that pair with root to
+    zero, when some vector does not: with c_s = <k_s, root> and t the first
+    index with c_t != 0, the vectors c_t k_s - c_s k_t for s != t, each
+    divided by the gcd of its entries."""
+    pairings = [sum(map(mul, k, root)) for k in kernel]
+    t = next(s for s, c in enumerate(pairings) if c)
+    ct, kt = pairings[t], kernel[t]
+    vectors = []
+    for s, (k, cs) in enumerate(zip(kernel, pairings)):
+        if s != t:
+            v = [ct * a - cs * b for a, b in zip(k, kt)]
+            g = gcd(*v)
+            vectors.append([x // g for x in v])
+    return vectors
 
 
 @dataclass
@@ -124,7 +159,7 @@ def candidate_pi_systems(grading: ThetaGrading) -> list[GradedCandidate]:
     """
     rs = grading.rs
     w0 = grading.weyl_subgroup()
-    masks = _difference_masks(rs)
+    masks = _difference_masks(grading.alg)
     phi1 = [(rs.root_index[r], r) for r in grading.phi1]
 
     def add_one(cand: GradedCandidate) -> list[GradedCandidate]:
@@ -134,7 +169,7 @@ def candidate_pi_systems(grading: ThetaGrading) -> list[GradedCandidate]:
             blocked |= masks[i] | 1 << i
         kernel = cand.root_kernel(rs.rank)
         return [
-            GradedCandidate(cand.pi0, canonical(cand.pi1 + (r,)))
+            cand.extend(r, rs.rank)
             for i, r in phi1
             if not blocked >> i & 1 and any(sum(map(mul, k, r)) for k in kernel)
         ]
@@ -147,16 +182,15 @@ def candidate_pi_systems(grading: ThetaGrading) -> list[GradedCandidate]:
 
 
 @lru_cache(maxsize=None)
-def _difference_masks(rs: RootSystem) -> tuple[int, ...]:
+def _difference_masks(alg: ChevalleyAlgebra) -> tuple[int, ...]:
     """For each root index i, the bitmask of the indices j with
-    roots[i] - roots[j] a root."""
-    masks = []
-    for a in rs.roots:
-        m = 0
-        for j, b in enumerate(rs.roots):
-            if tuple(x - y for x, y in zip(a, b)) in rs.root_index:
-                m |= 1 << j
-        masks.append(m)
+    roots[i] - roots[j] a root, read off the structure constants: (i, k)
+    is a key exactly when roots[i] + roots[k] is a root, and roots[k] =
+    -roots[j] for j = k -+ n_pos."""
+    n_pos = alg.rs.n_pos
+    masks = [0] * alg.n_roots
+    for i, k in alg.structure_constants:
+        masks[i] |= 1 << (k + n_pos if k < n_pos else k - n_pos)
     return tuple(masks)
 
 
@@ -189,13 +223,14 @@ def completion(grading: ThetaGrading, cand: GradedCandidate) -> CompletionResult
     hnum = [sum(map(mul, solnum, col)) for col in zip(*coroots)]
     values = alg.root_values(hnum)
     kernel = cand.root_kernel(rs.rank)
-    one = 1 % grading.m
-    psi0, psi1 = [], []
-    for r, d, v in zip(rs.roots, grading.deg_by_index, values):
-        # at m = 1, one == 0: a degree-0 root with value den goes to psi1
-        psi = psi0 if d == 0 and v == 0 else psi1 if d == one and v == den else None
-        if psi is not None and not any(sum(map(mul, k, r)) for k in kernel):
-            psi.append(r)
+
+    def in_span(i: int) -> bool:
+        return not any(sum(map(mul, k, rs.roots[i])) for k in kernel)
+
+    # at m = 1 the degree-1 roots are the degree-0 ones, and a root with
+    # value den goes to psi1
+    psi0 = [rs.roots[i] for i in grading.phi0_indices if values[i] == 0 and in_span(i)]
+    psi1 = [rs.roots[i] for i in grading.phi1_indices if values[i] == den and in_span(i)]
     flat = len(roots) + len(psi0) == len(psi1)
     return CompletionResult(alg, cand, hnum, den, values, tuple(psi0), tuple(psi1), flat)
 
@@ -211,7 +246,8 @@ def classify_by_carriers(grading: ThetaGrading, seed: int = 0) -> list[OrbitReco
     diagram from wdd_of_values on the same integers.  No Fraction is built
     before the normal triple; one debug line on the module logger counts
     the candidates, the non-empty ones, the solvable and the flat
-    completions, the distinct canonical h and the records.
+    completions, the distinct canonical h and the records.  A candidate
+    with no degree-1 root is not completed, and counts as solvable.
     """
     alg, rs = grading.alg, grading.rs
     basis0 = [rs.root_index[b] for b in grading.delta0]
@@ -223,6 +259,10 @@ def classify_by_carriers(grading: ThetaGrading, seed: int = 0) -> list[OrbitReco
         if cand.is_empty():
             continue
         nonempty += 1
+        if not cand.pi1:
+            # h0 = 0 solves the system, so no root has value den: never flat
+            solvable += 1
+            continue
         comp = completion(grading, cand)
         if comp is None:
             continue

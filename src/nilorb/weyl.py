@@ -14,10 +14,15 @@ computes once and keeps (inverse_simple_images).
 Conjugacy rests on one chamber walk (_dominant_perm): each root in turn is
 reflected into the chamber of the basis roots that fix the images already
 placed.  conjugacy_key keeps the least image sequence over the orderings of
-a root set, so that classifying n sets takes n keys and one dict; and
+a sequence of root sets, found block by block by one search (_place) on
+sorted bytes of images, moved by bytes.translate.  The search of a first
+block that other blocks follow is kept per root system, subgroup basis and
+block (_first_block): the carrier class search keys many (pi0, pi1) with
+one of a few pi0.  So classifying n items takes n keys and one dict;
 conjugacy_classes is the one class search, expanding only the first item of
-each class through moves that commute with the subgroup.  The pairwise
-tests conjugate_tuples and conjugate_sets compare the walks of two inputs.
+each class through moves that commute with the subgroup.  conjugate_tuples
+compares the chamber walks of two tuples, and conjugate_sets the keys of
+two sets.
 """
 
 from __future__ import annotations
@@ -137,7 +142,7 @@ class WeylElement:
 class WeylSubgroup:
     """Weyl subgroup given by a pi-system basis of positive roots."""
 
-    __slots__ = ("rs", "basis")
+    __slots__ = ("rs", "basis", "basis_indices")
 
     def __init__(self, rs: RootSystem, basis):
         check_root_count(rs)
@@ -155,6 +160,7 @@ class WeylSubgroup:
             raise ValueError("basis violates C2: roots are linearly dependent")
         self.rs = rs
         self.basis = basis
+        self.basis_indices = tuple(rs.root_index[b] for b in basis)
 
     def __repr__(self) -> str:
         return f"WeylSubgroup(basis={list(self.basis)})"
@@ -277,18 +283,26 @@ def dominant_values(rs: RootSystem, basis, values) -> list:
 def _dominant_perm(rs: RootSystem, basis: tuple[int, ...], i: int) -> tuple[int, bytes]:
     """The image of roots[i] in the chamber of the pi-system `basis` (root
     indices) and the product of the reflections that take it there, as a
-    root permutation; the same smallest-violating-index rule as
-    to_subdominant."""
-    perm = bytes(range(len(rs.roots)))
+    256-byte translate table that fixes the bytes past the roots; the same
+    smallest-violating-index rule as to_subdominant."""
+    perm = _IDENTITY
     while True:
         for b in basis:
             if _coroot_column(rs, b)[i] < 0:
                 row = _reflection_row(rs, b)
                 i = row[i]
-                perm = _compose(row, perm)
+                perm = perm.translate(row + _IDENTITY[len(row) :])
                 break
         else:
             return i, perm
+
+
+@lru_cache(maxsize=None)
+def _stabiliser(rs: RootSystem, basis: tuple[int, ...], lam: int) -> tuple[int, ...]:
+    """The roots of `basis` orthogonal to roots[lam]: for lam dominant, the
+    basis of its stabiliser, a parabolic subgroup (Humphreys, Reflection
+    Groups and Coxeter Groups, 1.12)."""
+    return tuple(b for b in basis if _coroot_column(rs, b)[lam] == 0)
 
 
 def _root_index(rs: RootSystem, r) -> int:
@@ -309,9 +323,9 @@ def _chamber_walk(rs: RootSystem, basis: tuple[int, ...], indices) -> tuple[tupl
     images = []
     for i in indices:
         lam, p = _dominant_perm(rs, basis, perm[i])
-        perm = _compose(p, perm)
+        perm = perm.translate(p)
         images.append(lam)
-        basis = tuple(b for b in basis if _coroot_column(rs, b)[lam] == 0)
+        basis = _stabiliser(rs, basis, lam)
     return tuple(images), perm
 
 
@@ -328,7 +342,7 @@ def conjugate_tuples(rs: RootSystem, sub: WeylSubgroup, mus, lams) -> WeylElemen
     lams = [_root_index(rs, x) for x in lams]
     if len(mus) != len(lams):
         raise ValueError("tuples must have equal length")
-    basis = tuple(rs.root_index[b] for b in sub.basis)
+    basis = sub.basis_indices
     images1, p1 = _chamber_walk(rs, basis, mus)
     images2, p2 = _chamber_walk(rs, basis, lams)
     if images1 != images2:
@@ -336,46 +350,78 @@ def conjugate_tuples(rs: RootSystem, sub: WeylSubgroup, mus, lams) -> WeylElemen
     return WeylElement.from_perm(rs, _compose(_inverse(p2), p1))
 
 
-def _least_images(rs: RootSystem, sub: WeylSubgroup, blocks) -> tuple[tuple, tuple]:
-    """The conjugacy key of `blocks` (see conjugacy_key) and an ordering of
-    the input roots, block by block, whose successive images realise it."""
-    roots, entries = [], []
-    for k, block in enumerate(blocks):
-        for r in block:
-            r = tuple(r)
-            if r not in rs.root_index:
-                raise ValueError(f"{r} is not a root of {rs!r}")
-            entries.append((k, rs.root_index[r], len(roots)))
-            roots.append(r)
-    # A search state: the (block, image, position in roots) entries of the
-    # roots not yet placed, sorted, and the positions placed so far.  All
-    # states of a step share the key prefix and hence the stabiliser basis.
-    states = [(tuple(sorted(entries)), ())]
-    basis = tuple(rs.root_index[b] for b in sub.basis)
-    key = []
+_BYTE = tuple(bytes((k,)) for k in range(256))
+
+
+def _place(rs: RootSystem, basis: tuple[int, ...], states, merge: bool):
+    """Place the roots of one block, least image first.
+
+    A state is (images, perm): the sorted bytes of the current images of
+    the block's roots not placed yet, and the subgroup element applied so
+    far (a 256-byte table).  All states share the images placed so far,
+    hence the stabiliser basis.  Each step takes the least dominant image
+    over every state and root, and moves each tied state by the reflections
+    that reach it.  The states left are merged on their images when
+    `merge` (nothing follows the block), and otherwise kept apart by their
+    element, which also images the blocks still to come.  Returns the
+    images placed, the basis left, and the elements of the end states.
+    """
+    lams = []
     while states[0][0]:
-        block = states[0][0][0][0]
-        best, hits = None, []
-        for remaining, placed in states:
-            for p, (k, img, _) in enumerate(remaining):
-                if k != block:
-                    break
-                lam, perm = _dominant_perm(rs, basis, img)
-                if best is None or lam < best:
+        best, hits = 256, []
+        for images, perm in states:
+            for img in images:
+                lam, q = _dominant_perm(rs, basis, img)
+                if lam < best:
                     best, hits = lam, []
                 if lam == best:
-                    hits.append((remaining, placed, p, perm))
+                    hits.append((images, perm, img, q))
         merged = {}
-        for remaining, placed, p, perm in hits:
-            rest = remaining[:p] + remaining[p + 1 :]
-            rest = tuple(sorted((k, perm[img], n) for k, img, n in rest))
-            ident = tuple((k, img) for k, img, _ in rest)
-            if ident not in merged:
-                merged[ident] = (rest, placed + (remaining[p][2],))
+        for images, perm, img, q in hits:
+            rest, perm = bytes(sorted(images.translate(q, _BYTE[img]))), perm.translate(q)
+            merged.setdefault(rest if merge else perm, (rest, perm))
         states = list(merged.values())
-        key.append((block, best))
-        basis = tuple(b for b in basis if _coroot_column(rs, b)[best] == 0)
-    return tuple(key), tuple(roots[n] for n in states[0][1])
+        lams.append(best)
+        basis = _stabiliser(rs, basis, best)
+    return tuple(lams), basis, tuple(perm for _, perm in states)
+
+
+@lru_cache(maxsize=None)
+def _first_block(rs: RootSystem, basis: tuple[int, ...], block: bytes):
+    """_place of a first block that other blocks follow, kept per root
+    system, subgroup basis and block: the carrier class search keys many
+    (pi0, pi1) with the same pi0."""
+    return _place(rs, basis, [(block, _IDENTITY)], merge=False)
+
+
+def _least_images(rs: RootSystem, sub: WeylSubgroup, blocks) -> tuple[tuple, bytes]:
+    """The conjugacy key of `blocks` (see conjugacy_key) and an element of
+    the subgroup, as a 256-byte table, that sends each block onto the set of
+    its images in the key."""
+    index, sets = rs.root_index, []
+    for k, block in enumerate(blocks):
+        try:
+            block = bytes(sorted({index[tuple(r)] for r in block}))
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]} is not a root of {rs!r}") from None
+        if block:
+            sets.append((k, block))
+    basis = sub.basis_indices
+    key, perms = [], (_IDENTITY,)
+    for n, (k, block) in enumerate(sets):
+        if n == 0 and len(sets) > 1:
+            lams, basis, perms = _first_block(rs, basis, block)
+        else:
+            # each element so far images the block; on a last block equal
+            # images merge
+            last = n == len(sets) - 1
+            states = {}
+            for perm in perms:
+                images = bytes(sorted(block.translate(perm)))
+                states.setdefault(images if last else perm, (images, perm))
+            lams, basis, perms = _place(rs, basis, list(states.values()), last)
+        key += [(k, lam) for lam in lams]
+    return tuple(key), perms[0]
 
 
 def conjugacy_key(rs: RootSystem, sub: WeylSubgroup, blocks) -> tuple:
@@ -389,7 +435,7 @@ def conjugacy_key(rs: RootSystem, sub: WeylSubgroup, blocks) -> tuple:
     already chosen, made dominant for the stabiliser of lam_1..lam_{k-1}.
     Those stabilisers are parabolic: the basis roots orthogonal to the
     dominant lam (Humphreys, Reflection Groups and Coxeter Groups, 1.12).
-    Ties branch; identical search states are merged.
+    Ties branch (see _place).  A root repeated in a set counts once.
     """
     return _least_images(rs, sub, blocks)[0]
 
@@ -426,14 +472,20 @@ def conjugate_sets(rs: RootSystem, sub: WeylSubgroup, gamma1, gamma2) -> WeylEle
     """An element w of the subgroup with w(Gamma1) = Gamma2 as sets of
     roots, or None.
 
-    Equal conjugacy keys decide it; w then maps the ordering of Gamma1 that
-    realises the key onto that of Gamma2.
+    Equal conjugacy keys decide it.  The search's element p_k sends the
+    root of Gamma_k placed at each step to that step's image, so reading the
+    key images back through p_k orders each set; the chamber walks of
+    conjugate_tuples retrace the same reflections on those orderings, and
+    its w is p_2^{-1} p_1.
     """
     gamma1, gamma2 = list(gamma1), list(gamma2)
     if len(gamma1) != len(gamma2):
         raise ValueError("sets must have equal size")
-    key1, order1 = _least_images(rs, sub, (gamma1,))
-    key2, order2 = _least_images(rs, sub, (gamma2,))
+    key1, p1 = _least_images(rs, sub, (gamma1,))
+    key2, p2 = _least_images(rs, sub, (gamma2,))
     if key1 != key2:
         return None
+    inv1, inv2 = _inverse(p1), _inverse(p2)
+    order1 = [rs.roots[inv1[lam]] for _, lam in key1]
+    order2 = [rs.roots[inv2[lam]] for _, lam in key2]
     return conjugate_tuples(rs, sub, order1, order2)

@@ -841,3 +841,62 @@ def reference_shortest_coset_reps(rs, sub):
                     nxt[new_perm] = (_compose(si, inv), word + (i,))
         level = nxt
     return reps
+
+
+def reference_least_images(rs, sub, blocks):
+    """The conjugacy key of `blocks` and an ordering of the input roots,
+    block by block, whose successive images realise it, by the search that
+    keeps (block, image, position) entries of all blocks in every state and
+    merges states on the images of every root not placed yet."""
+    from nilorb.weyl import _coroot_column, _dominant_perm
+
+    roots, entries = [], []
+    for k, block in enumerate(blocks):
+        for r in block:
+            r = tuple(r)
+            if r not in rs.root_index:
+                raise ValueError(f"{r} is not a root of {rs!r}")
+            entries.append((k, rs.root_index[r], len(roots)))
+            roots.append(r)
+    # A search state: the (block, image, position in roots) entries of the
+    # roots not yet placed, sorted, and the positions placed so far.  All
+    # states of a step share the key prefix and hence the stabiliser basis.
+    states = [(tuple(sorted(entries)), ())]
+    basis = tuple(rs.root_index[b] for b in sub.basis)
+    key = []
+    while states[0][0]:
+        block = states[0][0][0][0]
+        best, hits = None, []
+        for remaining, placed in states:
+            for p, (k, img, _) in enumerate(remaining):
+                if k != block:
+                    break
+                lam, perm = _dominant_perm(rs, basis, img)
+                if best is None or lam < best:
+                    best, hits = lam, []
+                if lam == best:
+                    hits.append((remaining, placed, p, perm))
+        merged = {}
+        for remaining, placed, p, perm in hits:
+            rest = remaining[:p] + remaining[p + 1 :]
+            rest = tuple(sorted((k, perm[img], n) for k, img, n in rest))
+            ident = tuple((k, img) for k, img, _ in rest)
+            if ident not in merged:
+                merged[ident] = (rest, placed + (remaining[p][2],))
+        states = list(merged.values())
+        key.append((block, best))
+        basis = tuple(b for b in basis if _coroot_column(rs, b)[best] == 0)
+    return tuple(key), tuple(roots[n] for n in states[0][1])
+
+
+def reference_difference_masks(rs):
+    """For each root index i, the bitmask of the indices j with
+    roots[i] - roots[j] a root, by testing every pair."""
+    masks = []
+    for a in rs.roots:
+        m = 0
+        for j, b in enumerate(rs.roots):
+            if tuple(x - y for x, y in zip(a, b)) in rs.root_index:
+                m |= 1 << j
+        masks.append(m)
+    return tuple(masks)

@@ -2,10 +2,12 @@ import logging
 import os
 import subprocess
 import sys
+from operator import mul
 from pathlib import Path
 
 import pytest
 
+import nilorb.weyl as weyl_module
 from nilorb import (
     GradedCandidate,
     InternalConsistencyError,
@@ -19,7 +21,10 @@ from nilorb import (
     conjugacy_key,
     enumerate_kac_diagrams,
     grading_from_kac,
+    linalg,
+    principal_nregular_grading,
 )
+from nilorb.carrier import _difference_masks
 from nilorb.weyl import conjugate_sets
 
 from oracles import (
@@ -29,6 +34,8 @@ from oracles import (
     reference_candidate_pi_systems,
     reference_candidates,
     reference_completion,
+    reference_difference_masks,
+    reference_least_images,
     root_value,
     same_partition,
     subgroup_matrices,
@@ -37,6 +44,12 @@ from oracles import (
 A1 = build_algebra(build_root_system("A", 1))
 A3 = build_algebra(build_root_system("A", 3))
 G2 = build_algebra(build_root_system("G", 2))
+F4 = build_algebra(build_root_system("F", 4))
+E6 = build_algebra(build_root_system("E", 6))
+
+
+def gradings_of(alg, orders):
+    return [grading_from_kac(alg, kd) for m in orders for kd in enumerate_kac_diagrams(alg.rs, m)]
 
 
 def a3_example_grading():
@@ -110,6 +123,68 @@ def test_candidate_classes_match_exhaustive_enumeration():
         assert len(set(got)) == len(got), g
         expected = {conjugacy_key(g.rs, w0, (c.pi0, c.pi1)) for c in reference_candidates(g)}
         assert set(got) == expected, g
+
+
+def test_class_search_keys_match_the_reference_search(monkeypatch):
+    # every key the class search asks for, the first blocks kept across
+    # the gradings of one root system, against the search that carries
+    # every block in every state
+    asked = []
+    search = weyl_module.conjugacy_key
+
+    def recording(rs, sub, blocks):
+        key = search(rs, sub, blocks)
+        asked.append((rs, sub, blocks, key))
+        return key
+
+    monkeypatch.setattr(weyl_module, "conjugacy_key", recording)
+    gradings = gradings_of(G2, range(1, 7)) + gradings_of(F4, (2, 3, 4)) + gradings_of(E6, (2, 3))
+    for g in gradings:
+        candidate_pi_systems(g)
+    two_block = [blocks for _, _, blocks, _ in asked if all(blocks)]
+    assert len(two_block) > 1000
+    assert len({blocks[0] for blocks in two_block}) < len(two_block) / 10
+    for rs, sub, blocks, key in asked:
+        assert key == reference_least_images(rs, sub, blocks)[0], blocks
+
+
+def test_inherited_root_kernels_span_the_kernel():
+    # a candidate made by the class-search move derives its root kernel
+    # from its parent's; it must mark the same roots as kernel_int
+    gradings = gradings_of(F4, range(2, 7)) + [principal_nregular_grading(E6, 7)]
+    derived = 0
+    for g in gradings:
+        rs = g.rs
+        for cand in candidate_pi_systems(g):
+            roots = cand.roots()
+            kernel = cand.root_kernel(rs.rank)
+            assert len(kernel) == rs.rank - len(roots), cand
+            assert not any(sum(map(mul, k, r)) for k in kernel for r in roots), cand
+            reference, _ = linalg.kernel_int(roots, rs.rank)
+            derived += kernel != reference
+            for r in rs.roots:
+                marked = not any(sum(map(mul, k, r)) for k in kernel)
+                assert marked == (not any(sum(map(mul, k, r)) for k in reference)), (cand, r)
+    assert derived > 100
+
+
+def test_difference_masks_match_every_pair():
+    for label, rank in [("A", 5), ("B", 4), ("C", 4), ("D", 5), ("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)]:
+        alg = build_algebra(build_root_system(label, rank))
+        assert _difference_masks(alg) == reference_difference_masks(alg.rs), (label, rank)
+
+
+def test_candidates_with_no_degree_one_root_are_never_flat():
+    # the walk skips their completion: h0 = 0 solves the system
+    checked = 0
+    for g in gradings_of(F4, range(2, 7)) + gradings_of(E6, (2, 3)):
+        for cand in candidate_pi_systems(g):
+            if cand.pi0 and not cand.pi1:
+                comp = completion(g, cand)
+                assert comp is not None and not any(comp.hnum), cand
+                assert comp.psi1 == () and not comp.flat, cand
+                checked += 1
+    assert checked > 100
 
 
 def test_completion_matches_fraction_reference():

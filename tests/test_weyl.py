@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilorb import (
@@ -25,6 +25,7 @@ from oracles import (
     mat_vec,
     matrix_length,
     orbit_ids,
+    reference_least_images,
     reference_shortest_coset_reps,
     reflection_matrix,
     same_partition,
@@ -347,6 +348,39 @@ def test_conjugacy_key_matches_brute_force_orbits(rs, basis):
     keys = [conjugacy_key(rs, sub, blocks) for blocks in items]
     assert same_partition(keys, orbit_ids(rs, basis, items))
 
+
+
+def parabolic_bases(rs):
+    simple = tuple(rs.simple_root(i) for i in range(rs.rank))
+    return [simple] + [simple[:i] + simple[i + 1 :] for i in range(rs.rank)]
+
+
+@st.composite
+def block_runs(draw):
+    # a run of (subgroup, blocks) keys on one root system: the first blocks
+    # come from a pool of two, so most of them repeat, each may go with
+    # either of two subgroup bases, and one or two blocks follow
+    rs = draw(st.sampled_from([A3, B3, G2]))
+    roots = st.sampled_from(rs.roots)
+    bases = draw(st.lists(st.sampled_from(parabolic_bases(rs)), min_size=2, max_size=2, unique=True))
+    pool = draw(st.lists(st.lists(roots, min_size=1, max_size=3, unique=True), min_size=2, max_size=2))
+    later = st.lists(st.lists(roots, max_size=3, unique=True), min_size=1, max_size=2)
+    items = draw(st.lists(st.tuples(st.sampled_from(bases), st.sampled_from(pool), later), min_size=1, max_size=8))
+    return rs, [(WeylSubgroup(rs, basis), (first, *rest)) for basis, first, rest in items]
+
+
+@given(block_runs())
+# elements that the first block leaves apart may give the middle block equal
+# images and the last block different ones
+@example((A3, [(full_subgroup(A3), ([(0, 0, 1), (0, 0, -1)], [(1, 0, 0)], [(0, 1, 0), (1, 1, 1)]))]))
+@example((A3, [(full_subgroup(A3), ([(-1, 0, 0), (-1, -1, 0)], [(0, 1, 0), (0, -1, 0)], [(1, 0, 0)]))]))
+@settings(max_examples=150, deadline=None)
+def test_keys_with_repeated_first_blocks_match_the_reference_search(run):
+    # the first block's search is kept per root system, subgroup basis and
+    # block, and the later blocks start from each element it left
+    rs, items = run
+    for sub, blocks in items:
+        assert conjugacy_key(rs, sub, blocks) == reference_least_images(rs, sub, blocks)[0], blocks
 
 
 def test_conjugacy_classes_without_moves_keeps_the_first_of_each_key():
