@@ -260,10 +260,7 @@ def classify_nilpotent_g(alg: ChevalleyAlgebra) -> tuple:
     passed = 0
     for labels, hnum, den, values in _sl2_label_vectors(alg):
         passed += 1
-        eye = _spanning_eye(triv, hnum, den, values)
-        if eye is None:
-            continue
-        triple = _normal_triple(triv, eye, hnum, den, values, 0)
+        triple = decide_normal_int(triv, hnum, den, values)
         if triple is not None:
             out.append((WeightedDynkinDiagram(labels), triple.h))
     log.debug(

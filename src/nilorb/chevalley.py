@@ -2,10 +2,14 @@
 
 The basis is one root vector x_alpha per root, followed by the Cartan
 generators h_1..h_l (the simple coroots).  Signs are fixed by setting the
-constant of each extraspecial pair positive, with all other constants
-derived through the standard bracket identities; any consistent convention
-is equivalent for the invariant quantities computed downstream.  One table,
-structure_constants, gives a bracket of root vectors in one lookup, and one
+constant of each extraspecial pair positive; any consistent convention is
+equivalent for the invariant quantities computed downstream.  One table,
+structure_constants, keyed by pairs of root indices, gives a bracket of
+root vectors in one lookup.  It is built in one pass over the positive
+roots by height: each constant N_{x,y} of a positive pair is written
+together with the eleven that two identities tie to it, N_{-a,-b} =
+-N_{a,b} and N_{a,b} / |c|^2 = N_{b,c} / |a|^2 = N_{c,a} / |b|^2 for
+a + b + c = 0, and Carter's formula for a later pair reads the table.  One
 integer bracket over the tables serves both ChevalleyAlgebra.bracket and
 Sl2Triple.check.
 
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import add, mul
+from operator import mul, sub
 
 from . import linalg
 from .rootsystem import Root, RootSystem
@@ -168,80 +172,61 @@ class ChevalleyAlgebra:
             raise AssertionError(f"non-integral coroot for {root}")
         return tuple(x // d_root for x in num)
 
-    def _string_down(self, alpha: Root, beta: Root) -> int:
-        """p = max k with beta - k*alpha a root."""
-        p = 0
-        cur = tuple(b - a for a, b in zip(alpha, beta))
-        while cur in self.rs.root_index:
-            p += 1
-            cur = tuple(c - a for a, c in zip(alpha, cur))
-        return p
-
     def _build_constants(self) -> dict:
         """(k, N_{i,j}) with roots[k] = roots[i] + roots[j], keyed by the
-        index pairs (i, j) whose sum is a root."""
-        rs = self.rs
-        pos = rs.positive_roots
-        order = {r: k for k, r in enumerate(pos)}
-        npos: dict = {}  # (alpha, beta) positive pairs, alpha + beta a root
+        index pairs (i, j) whose sum is a root: one pass over one table.
 
-        def put(a: Root, b: Root, val: int) -> None:
-            npos[(a, b)] = val
-            npos[(b, a)] = -val
-
-        def n_any(a: Root, b: Root):
-            """Constant for an arbitrary sign pattern, from the positive table."""
-            s = tuple(map(add, a, b))
-            if s not in rs.root_index:
-                return 0
-            a_pos, b_pos = rs.is_positive(a), rs.is_positive(b)
-            if a_pos and b_pos:
-                return npos[(a, b)]
-            if not a_pos and not b_pos:
-                return -n_any(tuple(-x for x in a), tuple(-x for x in b))
-            if not a_pos:  # normalise to (positive, negative)
-                return -n_any(b, a)
-            eta = tuple(-x for x in b)
-            zeta = s
-            if rs.is_positive(zeta):
-                val = Fraction(rs.length2(zeta), rs.length2(a)) * npos[(zeta, eta)]
-            else:
-                mzeta = tuple(-x for x in zeta)
-                val = Fraction(rs.length2(zeta), rs.length2(eta)) * npos[(mzeta, a)]
-            if val.denominator != 1:
-                raise AssertionError(f"non-integral constant for {a}, {b}")
-            return int(val)
-
-        for rho in pos:
-            if sum(rho) < 2:
-                continue
-            pairs = []
-            for alpha in pos:
-                if order[alpha] >= order[rho]:
-                    break
-                beta = tuple(r - x for r, x in zip(rho, alpha))
-                if beta in rs.root_index and rs.is_positive(beta) and order[alpha] < order[beta]:
-                    pairs.append((alpha, beta))
-            gamma, delta = pairs[0]  # extraspecial: minimal first member
-            put(gamma, delta, self._string_down(gamma, delta) + 1)
-            for alpha, beta in pairs[1:]:
-                f2 = n_any(delta, tuple(-x for x in alpha))
-                t2 = f2 and f2 * n_any(tuple(d - x for d, x in zip(delta, alpha)), gamma)
-                f3 = n_any(tuple(-x for x in alpha), gamma)
-                t3 = f3 and f3 * n_any(tuple(g - x for g, x in zip(gamma, alpha)), delta)
-                n_rho_malpha = Fraction(-(t2 + t3), npos[(gamma, delta)])
-                val = -Fraction(rs.length2(rho), rs.length2(beta)) * n_rho_malpha
-                if val.denominator != 1:
-                    raise AssertionError(f"non-integral constant for {alpha}, {beta}")
-                put(alpha, beta, int(val))
-
-        # expand to index-keyed tables over all root pairs
+        The positive roots z are taken by height.  The first pair (x, y) of
+        positive roots with x + y = z, x least, is extraspecial and gets
+        N_{x,y} = p + 1, p the largest k with y - k x a root; every other
+        pair gets Carter's formula (Simple Groups of Lie Type, 1972, 4.1.2),
+        which reads constants of pairs of lower sums.  put writes N_{x,y}
+        together with the eleven constants that the bracket identities tie
+        to it: N_{-a,-b} = -N_{a,b}, and N_{a,b} / |c|^2 = N_{b,c} / |a|^2 =
+        N_{c,a} / |b|^2 for a + b + c = 0, here (x, y, -z), with
+        antisymmetry.  Every pair whose sum is a root lies in exactly one
+        such family, so each constant is written once.
+        """
+        rs, n_pos = self.rs, self.rs.n_pos
+        roots, index = rs.roots, rs.root_index
+        len2 = [rs.length2(r) for r in rs.positive_roots]
+        neg = tuple(range(n_pos, 2 * n_pos)) + tuple(range(n_pos))  # index of -roots[i]
         table: dict = {}
-        for i, a in enumerate(rs.roots):
-            for j, b in enumerate(rs.roots):
-                k = rs.root_index.get(tuple(map(add, a, b)))
-                if k is not None:
-                    table[(i, j)] = (k, n_any(a, b))
+        none = (None, 0)
+
+        def exact(num: int, den: int, x: int, y: int) -> int:
+            q, r = divmod(num, den)
+            if r:
+                raise AssertionError(f"non-integral constant for {roots[x]}, {roots[y]}")
+            return q
+
+        def put(x: int, y: int, z: int, n: int) -> None:
+            mz = neg[z]
+            n_yz = exact(n * len2[x], len2[z], y, mz)  # N_{y,-z}
+            n_zx = exact(n * len2[y], len2[z], mz, x)  # N_{-z,x}
+            for i, j, k, c in ((x, y, z, n), (y, mz, neg[x], n_yz), (mz, x, neg[y], n_zx)):
+                table[(i, j)], table[(j, i)] = (k, c), (k, -c)
+                table[(neg[i], neg[j])], table[(neg[j], neg[i])] = (neg[k], -c), (neg[k], c)
+
+        for z, rho in enumerate(rs.positive_roots):
+            first = None
+            for x in range(z):
+                y = index.get(tuple(map(sub, rho, roots[x])))
+                if y is None or not x < y < n_pos:
+                    continue
+                if first is None:
+                    first, p, cur = (x, y), 0, y
+                    while (cur := table.get((cur, neg[x]), none)[0]) is not None:
+                        p += 1
+                    put(x, y, z, p + 1)
+                    continue
+                g, d = first
+                ma = neg[x]
+                k2, f2 = table.get((d, ma), none)
+                t2 = f2 and f2 * table.get((k2, g), none)[1]
+                k3, f3 = table.get((ma, g), none)
+                t3 = f3 and f3 * table.get((k3, d), none)[1]
+                put(x, y, z, exact((t2 + t3) * len2[z], len2[y] * table[(g, d)][1], x, y))
         return table
 
     # -- basis bookkeeping -----------------------------------------------------

@@ -21,8 +21,9 @@ block (_first_block): the carrier class search keys many (pi0, pi1) with
 one of a few pi0.  So classifying n items takes n keys and one dict;
 conjugacy_classes is the one class search, expanding only the first item of
 each class through moves that commute with the subgroup.  conjugate_tuples
-compares the chamber walks of two tuples, and conjugate_sets the keys of
-two sets.
+(each root its own block) and conjugate_sets compare the keys of one
+search, and return p2^-1 p1 for the elements p1, p2 that the two searches
+end with.
 """
 
 from __future__ import annotations
@@ -305,51 +306,6 @@ def _stabiliser(rs: RootSystem, basis: tuple[int, ...], lam: int) -> tuple[int, 
     return tuple(b for b in basis if _coroot_column(rs, b)[lam] == 0)
 
 
-def _root_index(rs: RootSystem, r) -> int:
-    r = tuple(r)
-    if r not in rs.root_index:
-        raise ValueError(f"{r} is not a root of {rs!r}")
-    return rs.root_index[r]
-
-
-def _chamber_walk(rs: RootSystem, basis: tuple[int, ...], indices) -> tuple[tuple, bytes]:
-    """The images lam_k that conjugacy_key takes for this one ordering of
-    the roots `indices` (root indices), and a subgroup element, as a root
-    permutation, that sends each root to its image: lam_k is the image of
-    the k-th root under the element chosen so far, made dominant for the
-    basis roots orthogonal to lam_1..lam_{k-1}.  Those reflections fix the
-    earlier images, so the final element sends every root to its image."""
-    perm = bytes(range(len(rs.roots)))
-    images = []
-    for i in indices:
-        lam, p = _dominant_perm(rs, basis, perm[i])
-        perm = perm.translate(p)
-        images.append(lam)
-        basis = _stabiliser(rs, basis, lam)
-    return tuple(images), perm
-
-
-def conjugate_tuples(rs: RootSystem, sub: WeylSubgroup, mus, lams) -> WeylElement | None:
-    """An element w of the subgroup with w(mu_k) = lam_k for every k, or
-    None; the mu_k and lam_k are roots.
-
-    The chamber walk sends the mus by p1 and the lams by p2 to image
-    sequences, each image the one dominant point of its orbit under the
-    stabiliser of the earlier ones; so the tuples are conjugate exactly when
-    the sequences agree, and then w = p2^{-1} p1.
-    """
-    mus = [_root_index(rs, m) for m in mus]
-    lams = [_root_index(rs, x) for x in lams]
-    if len(mus) != len(lams):
-        raise ValueError("tuples must have equal length")
-    basis = sub.basis_indices
-    images1, p1 = _chamber_walk(rs, basis, mus)
-    images2, p2 = _chamber_walk(rs, basis, lams)
-    if images1 != images2:
-        return None
-    return WeylElement.from_perm(rs, _compose(_inverse(p2), p1))
-
-
 _BYTE = tuple(bytes((k,)) for k in range(256))
 
 
@@ -468,24 +424,36 @@ def conjugacy_classes(
     return list(reps.values())
 
 
+def _conjugator(rs: RootSystem, sub: WeylSubgroup, blocks1, blocks2) -> WeylElement | None:
+    """p2^-1 p1 when the two sequences of root sets have equal keys, where
+    p_k is the element of _least_images that sends each set of blocks_k
+    onto its images in the key; else None."""
+    key1, p1 = _least_images(rs, sub, blocks1)
+    key2, p2 = _least_images(rs, sub, blocks2)
+    if key1 != key2:
+        return None
+    n = len(rs.roots)
+    return WeylElement.from_perm(rs, _compose(_inverse(p2[:n]), p1[:n]))
+
+
+def conjugate_tuples(rs: RootSystem, sub: WeylSubgroup, mus, lams) -> WeylElement | None:
+    """An element w of the subgroup with w(mu_k) = lam_k for every k, or
+    None; the mu_k and lam_k are roots.
+
+    Each root is its own block, so the keys of the two tuples agree exactly
+    when one element of the subgroup sends every mu_k to lam_k.
+    """
+    blocks1, blocks2 = [(m,) for m in mus], [(x,) for x in lams]
+    if len(blocks1) != len(blocks2):
+        raise ValueError("tuples must have equal length")
+    return _conjugator(rs, sub, blocks1, blocks2)
+
+
 def conjugate_sets(rs: RootSystem, sub: WeylSubgroup, gamma1, gamma2) -> WeylElement | None:
     """An element w of the subgroup with w(Gamma1) = Gamma2 as sets of
-    roots, or None.
-
-    Equal conjugacy keys decide it.  The search's element p_k sends the
-    root of Gamma_k placed at each step to that step's image, so reading the
-    key images back through p_k orders each set; the chamber walks of
-    conjugate_tuples retrace the same reflections on those orderings, and
-    its w is p_2^{-1} p_1.
-    """
+    roots, or None: equal conjugacy keys decide it, and w is read off the
+    elements of the two searches."""
     gamma1, gamma2 = list(gamma1), list(gamma2)
     if len(gamma1) != len(gamma2):
         raise ValueError("sets must have equal size")
-    key1, p1 = _least_images(rs, sub, (gamma1,))
-    key2, p2 = _least_images(rs, sub, (gamma2,))
-    if key1 != key2:
-        return None
-    inv1, inv2 = _inverse(p1), _inverse(p2)
-    order1 = [rs.roots[inv1[lam]] for _, lam in key1]
-    order2 = [rs.roots[inv2[lam]] for _, lam in key2]
-    return conjugate_tuples(rs, sub, order1, order2)
+    return _conjugator(rs, sub, (gamma1,), (gamma2,))

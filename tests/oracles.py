@@ -142,6 +142,88 @@ def n_const(alg, i: int, j: int):
     return bracket_basis(alg, i, j).get(rs.root_index[s], 0) if s in rs.root_index else 0
 
 
+def reference_structure_constants(alg):
+    """The structure-constant table of ChevalleyAlgebra, built as before the
+    one-pass table: extraspecial and Carter constants on a table of positive
+    root pairs keyed by root tuples, every other sign pattern through a
+    recursive normaliser with Fraction length ratios, then an expansion over
+    all root pairs."""
+    rs = alg.rs
+    pos = rs.positive_roots
+    order = {r: k for k, r in enumerate(pos)}
+    npos: dict = {}  # (alpha, beta) positive pairs, alpha + beta a root
+
+    def neg(a):
+        return tuple(-x for x in a)
+
+    def plus(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def minus(a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def put(a, b, val):
+        npos[(a, b)] = val
+        npos[(b, a)] = -val
+
+    def string_down(alpha, beta):
+        p, cur = 0, minus(beta, alpha)
+        while cur in rs.root_index:
+            p, cur = p + 1, minus(cur, alpha)
+        return p
+
+    def n_any(a, b):
+        s = plus(a, b)
+        if s not in rs.root_index:
+            return 0
+        a_pos, b_pos = rs.is_positive(a), rs.is_positive(b)
+        if a_pos and b_pos:
+            return npos[(a, b)]
+        if not a_pos and not b_pos:
+            return -n_any(neg(a), neg(b))
+        if not a_pos:  # normalise to (positive, negative)
+            return -n_any(b, a)
+        eta, zeta = neg(b), s
+        if rs.is_positive(zeta):
+            val = Fraction(rs.length2(zeta), rs.length2(a)) * npos[(zeta, eta)]
+        else:
+            val = Fraction(rs.length2(zeta), rs.length2(eta)) * npos[(neg(zeta), a)]
+        if val.denominator != 1:
+            raise AssertionError(f"non-integral constant for {a}, {b}")
+        return int(val)
+
+    for rho in pos:
+        if sum(rho) < 2:
+            continue
+        pairs = []
+        for alpha in pos:
+            if order[alpha] >= order[rho]:
+                break
+            beta = minus(rho, alpha)
+            if beta in rs.root_index and rs.is_positive(beta) and order[alpha] < order[beta]:
+                pairs.append((alpha, beta))
+        gamma, delta = pairs[0]  # extraspecial: minimal first member
+        put(gamma, delta, string_down(gamma, delta) + 1)
+        for alpha, beta in pairs[1:]:
+            f2 = n_any(delta, neg(alpha))
+            t2 = f2 and f2 * n_any(minus(delta, alpha), gamma)
+            f3 = n_any(neg(alpha), gamma)
+            t3 = f3 and f3 * n_any(minus(gamma, alpha), delta)
+            n_rho_malpha = Fraction(-(t2 + t3), npos[(gamma, delta)])
+            val = -Fraction(rs.length2(rho), rs.length2(beta)) * n_rho_malpha
+            if val.denominator != 1:
+                raise AssertionError(f"non-integral constant for {alpha}, {beta}")
+            put(alpha, beta, int(val))
+
+    table: dict = {}
+    for i, a in enumerate(rs.roots):
+        for j, b in enumerate(rs.roots):
+            k = rs.root_index.get(plus(a, b))
+            if k is not None:
+                table[(i, j)] = (k, n_any(a, b))
+    return table
+
+
 def component_basis(grading, i: int):
     """Basis of g_i: root vectors of degree i, plus the Cartan for i = 0."""
     alg = grading.alg

@@ -25,6 +25,7 @@ from oracles import (
     n_const,
     reference_bracket,
     reference_complete_sl2,
+    reference_structure_constants,
     root_value,
 )
 
@@ -98,6 +99,23 @@ def test_extraspecial_pairs_positive():
 def test_constants_integral():
     for alg in (A3, B2, G2):
         assert all(isinstance(n, int) for _, n in alg.structure_constants.values())
+
+
+REFERENCE_TYPES = (
+    [("A", r) for r in range(1, 9)]
+    + [("B", r) for r in range(2, 8)]
+    + [("C", r) for r in range(3, 8)]
+    + [("D", r) for r in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("typ,rank", REFERENCE_TYPES)
+def test_structure_constants_match_reference_table(typ, rank):
+    # the one-pass table equals, entry for entry, the table built through
+    # the recursive sign normaliser and the all-pairs expansion
+    alg = build_algebra(build_root_system(typ, rank))
+    assert alg.structure_constants == reference_structure_constants(alg)
 
 
 def test_cartan_brackets():

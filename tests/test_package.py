@@ -15,8 +15,8 @@ ENV = dict(
     PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
 )
 
-# Loads the tracer by path, installs it on a fresh nilorb, makes one traced
-# call and runs the carrier walk (method 2) on G2 with Kac labels 0,0,1;
+# Loads the tracer by path, installs it on a fresh nilorb, makes two traced
+# conjugacy calls and runs the carrier walk (method 2) on G2 with Kac labels 0,0,1;
 # prints name=calls for the span names that recorded a call.
 TRACER_RUN = """
 import importlib.util, sys
@@ -26,9 +26,11 @@ tracing = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracing)
 tracer = tracing.Tracer()
 tracer.install()
-from nilorb.weyl import WeylSubgroup, conjugate_sets
+from nilorb.weyl import WeylSubgroup, conjugate_sets, conjugate_tuples
 rs = nilorb.build_root_system("A", 2)
-assert conjugate_sets(rs, WeylSubgroup(rs, [(1, 0), (0, 1)]), [(1, 0)], [(0, 1)]) is not None
+full = WeylSubgroup(rs, [(1, 0), (0, 1)])
+assert conjugate_sets(rs, full, [(1, 0)], [(0, 1)]) is not None
+assert conjugate_tuples(rs, full, [(1, 0)], [(0, 1)]) is not None
 g2 = nilorb.build_algebra(nilorb.build_root_system("G", 2))
 g = nilorb.grading_from_kac(g2, nilorb.KacDiagram.from_labels(g2.rs, (0, 0, 1)))
 assert len(nilorb.classify_orbits(g, method="2")) == 6
@@ -126,3 +128,28 @@ def test_one_draw_policy():
                 built.append(path.name)
     assert importers == ["characteristics.py"]
     assert built == ["characteristics.py"]
+
+
+def test_no_dead_private_helpers():
+    # every private function or method is named somewhere in the package
+    # outside its own body: a helper that only tests call is no helper
+    trees = list(module_trees())
+    refs: dict = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append(node)
+    dead = []
+    for path, tree in trees:
+        for fn in ast.walk(tree):
+            if (
+                isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and fn.name.startswith("_")
+                and not fn.name.startswith("__")
+            ):
+                own = set(map(id, ast.walk(fn)))
+                if all(id(node) in own for node in refs.get(fn.name, ())):
+                    dead.append(f"{path.name}: {fn.name}")
+    assert dead == []
