@@ -10,16 +10,12 @@ form of twice its defining element, and distinct canonical forms are
 exactly the distinct orbits.
 
 The walk stays in integers from the class-search move to the normal
-triple of an orbit.  Each candidate keeps an integer basis of the kernel
-of its root rows (GradedCandidate.root_kernel), derived from its parent's
-when the class-search move made it: the move tests root independence with
-it, and completion, which solves the Cartan system with linalg.solve_int,
-tests membership in the completion with it.  A candidate with no degree-1
-root has defining element 0 and is never flat, so the walk does not
-complete it.  The canonical h goes to characteristics.decide_normal_int
-and records.wdd_of_values as (hnum, den, values).  A CompletionResult
-builds its Fraction elements h0 and z_basis only when they are read, and
-the walk reads neither; the first Fraction is the h of the normal triple.
+triple of an orbit.  Each candidate keeps an integer basis of the kernel of
+its root rows (GradedCandidate.root_kernel), derived from its parent's: the
+move tests root independence with it, and completion tests membership in
+the completion.  The canonical h goes to characteristics.decide_normal_int
+and records.wdd_of_values as (hnum, den, values); the first Fraction is the
+h of the normal triple, which records.orbit_record makes a record.
 """
 
 from __future__ import annotations
@@ -35,13 +31,7 @@ from .characteristics import cartan_key, decide_normal_int
 from .chevalley import ChevalleyAlgebra, LieElement
 from .grading import ThetaGrading
 from .pisystems import canonical, classify_all
-from .records import (
-    InternalConsistencyError,
-    OrbitRecord,
-    sort_records,
-    wdd_of_values,
-    zero_record,
-)
+from .records import InternalConsistencyError, OrbitRecord, listing, orbit_record, wdd_of_values
 from .rootsystem import Root
 from .weyl import conjugacy_classes, dominant_values
 
@@ -241,17 +231,15 @@ def classify_by_carriers(grading: ThetaGrading, seed: int = 0) -> list[OrbitReco
     Each flat completion contributes h = 2 h0, canonicalised into the
     dominant chamber of W_l on its integer root values; unseen canonical
     forms (characteristics.cartan_key, since completion's den need not be
-    the least) are completed to normal triples by decide_normal_int,
-    which must succeed for a flat carrier, and get their weighted Dynkin
-    diagram from wdd_of_values on the same integers.  No Fraction is built
-    before the normal triple; one debug line on the module logger counts
-    the candidates, the non-empty ones, the solvable and the flat
-    completions, the distinct canonical h and the records.  A candidate
-    with no degree-1 root is not completed, and counts as solvable.
+    the least) are completed to normal triples by decide_normal_int, which
+    must succeed for a flat carrier, with their weighted Dynkin diagram from
+    wdd_of_values.  A candidate with no degree-1 root has defining element
+    0, so it is never flat; it is not completed, and counts as solvable in
+    the one debug line on the module logger.
     """
     alg, rs = grading.alg, grading.rs
     basis0 = [rs.root_index[b] for b in grading.delta0]
-    records = [zero_record(alg)]
+    records = []
     seen = set()
     candidates = candidate_pi_systems(grading)
     nonempty = solvable = flat = 0
@@ -282,11 +270,10 @@ def classify_by_carriers(grading: ThetaGrading, seed: int = 0) -> list[OrbitReco
             raise InternalConsistencyError(
                 f"flat carrier {cand} produced non-normal canonical h = {alg.cartan(hnum, den)!r}"
             )
-        records.append(
-            OrbitRecord(triple.h, triple.e, triple.f, ambient_wdd=wdd_of_values(rs, den, values))
-        )
+        records.append(orbit_record(grading, triple, wdd_of_values(rs, den, values)))
+    records = listing(grading, records)
     log.debug(
         "%s: %d candidates, %d non-empty, %d solvable, %d flat, %d distinct h, %d records",
         grading, len(candidates), nonempty, solvable, flat, len(seen), len(records),
     )
-    return sort_records(records)
+    return records

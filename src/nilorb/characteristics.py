@@ -25,8 +25,8 @@ from .records import (
     InternalConsistencyError,
     OrbitRecord,
     WeightedDynkinDiagram,
-    sort_records,
-    zero_record,
+    listing,
+    orbit_record,
 )
 from .weyl import WeylElement, check_root_count, shortest_coset_reps
 
@@ -363,20 +363,16 @@ def normal_list(
 
 def classify_by_characteristics(grading: ThetaGrading, seed: int = 0) -> list[OrbitRecord]:
     """All nilpotent orbits of the theta-group, one record per orbit, by
-    sweeping coset images of every ambient characteristic."""
-    alg = grading.alg
+    sweeping coset images of every ambient characteristic; records.orbit_record
+    checks that each h lies in the chamber of Delta_0."""
     reps = shortest_coset_reps(grading.rs, grading.weyl_subgroup())
-    characteristics = classify_nilpotent_g(alg)
-    records = [zero_record(alg)]
-    for wdd, h in characteristics:
+    records = []
+    for wdd, h in classify_nilpotent_g(grading.alg):
         if wdd.is_zero():
             continue
         for tr in normal_list(grading, reps, h, seed=seed):
-            records.append(OrbitRecord(tr.h, tr.e, tr.f, ambient_wdd=wdd))
+            records.append(orbit_record(grading, tr, wdd))
     keys = [r.h_key() for r in records]
     if len(set(keys)) != len(keys):
         raise InternalConsistencyError("duplicate canonical h across characteristics")
-    for r in records:
-        if not grading.in_dominant_chamber(r.h):
-            raise InternalConsistencyError(f"canonical h {r.h!r} left the dominant chamber")
-    return sort_records(records)
+    return listing(grading, records)

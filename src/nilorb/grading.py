@@ -18,7 +18,7 @@ from operator import mul
 from . import linalg
 from .chevalley import ChevalleyAlgebra, LieElement
 from .rootsystem import RootSystem, format_dynkin_type
-from .weyl import WeylSubgroup
+from .weyl import WeylSubgroup, dominant_simple_values
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,11 @@ class ThetaGrading:
     def __repr__(self) -> str:
         return f"ThetaGrading({self.rs.type_label}{self.rs.rank}, m={self.m})"
 
+    def describe(self) -> str:
+        """The repr and the simple-root degrees, as error messages name a grading."""
+        degrees = ",".join(str(self.deg_by_index[i]) for i in self.rs.simple_indices)
+        return f"{self} with simple-root degrees {degrees}"
+
     @cached_property
     def center_basis(self) -> tuple[LieElement, ...]:
         """Basis of the centre of g_0: the Cartan elements killed by Delta_0."""
@@ -99,11 +104,6 @@ class ThetaGrading:
 
     def coset_index(self) -> int:
         return self.rs.weyl_order() // self.rs.weyl_order(self.delta0)
-
-    def in_dominant_chamber(self, h: LieElement) -> bool:
-        """Whether beta(h) >= 0 for every beta in Delta_0 (h in C_l + r)."""
-        values = self.alg.cartan_values(h)[2]
-        return all(values[self.rs.root_index[b]] >= 0 for b in self.delta0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -161,20 +161,16 @@ def nregular_kac_diagram(rs: RootSystem, m: int) -> KacDiagram:
     trivial centraliser in the adjoint group (Kostant 1959).  Its diagram is
     the point x = rho^vee, at level m, moved into the fundamental alcove
     alpha_i(x) >= 0, theta(x) <= m by affine reflections (Kac,
-    Infinite-dimensional Lie algebras, 8.6); all in integers v_i = alpha_i(x).
+    Infinite-dimensional Lie algebras, 8.6); all in integers v_i = alpha_i(x),
+    the finite reflections by weyl.dominant_simple_values.
     """
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
-    a = rs.cartan_matrix
     theta = rs.highest_root
     theta_pair = [rs.pairing(rs.simple_root(j), theta) for j in range(rs.rank)]
     v = [1] * rs.rank
     while True:
-        i = next((i for i, x in enumerate(v) if x < 0), None)
-        if i is not None:
-            c = v[i]
-            v = [x - c * a[j][i] for j, x in enumerate(v)]
-            continue
+        v = dominant_simple_values(rs, v)
         excess = sum(k * x for k, x in zip(theta, v)) - m
         if excess <= 0:
             break

@@ -1,6 +1,7 @@
-"""Nullcone analytics: orbit dimensions, components, rank, and the N-regular
-automorphism of each order (the one whose degree-1 part meets the regular
-nilpotent orbit), found in closed form by grading.nregular_kac_diagram."""
+"""Nullcone analytics: the choice of listing method, the components and rank
+of complete records (records.orbit_record), and the N-regular automorphism
+of each order (the one whose degree-1 part meets the regular nilpotent
+orbit), found in closed form by grading.nregular_kac_diagram."""
 
 from __future__ import annotations
 
@@ -10,17 +11,20 @@ from .carrier import classify_by_carriers
 from .characteristics import classify_by_characteristics
 from .chevalley import ChevalleyAlgebra, LieElement
 from .grading import KacDiagram, ThetaGrading, grading_from_kac, nregular_kac_diagram
-from .records import InternalConsistencyError, OrbitRecord
+from .records import InternalConsistencyError, OrbitRecord, dimension_of_values
 
 # Coset index above which 'auto' picks the carrier walk.  Not derived from
 # data, and no longer at the crossover: in fresh processes (2-vCPU Xeon VM,
 # Python 3.11.7) the sweep took 0.50 s on E7 order 4 (index 4032; carrier
 # walk 0.59 s) and 1.36 s on E8 order 4 (index 15120; carrier walk 1.94 s),
 # the carrier walk winning only on E7 order 5 (index 10080; 0.40 s against
-# 0.59 s).  Both methods draw e from h and the seed alone (h_rng), so they
-# print the same bytes and moving it changes no output; ROADMAP item 6
-# re-derives it from committed timings.
+# 0.59 s).  Both methods print the same bytes, so moving it changes no output.
 METHOD_INDEX_THRESHOLD = 5000
+
+# Largest coset index at which an explicit method 1 runs, since the sweep holds every
+# coset representative: in process on the same VM, E8 Kac 0,0,0,0,0,1,0,0,1 (index
+# 483840) took 24.5 s and 481 MB peak RSS by method 1, and 0.9 s by method 2.
+METHOD_1_INDEX_CAP = 500000
 
 
 @dataclass(frozen=True)
@@ -28,8 +32,8 @@ class NullconeSummary:
     """Shape of the nilpotent variety of g_1.
 
     orbit_count counts the nonzero nilpotent orbits, matching the table
-    convention downstream; the zero orbit is always present as a record but
-    is not a component and carries no dimension.
+    convention downstream; the zero orbit (dimension 0) is a record but no
+    component.  With no nonzero orbit, rank = dim g_1 and very_nregular holds.
     """
 
     orbit_count: int
@@ -41,22 +45,10 @@ class NullconeSummary:
 
 
 def orbit_dimension(grading: ThetaGrading, h: LieElement) -> int:
-    """dim [g_0, e]: the dimension of the theta-group orbit of e, for a
-    normal triple (h, e, f), counted from h alone.
-
-    theta composed with exp(-pi i ad h / m) fixes e, h and f, so each of its
-    eigenspaces is an sl2-module in which ad e maps g_0(k) into g_1(k + 2):
-    injectively for k < 0 and onto for k >= -1.  Hence
-    dim [g_0, e] = #{alpha in Phi_0 : alpha(h) < 0}
-                 + #{alpha in Phi_1 : alpha(h) >= 2}
-    (at m = 1 both sets are the whole root system).  h = 0 gives 0.
-    """
+    """dim [g_0, e] for a normal triple (h, e, f), counted from the integer
+    form of h by records.dimension_of_values, as every record is."""
     _, den, values = grading.alg.cartan_values(h)
-    one = 1 % grading.m
-    return sum(
-        (d == 0 and v < 0) + (d == one and v >= 2 * den)
-        for d, v in zip(grading.deg_by_index, values)
-    )
+    return dimension_of_values(grading, den, values)
 
 
 def summarize(grading: ThetaGrading, records: list[OrbitRecord]) -> NullconeSummary:
@@ -68,65 +60,41 @@ def summarize(grading: ThetaGrading, records: list[OrbitRecord]) -> NullconeSumm
     their weighted Dynkin diagrams.
     """
     nonzero = [r for r in records if not r.is_zero()]
-    for r in nonzero:
-        if r.dim is None:
-            r.dim = orbit_dimension(grading, r.h)
-    dim_g1 = grading.dims()[1 % grading.m]
-    if not nonzero:
-        return NullconeSummary(0, 0, 0, dim_g1, False, True)
-    max_dim = max(r.dim for r in nonzero)
+    max_dim = max((r.dim for r in nonzero), default=0)
     components = [r for r in nonzero if r.dim == max_dim]
-    wdds = {r.ambient_wdd for r in components}
     return NullconeSummary(
         orbit_count=len(nonzero),
         component_count=len(components),
         component_dim=max_dim,
-        rank=dim_g1 - max_dim,
+        rank=grading.dims()[1 % grading.m] - max_dim,
         nregular=any(r.ambient_wdd.is_regular() for r in nonzero),
-        very_nregular=len(wdds) == 1,
+        very_nregular=len({r.ambient_wdd for r in components}) <= 1,
     )
 
 
 def classify_orbits(
     grading: ThetaGrading, method: str = "auto", seed: int = 0
 ) -> list[OrbitRecord]:
-    """Orbit records with dimensions filled, by either listing method.
+    """Orbit records (records.orbit_record) by either listing method.
 
     method 'auto' sweeps characteristics while the coset index of W_l stays
     small and switches to carrier algebras when it grows past the threshold.
-    On a grading of order 2 every record is checked against the
-    Kostant-Rallis identity (check_kostant_rallis).
+    An explicit method '1' past METHOD_1_INDEX_CAP raises ValueError.
     """
     if method == "auto":
         method = "1" if grading.coset_index() <= METHOD_INDEX_THRESHOLD else "2"
+    elif method == "1" and grading.rs.weyl_order() > METHOD_1_INDEX_CAP:
+        # the index is at most |W|, so a smaller W skips coset_index (up to 1 ms on E6)
+        if (index := grading.coset_index()) > METHOD_1_INDEX_CAP:
+            raise ValueError(
+                f"{grading.describe()}: coset index {index} is past {METHOD_1_INDEX_CAP}, "
+                "the largest that method 1 sweeps; use method 2 or auto"
+            )
     if method == "1":
-        records = classify_by_characteristics(grading, seed=seed)
-    elif method == "2":
-        records = classify_by_carriers(grading, seed=seed)
-    else:
-        raise ValueError(f"unknown method {method!r}; expected 'auto', '1' or '2'")
-    for r in records:
-        if r.dim is None:
-            r.dim = orbit_dimension(grading, r.h)
-        if grading.m == 2:
-            check_kostant_rallis(grading, r)
-    return records
-
-
-def check_kostant_rallis(grading: ThetaGrading, record: OrbitRecord) -> None:
-    """Raise InternalConsistencyError unless 2 dim G_0.e = dim G.e for a
-    record of a grading of order 2 (Kostant and Rallis, "Orbits and
-    representations associated with symmetric spaces", Amer. J. Math. 93,
-    1971), where dim G.e = dim g - dim g(0) - dim g(1) over the ad h
-    eigenspaces = #{alpha : alpha(h) not in {0, 1}}."""
-    _, den, values = grading.alg.cartan_values(record.h)
-    ambient = sum(v != 0 and v != den for v in values)
-    if 2 * record.dim != ambient:
-        degrees = ",".join(str(grading.deg_by_index[i]) for i in grading.rs.simple_indices)
-        raise InternalConsistencyError(
-            f"{grading} with simple-root degrees {degrees}: the orbit of h = {record.h!r} "
-            f"has dimension {record.dim}, but dim G.e = {ambient} is not twice that"
-        )
+        return classify_by_characteristics(grading, seed=seed)
+    if method == "2":
+        return classify_by_carriers(grading, seed=seed)
+    raise ValueError(f"unknown method {method!r}; expected 'auto', '1' or '2'")
 
 
 def nregular_survey(

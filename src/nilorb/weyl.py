@@ -263,12 +263,10 @@ def _reflection_row(rs: RootSystem, j: int) -> bytes:
 
 def dominant_values(rs: RootSystem, basis, values) -> list:
     """The values of the image of h in the chamber of the pi-system `basis`
-    (root indices), from values[i] = alpha_i(h) for every root.
-
-    While some basis root has a negative value, the reflection s in the
-    first such one permutes the vector, since alpha(s h) = (s alpha)(h).
-    The chamber holds one image of each orbit, so the result does not
-    depend on the order of the reflections."""
+    (root indices), from values[i] = alpha_i(h) for every root: while some
+    basis root has a negative value, the reflection s in the first such one
+    permutes the vector, since alpha(s h) = (s alpha)(h).  The carrier walk
+    canonicalises in the chamber of Delta_0 with it."""
     rows = [_reflection_row(rs, b) for b in basis]
     i = 0
     while i < len(basis):
@@ -278,6 +276,19 @@ def dominant_values(rs: RootSystem, basis, values) -> list:
         else:
             i += 1
     return values
+
+
+def dominant_simple_values(rs: RootSystem, values) -> list[int]:
+    """The simple-root values of the dominant Weyl conjugate of h, from c_i =
+    alpha_i(h): while some c_i is negative, the reflection in the first such
+    alpha_i sends each c_j to c_j - A[j][i] c_i, A[j][i] = <alpha_j, alpha_i^vee>."""
+    while True:
+        for i, c in enumerate(values):
+            if c < 0:
+                values = [x - c * row[i] for x, row in zip(values, rs.cartan_matrix)]
+                break
+        else:
+            return values
 
 
 @lru_cache(maxsize=None)

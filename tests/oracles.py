@@ -894,6 +894,33 @@ def survey_nregular_diagrams(alg, m):
     return hits
 
 
+def toral_summary(labels):
+    """(orbit_count, component_count, component_dim, rank) of the nullcone
+    of g_1 for Kac labels s_0..s_l that are all at least 1, in closed form.
+
+    Then g_0 is the Cartan subalgebra t, and g_1 is spanned by the root
+    vectors of the extended simple roots alpha_i with s_i = 1 (alpha_0 =
+    -theta); let k be their number.  Any l of the l + 1 extended simple
+    roots are linearly independent, so for k <= l the torus T acts on g_1 =
+    C^k by independent characters: the nonzero orbits are the 2^k - 1
+    coordinate strata, all nilpotent, and the open one is the one component,
+    of dimension k, with rank 0 (k = 0 leaves g_1 = 0).  For k = l + 1 the
+    grading is principal, m is the Coxeter number, and the one relation
+    sum a_i alpha_i = 0 gives the invariant prod x_i^{a_i}: the nullcone is
+    the union of the l + 1 coordinate hyperplanes, of dimension l, with the
+    2^(l+1) - 2 proper nonzero strata as its orbits, and rank 1 (Kac,
+    Infinite-dimensional Lie algebras, 8.6; Kostant, Amer. J. Math. 81,
+    1959, for the principal case).
+    """
+    l = len(labels) - 1
+    k = list(labels).count(1)
+    if k == l + 1:
+        return (2 ** (l + 1) - 2, l + 1, l, 1)
+    if k == 0:
+        return (0, 0, 0, 0)
+    return (2**k - 1, 1, k, 0)
+
+
 def reference_shortest_coset_reps(rs, sub):
     """Minimal coset representatives grown level by level as before the
     one-lookup test: each element carries its inverse permutation, and

@@ -4,6 +4,7 @@ Each test prints one PASS/FAIL line (run pytest -s to see them inline).
 """
 
 import contextlib
+import dataclasses
 import random
 
 import pytest
@@ -237,6 +238,35 @@ def test_criterion_7_whole_record_equivalence(case):
                 for method in ("1", "2", "auto")
             }
             assert printed["1"] == printed["2"] == printed["auto"], g
+
+
+# (type, Kac labels, real form, whole summary, real rank) of the inner
+# involutions not pinned elsewhere.  g_0 = k and g_1 = p: the nilpotent
+# K-orbits in p are in bijection with the real nilpotent orbits
+# (Kostant-Sekiguchi; Sekiguchi, J. Math. Soc. Japan 39, 1987), and the rank
+# of p is the real rank (Kostant and Rallis, Amer. J. Math. 93, 1971).  The
+# orbit counts agree with Djokovic's tables (J. Algebra 112, 1988) as
+# recalled, with no copy at hand, so the summaries are regression pins.
+INNER_INVOLUTIONS = [
+    (("F", 4), (0, 0, 0, 0, 1), "F4(-20)", (2, 1, 15, 1, False, True), 1),
+    (("E", 6), (1, 1, 0, 0, 0, 0, 0), "E6(-14)", (12, 1, 30, 2, False, True), 2),
+    (("E", 7), (0, 1, 0, 0, 0, 0, 0, 0), "E7(-5)", (37, 1, 60, 4, False, True), 4),
+    (("E", 7), (1, 0, 0, 0, 0, 0, 0, 1), "E7(-25)", (22, 2, 51, 3, False, True), 3),
+    (("E", 8), (0, 0, 0, 0, 0, 0, 0, 0, 1), "E8(-24)", (36, 1, 108, 4, False, True), 4),
+]
+
+
+@pytest.mark.parametrize(
+    "type_,labels,real_form,summary,real_rank", INNER_INVOLUTIONS, ids=[r[2] for r in INNER_INVOLUTIONS]
+)
+def test_inner_involutions_match_real_forms(type_, labels, real_form, summary, real_rank):
+    alg = build_algebra(build_root_system(*type_))
+    g = grading_from_kac(alg, KacDiagram.from_labels(alg.rs, labels))
+    assert g.m == 2
+    for method in ("1", "2"):
+        s = summarize(g, classify_orbits(g, method=method))
+        assert dataclasses.astuple(s) == summary, (real_form, method)
+        assert s.rank == real_rank
 
 
 def test_weyl_group_degrees_match_published_lists():

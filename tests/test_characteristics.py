@@ -164,7 +164,8 @@ def test_method1_g2_order2():
             assert g.deg_by_index[k] == 1
         for k in r.f.coeffs:
             assert g.deg_by_index[k] == (g.m - 1) % g.m
-        assert g.in_dominant_chamber(r.h)
+        values = G2.cartan_values(r.h)[2]  # beta(h) >= 0 on Delta_0: h in C_l + r
+        assert all(values[G2.rs.root_index[b]] >= 0 for b in g.delta0)
         assert is_nilpotent(G2, r.e)
         assert set(r.ambient_wdd.labels) <= {0, 1, 2}
 

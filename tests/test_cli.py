@@ -175,6 +175,31 @@ def test_nregular_table(capsys):
     assert lines[2].split()[3] == "2*"  # not very N-regular: starred
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def test_e7_nregular_table_bytes(capsys):
+    # the whole E7 N-regular table by the carrier walk, byte for byte; the
+    # README says which rows are published values and which are regression
+    # pins
+    argv = ["nregular", "--type", "E7", "--orders", "2..18", "--method", "2"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert out == (DATA / "nregular_E7_orders_2-18.txt").read_text()
+
+
+def test_method_1_past_the_coset_index_cap_is_an_error_line(capsys):
+    # the E7 toral grading: W_l is trivial, so the coset index is |W(E7)|
+    argv = ["orbits", "--type", "E7", "--kac", "1,1,1,1,1,1,1,1", "--method", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: ThetaGrading(E7, m=18) with simple-root degrees 1,1,1,1,1,1,1: coset index "
+        "2903040 is past 500000, the largest that method 1 sweeps; use method 2 or auto\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

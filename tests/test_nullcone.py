@@ -34,6 +34,7 @@ from oracles import (
     orbit_dimension_by_rank,
     reference_wdd_of_cartan,
     survey_nregular_diagrams,
+    toral_summary,
     weyl_matrices,
 )
 
@@ -312,23 +313,68 @@ def test_closed_form_at_the_coxeter_number_is_all_ones(label, rank):
     assert nregular_kac_diagram(rs, sum(rs.marks)).labels == (1,) * (rank + 1)
 
 
+TORAL_TYPES = [("A", n) for n in range(1, 6)] + [("B", n) for n in range(2, 5)]
+TORAL_TYPES += [("C", 3), ("C", 4), ("D", 4), ("D", 5), ("G", 2), ("F", 4)]
+TORAL_TYPES += [("E", 6), ("E", 7), ("E", 8)]
+
+
+@pytest.mark.parametrize("label,rank", TORAL_TYPES)
+def test_toral_gradings_match_the_closed_form(label, rank):
+    # every Kac label at least 1, so g_0 is the Cartan subalgebra: the
+    # principal grading, each grading with one label 2 and the others 1,
+    # and labels 2,3,...,3 (no label 1, g_1 = 0).  Method 2 on each, method
+    # 1 where the coset index |W| is at most 50000
+    alg = build_algebra(build_root_system(label, rank))
+    ones = (1,) * (rank + 1)
+    label_vectors = [ones, (2,) + (3,) * rank]
+    label_vectors += [ones[:i] + (2,) + ones[i + 1 :] for i in range(rank + 1)]
+    for labels in label_vectors:
+        g = grading_from_kac(alg, KacDiagram.from_labels(alg.rs, labels))
+        assert g.dims()[0] == rank
+        for method in ("1", "2") if g.coset_index() <= 50000 else ("2",):
+            s = summarize(g, classify_orbits(g, method=method))
+            summary = (s.orbit_count, s.component_count, s.component_dim, s.rank)
+            assert summary == toral_summary(labels), (labels, method)
+
+
 def test_closed_form_rejects_order_below_one():
     for m in (0, -3):
         with pytest.raises(ValueError, match=">= 1"):
             nregular_kac_diagram(G2.rs, m)
 
 
+def test_orbit_record_is_frozen_and_rejects_h_outside_the_chamber():
+    # the trivial grading of sl2 has Delta_0 = {alpha}: (h_alpha, x_alpha,
+    # x_-alpha) makes the record of the regular orbit, of dimension 2, and
+    # (-h_alpha, x_-alpha, x_alpha) has alpha(h) = -2 < 0
+    from nilorb import InternalConsistencyError
+    from nilorb.records import orbit_record
+
+    g = trivial_grading(A1)
+    h, e, f = A1.coroot((1,)), A1.root_vector((1,)), A1.root_vector((-1,))
+    wdd = WeightedDynkinDiagram((2,))
+    record = orbit_record(g, Sl2Triple(h, e, f), wdd)
+    assert record.dim == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.dim = 3
+    with pytest.raises(InternalConsistencyError, match="left the dominant chamber"):
+        orbit_record(g, Sl2Triple(h.scale(-1), f, e), wdd)
+
+
 @pytest.mark.parametrize("method", ["1", "2"])
 def test_order_two_dimensions_must_satisfy_kostant_rallis(monkeypatch, method):
-    # G2 Kac 0,0,1 (m = 2): an orbit dimension one too large breaks
-    # 2 dim G_0.e = dim G.e on the first nonzero record
-    import nilorb.nullcone as nullcone_mod
+    # G2 Kac 0,0,1 (m = 2): an orbit dimension one too large, counted by
+    # the record constructor, breaks 2 dim G_0.e = dim G.e on the first
+    # record it builds
+    import nilorb.records as records_mod
     from nilorb import InternalConsistencyError
 
     g = grading_from_kac(G2, KacDiagram.from_labels(G2.rs, (0, 0, 1)))
     assert all(r.dim is not None for r in classify_orbits(g, method=method))
-    dimension = nullcone_mod.orbit_dimension
-    monkeypatch.setattr(nullcone_mod, "orbit_dimension", lambda g, h: dimension(g, h) + 1)
+    dimension = records_mod.dimension_of_values
+    monkeypatch.setattr(
+        records_mod, "dimension_of_values", lambda g, den, values: dimension(g, den, values) + 1
+    )
     with pytest.raises(
         InternalConsistencyError,
         match=r"ThetaGrading\(G2, m=2\) with simple-root degrees 0,1: the orbit of h = .* "
@@ -339,17 +385,18 @@ def test_order_two_dimensions_must_satisfy_kostant_rallis(monkeypatch, method):
 
 def test_kostant_rallis_holds_on_the_order_two_range(monkeypatch):
     # method 1 on every order-2 grading of A2-A6, B2-B4, C3-C4, D4-D5, G2,
-    # F4 and E6 runs the production check on each of its records
-    import nilorb.nullcone as nullcone_mod
+    # F4 and E6 runs the record constructor's check on each of its records,
+    # the zero record included
+    import nilorb.records as records_mod
 
     checked = []
-    check = nullcone_mod.check_kostant_rallis
+    check = records_mod.check_kostant_rallis
 
-    def counted(grading, record):
-        checked.append(record)
-        check(grading, record)
+    def counted(grading, h, dim, den, values):
+        checked.append(h)
+        check(grading, h, dim, den, values)
 
-    monkeypatch.setattr(nullcone_mod, "check_kostant_rallis", counted)
+    monkeypatch.setattr(records_mod, "check_kostant_rallis", counted)
     types = [("A", n) for n in range(2, 7)] + [("B", n) for n in range(2, 5)]
     types += [("C", 3), ("C", 4), ("D", 4), ("D", 5), ("G", 2), ("F", 4), ("E", 6)]
     gradings = nonzero = 0
