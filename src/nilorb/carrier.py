@@ -14,8 +14,8 @@ triple of an orbit.  Each candidate keeps an integer basis of the kernel of
 its root rows (GradedCandidate.root_kernel), derived from its parent's: the
 move tests root independence with it, and completion tests membership in
 the completion.  The canonical h goes to characteristics.decide_normal_int
-and records.wdd_of_values as (hnum, den, values); the first Fraction is the
-h of the normal triple, which records.orbit_record makes a record.
+as (hnum, den, values); the first Fraction is the h of the normal triple,
+and records.listing makes the triples the listing.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .characteristics import cartan_key, decide_normal_int
 from .chevalley import ChevalleyAlgebra, LieElement
 from .grading import ThetaGrading
 from .pisystems import canonical, classify_all
-from .records import InternalConsistencyError, OrbitRecord, listing, orbit_record, wdd_of_values
+from .records import InternalConsistencyError, OrbitRecord, listing
 from .rootsystem import Root
 from .weyl import conjugacy_classes, dominant_values
 
@@ -207,7 +207,6 @@ def completion(grading: ThetaGrading, cand: GradedCandidate) -> CompletionResult
     rows = [[sum(map(mul, hc, pair[b])) for hc in coroots] for b in pi]
     sol = linalg.solve_int(rows, degs)
     if sol is None:
-        log.debug("candidate %s: no defining element", cand)
         return None
     solnum, den = sol
     hnum = [sum(map(mul, solnum, col)) for col in zip(*coroots)]
@@ -232,29 +231,26 @@ def classify_by_carriers(grading: ThetaGrading, seed: int = 0) -> list[OrbitReco
     dominant chamber of W_l on its integer root values; unseen canonical
     forms (characteristics.cartan_key, since completion's den need not be
     the least) are completed to normal triples by decide_normal_int, which
-    must succeed for a flat carrier, with their weighted Dynkin diagram from
-    wdd_of_values.  A candidate with no degree-1 root has defining element
-    0, so it is never flat; it is not completed, and counts as solvable in
-    the one debug line on the module logger.
+    must succeed for a flat carrier, and records.listing makes the triples
+    the listing.  A candidate with no degree-1 root has defining element 0,
+    so it is never flat and is not completed; every other candidate has
+    independent roots, so completion must find its defining element.  The
+    counts go to one debug line on the module logger.
     """
     alg, rs = grading.alg, grading.rs
     basis0 = [rs.root_index[b] for b in grading.delta0]
-    records = []
-    seen = set()
+    triples = {}  # by the canonical h's cartan_key
     candidates = candidate_pi_systems(grading)
-    nonempty = solvable = flat = 0
+    flat = 0
     for cand in candidates:
-        if cand.is_empty():
-            continue
-        nonempty += 1
         if not cand.pi1:
             # h0 = 0 solves the system, so no root has value den: never flat
-            solvable += 1
             continue
         comp = completion(grading, cand)
         if comp is None:
-            continue
-        solvable += 1
+            raise InternalConsistencyError(
+                f"{grading.describe()}: candidate {cand} has no defining element"
+            )
         if not comp.flat:
             continue
         flat += 1
@@ -262,18 +258,19 @@ def classify_by_carriers(grading: ThetaGrading, seed: int = 0) -> list[OrbitReco
         values = dominant_values(rs, basis0, [2 * v for v in comp.values])
         hnum = alg.hnum_from_values([values[i] for i in rs.simple_indices])
         key = cartan_key(hnum, den)
-        if key in seen:
+        if key in triples:
             continue
-        seen.add(key)
         triple = decide_normal_int(grading, hnum, den, values, seed)
         if triple is None:
             raise InternalConsistencyError(
-                f"flat carrier {cand} produced non-normal canonical h = {alg.cartan(hnum, den)!r}"
+                f"{grading.describe()}: flat carrier {cand} produced non-normal "
+                f"canonical h = {alg.cartan(hnum, den)!r}"
             )
-        records.append(orbit_record(grading, triple, wdd_of_values(rs, den, values)))
-    records = listing(grading, records)
+        triples[key] = triple
+    records = listing(grading, list(triples.values()))
     log.debug(
-        "%s: %d candidates, %d non-empty, %d solvable, %d flat, %d distinct h, %d records",
-        grading, len(candidates), nonempty, solvable, flat, len(seen), len(records),
+        "%s: %d candidates, %d non-empty, %d flat, %d distinct h, %d records",
+        grading, len(candidates), sum(not c.is_empty() for c in candidates), flat, len(triples),
+        len(records),
     )
     return records

@@ -4,9 +4,9 @@ Nilpotent orbits of the ambient algebra are classified by weighted Dynkin
 diagrams.  For each dominant characteristic h, the images under the minimal
 coset representatives of W_l exhaust the chamber C_l + r, and testing each
 image for membership in a normal sl2-triple (h in g_0, e in g_1, f in
-g_{m-1}) yields one triple per nilpotent orbit of the theta-group.  A
-graded form of the sl2 multiplicity bound, counted without elimination,
-drops most images before that test.
+g_{m-1}) yields one triple per nilpotent orbit of the theta-group, which
+records.listing makes the listing.  A graded form of the sl2 multiplicity
+bound, counted without elimination, drops most images before that test.
 """
 
 from __future__ import annotations
@@ -21,13 +21,7 @@ from math import gcd
 from . import linalg
 from .chevalley import ChevalleyAlgebra, LieElement, Sl2Triple
 from .grading import ThetaGrading, trivial_grading
-from .records import (
-    InternalConsistencyError,
-    OrbitRecord,
-    WeightedDynkinDiagram,
-    listing,
-    orbit_record,
-)
+from .records import OrbitRecord, WeightedDynkinDiagram, listing
 from .weyl import WeylElement, check_root_count, shortest_coset_reps
 
 log = logging.getLogger(__name__)
@@ -166,7 +160,7 @@ def _normal_triple(grading, eye, hnum, den, values, seed) -> Sl2Triple | None:
         n *= 2
         if n > OMEGA_CAP:
             raise RetryBudgetError(
-                f"{grading}: no element in general position found for "
+                f"{grading.describe()}: no element in general position found for "
                 f"h = {alg.cartan(hnum, den)!r} with coefficients up to {OMEGA_CAP}"
             )
 
@@ -363,16 +357,12 @@ def normal_list(
 
 def classify_by_characteristics(grading: ThetaGrading, seed: int = 0) -> list[OrbitRecord]:
     """All nilpotent orbits of the theta-group, one record per orbit, by
-    sweeping coset images of every ambient characteristic; records.orbit_record
-    checks that each h lies in the chamber of Delta_0."""
+    sweeping coset images of every nonzero ambient characteristic: the
+    normal triples of normal_list go to records.listing, which builds the
+    records and checks that no two share an h."""
     reps = shortest_coset_reps(grading.rs, grading.weyl_subgroup())
-    records = []
+    triples = []
     for wdd, h in classify_nilpotent_g(grading.alg):
-        if wdd.is_zero():
-            continue
-        for tr in normal_list(grading, reps, h, seed=seed):
-            records.append(orbit_record(grading, tr, wdd))
-    keys = [r.h_key() for r in records]
-    if len(set(keys)) != len(keys):
-        raise InternalConsistencyError("duplicate canonical h across characteristics")
-    return listing(grading, records)
+        if not wdd.is_zero():
+            triples += normal_list(grading, reps, h, seed=seed)
+    return listing(grading, triples)

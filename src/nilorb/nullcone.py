@@ -1,5 +1,5 @@
 """Nullcone analytics: the choice of listing method, the components and rank
-of complete records (records.orbit_record), and the N-regular automorphism
+of a listing (records.listing), and the N-regular automorphism
 of each order (the one whose degree-1 part meets the regular nilpotent
 orbit), found in closed form by grading.nregular_kac_diagram."""
 
@@ -75,7 +75,7 @@ def summarize(grading: ThetaGrading, records: list[OrbitRecord]) -> NullconeSumm
 def classify_orbits(
     grading: ThetaGrading, method: str = "auto", seed: int = 0
 ) -> list[OrbitRecord]:
-    """Orbit records (records.orbit_record) by either listing method.
+    """The listing (records.listing) by either listing method.
 
     method 'auto' sweeps characteristics while the coset index of W_l stays
     small and switches to carrier algebras when it grows past the threshold.

@@ -1,5 +1,9 @@
-"""Orbit records, built complete and frozen by orbit_record for both listing
-methods, and the weighted Dynkin diagram of an ambient orbit."""
+"""Orbit records and the weighted Dynkin diagram of an ambient orbit.
+
+Both listing methods end at one normal triple per nonzero orbit; listing
+turns those triples into the listing, building each record complete and
+frozen with orbit_record, which derives everything in the record but the
+triple from the integer form of h."""
 
 from __future__ import annotations
 
@@ -51,22 +55,23 @@ class OrbitRecord:
         return tuple(Fraction(c) for c in self.h.cartan_part())
 
 
-def orbit_record(
-    grading: ThetaGrading, triple: Sl2Triple, wdd: WeightedDynkinDiagram
-) -> OrbitRecord:
-    """The record of a normal triple (h, e, f) whose ambient orbit has the
-    weighted Dynkin diagram wdd; (0, 0, 0) gives the zero record.  From the
-    integer form of h, read once, it raises InternalConsistencyError when a
-    root of Delta_0 is negative on h (h outside C_l + r), counts the
-    dimension (dimension_of_values) and, at m = 2, runs check_kostant_rallis.
+def orbit_record(grading: ThetaGrading, triple: Sl2Triple) -> OrbitRecord:
+    """The record of a normal triple (h, e, f); (0, 0, 0) gives the zero
+    record.  From the integer form of h, read once, it raises
+    InternalConsistencyError when a root of Delta_0 is negative on h (h
+    outside C_l + r), reads the ambient orbit's weighted Dynkin diagram
+    (wdd_of_values), counts the dimension (dimension_of_values) and, at
+    m = 2, runs check_kostant_rallis.
     """
     _, den, values = grading.alg.cartan_values(triple.h)
     if any(values[grading.rs.root_index[b]] < 0 for b in grading.delta0):
-        raise InternalConsistencyError(f"canonical h {triple.h!r} left the dominant chamber")
+        raise InternalConsistencyError(
+            f"{grading.describe()}: canonical h = {triple.h!r} left the dominant chamber"
+        )
     dim = dimension_of_values(grading, den, values)
     if grading.m == 2:
         check_kostant_rallis(grading, triple.h, dim, den, values)
-    return OrbitRecord(triple.h, triple.e, triple.f, wdd, dim)
+    return OrbitRecord(triple.h, triple.e, triple.f, wdd_of_values(grading.rs, den, values), dim)
 
 
 def dimension_of_values(grading: ThetaGrading, den: int, values) -> int:
@@ -100,12 +105,20 @@ def check_kostant_rallis(grading: ThetaGrading, h: LieElement, dim: int, den: in
         )
 
 
-def listing(grading: ThetaGrading, records: list[OrbitRecord]) -> list[OrbitRecord]:
-    """One record per orbit: the zero record, then the nonzero records given,
-    lexicographic in the canonical h coordinates."""
+def listing(grading: ThetaGrading, triples: list[Sl2Triple]) -> list[OrbitRecord]:
+    """One record per orbit from one normal triple per nonzero orbit: the
+    zero record, then the records of the triples, lexicographic in the
+    canonical h coordinates.  Two triples with one h raise
+    InternalConsistencyError."""
+    records = {}
+    for triple in triples:
+        record = orbit_record(grading, triple)
+        if records.setdefault(record.h_key(), record) is not record:
+            raise InternalConsistencyError(
+                f"{grading.describe()}: two triples share canonical h = {triple.h!r}"
+            )
     z = grading.alg.zero()
-    zero = orbit_record(grading, Sl2Triple(z, z, z), WeightedDynkinDiagram((0,) * grading.rs.rank))
-    return [zero, *sorted(records, key=OrbitRecord.h_key)]
+    return [orbit_record(grading, Sl2Triple(z, z, z)), *(records[k] for k in sorted(records))]
 
 
 def wdd_of_cartan(alg: ChevalleyAlgebra, h: LieElement) -> WeightedDynkinDiagram:

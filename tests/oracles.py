@@ -379,6 +379,92 @@ def partition_count(n: int) -> int:
     return count
 
 
+def partitions(n: int, largest: int | None = None):
+    """Every partition of n as a non-increasing tuple of parts."""
+    if n == 0:
+        yield ()
+        return
+    for p in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - p, p):
+            yield (p, *rest)
+
+
+def classical_wdds(label: str, rank: int) -> list[tuple[int, ...]]:
+    """The sorted weighted Dynkin diagrams of the nilpotent orbits of the
+    classical algebra of a type A, B, C or D and rank, in Bourbaki order,
+    from the Jordan types (Collingwood and McGovern, Nilpotent Orbits in
+    Semisimple Lie Algebras, ch. 5).
+
+    An orbit of sl_n is a partition of n; of so_n, a partition of n whose
+    even parts have even multiplicity; of sp_n, one whose odd parts have
+    even multiplicity.  A part k gives the eigenvalues k - 1, k - 3, ...,
+    1 - k of h on the natural module; sorted down, the first l of them
+    (all of them in type A) are the epsilon-coordinates of the dominant h,
+    and the labels are the simple roots on it.  In type D a very even
+    partition (every part even) gives two orbits, h and its image with
+    the last coordinate negated, whose last two labels trade places.
+    """
+    n = {"A": rank + 1, "B": 2 * rank + 1, "C": 2 * rank, "D": 2 * rank}[label]
+    bad_parity = {"A": None, "B": 0, "C": 1, "D": 0}[label]
+    out = []
+    for p in partitions(n):
+        if any(k % 2 == bad_parity and p.count(k) % 2 for k in p):
+            continue
+        eig = sorted((k - 1 - 2 * i for k in p for i in range(k)), reverse=True)
+        lam = eig if label == "A" else eig[:rank]
+        chain = tuple(a - b for a, b in zip(lam, lam[1:]))
+        if label == "A":
+            out.append(chain)
+        elif label == "B":
+            out.append((*chain, lam[-1]))
+        elif label == "C":
+            out.append((*chain, 2 * lam[-1]))
+        else:
+            out.append((*chain, lam[-2] + lam[-1]))
+            if all(k % 2 == 0 for k in p):
+                out.append((*chain[:-1], lam[-2] + lam[-1], lam[-2] - lam[-1]))
+    return sorted(out)
+
+
+def type_a_graded_orbit_count(labels) -> int:
+    """The number of nilpotent G_0-orbits in g_1, the zero orbit included,
+    for sl_n with Kac labels s_0..s_{n-1} of order m = sum s_i.
+
+    The grading splits C^n = V_0 + ... + V_{m-1}, d_j = dim V_j counting
+    the k in 0..n-1 with s_1 + ... + s_k = j mod m, and g_1 is the maps
+    V_j -> V_{j+1}: the representations of the cyclic quiver with m
+    vertices and dimension vector d.  Its nilpotent ones are, up to
+    isomorphism, the multisets of segments (a start vertex and a length)
+    whose dimension vectors add up to d (Kempken, Bonner Math. Schriften
+    137, 1982); the segments of length 1 alone give the zero orbit.
+    """
+    m = sum(labels)
+    d = [0] * m
+    for k in range(len(labels)):
+        d[sum(labels[1 : k + 1]) % m] += 1
+    segments = []
+    for start in range(m):
+        for length in range(1, sum(d) + 1):
+            vec = [0] * m
+            for t in range(length):
+                vec[(start + t) % m] += 1
+            if all(v <= c for v, c in zip(vec, d)):
+                segments.append(vec)
+
+    def count(i: int, left: tuple) -> int:
+        if not any(left):
+            return 1
+        if i == len(segments):
+            return 0
+        total, seg = 0, segments[i]
+        while all(v >= 0 for v in left):
+            total += count(i + 1, left)
+            left = tuple(v - c for v, c in zip(left, seg))
+        return total
+
+    return count(0, tuple(d))
+
+
 def same_partition(labels1, labels2) -> bool:
     """Whether two labellings of one list group its entries alike."""
     pairs = set(zip(labels1, labels2))

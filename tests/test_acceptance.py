@@ -203,19 +203,22 @@ def test_criterion_6_pisystem_classification():
             assert len(classify_all(rs)) == len(brute_pi_classes(rs))
 
 
-# case: (types, orders, number of gradings)
+# case: (types, orders, number of gradings); every grading of E6 and E7 of
+# orders 2-4, the E7 principal grading of order 2 (Kac 0,0,1,0,0,0,0,0)
+# among them
 CRITERION_7_CASES = {
     "G2-F4-orders-2-6": ([("G", 2), ("F", 4)], range(2, 7), 63),
-    "E6-order-3": ([("E", 6)], [3], 6),
     "E6-order-2": ([("E", 6)], [2], 3),
+    "E6-order-3": ([("E", 6)], [3], 6),
+    "E6-order-4": ([("E", 6)], [4], 11),
+    "E7-order-2": ([("E", 7)], [2], 4),
+    "E7-order-3": ([("E", 7)], [3], 6),
+    "E7-order-4": ([("E", 7)], [4], 15),
 }
 
 
 def criterion_7_gradings(case):
-    """Every grading of a case of CRITERION_7_CASES, or the E7 principal
-    grading of order 2."""
-    if case == "E7-principal-order-2":
-        return [principal_nregular_grading(build_algebra(build_root_system("E", 7)), 2)]
+    """Every grading of a case of CRITERION_7_CASES."""
     types, orders, count = CRITERION_7_CASES[case]
     gradings = [
         grading_from_kac(alg, kd)
@@ -227,7 +230,7 @@ def criterion_7_gradings(case):
     return gradings
 
 
-@pytest.mark.parametrize("case", [*CRITERION_7_CASES, "E7-principal-order-2"])
+@pytest.mark.parametrize("case", CRITERION_7_CASES)
 def test_criterion_7_whole_record_equivalence(case):
     # both methods draw e from (seed, h) alone, so method 1, method 2 and
     # auto print the same JSON record (h, e, f, dim, wdd) for every orbit

@@ -327,7 +327,7 @@ def test_carrier_walk_counts_go_to_the_debug_log(caplog, capsys):
     with caplog.at_level(logging.DEBUG, logger="nilorb.carrier"):
         records = classify_by_carriers(g)
     assert len(records) == 6
-    line = f"{g}: 13 candidates, 12 non-empty, 12 solvable, 7 flat, 5 distinct h, 6 records"
+    line = f"{g}: 13 candidates, 12 non-empty, 7 flat, 5 distinct h, 6 records"
     assert caplog.messages.count(line) == 1
     assert capsys.readouterr().out == ""
 
@@ -337,7 +337,27 @@ def test_flat_carrier_must_be_normal(monkeypatch):
 
     g = grading_from_kac(A1, KacDiagram.from_labels(A1.rs, (1, 1)))
     monkeypatch.setattr(carrier_mod, "decide_normal_int", lambda *a, **k: None)
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(
+        InternalConsistencyError,
+        match=r"ThetaGrading\(A1, m=2\) with simple-root degrees 1: flat carrier .* "
+        r"produced non-normal canonical h = ",
+    ):
+        classify_by_carriers(g)
+
+
+def test_candidate_without_defining_element_is_an_error(monkeypatch):
+    # a class-search candidate has independent roots, so its Cartan system
+    # is nonsingular; a completion that finds no defining element is a
+    # broken guarantee, not a candidate to skip
+    import nilorb.carrier as carrier_mod
+
+    g = grading_from_kac(G2, KacDiagram.from_labels(G2.rs, (0, 0, 1)))
+    monkeypatch.setattr(carrier_mod, "completion", lambda grading, cand: None)
+    with pytest.raises(
+        InternalConsistencyError,
+        match=r"ThetaGrading\(G2, m=2\) with simple-root degrees 0,1: candidate .* "
+        r"has no defining element",
+    ):
         classify_by_carriers(g)
 
 

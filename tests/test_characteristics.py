@@ -24,6 +24,7 @@ from nilorb import (
 )
 from nilorb import characteristics, linalg
 from oracles import (
+    classical_wdds,
     dual_weight,
     graded_sl2_bound_of,
     is_nilpotent,
@@ -51,6 +52,19 @@ def test_h_from_wdd_examples():
 def test_type_a_counts_match_partitions(rank):
     alg = build_algebra(build_root_system("A", rank))
     assert len(classify_nilpotent_g(alg)) == partition_count(rank + 1)
+
+
+CLASSICAL_TYPES = [("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 8)]
+CLASSICAL_TYPES += [("C", n) for n in range(3, 8)] + [("D", n) for n in range(4, 9)]
+
+
+@pytest.mark.parametrize("label,rank", CLASSICAL_TYPES)
+def test_classical_wdds_match_the_partition_closed_form(label, rank):
+    # the ambient orbits of sl_n, so_n and sp_2n are partitions with the
+    # parity conditions, two for a very even one in type D, and each part
+    # gives its ad h eigenvalues (oracles.classical_wdds)
+    alg = build_algebra(build_root_system(label, rank))
+    assert sorted(wdd.labels for wdd, _ in classify_nilpotent_g(alg)) == classical_wdds(label, rank)
 
 
 def test_classification_includes_zero_and_regular():
@@ -183,7 +197,7 @@ def test_retry_budget_error(monkeypatch):
     with pytest.raises(RetryBudgetError) as err:
         decide_normal(g, h)
     message = str(err.value)
-    assert message.startswith("ThetaGrading(A1, m=2): ")
+    assert message.startswith("ThetaGrading(A1, m=2) with simple-root degrees 1: ")
     assert f"h = {h!r}" in message
 
 

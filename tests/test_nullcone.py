@@ -9,6 +9,7 @@ from nilorb import (
     KacDiagram,
     build_algebra,
     build_root_system,
+    classify_by_carriers,
     classify_by_characteristics,
     classify_orbits,
     decide_normal,
@@ -35,6 +36,7 @@ from oracles import (
     reference_wdd_of_cartan,
     survey_nregular_diagrams,
     toral_summary,
+    type_a_graded_orbit_count,
     weyl_matrices,
 )
 
@@ -134,6 +136,8 @@ def test_both_methods_agree_on_random_kac_diagrams(diagram):
     summaries = {method: summarize(g, records) for method, records in listings.items()}
     assert sorted(r.h_key() for r in listings["1"]) == sorted(r.h_key() for r in listings["2"])
     assert summaries["1"] == summaries["2"]
+    if rs.type_label == "A":
+        assert len(listings["1"]) == type_a_graded_orbit_count(labels)
     s = summaries["1"]
     # the component dimension by the rank oracle, not by counting roots
     assert s.component_dim == max(orbit_dimension_by_rank(g, r.e) for r in listings["1"])
@@ -175,17 +179,19 @@ def test_ambient_wdd_rejects_half_integral_h():
 
 
 def test_wdd_of_values_matches_wdd_of_cartan_on_f4_records():
-    # every record of the F4 gradings of orders 3 and 4, from the least den
-    # and from a den three times larger
+    # every record of the F4 gradings of orders 3 and 4 by both methods,
+    # against the to_subdominant walk of the oracle, from the least den and
+    # from a den three times larger
     f4 = build_algebra(build_root_system("F", 4))
     checked = 0
     for m in (3, 4):
         for kd in enumerate_kac_diagrams(f4.rs, m):
             g = grading_from_kac(f4, kd)
-            for r in classify_by_characteristics(g):
+            for r in [*classify_by_characteristics(g), *classify_by_carriers(g)]:
                 _, den, values = f4.cartan_values(r.h)
-                expected = wdd_of_cartan(f4, r.h)
-                assert expected == r.ambient_wdd
+                expected = WeightedDynkinDiagram(reference_wdd_of_cartan(f4, r.h))
+                assert r.ambient_wdd == expected
+                assert wdd_of_cartan(f4, r.h) == expected
                 assert wdd_of_values(f4.rs, den, values) == expected
                 assert wdd_of_values(f4.rs, 3 * den, [3 * v for v in values]) == expected
                 checked += 1
@@ -337,6 +343,23 @@ def test_toral_gradings_match_the_closed_form(label, rank):
             assert summary == toral_summary(labels), (labels, method)
 
 
+def test_type_a_gradings_match_the_cyclic_quiver_count():
+    # every Kac diagram of A1-A5 of orders 1-6, both methods: the nilpotent
+    # G_0-orbits in g_1 are the nilpotent representations of the cyclic
+    # quiver of the grading (oracles.type_a_graded_orbit_count)
+    checked = 0
+    for rank in range(1, 6):
+        alg = build_algebra(build_root_system("A", rank))
+        for m in range(1, 7):
+            for kd in enumerate_kac_diagrams(alg.rs, m):
+                g = grading_from_kac(alg, kd)
+                expected = type_a_graded_orbit_count(kd.labels)
+                for method in ("1", "2"):
+                    assert len(classify_orbits(g, method=method)) == expected, (kd, method)
+                checked += 1
+    assert checked == 244
+
+
 def test_closed_form_rejects_order_below_one():
     for m in (0, -3):
         with pytest.raises(ValueError, match=">= 1"):
@@ -352,13 +375,34 @@ def test_orbit_record_is_frozen_and_rejects_h_outside_the_chamber():
 
     g = trivial_grading(A1)
     h, e, f = A1.coroot((1,)), A1.root_vector((1,)), A1.root_vector((-1,))
-    wdd = WeightedDynkinDiagram((2,))
-    record = orbit_record(g, Sl2Triple(h, e, f), wdd)
+    record = orbit_record(g, Sl2Triple(h, e, f))
     assert record.dim == 2
+    assert record.ambient_wdd == WeightedDynkinDiagram((2,))
     with pytest.raises(dataclasses.FrozenInstanceError):
         record.dim = 3
-    with pytest.raises(InternalConsistencyError, match="left the dominant chamber"):
-        orbit_record(g, Sl2Triple(h.scale(-1), f, e), wdd)
+    with pytest.raises(
+        InternalConsistencyError,
+        match=r"ThetaGrading\(A1, m=1\) with simple-root degrees 0: canonical h = .* "
+        "left the dominant chamber",
+    ):
+        orbit_record(g, Sl2Triple(h.scale(-1), f, e))
+
+
+def test_listing_rejects_two_triples_with_one_h():
+    # one G2 0,0,1 triple given twice: the records would list one orbit twice
+    from nilorb import InternalConsistencyError
+    from nilorb.records import listing
+
+    g = grading_from_kac(G2, KacDiagram.from_labels(G2.rs, (0, 0, 1)))
+    r = classify_orbits(g, method="1")[1]
+    triple = Sl2Triple(r.h, r.e, r.f)
+    assert [x.h for x in listing(g, [triple])] == [G2.zero(), r.h]
+    with pytest.raises(
+        InternalConsistencyError,
+        match=r"ThetaGrading\(G2, m=2\) with simple-root degrees 0,1: two triples share "
+        r"canonical h = ",
+    ):
+        listing(g, [triple, triple])
 
 
 @pytest.mark.parametrize("method", ["1", "2"])

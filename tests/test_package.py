@@ -153,3 +153,17 @@ def test_no_dead_private_helpers():
                 if all(id(node) in own for node in refs.get(fn.name, ())):
                     dead.append(f"{path.name}: {fn.name}")
     assert dead == []
+
+
+def test_only_records_builds_records():
+    # both listing methods end at normal triples; records.listing turns
+    # them into records, so orbit_record is called, and OrbitRecord built,
+    # in records.py alone
+    builders = sorted({
+        path.name
+        for path, tree in module_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).rpartition(".")[2] in ("orbit_record", "OrbitRecord")
+    })
+    assert builders == ["records.py"]
