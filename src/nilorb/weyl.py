@@ -4,12 +4,14 @@ Elements act as permutations of the full root list and as exact integer
 matrices on the weight space.  A permutation is a `bytes` object of root
 indices (E8 has 240 roots), so composing two is one `bytes.translate`;
 elements, coset enumeration and the conjugacy tests all use this one format,
-and a type with more than 256 roots is rejected with a ValueError.
-Equality is equality of the root permutation; words are kept for display
-but are not canonical.  An element is also determined by the l bytes of its
-simple-root images: shortest_coset_reps keys each level on w(alpha_i), and
-the coset sweep keys the images of h on w^-1(alpha_i), which an element
-computes once and keeps (inverse_simple_images).
+and a type with more than 256 roots is rejected with a ValueError.  A
+reduced word is `bytes` too, one simple-root index per letter, so the
+cyclic garbage collector tracks neither.  Equality is equality of the root
+permutation; words are kept for display but are not canonical.  An element
+is also determined by the l bytes of its simple-root images:
+shortest_coset_reps keys each level on w(alpha_i), and the coset sweep keys
+the images of h on w^-1(alpha_i), which an element computes once and keeps
+(inverse_simple_images).
 
 Conjugacy rests on one chamber walk (_dominant_perm): each root in turn is
 reflected into the chamber of the basis roots that fix the images already
@@ -36,6 +38,7 @@ from .rootsystem import RootSystem
 
 
 _IDENTITY = bytes(range(256))
+_BYTE = tuple(bytes((k,)) for k in range(256))
 
 
 def _compose(p: bytes, q: bytes) -> bytes:
@@ -66,11 +69,11 @@ def _simple_perm_table(rs: RootSystem) -> tuple[bytes, ...]:
 
 
 class WeylElement:
-    """A Weyl group element; word (i1..ik) denotes s_{i1} o ... o s_{ik}."""
+    """A Weyl group element; the word, bytes i1..ik, denotes s_{i1} o ... o s_{ik}."""
 
     __slots__ = ("rs", "perm", "word", "_matrix", "_inverse_simples")
 
-    def __init__(self, rs: RootSystem, perm: bytes, word: tuple[int, ...]):
+    def __init__(self, rs: RootSystem, perm: bytes, word: bytes):
         self.rs = rs
         self.perm = perm
         self.word = word
@@ -85,7 +88,7 @@ class WeylElement:
         word starts with the least such i and goes on with s_i w."""
         simples = _simple_perm_table(rs)
         inv = _inverse(perm)
-        word = []
+        word = bytearray()
         while True:
             for i, k in enumerate(rs.simple_indices):
                 if inv[k] >= rs.n_pos:
@@ -93,13 +96,13 @@ class WeylElement:
                     inv = _compose(inv, simples[i])
                     break
             else:
-                return WeylElement(rs, perm, tuple(word))
+                return WeylElement(rs, perm, bytes(word))
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return WeylElement(self.rs, _compose(self.perm, other.perm), self.word + other.word)
 
     def inverse(self) -> "WeylElement":
-        return WeylElement(self.rs, _inverse(self.perm), tuple(reversed(self.word)))
+        return WeylElement(self.rs, _inverse(self.perm), self.word[::-1])
 
     def inverse_simple_images(self) -> bytes:
         """The root indices of w^-1(alpha_1)..w^-1(alpha_l), one byte each,
@@ -207,7 +210,7 @@ def shortest_coset_reps(rs: RootSystem, sub: WeylSubgroup) -> list[WeylElement]:
     blocked = bytes(blocked)
     letters: dict[bytes, tuple[int, ...]] = {}  # blocked mask of a key -> open letters
     reps: list[WeylElement] = []
-    level = {simple_bytes: (bytes(range(len(rs.roots))), ())}  # key -> (perm, word)
+    level = {simple_bytes: (bytes(range(len(rs.roots))), b"")}  # key -> (perm, word)
     while level:
         nxt = {}
         for key, (perm, word) in level.items():
@@ -220,7 +223,7 @@ def shortest_coset_reps(rs: RootSystem, sub: WeylSubgroup) -> list[WeylElement]:
             for i in open_letters:
                 new_key = picks[i].translate(table)
                 if new_key not in nxt:
-                    nxt[new_key] = (simples[i].translate(table), word + (i,))
+                    nxt[new_key] = (simples[i].translate(table), word + _BYTE[i])
         level = nxt
     return reps
 
@@ -315,9 +318,6 @@ def _stabiliser(rs: RootSystem, basis: tuple[int, ...], lam: int) -> tuple[int, 
     basis of its stabiliser, a parabolic subgroup (Humphreys, Reflection
     Groups and Coxeter Groups, 1.12)."""
     return tuple(b for b in basis if _coroot_column(rs, b)[lam] == 0)
-
-
-_BYTE = tuple(bytes((k,)) for k in range(256))
 
 
 def _place(rs: RootSystem, basis: tuple[int, ...], states, merge: bool):

@@ -37,25 +37,25 @@ def weyl_identity(rs):
     """The identity WeylElement, with the empty word."""
     from nilorb.weyl import WeylElement
 
-    return WeylElement(rs, bytes(range(len(rs.roots))), ())
+    return WeylElement(rs, bytes(range(len(rs.roots))), b"")
 
 
 def weyl_simple(rs, i: int):
     """The simple reflection s_i as a WeylElement."""
     from nilorb.weyl import WeylElement, _simple_perm_table
 
-    return WeylElement(rs, _simple_perm_table(rs)[i], (i,))
+    return WeylElement(rs, _simple_perm_table(rs)[i], bytes((i,)))
 
 
 def weyl_from_word(rs, word):
-    """The WeylElement s_{i1} o ... o s_{ik} of the word (i1..ik), keeping
-    the word as given."""
+    """The WeylElement s_{i1} o ... o s_{ik} of the word i1..ik (bytes or
+    ints), keeping the word as given, as bytes."""
     from nilorb.weyl import WeylElement
 
     w = weyl_identity(rs)
     for i in word:
         w = w * weyl_simple(rs, i)
-    return WeylElement(rs, w.perm, tuple(word))
+    return WeylElement(rs, w.perm, bytes(word))
 
 
 def root_string_positive_roots(rs):
@@ -1020,7 +1020,7 @@ def reference_shortest_coset_reps(rs, sub):
     beta_idx = [rs.root_index[b] for b in sub.basis]
     ident = bytes(range(len(rs.roots)))
     reps = []
-    level = {ident: (ident, ())}  # perm -> (inverse perm, word)
+    level = {ident: (ident, b"")}  # perm -> (inverse perm, word)
     while level:
         nxt = {}
         for perm, (inv, word) in level.items():
@@ -1033,7 +1033,7 @@ def reference_shortest_coset_reps(rs, sub):
                     continue  # (w s_i)^{-1} sends some beta_j negative
                 new_perm = _compose(perm, si)
                 if new_perm not in nxt:
-                    nxt[new_perm] = (_compose(si, inv), word + (i,))
+                    nxt[new_perm] = (_compose(si, inv), word + bytes((i,)))
         level = nxt
     return reps
 

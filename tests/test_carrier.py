@@ -217,8 +217,10 @@ def test_completion_of_an_inconsistent_candidate_is_none():
 
 
 def test_candidate_move_matches_is_pi_system_move():
-    # same candidates in the same order: the index of a candidate seeds its
-    # random coefficients
+    # same candidates in the same order: the member of each W_0-class that
+    # the class search keeps, and the sort by size, pi0 and pi1.  The draws
+    # are keyed on h (characteristics.h_rng), not on a candidate's index, so
+    # this pins the search itself rather than any record
     f4 = build_algebra(build_root_system("F", 4))
     e6 = build_algebra(build_root_system("E", 6))
     for alg, m in [(f4, 3), (f4, 4), (e6, 2)]:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -87,6 +88,16 @@ def test_cosets_words_by_length_then_word(capsys):
     code, out, _ = run(capsys, ["cosets", "--type", "B3", "--subsystem-from-extended-minus", "2", "--words"])
     assert code == 0
     assert out.split() == ["6", "e", "s2", "s2s1", "s2s3", "s2s1s3", "s2s3s2"]
+
+
+def test_e8_cosets_words_bytes(capsys):
+    # the 48384 representatives of E8 mod W(2A4): the order and the letters
+    # of every word
+    argv = ["cosets", "--type", "E8", "--subsystem-from-extended-minus", "5", "--words"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert out.count("\n") == 48385
+    assert hashlib.md5(out.encode()).hexdigest() == "d41f6e45be37d4472adaa7af8a4ce7e6"
 
 
 def test_cosets_bad_node(capsys):

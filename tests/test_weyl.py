@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -185,13 +186,13 @@ def least_words_b3():
     length and then lexicographically, keyed by matrix."""
     gens = [reflection_matrix(B3, i) for i in range(3)]
     least = {}
-    level = {(): tuple(tuple(int(a == b) for b in range(3)) for a in range(3))}
+    level = {b"": tuple(tuple(int(a == b) for b in range(3)) for a in range(3))}
     while True:
         for word, m in level.items():
             least.setdefault(m, word)
         if len(least) == 48:
             return least
-        level = {word + (i,): mat_mul(m, g) for word, m in level.items() for i, g in enumerate(gens)}
+        level = {word + bytes((i,)): mat_mul(m, g) for word, m in level.items() for i, g in enumerate(gens)}
 
 
 @pytest.mark.parametrize("basis", [(), ((1, 1, 0),), ((0, 1, 0), (1, 1, 2))])
@@ -300,6 +301,38 @@ def test_from_perm_round_trips_over_the_whole_group(rs):
         assert v == w and v.word == w.word
         assert weyl_from_word(rs, v.word) == v
         assert len(v.word) == v.length()
+
+
+@pytest.mark.parametrize("label,rank,kind,arg", [("G", 2, "kac", (0, 1, 1)), ("F", 4, "node", 2),
+                                                 ("B", 3, "trivial", None)])
+def test_every_element_keeps_a_bytes_word_of_itself(label, rank, kind, arg):
+    rs, sub = coset_case(label, rank, kind, arg)
+    reps = shortest_coset_reps(rs, sub)
+    made = list(reps)
+    made += [WeylElement.from_perm(rs, w.perm) for w in reps]
+    made += [w.inverse() for w in reps]
+    made += [u * v for u in reps[:12] for v in reps[-12:]]
+    full = WeylSubgroup(rs, [rs.simple_root(i) for i in range(rank)])
+    made += [to_subdominant(rs, sub, w.act_weight(rs.highest_root))[1] for w in reps]
+    made += [to_subdominant(rs, full, tuple(-x for x in w.act_weight(rs.highest_root)))[1] for w in reps]
+    for w in made:
+        assert type(w.word) is bytes
+        assert weyl_from_word(rs, w.word) == w
+
+
+def test_coset_reps_of_e8_2a4_stay_small():
+    # the list peaks at about 20.4 MB with bytes words and 31.4 MB with
+    # tuple words, which the collector also tracks; the bound lies between
+    rs, sub = coset_case(*E8_2A4)
+    shortest_coset_reps(rs, sub)  # fills the per-root-system caches
+    tracemalloc.start()
+    try:
+        reps = shortest_coset_reps(rs, sub)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reps) == 48384
+    assert peak < 26 * 2**20, peak
 
 
 def test_conjugate_sets_examples():
@@ -452,6 +485,6 @@ def test_weyl_permutations_stop_at_256_roots(label, rank):
         with pytest.raises(ValueError, match="at most 256"):
             weyl_simple(rs, 0)
     else:
-        assert [w.word for w in shortest_coset_reps(rs, WeylSubgroup(rs, basis))] == [()]
+        assert [w.word for w in shortest_coset_reps(rs, WeylSubgroup(rs, basis))] == [b""]
         s0 = weyl_simple(rs, 0)
-        assert WeylElement.from_perm(rs, s0.perm).word == (0,) and s0.length() == 1
+        assert WeylElement.from_perm(rs, s0.perm).word == b"\x00" and s0.length() == 1
