@@ -145,24 +145,27 @@ def candidate_pi_systems(grading: ThetaGrading) -> list[GradedCandidate]:
     it one when r is outside the union of the candidate's difference masks
     (and not in the candidate) and the rows stay independent, that is,
     when some vector of the candidate's root_kernel pairs with r to a
-    nonzero value.
+    nonzero value.  Only the first admissible root of each orbit of the
+    candidate's stabiliser (conjugacy_classes) makes a child: the others'
+    children are conjugate to it and queued after it, so keying them too
+    would find the same classes and first members.
     """
     rs = grading.rs
     w0 = grading.weyl_subgroup()
     masks = _difference_masks(grading.alg)
     phi1 = [(rs.root_index[r], r) for r in grading.phi1]
 
-    def add_one(cand: GradedCandidate) -> list[GradedCandidate]:
+    def add_one(cand: GradedCandidate, orbit) -> list[GradedCandidate]:
         roots = cand.roots()
         blocked = 0
         for i in map(rs.root_index.__getitem__, roots):
             blocked |= masks[i] | 1 << i
         kernel = cand.root_kernel(rs.rank)
-        return [
-            cand.extend(r, rs.rank)
-            for i, r in phi1
-            if not blocked >> i & 1 and any(sum(map(mul, k, r)) for k in kernel)
-        ]
+        first = {}  # stabiliser-orbit label -> first admissible root
+        for i, r in phi1:
+            if not blocked >> i & 1 and any(sum(map(mul, k, r)) for k in kernel):
+                first.setdefault(orbit(i), r)
+        return [cand.extend(r, rs.rank) for r in first.values()]
 
     start = [GradedCandidate(pi0, ()) for pi0 in classify_all(rs, basis=grading.delta0)]
     found = conjugacy_classes(rs, w0, start, lambda c: (c.pi0, c.pi1), add_one)
@@ -266,7 +269,7 @@ def classify_by_carriers(grading: ThetaGrading, seed: int = 0) -> list[OrbitReco
                 f"{grading.describe()}: flat carrier {cand} produced non-normal "
                 f"canonical h = {alg.cartan(hnum, den)!r}"
             )
-        triples[key] = triple
+        triples[key] = triple, den, values
     records = listing(grading, list(triples.values()))
     log.debug(
         "%s: %d candidates, %d non-empty, %d flat, %d distinct h, %d records",

@@ -264,6 +264,14 @@ def classify_nilpotent_g(alg: ChevalleyAlgebra) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _characteristics(alg: ChevalleyAlgebra) -> tuple:
+    """The _characteristic of every nonzero h of classify_nilpotent_g (all
+    but its first)."""
+    nonzero = classify_nilpotent_g(alg)[1:]
+    return tuple(_characteristic(h, *alg.cartan_values(h)[1:]) for _, h in nonzero)
+
+
 def _graded_sl2_bound(grading: ThetaGrading, perm, zero, two) -> bool:
     """Whether dim g_i(0) >= dim g_{i+1}(2) for every i in Z/m, for the image
     w h of a Cartan element h: zero and two are the roots (indices) with
@@ -304,13 +312,28 @@ def normal_list(
     that embed in a normal triple, testing each on integers: the values
     den * alpha(w h) = den * (w^-1 alpha)(h) are those of h permuted by the
     inverse root permutation of w.  Images with equal simple-root values are
-    equal and tested once.
+    equal and tested once.  This is _sweep on ChevalleyAlgebra.cartan_values.
+    """
+    joined = b"".join(map(WeylElement.inverse_simple_images, coset_reps))
+    char = _characteristic(h, *grading.alg.cartan_values(h)[1:])
+    return [triple for triple, _, _ in _sweep(grading, coset_reps, joined, char, seed)]
 
-    The images are keyed all at once: the bytes w^-1(alpha_1)..w^-1(alpha_l)
-    of every w (WeylElement.inverse_simple_images) are joined, mapped by one
-    translate from root index to a one-byte code of the value of h there
-    (at most 256 roots, hence at most 256 values), and sliced into one key
-    per w.
+
+def _characteristic(h: LieElement, den: int, vals) -> tuple:
+    """(h, den, vals, table, zero, two), vals[i] = den * alpha_i(h): table
+    maps a root index to a one-byte code of the value of h there (at most
+    256 roots), zero and two list the roots where h is 0 and 2."""
+    code = {v: c for c, v in enumerate(sorted(set(vals)))}
+    table = bytes(code[v] for v in vals).ljust(256, b"\0")
+    zero = [j for j, v in enumerate(vals) if v == 0]
+    return h, den, vals, table, zero, [j for j, v in enumerate(vals) if v == 2 * den]
+
+
+def _sweep(grading, coset_reps, joined, char, seed) -> list:
+    """normal_list on a _characteristic of h and the joined bytes
+    w^-1(alpha_1)..w^-1(alpha_l) of every w (inverse_simple_images), each
+    triple with the den and values of its h.  One translate by the table
+    keys every image at once, sliced into one key per w.
     Each new image first meets the graded sl2 bound (_graded_sl2_bound),
     read off w and the roots where h has the value 0 or 2; only an image
     that passes gets its inverse permutation, its coordinates and the span
@@ -318,20 +341,15 @@ def normal_list(
     that have no triple, and the draws depend on the image alone
     (h_rng): the triples are those of testing every image.
     """
+    h, den, vals, table, zero, two = char
     alg = grading.alg
     l = grading.rs.rank
-    _, den, vals = alg.cartan_values(h)
     n_roots = len(vals)
     ident = bytes(range(n_roots))
-    code = {v: c for c, v in enumerate(sorted(set(vals)))}
-    codes = b"".join(map(WeylElement.inverse_simple_images, coset_reps)).translate(
-        bytes(code[v] for v in vals).ljust(256, b"\0")
-    )
+    codes = joined.translate(table)
     keys = [codes[i : i + l] for i in range(0, len(codes), l)]
     images = dict(zip(keys, coset_reps))
-    zero = [j for j, v in enumerate(vals) if v == 0]
-    two = [j for j, v in enumerate(vals) if v == 2 * den]
-    triples = []
+    found = []
     bounded = spanless = 0
     for w in images.values():
         if not _graded_sl2_bound(grading, w.perm, zero, two):
@@ -346,23 +364,25 @@ def normal_list(
             continue
         triple = _normal_triple(grading, eye, hnum, den, values, seed)
         if triple is not None:
-            triples.append(triple)
+            found.append((triple, den, values))
     log.debug(
         "%s, characteristic %r: %d images, %d merged, %d fail the graded sl2 bound, "
         "%d fail the span test, %d triples",
-        grading, h, len(keys), len(keys) - len(images), bounded, spanless, len(triples),
+        grading, h, len(keys), len(keys) - len(images), bounded, spanless, len(found),
     )
-    return triples
+    return found
 
 
 def classify_by_characteristics(grading: ThetaGrading, seed: int = 0) -> list[OrbitRecord]:
     """All nilpotent orbits of the theta-group, one record per orbit, by
-    sweeping coset images of every nonzero ambient characteristic: the
-    normal triples of normal_list go to records.listing, which builds the
-    records and checks that no two share an h."""
+    sweeping coset images of every nonzero ambient characteristic: the sweep
+    of normal_list per characteristic, on the _characteristics kept per
+    algebra and on the representatives' bytes joined once.  The normal
+    triples, each with the integers of its h, go to records.listing, which
+    builds the records and checks that no two share an h."""
     reps = shortest_coset_reps(grading.rs, grading.weyl_subgroup())
-    triples = []
-    for wdd, h in classify_nilpotent_g(grading.alg):
-        if not wdd.is_zero():
-            triples += normal_list(grading, reps, h, seed=seed)
-    return listing(grading, triples)
+    joined = b"".join(map(WeylElement.inverse_simple_images, reps))
+    found = []
+    for char in _characteristics(grading.alg):
+        found += _sweep(grading, reps, joined, char, seed)
+    return listing(grading, found)

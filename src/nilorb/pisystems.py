@@ -65,7 +65,7 @@ def classify_maximal(rs: RootSystem, basis=None) -> list[PiSystem]:
         rs,
         WeylSubgroup(rs, basis),
         [canonical(basis)],
-        moves=lambda pi: elementary_transformations(rs, pi),
+        moves=lambda pi, _: elementary_transformations(rs, pi),
     )
     return sorted(reps)
 
@@ -88,6 +88,6 @@ def _classes(rs: RootSystem, basis: tuple[Root, ...]) -> tuple[PiSystem, ...]:
         rs,
         WeylSubgroup(rs, basis),
         classify_maximal(rs, basis),
-        moves=lambda pi: [pi[:i] + pi[i + 1 :] for i in range(len(pi))],
+        moves=lambda pi, _: [pi[:i] + pi[i + 1 :] for i in range(len(pi))],
     )
     return tuple(sorted(reps, key=lambda p: (len(p), p)))

@@ -1,9 +1,9 @@
 """Orbit records and the weighted Dynkin diagram of an ambient orbit.
 
-Both listing methods end at one normal triple per nonzero orbit; listing
-turns those triples into the listing, building each record complete and
-frozen with orbit_record, which derives everything in the record but the
-triple from the integer form of h."""
+Both listing methods end at one normal triple per nonzero orbit, with the
+integer form of h that they tested; listing turns those into the listing,
+building each record complete and frozen with orbit_record, which derives
+everything in the record but the triple from those integers."""
 
 from __future__ import annotations
 
@@ -55,15 +55,14 @@ class OrbitRecord:
         return tuple(Fraction(c) for c in self.h.cartan_part())
 
 
-def orbit_record(grading: ThetaGrading, triple: Sl2Triple) -> OrbitRecord:
-    """The record of a normal triple (h, e, f); (0, 0, 0) gives the zero
-    record.  From the integer form of h, read once, it raises
-    InternalConsistencyError when a root of Delta_0 is negative on h (h
-    outside C_l + r), reads the ambient orbit's weighted Dynkin diagram
-    (wdd_of_values), counts the dimension (dimension_of_values) and, at
-    m = 2, runs check_kostant_rallis.
+def orbit_record(grading: ThetaGrading, triple: Sl2Triple, den: int, values) -> OrbitRecord:
+    """The record of a normal triple (h, e, f) with values[i] = den *
+    alpha_i(h), den > 0 and not necessarily the least; (0, 0, 0) with zero
+    values gives the zero record.  It raises InternalConsistencyError when a
+    root of Delta_0 is negative on h (h outside C_l + r), reads the ambient
+    orbit's weighted Dynkin diagram (wdd_of_values), counts the dimension
+    (dimension_of_values) and, at m = 2, runs check_kostant_rallis.
     """
-    _, den, values = grading.alg.cartan_values(triple.h)
     if any(values[grading.rs.root_index[b]] < 0 for b in grading.delta0):
         raise InternalConsistencyError(
             f"{grading.describe()}: canonical h = {triple.h!r} left the dominant chamber"
@@ -105,20 +104,21 @@ def check_kostant_rallis(grading: ThetaGrading, h: LieElement, dim: int, den: in
         )
 
 
-def listing(grading: ThetaGrading, triples: list[Sl2Triple]) -> list[OrbitRecord]:
-    """One record per orbit from one normal triple per nonzero orbit: the
-    zero record, then the records of the triples, lexicographic in the
-    canonical h coordinates.  Two triples with one h raise
-    InternalConsistencyError."""
+def listing(grading: ThetaGrading, found) -> list[OrbitRecord]:
+    """One record per orbit from one (triple, den, values) per nonzero
+    orbit (see orbit_record): the zero record, then the records of the
+    triples, lexicographic in the canonical h coordinates.  Two triples with
+    one h raise InternalConsistencyError."""
     records = {}
-    for triple in triples:
-        record = orbit_record(grading, triple)
+    for triple, den, values in found:
+        record = orbit_record(grading, triple, den, values)
         if records.setdefault(record.h_key(), record) is not record:
             raise InternalConsistencyError(
                 f"{grading.describe()}: two triples share canonical h = {triple.h!r}"
             )
     z = grading.alg.zero()
-    return [orbit_record(grading, Sl2Triple(z, z, z)), *(records[k] for k in sorted(records))]
+    zero = orbit_record(grading, Sl2Triple(z, z, z), 1, [0] * grading.alg.n_roots)
+    return [zero, *(records[k] for k in sorted(records))]
 
 
 def wdd_of_cartan(alg: ChevalleyAlgebra, h: LieElement) -> WeightedDynkinDiagram:

@@ -22,10 +22,10 @@ block that other blocks follow is kept per root system, subgroup basis and
 block (_first_block): the carrier class search keys many (pi0, pi1) with
 one of a few pi0.  So classifying n items takes n keys and one dict;
 conjugacy_classes is the one class search, expanding only the first item of
-each class through moves that commute with the subgroup.  conjugate_tuples
-(each root its own block) and conjugate_sets compare the keys of one
-search, and return p2^-1 p1 for the elements p1, p2 that the two searches
-end with.
+each class through moves that commute with the subgroup and may read its
+stabiliser.  conjugate_tuples (each root its own block) and conjugate_sets
+compare the keys of one search, and return p2^-1 p1 for the elements p1, p2
+that the two searches end with.
 """
 
 from __future__ import annotations
@@ -361,10 +361,11 @@ def _first_block(rs: RootSystem, basis: tuple[int, ...], block: bytes):
     return _place(rs, basis, [(block, _IDENTITY)], merge=False)
 
 
-def _least_images(rs: RootSystem, sub: WeylSubgroup, blocks) -> tuple[tuple, bytes]:
-    """The conjugacy key of `blocks` (see conjugacy_key) and an element of
+def _least_images(rs: RootSystem, sub: WeylSubgroup, blocks) -> tuple[tuple, bytes, tuple]:
+    """The conjugacy key of `blocks` (see conjugacy_key), an element p of
     the subgroup, as a 256-byte table, that sends each block onto the set of
-    its images in the key."""
+    its images in the key, and the basis (root indices) of the subgroup
+    that fixes those images pointwise."""
     index, sets = rs.root_index, []
     for k, block in enumerate(blocks):
         try:
@@ -388,7 +389,7 @@ def _least_images(rs: RootSystem, sub: WeylSubgroup, blocks) -> tuple[tuple, byt
                 states.setdefault(images if last else perm, (images, perm))
             lams, basis, perms = _place(rs, basis, list(states.values()), last)
         key += [(k, lam) for lam in lams]
-    return tuple(key), perms[0]
+    return tuple(key), perms[0], basis
 
 
 def conjugacy_key(rs: RootSystem, sub: WeylSubgroup, blocks) -> tuple:
@@ -408,17 +409,23 @@ def conjugacy_key(rs: RootSystem, sub: WeylSubgroup, blocks) -> tuple:
 
 
 def conjugacy_classes(
-    rs: RootSystem, sub: WeylSubgroup, items, blocks=lambda x: (x,), moves=lambda x: ()
+    rs: RootSystem, sub: WeylSubgroup, items, blocks=lambda x: (x,), moves=lambda x, orbit: ()
 ) -> list:
     """The first item met in each subgroup-conjugacy class; `blocks` gives
     the root sets of an item (one set by default).
 
     The search is breadth-first from `items`: an item equal to one already
     met is skipped, the rest are keyed, and only the first item of each
-    class is expanded through `moves`.  When the moves commute with the
-    subgroup, the moves of a class member are conjugate to those of its
+    class is expanded, as moves(item, orbit).  When the moves commute with
+    the subgroup, the moves of a class member are conjugate to those of its
     representative, so this reaches every class the full closure reaches.
     With no moves it is the first of the items per class, in input order.
+
+    A move may read the representative's stabiliser: orbit(i) labels
+    roots[i] by the dominant image of p(roots[i]) for W_B, where p (from
+    _least_images) sends the item's roots onto their key images and the
+    parabolic W_B fixes those pointwise.  Roots with one label are
+    conjugate under p^-1 W_B p, which fixes every root of the item.
     """
     reps: dict = {}
     met = set()
@@ -428,10 +435,10 @@ def conjugacy_classes(
         if item in met:
             continue
         met.add(item)
-        key = conjugacy_key(rs, sub, blocks(item))
+        key, perm, basis = _least_images(rs, sub, blocks(item))
         if key not in reps:
             reps[key] = item
-            queue.extend(moves(item))
+            queue.extend(moves(item, lambda i: _dominant_perm(rs, basis, perm[i])[0]))
     return list(reps.values())
 
 
@@ -439,8 +446,8 @@ def _conjugator(rs: RootSystem, sub: WeylSubgroup, blocks1, blocks2) -> WeylElem
     """p2^-1 p1 when the two sequences of root sets have equal keys, where
     p_k is the element of _least_images that sends each set of blocks_k
     onto its images in the key; else None."""
-    key1, p1 = _least_images(rs, sub, blocks1)
-    key2, p2 = _least_images(rs, sub, blocks2)
+    key1, p1, _ = _least_images(rs, sub, blocks1)
+    key2, p2, _ = _least_images(rs, sub, blocks2)
     if key1 != key2:
         return None
     n = len(rs.roots)

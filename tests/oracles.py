@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import NamedTuple
 
 
@@ -706,22 +707,32 @@ def reference_completion(grading, cand):
     return ReferenceCompletion(h0, z_basis, psi0, psi1, flat)
 
 
-def reference_candidate_pi_systems(grading):
-    """The carrier candidates with the move that tests the whole extended
-    root set with is_pi_system, in the library's order."""
-    from nilorb.carrier import GradedCandidate
-    from nilorb.pisystems import canonical, classify_all
+def reference_candidate_pi_systems(grading, admissible=None):
+    """The carrier candidates by the class search that keys every admissible
+    child, with no stabiliser-orbit pruning, in the library's order.  A root
+    r of Phi_1 extends a candidate when admissible(cand, r); by default by
+    the library's test: r is neither in the candidate nor in its difference
+    masks, and some vector of its root_kernel pairs with r to a nonzero
+    value."""
+    from nilorb.carrier import GradedCandidate, _difference_masks
+    from nilorb.pisystems import classify_all
     from nilorb.weyl import conjugacy_classes
 
     rs = grading.rs
     w0 = grading.weyl_subgroup()
+    masks = _difference_masks(grading.alg)
 
-    def add_one(cand):
-        return [
-            GradedCandidate(cand.pi0, canonical(cand.pi1 + (r,)))
-            for r in grading.phi1
-            if r not in cand.pi1 and is_pi_system(rs, cand.roots() + (r,))
-        ]
+    def library_test(cand, r):
+        i = rs.root_index[r]
+        for q in map(rs.root_index.__getitem__, cand.roots()):
+            if q == i or masks[q] >> i & 1:
+                return False
+        return any(sum(map(mul, k, r)) for k in cand.root_kernel(rs.rank))
+
+    admissible = admissible or library_test
+
+    def add_one(cand, orbit):
+        return [cand.extend(r, rs.rank) for r in grading.phi1 if admissible(cand, r)]
 
     start = [GradedCandidate(pi0, ()) for pi0 in classify_all(rs, basis=grading.delta0)]
     found = conjugacy_classes(rs, w0, start, lambda c: (c.pi0, c.pi1), add_one)
@@ -782,6 +793,17 @@ def reference_classify_nilpotent_g(alg):
         if decide_normal(triv, h) is not None:
             out.append((wdd, h))
     return tuple(out)
+
+
+def reference_orbit_record(grading, record):
+    """The record of record's triple built from the Fraction h: the integer
+    form of h rebuilt by ChevalleyAlgebra.cartan_values, then
+    records.orbit_record."""
+    from nilorb.chevalley import Sl2Triple
+    from nilorb.records import orbit_record
+
+    triple = Sl2Triple(record.h, record.e, record.f)
+    return orbit_record(grading, triple, *grading.alg.cartan_values(record.h)[1:])
 
 
 def reference_wdd_of_cartan(alg, h):

@@ -33,6 +33,7 @@ from oracles import (
     graded_sl2_bound_of,
     mat_vec,
     orbit_dimension_by_rank,
+    reference_orbit_record,
     reference_wdd_of_cartan,
     survey_nregular_diagrams,
     toral_summary,
@@ -375,7 +376,7 @@ def test_orbit_record_is_frozen_and_rejects_h_outside_the_chamber():
 
     g = trivial_grading(A1)
     h, e, f = A1.coroot((1,)), A1.root_vector((1,)), A1.root_vector((-1,))
-    record = orbit_record(g, Sl2Triple(h, e, f))
+    record = orbit_record(g, Sl2Triple(h, e, f), *A1.cartan_values(h)[1:])
     assert record.dim == 2
     assert record.ambient_wdd == WeightedDynkinDiagram((2,))
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -385,24 +386,60 @@ def test_orbit_record_is_frozen_and_rejects_h_outside_the_chamber():
         match=r"ThetaGrading\(A1, m=1\) with simple-root degrees 0: canonical h = .* "
         "left the dominant chamber",
     ):
-        orbit_record(g, Sl2Triple(h.scale(-1), f, e))
+        orbit_record(g, Sl2Triple(h.scale(-1), f, e), *A1.cartan_values(h.scale(-1))[1:])
 
 
 def test_listing_rejects_two_triples_with_one_h():
-    # one G2 0,0,1 triple given twice: the records would list one orbit twice
+    # one G2 0,0,1 triple, with the integers of its h, given twice: the
+    # records would list one orbit twice
     from nilorb import InternalConsistencyError
     from nilorb.records import listing
 
     g = grading_from_kac(G2, KacDiagram.from_labels(G2.rs, (0, 0, 1)))
     r = classify_orbits(g, method="1")[1]
-    triple = Sl2Triple(r.h, r.e, r.f)
-    assert [x.h for x in listing(g, [triple])] == [G2.zero(), r.h]
+    found = (Sl2Triple(r.h, r.e, r.f), *G2.cartan_values(r.h)[1:])
+    assert [x.h for x in listing(g, [found])] == [G2.zero(), r.h]
     with pytest.raises(
         InternalConsistencyError,
         match=r"ThetaGrading\(G2, m=2\) with simple-root degrees 0,1: two triples share "
         r"canonical h = ",
     ):
-        listing(g, [triple, triple])
+        listing(g, [found, found])
+
+
+@pytest.mark.parametrize("method", ["1", "2"])
+def test_records_read_the_integers_of_their_own_h(monkeypatch, method):
+    # each method hands records.listing the integers it tested with every
+    # triple; they must be den * alpha(h) of the triple's own h, and the
+    # records equal those built from cartan_values(h), the Fraction path;
+    # on m = 2 every record still runs the Kostant-Rallis check
+    import nilorb.records as records_mod
+
+    carried, checked = [], []
+    build, check = records_mod.orbit_record, records_mod.check_kostant_rallis
+
+    def recorded(grading, triple, den, values):
+        carried.append((grading, triple, den, values))
+        return build(grading, triple, den, values)
+
+    def counted(grading, h, dim, den, values):
+        checked.append(h)
+        check(grading, h, dim, den, values)
+
+    monkeypatch.setattr(records_mod, "orbit_record", recorded)
+    monkeypatch.setattr(records_mod, "check_kostant_rallis", counted)
+    f4 = build_algebra(build_root_system("F", 4))
+    gradings = [grading_from_kac(f4, kd) for m in range(2, 7) for kd in enumerate_kac_diagrams(f4.rs, m)]
+    gradings.append(principal_nregular_grading(build_algebra(build_root_system("E", 6)), 7))
+    listings = [(g, classify_orbits(g, method=method)) for g in gradings]
+    assert len(checked) == sum(len(records) for g, records in listings if g.m == 2) > 0
+    assert len(carried) == sum(len(records) for _, records in listings)
+    for g, triple, den, values in carried:
+        _, cden, cvalues = g.alg.cartan_values(triple.h)
+        assert den > 0 and [cden * v for v in values] == [den * v for v in cvalues], (g, triple.h)
+    for g, records in listings:
+        for r in records:
+            assert r == reference_orbit_record(g, r), (g, r.h)
 
 
 @pytest.mark.parametrize("method", ["1", "2"])

@@ -167,3 +167,25 @@ def test_only_records_builds_records():
         and ast.unparse(node.func).rpartition(".")[2] in ("orbit_record", "OrbitRecord")
     })
     assert builders == ["records.py"]
+
+
+def test_listing_methods_do_not_rebuild_the_integer_h():
+    # both methods hand records.listing the integers they tested; the
+    # Fraction h is cleared again (ChevalleyAlgebra.cartan_values) only by
+    # the public Fraction entry points, the per-algebra characteristic cache
+    # and wdd_of_cartan, the Fraction form of wdd_of_values
+    allowed = {
+        "carrier.py": set(),
+        "characteristics.py": {"decide_normal", "normal_list", "_characteristics"},
+        "records.py": {"wdd_of_cartan"},
+    }
+    callers = {name: set() for name in allowed}
+    for path, tree in module_trees():
+        if path.name in allowed:
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Attribute) and node.attr == "cartan_values"
+                    for node in ast.walk(fn)
+                ):
+                    callers[path.name].add(fn.name)
+    assert callers == allowed

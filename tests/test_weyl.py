@@ -431,7 +431,7 @@ def test_conjugacy_classes_search_keeps_and_expands_the_first_item_met():
     graph = {a: [b, c, a], b: [()], c: [((1, 1),)], (): []}
     expanded = []
 
-    def moves(item):
+    def moves(item, orbit):
         expanded.append(item)
         return graph[item]
 
