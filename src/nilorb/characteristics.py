@@ -15,14 +15,14 @@ import logging
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from math import gcd
 
 from . import linalg
 from .chevalley import ChevalleyAlgebra, LieElement, Sl2Triple
 from .grading import ThetaGrading, trivial_grading
 from .records import OrbitRecord, WeightedDynkinDiagram, listing
-from .weyl import WeylElement, check_root_count, shortest_coset_reps
+from .weyl import WeylElement, check_root_count, dominant_simple_values, shortest_coset_reps
 
 log = logging.getLogger(__name__)
 
@@ -74,13 +74,10 @@ def decide_normal_int(
     with den > 0, not necessarily the least, and values[i] = den * alpha_i(h)
     for every root.
 
-    Steps (see _spanning_eye and _normal_triple): quick membership test of h
-    in [g_1(2), g_{m-1}(-2)]; random search for e in general position
-    ([g_0(0), e] = g_1(2)), with coefficients uniform in {0..n}, n = 4
-    doubled after every failure up to OMEGA_CAP; f from the same
-    elimination as the general-position test, through the Killing form.
-    The draws come from h_rng(seed, hnum, den), so scaling (hnum, den,
-    values) by a common factor changes neither the draws nor the triple.
+    The span test of _spanning_eye, then the search of _normal_triple for e
+    in general position and f.  The draws come from h_rng(seed, hnum, den),
+    so scaling (hnum, den, values) by a common factor changes neither the
+    draws nor the triple.
     """
     eye = _spanning_eye(grading, hnum, den, values)
     if eye is None:
@@ -125,11 +122,9 @@ def _normal_triple(grading, eye, hnum, den, values, seed) -> Sl2Triple | None:
     w_gamma_t), one Fraction per coefficient.  The triple is checked
     (Sl2Triple.check) before it is returned.
 
-    The coefficients come from h_rng(seed, hnum, den).  The range n starts
-    at 4 and doubles after every failure; past OMEGA_CAP,
-    read at call time, the search raises RetryBudgetError naming the grading
-    and h.  The Fraction h is built only for the triple (or the error
-    message).
+    The coefficients of e are uniform in {0..n}, n = 4 doubled after every
+    failure; past OMEGA_CAP, read at call time, the search raises
+    RetryBudgetError naming the grading and h.
     """
     alg, rs = grading.alg, grading.rs
     pair, consts = alg.simple_pairings, alg.structure_constants
@@ -179,48 +174,59 @@ def _normal_triple(grading, eye, hnum, den, values, seed) -> Sl2Triple | None:
     return triple
 
 
-def _sl2_module_multiplicities(rank: int, pos: list[int]) -> bool:
-    """Whether d_1 is even and d_k >= d_{k+2} for every k >= 0, where d_k
-    is the multiplicity of the eigenvalue k of ad h on g, for the dominant h
-    with pos the values alpha(h) >= 0 of the positive roots: d_0 = rank +
-    2 #{alpha(h) = 0} and d_k = #{alpha(h) = k} for k >= 1.
+def _sl2_module_multiplicities(rank: int, pos: bytes) -> bool:
+    """Whether d_1 is even and d_k >= d_{k+2} for every k >= 0, counted up
+    to the first failure; d_k is the multiplicity of the eigenvalue k of
+    ad h on g, for the dominant h with the values alpha(h) >= 0 of the
+    positive roots in pos, a byte each: d_0 = rank + 2 #{alpha(h) = 0} and
+    d_k = #{alpha(h) = k} for k >= 1.
 
-    Both are necessary for h to lie in an sl2-triple (h, e, f).  For the
-    parity: ad f maps g(1) bijectively onto g(-1) (weight 1 to weight -1 in
-    each odd V(n)), and the Killing form B pairs g(-1) with g(1), so
-    omega(x, y) = B(f, [x, y]) is a nondegenerate skew form on g(1), whose
-    dimension d_1 is then even."""
-    counts = [0] * (max(pos) + 3)
-    for v in pos:
-        counts[v] += 1
-    counts[0] = rank + 2 * counts[0]
-    return counts[1] % 2 == 0 and all(a >= b for a, b in zip(counts, counts[2:]))
+    Both are necessary for h to lie in an sl2-triple (h, e, f): g is a sum
+    of modules V(n), each adding one to d_n, d_{n-2}, ... (Kostant, Amer. J.
+    Math. 81, 1959), and B(f, [x, y]) is a nondegenerate skew form on g(1),
+    since ad f maps g(1) onto g(-1), which the Killing form B pairs with g(1)."""
+    d = [rank + 2 * pos.count(0), pos.count(1)]
+    if d[1] % 2:
+        return False
+    for k in range(2, max(pos) + 1):
+        d.append(pos.count(k))
+        if d[k - 2] < d[k]:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _opposition(rs) -> tuple[int, ...]:
+    """sigma = -w0 on the nodes: sigma(i) is where the dominant conjugate of -e_i has its 1."""
+    nodes = range(rs.rank)
+    return tuple(dominant_simple_values(rs, [-(i == j) for j in nodes]).index(1) for i in nodes)
 
 
 def _sl2_label_vectors(alg: ChevalleyAlgebra):
-    """(labels, hnum, den, values) for every nonzero label vector in
-    {0, 1, 2}^l whose ad h multiplicities pass _sl2_module_multiplicities;
-    h = hnum / den has alpha_i(h) = labels[i] and values =
-    root_values(hnum).
+    """(labels, hnum, den, values) for every nonzero labels in {0, 1, 2}^l
+    fixed by _opposition that pass _sl2_module_multiplicities, in
+    lexicographic order; alpha_i(hnum / den) = labels[i], values = root_values(hnum).
 
-    The values come from the integers alpha(h) = coords(alpha) . labels of
-    the positive roots, summed a column at a time.  Product order steps the
-    last nonzero label k and zeroes the labels after it, so prefix[j], the
-    sum over the first j labels, stays valid for j <= k, and one column
-    pass per vector gives the sum over all of them.
+    The walk runs over the least node of each sigma-orbit with the orbit's
+    columns summed (two fixed vectors first differ at such a node, so the
+    order stays lexicographic), on the values alpha(h) of the positive roots
+    packed in one int, a byte each (alpha(h) <= 2 height(alpha) <= 58 within
+    the 256-root cap).  Product order steps the last nonzero label k and
+    zeroes those after it, so prefix[k] stays valid: one multiply-add each.
     """
     rs = alg.rs
-    l = rs.rank
-    columns = list(zip(*rs.positive_roots))
-    prefix = [[0] * rs.n_pos] * (l + 1)
-    for labels in product((0, 1, 2), repeat=l):
-        if not any(labels):
-            continue
+    sigma = _opposition(rs)
+    nodes = [i for i, s in enumerate(sigma) if i <= s]
+    where = [nodes.index(min(i, s)) for i, s in enumerate(sigma)]
+    columns = [bytes(sum(r[j] for j in {i, sigma[i]}) for r in rs.positive_roots) for i in nodes]
+    columns = [int.from_bytes(c, "little") for c in columns]
+    prefix = [0] * (len(nodes) + 1)
+    for labels in islice(product((0, 1, 2), repeat=len(nodes)), 1, None):  # all but 0
         k = max(i for i, c in enumerate(labels) if c)
-        c = labels[k]
-        pos = [v + c * x for v, x in zip(prefix[k], columns[k])]
-        prefix[k + 1 :] = [pos] * (l - k)
-        if _sl2_module_multiplicities(l, pos):
+        prefix[k + 1 :] = [prefix[k] + labels[k] * columns[k]] * (len(nodes) - k)
+        pos = prefix[k + 1].to_bytes(rs.n_pos, "little")
+        if _sl2_module_multiplicities(rs.rank, pos):
+            labels = tuple(labels[j] for j in where)
             hnum, den = alg.cartan_solution(labels)
             values = [den * v for v in pos]
             yield labels, hnum, den, values + [-v for v in values]
@@ -231,22 +237,15 @@ def classify_nilpotent_g(alg: ChevalleyAlgebra) -> tuple:
     """Dominant characteristics (wdd, h) of all nilpotent orbits of the
     ambient algebra, the zero orbit included.
 
-    A characteristic h has labels alpha_i(h) in {0, 1, 2}.  Under its
-    sl2-triple g is a sum of irreducible modules V(n), each adding one to
-    the multiplicities d_n, d_{n-2}, ... of the ad h eigenvalues; so d_k
-    counts the V(n) with n >= k and n = k mod 2, and d_k >= d_{k+2} for
-    every k >= 0 (Kostant, "The principal three-dimensional subgroup and
-    the Betti numbers of a complex simple Lie group", Amer. J. Math. 81,
-    1959; Collingwood and McGovern, Nilpotent Orbits in Semisimple Lie
-    Algebras, 1993, section 3.3).  Besides, d_1 = dim g(1) carries the
-    nondegenerate skew form B(f, [x, y]), so it is even.  Label vectors
-    failing these necessary conditions (_sl2_module_multiplicities) are no
-    characteristics and are skipped before any elimination.  Every other
-    nonzero vector runs the normality test over the trivial grading, on
-    the integers den * h of ChevalleyAlgebra.cartan_solution, with the
-    draws of h_rng at seed 0; the surviving set does not depend on the
-    draws, so the result is cached per algebra.  A type with more than 256 roots, which the coset and carrier
-    stages refuse too, is refused before the 3^l label vectors.
+    A characteristic h has labels alpha_i(h) in {0, 1, 2} and is fixed by
+    sigma = -w0 (_opposition): (-h, f, e) is an sl2-triple with f in the
+    orbit of e, so -h is conjugate to h (Collingwood and McGovern, Nilpotent
+    Orbits in Semisimple Lie Algebras, 1993, chapter 3).  Every vector of
+    _sl2_label_vectors, sigma-fixed and past the sl2 multiplicity test, runs
+    the normality test over the trivial grading with the draws of h_rng at
+    seed 0; the surviving set does not depend on the draws, so the result
+    is cached per algebra.  A type with more than 256 roots, which the coset
+    and carrier stages refuse too, is refused before any label vector.
     """
     check_root_count(alg.rs)
     triv = trivial_grading(alg)
@@ -257,9 +256,10 @@ def classify_nilpotent_g(alg: ChevalleyAlgebra) -> tuple:
         triple = decide_normal_int(triv, hnum, den, values)
         if triple is not None:
             out.append((WeightedDynkinDiagram(labels), triple.h))
+    walked = 3 ** sum(i <= s for i, s in enumerate(_opposition(alg.rs))) - 1
     log.debug(
         "ambient classification %s: %d label vectors tried, %d pass the sl2 test, %d orbits",
-        alg, 3**alg.rs.rank - 1, passed, len(out),
+        alg, walked, passed, len(out),
     )
     return tuple(out)
 

@@ -297,10 +297,10 @@ class RootSystem:
     def dynkin_type(self, basis) -> tuple[tuple[str, int], ...]:
         """Dynkin type of the subsystem with the given pi-system basis,
         as a sorted tuple of (letter, rank) component types."""
-        types = []
-        for comp in self.components(basis):
-            types.append(_identify_component([[self.pairing(a, b) for b in comp] for a in comp]))
-        return tuple(sorted(types))
+        return tuple(sorted(
+            _identify_component(tuple(tuple(self.pairing(a, b) for b in comp) for a in comp))
+            for comp in self.components(basis)
+        ))
 
     def weyl_order(self, basis=None) -> int:
         """Order of the Weyl group of the subsystem (full group by default)."""
@@ -374,8 +374,9 @@ def parse_type(text: str) -> tuple[str, int]:
     return text[0], int(text[1:])
 
 
-def _identify_component(m: list[list]) -> tuple[str, int]:
-    """Match a connected Cartan matrix against the simple types."""
+@lru_cache(maxsize=None)
+def _identify_component(m: tuple[tuple[int, ...], ...]) -> tuple[str, int]:
+    """The simple type of a connected Cartan matrix, searched once per matrix."""
     k = len(m)
     for letter, (lo, hi) in _RANK_RANGES.items():
         if lo <= k <= (hi or k) and next(_isomorphisms(m, cartan_matrix(letter, k)), None) is not None:
@@ -385,10 +386,9 @@ def _identify_component(m: list[list]) -> tuple[str, int]:
 
 def _isomorphisms(m1, m2):
     """Every node permutation img with m1[i][j] == m2[img[i]][img[j]] for
-    all i, j, in lexicographic order, by backtracking over the nodes."""
+    all i, j, in lexicographic order, by backtracking over the nodes; m1
+    and m2 have the same size."""
     k = len(m1)
-    if len(m2) != k:
-        return
     img: list[int] = []
 
     def extend():

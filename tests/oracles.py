@@ -795,6 +795,42 @@ def reference_classify_nilpotent_g(alg):
     return tuple(out)
 
 
+def reference_sl2_module_multiplicities(rank, pos):
+    """Whether d_1 is even and d_k >= d_{k+2} for every k >= 0, with the
+    ad h multiplicities d_0 = rank + 2 #{alpha(h) = 0} and d_k =
+    #{alpha(h) = k} counted in a list from the values pos of the positive
+    roots."""
+    counts = [0] * (max(pos) + 3)
+    for v in pos:
+        counts[v] += 1
+    counts[0] = rank + 2 * counts[0]
+    return counts[1] % 2 == 0 and all(a >= b for a, b in zip(counts, counts[2:]))
+
+
+def reference_sl2_label_vectors(alg):
+    """(labels, hnum, den, values) for every nonzero label vector in
+    {0, 1, 2}^l, in product order, whose multiplicities pass
+    reference_sl2_module_multiplicities: every vector walked, the values
+    kept as lists of ints summed a column at a time."""
+    from itertools import product
+
+    rs = alg.rs
+    l = rs.rank
+    columns = list(zip(*rs.positive_roots))
+    prefix = [[0] * rs.n_pos] * (l + 1)
+    for labels in product((0, 1, 2), repeat=l):
+        if not any(labels):
+            continue
+        k = max(i for i, c in enumerate(labels) if c)
+        c = labels[k]
+        pos = [v + c * x for v, x in zip(prefix[k], columns[k])]
+        prefix[k + 1 :] = [pos] * (l - k)
+        if reference_sl2_module_multiplicities(l, pos):
+            hnum, den = alg.cartan_solution(labels)
+            values = [den * v for v in pos]
+            yield labels, hnum, den, values + [-v for v in values]
+
+
 def reference_orbit_record(grading, record):
     """The record of record's triple built from the Fraction h: the integer
     form of h rebuilt by ChevalleyAlgebra.cartan_values, then

@@ -22,6 +22,7 @@ from nilorb import (
     shortest_coset_reps,
     trivial_grading,
 )
+from nilorb.weyl import WeylSubgroup
 from nilorb import characteristics, linalg
 from oracles import (
     classical_wdds,
@@ -32,6 +33,7 @@ from oracles import (
     reference_classify_nilpotent_g,
     reference_complete_sl2,
     reference_normal_list,
+    reference_sl2_label_vectors,
 )
 
 A1 = build_algebra(build_root_system("A", 1))
@@ -54,8 +56,8 @@ def test_type_a_counts_match_partitions(rank):
     assert len(classify_nilpotent_g(alg)) == partition_count(rank + 1)
 
 
-CLASSICAL_TYPES = [("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 8)]
-CLASSICAL_TYPES += [("C", n) for n in range(3, 8)] + [("D", n) for n in range(4, 9)]
+CLASSICAL_TYPES = [("A", n) for n in range(1, 13)] + [("B", n) for n in range(2, 8)]
+CLASSICAL_TYPES += [("C", n) for n in range(3, 8)] + [("D", n) for n in range(4, 10)]
 
 
 @pytest.mark.parametrize("label,rank", CLASSICAL_TYPES)
@@ -333,12 +335,12 @@ def test_classify_nilpotent_g_matches_the_fraction_reference(label, rank):
     assert classify_nilpotent_g.__wrapped__(alg) == reference_classify_nilpotent_g(alg)
 
 
-# label vectors in {0, 1, 2}^l \ {0} that pass the sl2 test (d_k >= d_{k+2}
-# and d_1 even)
+# label vectors in {0, 1, 2}^l \ {0} fixed by -w0 that pass the sl2 test
+# (d_k >= d_{k+2} and d_1 even)
 SL2_SURVIVORS = {
-    ("A", 1): 1, ("A", 2): 6, ("A", 3): 16, ("A", 4): 44, ("B", 2): 5, ("B", 3): 13,
-    ("B", 4): 30, ("C", 3): 14, ("C", 4): 32, ("D", 4): 42, ("G", 2): 5, ("F", 4): 20,
-    ("E", 6): 139,
+    ("A", 1): 1, ("A", 2): 2, ("A", 3): 6, ("A", 4): 8, ("A", 5): 16, ("B", 2): 5,
+    ("B", 3): 13, ("B", 4): 30, ("C", 3): 14, ("C", 4): 32, ("D", 4): 42, ("D", 5): 34,
+    ("G", 2): 5, ("F", 4): 20, ("E", 6): 29,
 }
 
 
@@ -353,9 +355,69 @@ def test_sl2_test_keeps_every_weighted_dynkin_diagram(label, rank):
     assert len(survivors) < 3**rank - 1  # not a no-op
 
 
+SIGMA_TYPES = [("A", n) for n in range(1, 7)] + [("B", n) for n in range(2, 6)]
+SIGMA_TYPES += [("C", n) for n in range(3, 6)] + [("D", n) for n in range(4, 8)]
+SIGMA_TYPES += [("G", 2), ("F", 4), ("E", 6), ("E", 7)]
+
+
+@pytest.mark.parametrize("label, rank", SIGMA_TYPES)
+def test_sl2_walk_is_the_reference_walk_on_the_sigma_fixed_vectors(label, rank):
+    # the packed walk over one node per sigma-orbit yields exactly the
+    # sigma-fixed survivors of the list walk over all of {0, 1, 2}^l, the
+    # same tuples in the same order
+    alg = build_algebra(build_root_system(label, rank))
+    sigma = characteristics._opposition(alg.rs)
+    fixed = [
+        v for v in reference_sl2_label_vectors(alg)
+        if all(v[0][i] == v[0][s] for i, s in enumerate(sigma))
+    ]
+    assert list(characteristics._sl2_label_vectors(alg)) == fixed
+
+
+@pytest.mark.parametrize(
+    "label, rank",
+    [("A", n) for n in range(1, 6)]
+    + [("B", 3), ("D", 4), ("D", 5), ("G", 2), ("F", 4), ("E", 6)],
+)
+def test_opposition_is_minus_the_longest_element(label, rank):
+    # w0 is the longest element of W: w0(alpha_i) = -alpha_sigma(i)
+    rs = build_root_system(label, rank)
+    w0 = max(shortest_coset_reps(rs, WeylSubgroup(rs, ())), key=lambda w: w.length())
+    assert w0.length() == rs.n_pos
+    sigma = characteristics._opposition(rs)
+    for i, k in enumerate(rs.simple_indices):
+        assert rs.roots[w0.perm[k]] == tuple(-x for x in rs.simple_root(sigma[i]))
+    # the identity except on A_n (n > 1), odd D_n and E6
+    moved = label == "A" and rank > 1 or (label, rank) in [("D", 5), ("E", 6)]
+    assert (sigma != tuple(range(rank))) == moved
+
+
+def test_packed_root_values_fit_in_a_byte():
+    # alpha(h) <= 2 height(alpha) <= 2 height(theta) for labels in {0, 1, 2}:
+    # one byte per positive root holds it for every type within the
+    # 256-root cap
+    types = [("A", n) for n in range(1, 16)] + [("B", n) for n in range(2, 12)]
+    types += [("C", n) for n in range(3, 12)] + [("D", n) for n in range(4, 12)]
+    types += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+    for label, rank in types:
+        rs = build_root_system(label, rank)
+        assert len(rs.roots) <= 256
+        assert 2 * sum(rs.highest_root) <= 255
+    for label, rank in [("A", 16), ("B", 12), ("C", 12), ("D", 12)]:
+        assert len(build_root_system(label, rank).roots) > 256  # the list is complete
+
+
+def test_ambient_debug_line_counts_the_vectors_walked(caplog):
+    e6 = build_algebra(build_root_system("E", 6))
+    with caplog.at_level(logging.DEBUG, logger="nilorb.characteristics"):
+        classify_nilpotent_g.__wrapped__(e6)
+    [line] = [m for m in caplog.messages if m.startswith("ambient classification")]
+    assert line.endswith(": 80 label vectors tried, 29 pass the sl2 test, 21 orbits")
+
+
 def test_sl2_test_multiplicities():
     def passes(labels):
-        pos = [sum(c * x for c, x in zip(r, labels)) for r in A3.rs.positive_roots]
+        pos = bytes(sum(c * x for c, x in zip(r, labels)) for r in A3.rs.positive_roots)
         return characteristics._sl2_module_multiplicities(3, pos)
 
     # (2, 0, 2), the diagram of the partition (3, 1): alpha(h) = 0 once, 2 four
@@ -365,10 +427,10 @@ def test_sl2_test_multiplicities():
     # (1, 2, 0): alpha(h) = 0, 1, 2, 2, 3, 3, so d_1 = 1 < d_3 = 2
     assert not passes((1, 2, 0))
     # d_0 = 1 + 0 < d_2 = 2
-    assert not characteristics._sl2_module_multiplicities(1, [2, 2])
+    assert not characteristics._sl2_module_multiplicities(1, bytes([2, 2]))
     # A1 with label 1: d = [1, 1, 0] has d_k >= d_{k+2}, but d_1 = dim g(1)
     # is odd, so it carries no nondegenerate skew form
-    assert not characteristics._sl2_module_multiplicities(1, [1])
+    assert not characteristics._sl2_module_multiplicities(1, bytes([1]))
     # (1, 0, 1), the diagram of the partition (2, 1, 1): d_1 = 4 is even
     assert passes((1, 0, 1))
 

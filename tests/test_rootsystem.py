@@ -3,7 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from nilorb import build_root_system, classify_all, format_dynkin_type, parse_type
+from nilorb import (
+    build_algebra,
+    build_root_system,
+    classify_all,
+    enumerate_kac_diagrams,
+    format_dynkin_type,
+    grading_from_kac,
+    parse_type,
+)
+from nilorb.rootsystem import _identify_component
 from oracles import is_root, lowest_root_by_height, root_string_positive_roots
 
 # textbook G2 positive roots for the short-alpha_1 convention
@@ -186,6 +195,35 @@ def test_dynkin_type_recognition():
     assert e6.dynkin_type([e6.simple_root(i) for i in range(6)]) == (("E", 6),)
     assert format_dynkin_type((("A", 1), ("A", 4), ("A", 4))) == "A1+2A4"
     assert format_dynkin_type(()) == "0"
+
+
+# number of roots of a simple type of rank k
+TYPE_ROOTS = {
+    "A": lambda k: k * (k + 1), "B": lambda k: 2 * k * k, "C": lambda k: 2 * k * k,
+    "D": lambda k: 2 * k * (k - 1), "E": {6: 72, 7: 126, 8: 240}.get, "F": lambda k: 48,
+    "G": lambda k: 12,
+}
+
+
+@pytest.mark.parametrize("label,rank", [("G", 2), ("F", 4), ("E", 6), ("E", 7)])
+def test_dynkin_type_of_every_delta0_is_the_uncached_search(label, rank):
+    # the type memoised per Cartan matrix is that of a fresh search on every
+    # Delta_0 of orders 2-4, and its ranks and root counts add up to those
+    # of Delta_0 and of the degree-0 roots
+    rs = build_root_system(label, rank)
+    alg = build_algebra(rs)
+    for m in (2, 3, 4):
+        for kd in enumerate_kac_diagrams(rs, m):
+            g = grading_from_kac(alg, kd)
+            types = rs.dynkin_type(g.delta0)
+            fresh = [
+                _identify_component.__wrapped__([[rs.pairing(a, b) for b in c] for a in c])
+                for c in rs.components(g.delta0)
+            ]
+            assert types == tuple(sorted(fresh)), kd.labels
+            assert sum(k for _, k in types) == len(g.delta0)
+            assert sum(TYPE_ROOTS[letter](k) for letter, k in types) == len(g.phi0)
+            assert rs.dynkin_type(g.delta0) == types  # the cached answer again
 
 
 def test_weyl_orders():
