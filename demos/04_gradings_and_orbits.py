@@ -2,8 +2,9 @@
 """From a Kac diagram to the nilpotent orbits of its theta-group.
 
 The order-3 grading of sl4 with labels (1,1,1,0) is worked end to end: the
-degree-0 part is sl2 plus a two-dimensional torus, the degree-1 part is
-five-dimensional, and both listing methods agree on the orbits.
+degree-0 part is sl2 plus a two-dimensional torus (the centre of g_0, of
+dimension rank - len(delta0)), the degree-1 part is five-dimensional, and
+both listing methods agree on the orbits.
 """
 
 from nilorb import (
@@ -23,7 +24,7 @@ g = grading_from_kac(alg, kd)
 
 print(f"sl4, Kac labels {list(kd.labels)}: order m = {g.m}")
 print("component dimensions:", list(g.dims()))
-print("degree-0 simple system:", [list(r) for r in g.delta0], "+ centre of dim", len(g.center_basis))
+print("degree-0 simple system:", [list(r) for r in g.delta0], "+ centre of dim", alg.rs.rank - len(g.delta0))
 print()
 
 records = classify_orbits(g)

@@ -5,7 +5,10 @@ A nilpotent element in general position inside a complete, standard,
 locally flat graded subalgebra has that subalgebra as its carrier.  The
 worked example: the candidate with degree-1 basis {e_23, e_31} completes to
 itself, its defining element is -e_11 + e_22, and twice the defining
-element is the h of a normal sl2-triple.
+element is the h of a normal sl2-triple.  A completion holds integers
+(den * h0 and den * alpha(h0) for every root alpha); the demo builds the
+Fraction h0 from them for printing, and hands the doubled integers to the
+normality test.
 """
 
 from nilorb import (
@@ -15,7 +18,7 @@ from nilorb import (
     build_root_system,
     candidate_pi_systems,
     completion,
-    decide_normal,
+    decide_normal_int,
     grading_from_kac,
 )
 
@@ -33,12 +36,11 @@ example = GradedCandidate((), ((-1, -1, 0), (0, 1, 0)))
 comp = completion(g, example)
 print()
 print("the {e_23, e_31} candidate:")
-print("  defining element h0 =", comp.h0)
-print("  centraliser directions:", [repr(u) for u in comp.z_basis])
+print("  defining element h0 =", alg.cartan(comp.hnum, comp.den))
 print("  psi0 =", [list(r) for r in comp.psi0], " psi1 =", [list(r) for r in comp.psi1])
 print("  locally flat:", comp.flat)
 
-triple = decide_normal(g, comp.h0.scale(2))
+triple = decide_normal_int(g, [2 * x for x in comp.hnum], comp.den, [2 * v for v in comp.values])
 print("  normal triple from 2 h0: e =", triple.e)
 
 print()

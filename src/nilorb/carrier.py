@@ -13,9 +13,10 @@ The walk stays in integers from the class-search move to the normal
 triple of an orbit.  Each candidate keeps an integer basis of the kernel of
 its root rows (GradedCandidate.root_kernel), derived from its parent's: the
 move tests root independence with it, and completion tests membership in
-the completion.  The canonical h goes to characteristics.decide_normal_int
-as (hnum, den, values); the first Fraction is the h of the normal triple,
-and records.listing makes the triples the listing.
+the completion, whose result holds integers only.  The canonical h goes to
+characteristics.decide_normal_int as (hnum, den, values); the first
+Fraction is the h of the normal triple, and records.listing makes the
+triples the listing.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from operator import mul
 
 from . import linalg
 from .characteristics import cartan_key, decide_normal_int
-from .chevalley import ChevalleyAlgebra, LieElement
+from .chevalley import ChevalleyAlgebra
 from .grading import ThetaGrading
 from .pisystems import canonical, classify_all
 from .records import InternalConsistencyError, OrbitRecord, listing
@@ -103,33 +104,16 @@ class CompletionResult:
     den * h0 = sum_k hnum[k] h_k with den > 0, values[i] = den * alpha_i(h0)
     in root order, psi0 and psi1 the degree-0 and degree-1 roots of the
     completed subalgebra, and flat when the candidate and psi0 together have
-    as many roots as psi1.  The Fraction elements h0 and z_basis are built
-    from alg and cand only when read.
+    as many roots as psi1.  The Fraction defining element h0 is
+    alg.cartan(hnum, den).
     """
 
-    alg: ChevalleyAlgebra
-    cand: GradedCandidate
     hnum: list[int]
     den: int
     values: list[int]
     psi0: tuple[Root, ...]
     psi1: tuple[Root, ...]
     flat: bool
-
-    @property
-    def h0(self) -> LieElement:
-        """The defining element hnum / den."""
-        return self.alg.cartan(self.hnum, self.den)
-
-    @property
-    def z_basis(self) -> tuple[LieElement, ...]:
-        """Centraliser directions: a basis of the Cartan elements on which
-        every root of the candidate vanishes, the kernel of its rows of
-        simple pairings."""
-        alg = self.alg
-        pair, index = alg.simple_pairings, alg.rs.root_index
-        kernel, den = linalg.kernel_int([pair[index[b]] for b in self.cand.roots()], alg.rs.rank)
-        return tuple(alg.cartan(z, den) for z in kernel)
 
 
 def candidate_pi_systems(grading: ThetaGrading) -> list[GradedCandidate]:
@@ -195,9 +179,9 @@ def completion(grading: ThetaGrading, cand: GradedCandidate) -> CompletionResult
     with linalg.solve_int.  A root of degree 0 (or 1) with den * alpha(h0) =
     0 (or den) is in the completion when it lies in the span of the
     candidate's roots, that is, when the candidate's root_kernel (the one
-    the class-search move read) pairs with it to zero.  A pairing row is the
-    root row times the invertible Cartan matrix, so this is the test
-    against z_basis.
+    the class-search move read) pairs with it to zero.  Each kernel vector
+    lists the simple-root values of a Cartan element on which every root of
+    the candidate vanishes, so this is the test against that centraliser.
     """
     alg, rs = grading.alg, grading.rs
     roots = cand.roots()
@@ -224,7 +208,7 @@ def completion(grading: ThetaGrading, cand: GradedCandidate) -> CompletionResult
     psi0 = [rs.roots[i] for i in grading.phi0_indices if values[i] == 0 and in_span(i)]
     psi1 = [rs.roots[i] for i in grading.phi1_indices if values[i] == den and in_span(i)]
     flat = len(roots) + len(psi0) == len(psi1)
-    return CompletionResult(alg, cand, hnum, den, values, tuple(psi0), tuple(psi1), flat)
+    return CompletionResult(hnum, den, values, tuple(psi0), tuple(psi1), flat)
 
 
 def classify_by_carriers(grading: ThetaGrading, seed: int = 0) -> list[OrbitRecord]:

@@ -247,7 +247,7 @@ def classify_nilpotent_g(alg: ChevalleyAlgebra) -> tuple:
     is cached per algebra.  A type with more than 256 roots, which the coset
     and carrier stages refuse too, is refused before any label vector.
     """
-    check_root_count(alg.rs)
+    check_root_count(alg.rs.type_label, alg.rs.rank)
     triv = trivial_grading(alg)
     out = [(WeightedDynkinDiagram((0,) * alg.rs.rank), alg.zero())]
     passed = 0

@@ -18,12 +18,12 @@ from fractions import Fraction
 
 from .characteristics import RetryBudgetError, classify_nilpotent_g
 from .chevalley import build_algebra
-from .grading import KacDiagram, grading_from_kac, nregular_kac_diagram
+from .grading import KacDiagram, check_order, grading_from_kac, nregular_kac_diagram
 from .nullcone import check_nregular, classify_orbits, nregular_survey, summarize
 from .pisystems import classify_all
 from .records import OrbitRecord
 from .rootsystem import build_root_system, format_dynkin_type, parse_type
-from .weyl import WeylSubgroup, shortest_coset_reps
+from .weyl import WeylSubgroup, check_root_count, shortest_coset_reps
 
 SCHEMA_VERSION = 1
 EXIT_RETRY_BUDGET = 3
@@ -61,11 +61,12 @@ def _record_text(r: OrbitRecord) -> str:
 
 def _build_rs(args):
     letter, rank = parse_type(args.type)
+    check_root_count(letter, rank)
     return build_root_system(letter, rank)
 
 
 def cmd_roots(args) -> int:
-    rs = _build_rs(args)
+    rs = build_root_system(*parse_type(args.type))
     print(rs.describe())
     return 0
 
@@ -156,6 +157,7 @@ def cmd_nregular(args) -> int:
         raise ValueError(f"cannot parse order range {args.orders!r}; expected e.g. 2..5") from None
     if not 1 <= lo <= hi:
         raise ValueError(f"order range {args.orders!r} is empty or starts below 1")
+    check_order(hi)
     for m in range(lo, hi + 1):
         kd, s = nregular_survey(alg, m, method=args.method, seed=args.seed)
         if m == lo:  # only after the first survey, so that a failed one prints no header

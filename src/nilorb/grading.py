@@ -5,20 +5,27 @@ deg(sum k_i alpha_i) = sum k_i s_i mod m, where s_1..s_l are the Kac labels
 on the simple nodes and m = sum a_i s_i over the extended diagram.  A
 ThetaGrading is built from m and s_1..s_l alone: grading_from_kac reads them
 off a Kac diagram, and the principal grading has s_i = 1 on every simple
-node.  The grading keeps everything rational: component bases are root
-vectors plus, in degree 0, the full Cartan subalgebra.
+node.  The grading holds integers only: the degree of every root, Phi_0,
+Phi_1 and the simple system Delta_0 of Phi_0.  g_0 is the Cartan
+subalgebra plus the root vectors of Phi_0, so its centre has dimension
+rank - len(delta0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import mul
 
-from . import linalg
-from .chevalley import ChevalleyAlgebra, LieElement
+from .chevalley import ChevalleyAlgebra
 from .rootsystem import RootSystem, format_dynkin_type
 from .weyl import WeylSubgroup, dominant_simple_values
+
+MAX_ORDER = 2**16  # the largest grading order: per-degree tables hold m entries
+
+
+def check_order(m: int) -> None:
+    if not 1 <= m <= MAX_ORDER:
+        raise ValueError(f"grading order must be >= 1 and <= {MAX_ORDER}, got {m}")
 
 
 @dataclass(frozen=True)
@@ -49,8 +56,7 @@ class ThetaGrading:
     def __init__(self, alg: ChevalleyAlgebra, m: int, labels):
         """The grading of order m in which the simple root alpha_i has degree
         labels[i]: deg(sum k_i alpha_i) = sum k_i labels[i] mod m."""
-        if m < 1:
-            raise ValueError("grading order must be >= 1")
+        check_order(m)
         rs = alg.rs
         self.alg = alg
         self.rs = rs
@@ -71,23 +77,8 @@ class ThetaGrading:
         degrees = ",".join(str(self.deg_by_index[i]) for i in self.rs.simple_indices)
         return f"{self} with simple-root degrees {degrees}"
 
-    @cached_property
-    def center_basis(self) -> tuple[LieElement, ...]:
-        """Basis of the centre of g_0: the Cartan elements killed by Delta_0."""
-        rs, alg = self.rs, self.alg
-        rows = [[rs.pairing(b, rs.simple_root(k)) for k in range(rs.rank)] for b in self.delta0]
-        if not rows:
-            return tuple(
-                alg.cartan([1 if j == i else 0 for j in range(rs.rank)]) for i in range(rs.rank)
-            )
-        return tuple(alg.cartan(v) for v in linalg.nullspace(rows))
-
     def degree(self, root) -> int:
         return self.deg_by_index[self.rs.root_index[tuple(root)]]
-
-    def component_roots(self, i: int) -> list:
-        i %= self.m
-        return [r for r, d in zip(self.rs.roots, self.deg_by_index) if d == i]
 
     def dims(self) -> tuple[int, ...]:
         counts = [0] * self.m
@@ -129,8 +120,7 @@ def trivial_grading(alg: ChevalleyAlgebra) -> ThetaGrading:
 def enumerate_kac_diagrams(rs: RootSystem, m: int) -> list[KacDiagram]:
     """All label vectors with sum a_i s_i = m, one per orbit of the
     extended-diagram automorphism group."""
-    if m < 1:
-        raise ValueError("order must be >= 1")
+    check_order(m)
     marks = rs.marks
     n = len(marks)
     solutions = []
@@ -164,8 +154,7 @@ def nregular_kac_diagram(rs: RootSystem, m: int) -> KacDiagram:
     Infinite-dimensional Lie algebras, 8.6); all in integers v_i = alpha_i(x),
     the finite reflections by weyl.dominant_simple_values.
     """
-    if m < 1:
-        raise ValueError(f"order must be >= 1, got {m}")
+    check_order(m)
     theta = rs.highest_root
     theta_pair = [rs.pairing(rs.simple_root(j), theta) for j in range(rs.rank)]
     v = [1] * rs.rank
@@ -185,6 +174,4 @@ def principal_nregular_grading(alg: ChevalleyAlgebra, m: int) -> ThetaGrading:
     ad h acts on a root vector by twice the root height; the degree of a root
     is its height mod m, which is label 1 on every simple node.
     """
-    if m < 1:
-        raise ValueError("order must be >= 1")
     return ThetaGrading(alg, m, (1,) * alg.rs.rank)

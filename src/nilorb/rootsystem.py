@@ -357,6 +357,12 @@ class RootSystem:
         return "\n".join(lines)
 
 
+def root_count(type_label: str, rank: int) -> int:
+    """The number of roots of the simple type, by its closed form; ValueError if invalid."""
+    _validate_type(type_label, rank)
+    return _ROOT_COUNTS[type_label](rank)
+
+
 @lru_cache(maxsize=None)
 def build_root_system(type_label: str, rank: int) -> RootSystem:
     """Root system of the given simple type; raises ValueError if invalid."""

@@ -34,7 +34,7 @@ from collections import deque
 from functools import lru_cache
 
 from .linalg import rank_int
-from .rootsystem import RootSystem
+from .rootsystem import RootSystem, root_count
 
 
 _IDENTITY = bytes(range(256))
@@ -46,12 +46,12 @@ def _compose(p: bytes, q: bytes) -> bytes:
     return q.translate(p.ljust(256, b"\0"))
 
 
-def check_root_count(rs: RootSystem) -> None:
-    """Raise ValueError when rs has more roots than a bytes permutation holds."""
-    if len(rs.roots) > 256:
+def check_root_count(type_label: str, rank: int) -> None:
+    """Raise ValueError when the simple type has more roots than a bytes permutation holds."""
+    n = root_count(type_label, rank)
+    if n > 256:
         raise ValueError(
-            f"{rs.type_label}{rs.rank} has {len(rs.roots)} roots; Weyl group "
-            "permutations support at most 256 roots"
+            f"{type_label}{rank} has {n} roots; Weyl group permutations support at most 256 roots"
         )
 
 
@@ -149,7 +149,7 @@ class WeylSubgroup:
     __slots__ = ("rs", "basis", "basis_indices")
 
     def __init__(self, rs: RootSystem, basis):
-        check_root_count(rs)
+        check_root_count(rs.type_label, rs.rank)
         basis = tuple(tuple(b) for b in basis)
         for b in basis:
             if b not in rs.root_index:
@@ -256,7 +256,7 @@ def _coroot_column(rs: RootSystem, j: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _reflection_row(rs: RootSystem, j: int) -> bytes:
     """The reflection in roots[j] as a permutation of root indices."""
-    check_root_count(rs)
+    check_root_count(rs.type_label, rs.rank)
     root = rs.roots[j]
     return bytes(
         rs.root_index[tuple(x - c * y for x, y in zip(r, root))]

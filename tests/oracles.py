@@ -228,8 +228,9 @@ def reference_structure_constants(alg):
 def component_basis(grading, i: int):
     """Basis of g_i: root vectors of degree i, plus the Cartan for i = 0."""
     alg = grading.alg
-    out = [alg.root_vector(r) for r in grading.component_roots(i)]
-    if i % grading.m == 0:
+    i %= grading.m
+    out = [alg.root_vector(r) for r, d in zip(alg.rs.roots, grading.deg_by_index) if d == i]
+    if i == 0:
         out.extend(
             alg.cartan([1 if j == k else 0 for j in range(alg.rs.rank)]) for k in range(alg.rs.rank)
         )
@@ -969,7 +970,9 @@ def eigenspace(grading, h, k, i):
     i %= grading.m
     if h.is_cartan():
         out = [
-            alg.root_vector(r) for r in grading.component_roots(i) if root_value(alg, r, h) == k
+            alg.root_vector(r)
+            for r, d in zip(alg.rs.roots, grading.deg_by_index)
+            if d == i and root_value(alg, r, h) == k
         ]
         if i == 0 and k == 0:
             out.extend(

@@ -129,7 +129,7 @@ def test_decide_normal_sl4_example():
     from nilorb.carrier import GradedCandidate, completion
 
     comp = completion(g, GradedCandidate((), ((-1, -1, 0), (0, 1, 0))))
-    triple = decide_normal(g, comp.h0.scale(2))
+    triple = decide_normal(g, A3.cartan(comp.hnum, comp.den).scale(2))
     assert triple is not None
     allowed = {
         A3.rs.root_index[r] for r in [(0, 1, 0), (0, 1, 1), (-1, -1, 0), (-1, -1, -1)]

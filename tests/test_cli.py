@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import nilorb.cli as cli_module
 from nilorb.cli import build_parser, canonical_json, main
+from nilorb.grading import MAX_ORDER
 
 
 def run(capsys, argv):
@@ -199,6 +201,19 @@ def test_e7_nregular_table_bytes(capsys):
     assert out == (DATA / "nregular_E7_orders_2-18.txt").read_text()
 
 
+def test_e8_nregular_table_rows_25_to_30(capsys):
+    # the cheap rows of the committed E8 N-regular table (`nregular --type
+    # E8 --orders 2..30`), by the carrier walk; the whole table takes
+    # 11-13 s and stays out of the suite.  The README says which rows are
+    # published values and which are regression pins
+    argv = ["nregular", "--type", "E8", "--orders", "25..30", "--method", "2"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    header, *rows = (DATA / "nregular_E8_orders_2-30.txt").read_text().splitlines(keepends=True)
+    assert len(rows) == 29
+    assert out == header + "".join(row for row in rows if int(row.split()[0]) >= 25)
+
+
 def test_method_1_past_the_coset_index_cap_is_an_error_line(capsys):
     # the E7 toral grading: W_l is trivial, so the coset index is |W(E7)|
     argv = ["orbits", "--type", "E7", "--kac", "1,1,1,1,1,1,1,1", "--method", "1"]
@@ -265,14 +280,41 @@ A16_KAC = ",".join(["1", "1"] + ["0"] * 15)
         # the table header waits for the first survey
         (["nregular", "--type", "A16", "--orders", "2"], "A16", 272),
         (["wdd", "--type", "A16"], "A16", 272),
+        (["cosets", "--type", "A100", "--subsystem-from-extended-minus", "0"], "A100", 10100),
+        (["pisystems", "--type", "A100"], "A100", 10100),
+        (["orbits", "--type", "A100", "--nregular-order", "2"], "A100", 10100),
+        (["nregular", "--type", "A100", "--orders", "2"], "A100", 10100),
+        (["wdd", "--type", "A100"], "A100", 10100),
     ],
 )
-def test_more_than_256_roots_is_an_error_line(capsys, argv, type_name, roots):
-    # every command must fail before the 3^16-vector ambient loop
+def test_more_than_256_roots_is_an_error_line(capsys, monkeypatch, argv, type_name, roots):
+    # every command but roots refuses from the closed-form root count,
+    # before it builds the root system (A100's alone takes seconds)
+    built = []
+    monkeypatch.setattr(cli_module, "build_root_system", lambda *args: built.append(args))
     code, out, err = run(capsys, argv)
     assert code == 1
     assert out == ""
     assert err == f"error: {type_name} has {roots} roots; Weyl group permutations support at most 256 roots\n"
+    assert built == []
+
+
+@pytest.mark.parametrize("order", [10**20, MAX_ORDER + 1])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbits", "--type", "G2", "--kac", "{},0,0"],
+        ["orbits", "--type", "G2", "--nregular-order", "{}"],
+        ["nregular", "--type", "G2", "--orders", "{}"],
+        # the top of the range is refused before the first row
+        ["nregular", "--type", "G2", "--orders", "2..{}"],
+    ],
+)
+def test_order_past_the_cap_is_an_error_line(capsys, argv, order):
+    code, out, err = run(capsys, [a.format(order) for a in argv])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: grading order must be >= 1 and <= {MAX_ORDER}, got {order}\n"
 
 
 def test_orbits_of_a_grading_of_order_above_255(capsys):

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from nilorb import (
     KacDiagram,
+    ThetaGrading,
     build_algebra,
     build_root_system,
     enumerate_kac_diagrams,
@@ -11,6 +12,8 @@ from nilorb import (
     principal_nregular_grading,
     trivial_grading,
 )
+
+from nilorb.grading import MAX_ORDER
 
 from oracles import component_basis, eigenspace, is_root, semisimple_part_cartan
 
@@ -30,13 +33,22 @@ def test_kac_diagram_validation():
     assert kd.order == 2
 
 
+def test_grading_order_is_capped():
+    # per-degree tables hold m entries, so an order past the cap is refused
+    # before anything is built
+    for m in (MAX_ORDER + 1, 10**20):
+        with pytest.raises(ValueError, match=f"<= {MAX_ORDER}, got {m}"):
+            ThetaGrading(G2, m, (1, 1))
+    assert principal_nregular_grading(G2, MAX_ORDER).m == MAX_ORDER
+
+
 def test_a1_grading():
     g = grading_from_kac(A1, KacDiagram.from_labels(A1.rs, (1, 1)))
     assert g.m == 2
     assert g.dims() == (1, 2)
     assert set(g.phi1) == {(1,), (-1,)}
     assert g.delta0 == ()
-    assert len(g.center_basis) == 1
+    assert g.rs.rank - len(g.delta0) == 1
 
 
 def test_sl4_order3_example():
@@ -45,7 +57,7 @@ def test_sl4_order3_example():
     assert g.dims() == (5, 5, 5)
     # g_0 = sl2 + 2-dimensional torus
     assert g.delta0 == ((0, 0, 1),)
-    assert len(g.center_basis) == 2
+    assert g.rs.rank - len(g.delta0) == 2
     assert len(semisimple_part_cartan(g)) == 1
 
 
@@ -110,7 +122,7 @@ def test_eigenspace_examples():
     from nilorb.carrier import GradedCandidate, completion
 
     comp = completion(g, GradedCandidate((), ((-1, -1, 0), (0, 1, 0))))
-    basis = eigenspace(g, comp.h0.scale(2), 2, 1)
+    basis = eigenspace(g, A3.cartan(comp.hnum, comp.den).scale(2), 2, 1)
     names = {A3.basis_label(next(iter(b.coeffs))) for b in basis}
     assert names == {"x[0,1,0]", "x[0,1,1]", "x[-1,-1,0]", "x[-1,-1,-1]"}
     assert {"x[0,1,0]", "x[-1,-1,0]"} <= names

@@ -155,6 +155,29 @@ def test_no_dead_private_helpers():
     assert dead == []
 
 
+def test_carrier_and_grading_stay_in_integers():
+    # a completion and a grading hold integers; a reader that wants the
+    # Fraction defining element builds alg.cartan(hnum, den), and the centre
+    # of g_0 has dimension rank - len(delta0)
+    imported, defined = {}, set()
+    for path, tree in module_trees():
+        names = imported.setdefault(path.name, set())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                names.update([node.module or ""] + [alias.name for alias in node.names])
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined.add(node.target.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+    assert not imported["carrier.py"] & {"fractions", "Fraction", "LieElement"}
+    assert "linalg" not in imported["grading.py"]
+    assert not defined & {"h0", "z_basis", "center_basis", "component_roots"}
+
+
 def test_only_records_builds_records():
     # both listing methods end at normal triples; records.listing turns
     # them into records, so orbit_record is called, and OrbitRecord built,
