@@ -11,9 +11,18 @@ exactly the distinct orbits.
 
 The walk stays in integers from the class-search move to the normal
 triple of an orbit.  Each candidate keeps an integer basis of the kernel of
-its root rows (GradedCandidate.root_kernel), derived from its parent's: the
-move tests root independence with it, and completion tests membership in
-the completion, whose result holds integers only.  The canonical h goes to
+its root rows (GradedCandidate.root_kernel), derived from its parent's,
+and the set of roots of Phi_1 in the span of its roots
+(GradedCandidate.phi1_span), read off that kernel: the move admits no root
+of the span, and completion reads psi1 from it and tests the roots of
+psi0 against the kernel; the result holds integers only.
+
+The walk completes only candidates that can be flat.  A flat completion
+has |pi| + |psi0| = |psi1|, where psi1 lies in Phi_1 and the span of pi,
+and psi0 holds every root +-b with b in pi0 (value 0, in the span, degree
+0, and pi0 meets -pi0 nowhere).  So a flat candidate has at least
+|pi| + 2|pi0| = |pi1| + 3|pi0| roots of Phi_1 in its span, at every order
+m; a candidate with fewer is skipped.  The canonical h goes to
 characteristics.decide_normal_int as (hnum, den, values); the first
 Fraction is the h of the normal triple, and records.listing makes the
 triples the listing.
@@ -52,14 +61,15 @@ class GradedCandidate:
     def is_empty(self) -> bool:
         return not self.pi0 and not self.pi1
 
-    def root_kernel(self, rank: int) -> list[list[int]]:
+    def root_kernel(self, rank: int) -> list[tuple[int, ...]]:
         """Integer vectors spanning the kernel of the root rows in rank
         columns, rank minus the number of roots of them: a root lies in the
         span of the candidate's roots exactly when it pairs with every
         vector to zero.  A candidate made by `extend` derives them from its
         parent's (_kernel_with); any other takes linalg.kernel_int.  Computed
         on the first call and kept by the candidate (with its rank, since
-        the empty candidate has the same roots in every root system)."""
+        the empty candidate has the same roots in every root system), as
+        tuples, which hold less memory than lists."""
         kept = self.__dict__.get("_root_kernel")
         if kept is not None and kept[0] == rank:
             return kept[1]
@@ -67,9 +77,27 @@ class GradedCandidate:
         if parent is not None and parent[0] == rank:
             vectors = _kernel_with(parent[1], parent[2])
         else:
-            vectors = linalg.kernel_int(self.roots(), rank)[0]
+            vectors = [tuple(v) for v in linalg.kernel_int(self.roots(), rank)[0]]
         object.__setattr__(self, "_root_kernel", (rank, vectors))
         return vectors
+
+    def phi1_span(self, grading: ThetaGrading) -> int:
+        """Bitmask over root indices of the roots of Phi_1 in the span of the
+        candidate's roots, those with which every root_kernel vector pairs
+        to zero (one pairing with _packed).  The class-search move reads it
+        on every candidate it expands; any other candidate computes it on
+        the first call.  Kept by the candidate with its grading."""
+        kept = self.__dict__.get("_phi1_span")
+        if kept is not None and kept[0] is grading:
+            return kept[1]
+        rs = grading.rs
+        packed = _packed(self.root_kernel(rs.rank), rs.highest_root)
+        span = 0
+        for i, r in zip(grading.phi1_indices, grading.phi1):
+            if not sum(map(mul, packed, r)):
+                span |= 1 << i
+        object.__setattr__(self, "_phi1_span", (grading, span))
+        return span
 
     def extend(self, root: Root, rank: int) -> "GradedCandidate":
         """The candidate with one more degree-1 root, which must be
@@ -80,7 +108,20 @@ class GradedCandidate:
         return child
 
 
-def _kernel_with(kernel: list[list[int]], root: Root) -> list[list[int]]:
+def _packed(kernel: list[tuple[int, ...]], theta: Root) -> list[int]:
+    """The vector sum_s B^s k_s, whose pairing with a root r is sum_s
+    <k_s, r> B^s: each |<k_s, r>| is at most sum_j |k_s[j]| theta[j], since
+    theta (the highest root) bounds the coefficients of every root, and B
+    is more than twice that, so the pairing is zero exactly when every
+    <k_s, r> is."""
+    b = 2 * max((sum(abs(x) * t for x, t in zip(k, theta)) for k in kernel), default=0) + 1
+    packed = [0] * len(theta)
+    for k in reversed(kernel):
+        packed = [p * b + x for p, x in zip(packed, k)]
+    return packed
+
+
+def _kernel_with(kernel: list[tuple[int, ...]], root: Root) -> list[tuple[int, ...]]:
     """A basis of the vectors in the span of `kernel` that pair with root to
     zero, when some vector does not: with c_s = <k_s, root> and t the first
     index with c_t != 0, the vectors c_t k_s - c_s k_t for s != t, each
@@ -93,7 +134,7 @@ def _kernel_with(kernel: list[list[int]], root: Root) -> list[list[int]]:
         if s != t:
             v = [ct * a - cs * b for a, b in zip(k, kt)]
             g = gcd(*v)
-            vectors.append([x // g for x in v])
+            vectors.append(tuple([x // g for x in v]))
     return vectors
 
 
@@ -140,14 +181,12 @@ def candidate_pi_systems(grading: ThetaGrading) -> list[GradedCandidate]:
     phi1 = [(rs.root_index[r], r) for r in grading.phi1]
 
     def add_one(cand: GradedCandidate, orbit) -> list[GradedCandidate]:
-        roots = cand.roots()
-        blocked = 0
-        for i in map(rs.root_index.__getitem__, roots):
-            blocked |= masks[i] | 1 << i
-        kernel = cand.root_kernel(rs.rank)
+        blocked = cand.phi1_span(grading)  # holds the candidate's own roots
+        for i in map(rs.root_index.__getitem__, cand.roots()):
+            blocked |= masks[i]
         first = {}  # stabiliser-orbit label -> first admissible root
         for i, r in phi1:
-            if not blocked >> i & 1 and any(sum(map(mul, k, r)) for k in kernel):
+            if not blocked >> i & 1:
                 first.setdefault(orbit(i), r)
         return [cand.extend(r, rs.rank) for r in first.values()]
 
@@ -178,10 +217,11 @@ def completion(grading: ThetaGrading, cand: GradedCandidate) -> CompletionResult
     Solves alpha(h0) = deg(alpha) over the span of the candidate's coroots
     with linalg.solve_int.  A root of degree 0 (or 1) with den * alpha(h0) =
     0 (or den) is in the completion when it lies in the span of the
-    candidate's roots, that is, when the candidate's root_kernel (the one
-    the class-search move read) pairs with it to zero.  Each kernel vector
-    lists the simple-root values of a Cartan element on which every root of
-    the candidate vanishes, so this is the test against that centraliser.
+    candidate's roots: for degree 1, when it is in the kept phi1_span; for
+    degree 0, when the candidate's root_kernel pairs with it to zero.  Each
+    kernel vector lists the simple-root values of a Cartan element on which
+    every root of the candidate vanishes, so this is the test against that
+    centraliser.
     """
     alg, rs = grading.alg, grading.rs
     roots = cand.roots()
@@ -206,7 +246,8 @@ def completion(grading: ThetaGrading, cand: GradedCandidate) -> CompletionResult
     # at m = 1 the degree-1 roots are the degree-0 ones, and a root with
     # value den goes to psi1
     psi0 = [rs.roots[i] for i in grading.phi0_indices if values[i] == 0 and in_span(i)]
-    psi1 = [rs.roots[i] for i in grading.phi1_indices if values[i] == den and in_span(i)]
+    span = cand.phi1_span(grading)
+    psi1 = [rs.roots[i] for i in grading.phi1_indices if values[i] == den and span >> i & 1]
     flat = len(roots) + len(psi0) == len(psi1)
     return CompletionResult(hnum, den, values, tuple(psi0), tuple(psi1), flat)
 
@@ -220,18 +261,25 @@ def classify_by_carriers(grading: ThetaGrading, seed: int = 0) -> list[OrbitReco
     the least) are completed to normal triples by decide_normal_int, which
     must succeed for a flat carrier, and records.listing makes the triples
     the listing.  A candidate with no degree-1 root has defining element 0,
-    so it is never flat and is not completed; every other candidate has
-    independent roots, so completion must find its defining element.  The
-    counts go to one debug line on the module logger.
+    so it is never flat and is not completed.  Nor is a candidate with
+    fewer than |pi1| + 3|pi0| roots of Phi_1 in its span (phi1_span):
+    psi1 lies in Phi_1 and the span of pi, psi0 holds the 2|pi0| roots
+    +-b with b in pi0, so flat (|pi| + |psi0| = |psi1|) needs at least
+    |pi| + 2|pi0| of them.  Every other candidate has independent roots,
+    so completion must find its defining element.  The counts, skipped
+    candidates among them, go to one debug line on the module logger.
     """
     alg, rs = grading.alg, grading.rs
     basis0 = [rs.root_index[b] for b in grading.delta0]
     triples = {}  # by the canonical h's cartan_key
     candidates = candidate_pi_systems(grading)
-    flat = 0
+    flat = skipped = 0
     for cand in candidates:
         if not cand.pi1:
             # h0 = 0 solves the system, so no root has value den: never flat
+            continue
+        if cand.phi1_span(grading).bit_count() < len(cand.pi1) + 3 * len(cand.pi0):
+            skipped += 1  # too few roots of Phi_1 in the span: never flat
             continue
         comp = completion(grading, cand)
         if comp is None:
@@ -256,8 +304,9 @@ def classify_by_carriers(grading: ThetaGrading, seed: int = 0) -> list[OrbitReco
         triples[key] = triple, den, values
     records = listing(grading, list(triples.values()))
     log.debug(
-        "%s: %d candidates, %d non-empty, %d flat, %d distinct h, %d records",
-        grading, len(candidates), sum(not c.is_empty() for c in candidates), flat, len(triples),
-        len(records),
+        "%s: %d candidates, %d non-empty, %d skipped by the count bound, %d flat, "
+        "%d distinct h, %d records",
+        grading, len(candidates), sum(not c.is_empty() for c in candidates), skipped, flat,
+        len(triples), len(records),
     )
     return records

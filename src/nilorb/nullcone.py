@@ -14,11 +14,12 @@ from .grading import KacDiagram, ThetaGrading, grading_from_kac, nregular_kac_di
 from .records import InternalConsistencyError, OrbitRecord, dimension_of_values
 
 # Coset index above which 'auto' picks the carrier walk.  Not derived from
-# data, and no longer at the crossover: in fresh processes (2-vCPU Xeon VM,
-# Python 3.11.7) the sweep took 0.50 s on E7 order 4 (index 4032; carrier
-# walk 0.59 s) and 1.36 s on E8 order 4 (index 15120; carrier walk 1.94 s),
-# the carrier walk winning only on E7 order 5 (index 10080; 0.40 s against
-# 0.59 s).  Both methods print the same bytes, so moving it changes no output.
+# data.  In fresh processes (`nilorb nregular --orders k --method 1|2`,
+# 2-vCPU Xeon VM, Python 3.11.7, medians of six) the sweep took 0.33 s on
+# E7 order 4 (index 4032; carrier walk 0.33 s), 0.43 s on E7 order 5 (index
+# 10080; carrier walk 0.26 s) and 1.02 s on E8 order 4 (index 15120;
+# carrier walk 0.92 s), so the two methods tie near index 4000.  Both
+# methods print the same bytes, so moving it changes no output.
 METHOD_INDEX_THRESHOLD = 5000
 
 # Largest coset index at which an explicit method 1 runs, since the sweep holds every

@@ -382,12 +382,22 @@ def parse_type(text: str) -> tuple[str, int]:
 
 @lru_cache(maxsize=None)
 def _identify_component(m: tuple[tuple[int, ...], ...]) -> tuple[str, int]:
-    """The simple type of a connected Cartan matrix, searched once per matrix."""
+    """The simple type of a connected Cartan matrix, searched once per matrix.
+    The isomorphism search runs only against a type with the same sorted
+    off-diagonal rows, which a node permutation keeps."""
     k = len(m)
+    rows = _off_diagonal_rows(m)
     for letter, (lo, hi) in _RANK_RANGES.items():
-        if lo <= k <= (hi or k) and next(_isomorphisms(m, cartan_matrix(letter, k)), None) is not None:
-            return (letter, k)
+        if lo <= k <= (hi or k):
+            a = cartan_matrix(letter, k)
+            if _off_diagonal_rows(a) == rows and next(_isomorphisms(m, a), None) is not None:
+                return (letter, k)
     raise ValueError(f"could not identify Cartan matrix {m}")
+
+
+def _off_diagonal_rows(m) -> list[tuple[int, ...]]:
+    """The sorted off-diagonal entries of each row, sorted."""
+    return sorted(tuple(sorted(x for j, x in enumerate(row) if j != i)) for i, row in enumerate(m))
 
 
 def _isomorphisms(m1, m2):

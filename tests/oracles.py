@@ -1156,3 +1156,18 @@ def reference_difference_masks(rs):
                 m |= 1 << j
         masks.append(m)
     return tuple(masks)
+
+
+def reference_phi1_span(grading, cand):
+    """The bitmask over root indices of the roots of Phi_1 in the span of
+    the candidate's roots: those that leave the rank unchanged when
+    appended to them."""
+    from nilorb.linalg import rank_int
+
+    roots = [list(r) for r in cand.roots()]
+    rank = rank_int(roots)
+    span = 0
+    for i, r in zip(grading.phi1_indices, grading.phi1):
+        if rank_int(roots + [list(r)]) == rank:
+            span |= 1 << i
+    return span

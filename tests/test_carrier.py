@@ -36,6 +36,7 @@ from oracles import (
     reference_completion,
     reference_difference_masks,
     reference_least_images,
+    reference_phi1_span,
     root_value,
     same_partition,
     subgroup_matrices,
@@ -169,11 +170,50 @@ def test_inherited_root_kernels_span_the_kernel():
             assert len(kernel) == rs.rank - len(roots), cand
             assert not any(sum(map(mul, k, r)) for k in kernel for r in roots), cand
             reference, _ = linalg.kernel_int(roots, rs.rank)
-            derived += kernel != reference
+            derived += kernel != [tuple(v) for v in reference]
             for r in rs.roots:
                 marked = not any(sum(map(mul, k, r)) for k in kernel)
                 assert marked == (not any(sum(map(mul, k, r)) for k in reference)), (cand, r)
     assert derived > 100
+
+
+def test_kept_phi1_span_is_the_span():
+    # the span set the class-search move keeps on each candidate it
+    # expands, and the one a hand-built candidate computes on demand, hold
+    # the roots of Phi_1 that leave the rank unchanged; m = 1 and m = 2 included
+    gradings = gradings_of(G2, (1, 2, 3)) + gradings_of(F4, (2, 4)) + [principal_nregular_grading(E6, 7)]
+    checked = 0
+    for g in gradings:
+        for cand in candidate_pi_systems(g):
+            assert "_phi1_span" in cand.__dict__, cand
+            reference = reference_phi1_span(g, cand)
+            assert cand.phi1_span(g) == reference, (g, cand)
+            assert GradedCandidate(cand.pi0, cand.pi1).phi1_span(g) == reference, (g, cand)
+            checked += 1
+    assert checked > 500
+    g = a3_example_grading()
+    example = GradedCandidate((), ((-1, -1, 0), (0, 1, 0)))
+    assert example.phi1_span(g) == reference_phi1_span(g, example) != 0
+
+
+def test_count_bound_skips_only_candidates_that_are_not_flat():
+    # a flat completion has |pi| + |psi0| = |psi1|, psi1 lies in Phi_1 and
+    # the span of pi, and psi0 holds every root +-b with b in pi0; so a
+    # candidate with fewer than |pi1| + 3 |pi0| roots of Phi_1 in its span
+    # is never flat, and the walk does not complete it.  Both counts are
+    # W_0-invariant (W_0 keeps Phi_1 and maps spans to spans)
+    gradings = gradings_of(G2, range(2, 7)) + gradings_of(F4, range(2, 5))
+    completed = skipped = 0
+    for g in gradings:
+        for cand in candidate_pi_systems(g):
+            if not cand.pi1:
+                continue
+            completed += 1
+            if cand.phi1_span(g).bit_count() < len(cand.pi1) + 3 * len(cand.pi0):
+                skipped += 1
+                comp = completion(g, cand)
+                assert comp is not None and not comp.flat, (g, cand)
+    assert (skipped, completed) == (177, 692)
 
 
 def test_difference_masks_match_every_pair():
@@ -360,7 +400,10 @@ def test_carrier_walk_counts_go_to_the_debug_log(caplog, capsys):
     with caplog.at_level(logging.DEBUG, logger="nilorb.carrier"):
         records = classify_by_carriers(g)
     assert len(records) == 6
-    line = f"{g}: 13 candidates, 12 non-empty, 7 flat, 5 distinct h, 6 records"
+    line = (
+        f"{g}: 13 candidates, 12 non-empty, 0 skipped by the count bound, 7 flat, "
+        "5 distinct h, 6 records"
+    )
     assert caplog.messages.count(line) == 1
     assert capsys.readouterr().out == ""
 

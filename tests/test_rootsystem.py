@@ -12,7 +12,7 @@ from nilorb import (
     grading_from_kac,
     parse_type,
 )
-from nilorb.rootsystem import _identify_component
+from nilorb.rootsystem import _RANK_RANGES, _identify_component, _off_diagonal_rows, cartan_matrix
 from oracles import is_root, lowest_root_by_height, root_string_positive_roots
 
 # textbook G2 positive roots for the short-alpha_1 convention
@@ -224,6 +224,24 @@ def test_dynkin_type_of_every_delta0_is_the_uncached_search(label, rank):
             assert sum(k for _, k in types) == len(g.delta0)
             assert sum(TYPE_ROOTS[letter](k) for letter, k in types) == len(g.phi0)
             assert rs.dynkin_type(g.delta0) == types  # the cached answer again
+
+
+def test_every_type_up_to_rank_8_identifies_its_own_cartan_matrix():
+    # the off-diagonal invariant must not reject the matching type, in
+    # Bourbaki order or with the nodes reversed, and tells B_k from C_k
+    # before any isomorphism search
+    identify = _identify_component.__wrapped__
+    checked = 0
+    for letter, (lo, hi) in _RANK_RANGES.items():
+        for k in range(lo, min(hi or 8, 8) + 1):
+            a = cartan_matrix(letter, k)
+            assert identify(tuple(map(tuple, a))) == (letter, k)
+            flipped = tuple(tuple(row[::-1]) for row in a[::-1])
+            assert identify(flipped) == (letter, k)
+            checked += 1
+    assert checked == 8 + 7 + 6 + 5 + 3 + 1 + 1
+    for k in range(3, 9):
+        assert _off_diagonal_rows(cartan_matrix("B", k)) != _off_diagonal_rows(cartan_matrix("C", k))
 
 
 def test_weyl_orders():
