@@ -8,7 +8,8 @@ itself, its defining element is -e_11 + e_22, and twice the defining
 element is the h of a normal sl2-triple.  A completion holds integers
 (den * h0 and den * alpha(h0) for every root alpha); the demo builds the
 Fraction h0 from them for printing, and hands the doubled integers to the
-normality test.
+normality test, decide_normal, which takes h in that integer form (a
+Fraction h would go through alg.cartan_values first).
 """
 
 from nilorb import (
@@ -18,7 +19,7 @@ from nilorb import (
     build_root_system,
     candidate_pi_systems,
     completion,
-    decide_normal_int,
+    decide_normal,
     grading_from_kac,
 )
 
@@ -40,7 +41,7 @@ print("  defining element h0 =", alg.cartan(comp.hnum, comp.den))
 print("  psi0 =", [list(r) for r in comp.psi0], " psi1 =", [list(r) for r in comp.psi1])
 print("  locally flat:", comp.flat)
 
-triple = decide_normal_int(g, [2 * x for x in comp.hnum], comp.den, [2 * v for v in comp.values])
+triple = decide_normal(g, [2 * x for x in comp.hnum], comp.den, [2 * v for v in comp.values])
 print("  normal triple from 2 h0: e =", triple.e)
 
 print()

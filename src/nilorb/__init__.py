@@ -13,7 +13,6 @@ from .characteristics import (
     classify_by_characteristics,
     classify_nilpotent_g,
     decide_normal,
-    decide_normal_int,
     h_from_wdd,
     normal_list,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "completion",
     "conjugacy_key",
     "decide_normal",
-    "decide_normal_int",
     "elementary_transformations",
     "enumerate_kac_diagrams",
     "format_dynkin_type",

@@ -11,11 +11,12 @@ exactly the distinct orbits.
 
 The walk stays in integers from the class-search move to the normal
 triple of an orbit.  Each candidate keeps an integer basis of the kernel of
-its root rows (GradedCandidate.root_kernel), derived from its parent's,
-and the set of roots of Phi_1 in the span of its roots
-(GradedCandidate.phi1_span), read off that kernel: the move admits no root
-of the span, and completion reads psi1 from it and tests the roots of
-psi0 against the kernel; the result holds integers only.
+its root rows (GradedCandidate.root_kernel), derived from its parent's or,
+for a seed, from linalg.nullspace, and the set of roots of Phi_1 in the
+span of its roots (GradedCandidate.phi1_span), read off that kernel: the
+move admits no root of the span, and completion solves its Cartan system
+with linalg.solve, reads psi1 from the span and tests the roots of psi0
+against the kernel; the result holds integers only.
 
 The walk completes only candidates that can be flat.  A flat completion
 has |pi| + |psi0| = |psi1|, where psi1 lies in Phi_1 and the span of pi,
@@ -23,9 +24,9 @@ and psi0 holds every root +-b with b in pi0 (value 0, in the span, degree
 0, and pi0 meets -pi0 nowhere).  So a flat candidate has at least
 |pi| + 2|pi0| = |pi1| + 3|pi0| roots of Phi_1 in its span, at every order
 m; a candidate with fewer is skipped.  The canonical h goes to
-characteristics.decide_normal_int as (hnum, den, values); the first
-Fraction is the h of the normal triple, and records.listing makes the
-triples the listing.
+characteristics.decide_normal as (hnum, den, values); the first Fraction
+is the h of the normal triple, and records.listing makes the triples the
+listing.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from math import gcd
 from operator import mul
 
 from . import linalg
-from .characteristics import cartan_key, decide_normal_int
+from .characteristics import cartan_key, decide_normal
 from .chevalley import ChevalleyAlgebra
 from .grading import ThetaGrading
 from .pisystems import canonical, classify_all
@@ -66,7 +67,7 @@ class GradedCandidate:
         columns, rank minus the number of roots of them: a root lies in the
         span of the candidate's roots exactly when it pairs with every
         vector to zero.  A candidate made by `extend` derives them from its
-        parent's (_kernel_with); any other takes linalg.kernel_int.  Computed
+        parent's (_kernel_with); any other takes linalg.nullspace.  Computed
         on the first call and kept by the candidate (with its rank, since
         the empty candidate has the same roots in every root system), as
         tuples, which hold less memory than lists."""
@@ -77,7 +78,7 @@ class GradedCandidate:
         if parent is not None and parent[0] == rank:
             vectors = _kernel_with(parent[1], parent[2])
         else:
-            vectors = [tuple(v) for v in linalg.kernel_int(self.roots(), rank)[0]]
+            vectors = [tuple(v) for v in linalg.nullspace(self.roots(), rank)[0]]
         object.__setattr__(self, "_root_kernel", (rank, vectors))
         return vectors
 
@@ -215,7 +216,7 @@ def completion(grading: ThetaGrading, cand: GradedCandidate) -> CompletionResult
     no defining element exists (the linear system is inconsistent).
 
     Solves alpha(h0) = deg(alpha) over the span of the candidate's coroots
-    with linalg.solve_int.  A root of degree 0 (or 1) with den * alpha(h0) =
+    with linalg.solve.  A root of degree 0 (or 1) with den * alpha(h0) =
     0 (or den) is in the completion when it lies in the span of the
     candidate's roots: for degree 1, when it is in the kept phi1_span; for
     degree 0, when the candidate's root_kernel pairs with it to zero.  Each
@@ -232,7 +233,7 @@ def completion(grading: ThetaGrading, cand: GradedCandidate) -> CompletionResult
     pair = alg.simple_pairings
     coroots = [alg.coroot_coords[j] for j in pi]
     rows = [[sum(map(mul, hc, pair[b])) for hc in coroots] for b in pi]
-    sol = linalg.solve_int(rows, degs)
+    sol = linalg.solve(rows, degs)
     if sol is None:
         return None
     solnum, den = sol
@@ -258,16 +259,15 @@ def classify_by_carriers(grading: ThetaGrading, seed: int = 0) -> list[OrbitReco
     Each flat completion contributes h = 2 h0, canonicalised into the
     dominant chamber of W_l on its integer root values; unseen canonical
     forms (characteristics.cartan_key, since completion's den need not be
-    the least) are completed to normal triples by decide_normal_int, which
+    the least) are completed to normal triples by decide_normal, which
     must succeed for a flat carrier, and records.listing makes the triples
     the listing.  A candidate with no degree-1 root has defining element 0,
     so it is never flat and is not completed.  Nor is a candidate with
-    fewer than |pi1| + 3|pi0| roots of Phi_1 in its span (phi1_span):
-    psi1 lies in Phi_1 and the span of pi, psi0 holds the 2|pi0| roots
-    +-b with b in pi0, so flat (|pi| + |psi0| = |psi1|) needs at least
-    |pi| + 2|pi0| of them.  Every other candidate has independent roots,
-    so completion must find its defining element.  The counts, skipped
-    candidates among them, go to one debug line on the module logger.
+    fewer than |pi1| + 3|pi0| roots of Phi_1 in its span (phi1_span), by
+    the count bound of the module docstring.  Every other candidate has
+    independent roots, so completion must find its defining element.  The
+    counts, skipped candidates among them, go to one debug line on the
+    module logger.
     """
     alg, rs = grading.alg, grading.rs
     basis0 = [rs.root_index[b] for b in grading.delta0]
@@ -295,7 +295,7 @@ def classify_by_carriers(grading: ThetaGrading, seed: int = 0) -> list[OrbitReco
         key = cartan_key(hnum, den)
         if key in triples:
             continue
-        triple = decide_normal_int(grading, hnum, den, values, seed)
+        triple = decide_normal(grading, hnum, den, values, seed)
         if triple is None:
             raise InternalConsistencyError(
                 f"{grading.describe()}: flat carrier {cand} produced non-normal "

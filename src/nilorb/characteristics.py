@@ -7,6 +7,8 @@ image for membership in a normal sl2-triple (h in g_0, e in g_1, f in
 g_{m-1}) yields one triple per nilpotent orbit of the theta-group, which
 records.listing makes the listing.  A graded form of the sl2 multiplicity
 bound, counted without elimination, drops most images before that test.
+decide_normal takes h in integers (ChevalleyAlgebra.cartan_values); only
+normal_list and h_from_wdd take or give a Fraction h.
 """
 
 from __future__ import annotations
@@ -56,23 +58,15 @@ def h_from_wdd(alg: ChevalleyAlgebra, wdd: WeightedDynkinDiagram) -> LieElement:
     return alg.cartan(*alg.cartan_solution(wdd.labels))
 
 
-def decide_normal(grading: ThetaGrading, h: LieElement, seed: int = 0) -> Sl2Triple | None:
-    """Normal sl2-triple (h, e, f) with e in g_1(2), f in g_{m-1}(-2), or None.
-
-    h must lie in the Cartan subalgebra of g_0.  This is
-    ChevalleyAlgebra.cartan_values followed by decide_normal_int, which
-    does the work on the integers den * h and den * alpha(h).
-    """
-    hnum, den, values = grading.alg.cartan_values(h)
-    return decide_normal_int(grading, hnum, den, values, seed)
-
-
-def decide_normal_int(
+def decide_normal(
     grading: ThetaGrading, hnum, den: int, values, seed: int = 0
 ) -> Sl2Triple | None:
-    """decide_normal on the integer form of h: den * h = sum_k hnum[k] h_k
-    with den > 0, not necessarily the least, and values[i] = den * alpha_i(h)
-    for every root.
+    """Normal sl2-triple (h, e, f) with e in g_1(2), f in g_{m-1}(-2), or None.
+
+    h lies in the Cartan subalgebra of g_0 and is given in integers: den * h
+    = sum_k hnum[k] h_k with den > 0, not necessarily the least, and
+    values[i] = den * alpha_i(h) for every root.  A caller that holds a
+    Fraction h passes *alg.cartan_values(h).
 
     The span test of _spanning_eye, then the search of _normal_triple for e
     in general position and f.  The draws come from h_rng(seed, hnum, den),
@@ -101,7 +95,7 @@ def _spanning_eye(grading, hnum, den, values) -> list[int] | None:
 
 
 def _normal_triple(grading, eye, hnum, den, values, seed) -> Sl2Triple | None:
-    """decide_normal_int past the span test, for the roots eye of g_1(2)
+    """decide_normal past the span test, for the roots eye of g_1(2)
     that _spanning_eye returned: den * h = sum_k hnum[k] h_k and values[i] =
     den * alpha_i(h) for every root i.
 
@@ -253,7 +247,7 @@ def classify_nilpotent_g(alg: ChevalleyAlgebra) -> tuple:
     passed = 0
     for labels, hnum, den, values in _sl2_label_vectors(alg):
         passed += 1
-        triple = decide_normal_int(triv, hnum, den, values)
+        triple = decide_normal(triv, hnum, den, values)
         if triple is not None:
             out.append((WeightedDynkinDiagram(labels), triple.h))
     walked = 3 ** sum(i <= s for i, s in enumerate(_opposition(alg.rs))) - 1

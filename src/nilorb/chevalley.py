@@ -15,12 +15,13 @@ Sl2Triple.check.
 
 The algebra also owns the integer form of a Cartan element, which both
 listing methods test on: cartan_values gives den * h and den * alpha(h) for
-every root, and the integer inverse of the Cartan matrix (cartan_solution,
-hnum_from_values) turns simple-root values back into coordinates.  Its
-killing_weights give the invariant form in integers, through which the
-normality test solves [e, f] = h on the matrix of ad e it has already
-built; complete_sl2 is the general solve of [e, f] = h over any span of
--2 eigenvectors.
+every root, and the integer inverse of the Cartan matrix (cartan_inverse,
+one integer linalg.solve per row; cartan_solution, hnum_from_values) turns
+simple-root values back into coordinates.  Its killing_weights give the
+invariant form in integers, through which the normality test solves
+[e, f] = h on the matrix of ad e it has already built; complete_sl2 is the
+general solve of [e, f] = h over any span of -2 eigenvectors, its rows
+cleared to integers for linalg.solve.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd
 from operator import mul, sub
 
 from . import linalg
@@ -281,13 +283,14 @@ class ChevalleyAlgebra:
     @cached_property
     def cartan_inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(num, den) with num / den the inverse of the Cartan matrix, num
-        integer.  Row i of the inverse solves the transposed system with
-        right-hand side e_i."""
+        integer and den least.  Row i of the inverse solves the transposed
+        system with right-hand side e_i; each row is one elimination of the
+        same matrix, over its |det|, reduced by the gcd of all the integers."""
         l = self.rs.rank
         transposed = [list(col) for col in zip(*self.rs.cartan_matrix)]
         rows = [linalg.solve(transposed, [int(j == i) for j in range(l)]) for i in range(l)]
-        flat, den = linalg.clear_denominators([x for row in rows for x in row])
-        return tuple(tuple(flat[i * l : (i + 1) * l]) for i in range(l)), den
+        g = gcd(rows[0][1], *(x for num, _ in rows for x in num))
+        return tuple(tuple(x // g for x in num) for num, _ in rows), rows[0][1] // g
 
     def cartan_solution(self, simple_values) -> tuple[list[int], int]:
         """(hnum, den) with h = hnum / den over h_1..h_l the Cartan element
@@ -377,16 +380,18 @@ class ChevalleyAlgebra:
             return None
         cols = [self.bracket(e, v).coeffs for v in f_space]
         reached = sorted(set(h.coeffs).union(*cols))
-        rows = [[col.get(i, 0) for col in cols] for i in reached]
-        sol = linalg.solve(rows, [h.coeffs.get(i, 0) for i in reached])
+        rows = [[col.get(i, 0) for col in cols] + [h.coeffs.get(i, 0)] for i in reached]
+        rows = [linalg.clear_denominators(r)[0] for r in rows]
+        sol = linalg.solve([r[:-1] for r in rows], [r[-1] for r in rows])
         if sol is None:
             return None
+        num, d = sol
         f: dict = {}
-        for c, v in zip(sol, f_space):
+        for c, v in zip(num, f_space):
             if c:
                 for k, x in v.coeffs.items():
                     f[k] = f.get(k, 0) + c * x
-        triple = Sl2Triple(h, e, LieElement(self, f))
+        triple = Sl2Triple(h, e, LieElement(self, {k: Fraction(x) / d for k, x in f.items()}))
         triple.check()
         return triple
 

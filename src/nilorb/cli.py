@@ -34,12 +34,11 @@ def canonical_json(obj) -> str:
 
 
 def _rational_str(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return str(Fraction(x))
 
 
 def _element_json(elt) -> list:
-    return [[label, num, den] for label, num, den in elt.to_triples()]
+    return [list(t) for t in elt.to_triples()]
 
 
 def _record_json(r: OrbitRecord) -> dict:

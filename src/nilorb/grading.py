@@ -113,8 +113,7 @@ def grading_from_kac(alg: ChevalleyAlgebra, kd: KacDiagram) -> ThetaGrading:
 
 def trivial_grading(alg: ChevalleyAlgebra) -> ThetaGrading:
     """The order-1 grading (identity automorphism): everything in degree 0."""
-    kd = KacDiagram.from_labels(alg.rs, (1,) + (0,) * alg.rs.rank)
-    return grading_from_kac(alg, kd)
+    return ThetaGrading(alg, 1, (0,) * alg.rs.rank)
 
 
 def enumerate_kac_diagrams(rs: RootSystem, m: int) -> list[KacDiagram]:

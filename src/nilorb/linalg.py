@@ -1,17 +1,16 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, in integers.
 
-Matrices are lists of row lists.  Entries are Python ints or Fractions;
-nothing here ever touches floating point.  Rows are scaled to integers, one
-fraction-free (Bareiss) elimination keeps intermediate growth polynomial,
-and the back-substitution over the pivot rows yields integer numerators
-over one common denominator.  `rank_and_solve`, `solve_int` and
-`kernel_int` return those integers; `solve` and `nullspace` only divide
-them into Fractions.
+Matrices are lists of row lists of Python ints; nothing here ever touches
+floating point.  A caller with Fraction entries scales each row to integers
+with `clear_denominators` first.  One fraction-free (Bareiss) elimination
+keeps intermediate growth polynomial, and the back-substitution over the
+pivot rows yields integer numerators over one common denominator, which
+`rank_and_solve`, `solve` and `nullspace` return as they are: a caller
+divides, if it needs Fractions at all.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 Row = list
@@ -146,7 +145,7 @@ def rank_and_solve(m: Matrix, ncols: int) -> tuple[int, tuple[list[int], int] | 
     return rank, (num, den)
 
 
-def solve_int(rows: Matrix, rhs: Row) -> tuple[list[int], int] | None:
+def solve(rows: Matrix, rhs: Row) -> tuple[list[int], int] | None:
     """(num, den) with x = num / den one exact solution of the integer
     system A x = b, free variables zero and den > 0, or None if the system
     is inconsistent."""
@@ -155,7 +154,7 @@ def solve_int(rows: Matrix, rhs: Row) -> tuple[list[int], int] | None:
     return rank_and_solve([list(r) + [b] for r, b in zip(rows, rhs)], len(rows[0]))[1]
 
 
-def kernel_int(rows: Matrix, ncols: int) -> tuple[list[Row], int]:
+def nullspace(rows: Matrix, ncols: int) -> tuple[list[Row], int]:
     """(vectors, den) with the v / den, v in vectors, a basis of the right
     kernel of the integer matrix A with ncols columns: one vector per free
     column, 1 there and 0 at the other free columns, and den > 0."""
@@ -173,27 +172,3 @@ def kernel_int(rows: Matrix, ncols: int) -> tuple[list[Row], int]:
             v[c] = -x
         vectors.append(v)
     return vectors, den
-
-
-def _fractions(num: Row, den: int) -> Row:
-    return [Fraction(x, den) for x in num]
-
-
-def solve(rows: Matrix, rhs: Row) -> Row | None:
-    """One exact solution x of A x = b, or None if the system is inconsistent.
-
-    Free variables are set to zero.
-    """
-    if not rows:
-        return [] if all(v == 0 for v in rhs) else None
-    m = [clear_denominators(list(r) + [b])[0] for r, b in zip(rows, rhs)]
-    sol = rank_and_solve(m, len(rows[0]))[1]
-    return None if sol is None else _fractions(*sol)
-
-
-def nullspace(rows: Matrix) -> list[Row]:
-    """Basis of the right kernel of A, as rational vectors."""
-    if not rows:
-        return []
-    vectors, den = kernel_int([clear_denominators(r)[0] for r in rows], len(rows[0]))
-    return [_fractions(v, den) for v in vectors]

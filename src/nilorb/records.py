@@ -3,14 +3,15 @@
 Both listing methods end at one normal triple per nonzero orbit, with the
 integer form of h that they tested; listing turns those into the listing,
 building each record complete and frozen with orbit_record, which derives
-everything in the record but the triple from those integers."""
+everything in the record but the triple from those integers, the ambient
+diagram (wdd_of_cartan) too; a Fraction h passes *alg.cartan_values(h)[1:]."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chevalley import ChevalleyAlgebra, LieElement, Sl2Triple
+from .chevalley import LieElement, Sl2Triple
 from .grading import ThetaGrading
 from .rootsystem import RootSystem
 from .weyl import dominant_simple_values
@@ -60,7 +61,7 @@ def orbit_record(grading: ThetaGrading, triple: Sl2Triple, den: int, values) -> 
     alpha_i(h), den > 0 and not necessarily the least; (0, 0, 0) with zero
     values gives the zero record.  It raises InternalConsistencyError when a
     root of Delta_0 is negative on h (h outside C_l + r), reads the ambient
-    orbit's weighted Dynkin diagram (wdd_of_values), counts the dimension
+    orbit's weighted Dynkin diagram (wdd_of_cartan), counts the dimension
     (dimension_of_values) and, at m = 2, runs check_kostant_rallis.
     """
     if any(values[grading.rs.root_index[b]] < 0 for b in grading.delta0):
@@ -70,7 +71,7 @@ def orbit_record(grading: ThetaGrading, triple: Sl2Triple, den: int, values) -> 
     dim = dimension_of_values(grading, den, values)
     if grading.m == 2:
         check_kostant_rallis(grading, triple.h, dim, den, values)
-    return OrbitRecord(triple.h, triple.e, triple.f, wdd_of_values(grading.rs, den, values), dim)
+    return OrbitRecord(triple.h, triple.e, triple.f, wdd_of_cartan(grading.rs, den, values), dim)
 
 
 def dimension_of_values(grading: ThetaGrading, den: int, values) -> int:
@@ -121,14 +122,7 @@ def listing(grading: ThetaGrading, found) -> list[OrbitRecord]:
     return [zero, *(records[k] for k in sorted(records))]
 
 
-def wdd_of_cartan(alg: ChevalleyAlgebra, h: LieElement) -> WeightedDynkinDiagram:
-    """Weighted Dynkin diagram of the dominant Weyl conjugate of h: the
-    integer form of ChevalleyAlgebra.cartan_values read by wdd_of_values."""
-    _, den, values = alg.cartan_values(h)
-    return wdd_of_values(alg.rs, den, values)
-
-
-def wdd_of_values(rs: RootSystem, den: int, values) -> WeightedDynkinDiagram:
+def wdd_of_cartan(rs: RootSystem, den: int, values) -> WeightedDynkinDiagram:
     """Weighted Dynkin diagram of the dominant Weyl conjugate of the Cartan
     element h with values[i] = den * alpha_i(h), den > 0: the simple-root
     values alone, made dominant by weyl.dominant_simple_values, over den,

@@ -475,15 +475,24 @@ def same_partition(labels1, labels2) -> bool:
 
 def lowest_root_by_height(rs, basis):
     """The least-height root of the closure of a connected pi-system, with
-    heights taken in the pi-system's own basis by exact Fraction solves."""
-    from nilorb import linalg
-
+    heights taken in the pi-system's own basis by exact solves."""
     basis = [tuple(b) for b in basis]
     gram = [[rs.inner(a, b) for b in basis] for a in basis]
     return min(
         rs.subsystem_roots(basis),
-        key=lambda r: sum(linalg.solve(gram, [rs.inner(r, b) for b in basis])),
+        key=lambda r: sum(fraction_solve(gram, [rs.inner(r, b) for b in basis])),
     )
+
+
+def fraction_solve(rows, rhs):
+    """One exact solution of A x = b with free variables zero, as Fractions,
+    or None: each row [A | b] cleared to integers (least common
+    denominator), then the integer linalg.solve divided back."""
+    from nilorb import linalg
+
+    augmented = [linalg.clear_denominators(list(r) + [b])[0] for r, b in zip(rows, rhs)]
+    sol = linalg.solve([r[:-1] for r in augmented], [r[-1] for r in augmented])
+    return None if sol is None else [Fraction(x, sol[1]) for x in sol[0]]
 
 
 def _rref(m, ncols):
@@ -532,12 +541,10 @@ def rref_solve(rows, rhs):
     return sol
 
 
-def rref_nullspace(rows):
-    """Kernel basis of A read off its reduced row-echelon form, one vector
-    per free column, by Gauss-Jordan elimination over Fractions."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
+def rref_nullspace(rows, ncols):
+    """Kernel basis of A, with ncols columns, read off its reduced
+    row-echelon form, one vector per free column, by Gauss-Jordan
+    elimination over Fractions; with no rows, the kernel is everything."""
     m, piv_cols = _rref([[Fraction(x) for x in r] for r in rows], ncols)
     basis = []
     for fc in range(ncols):
@@ -680,7 +687,7 @@ def reference_completion(grading, cand):
     degs = [0] * len(cand.pi0) + [1] * len(cand.pi1)
     coroots = [alg.coroot(a) for a in pi]
     rows = [[root_value(alg, b, hc) for hc in coroots] for b in pi]
-    sol = linalg.solve(rows, degs)
+    sol = fraction_solve(rows, degs)
     if sol is None:
         return None
     h0 = alg.zero()
@@ -688,7 +695,8 @@ def reference_completion(grading, cand):
         if c:
             h0 = h0 + hc.scale(c)
     pair_rows = [[rs.pairing(a, rs.simple_root(k)) for k in range(rs.rank)] for a in pi]
-    z_basis = tuple(alg.cartan(v) for v in linalg.nullspace(pair_rows))
+    vectors, den = linalg.nullspace(pair_rows, rs.rank)
+    z_basis = tuple(alg.cartan(v, den) for v in vectors)
 
     def in_completion(root):
         return all(root_value(alg, root, u) == 0 for u in z_basis)
@@ -769,7 +777,7 @@ def reference_normal_list(grading, coset_reps, h, seed=0):
             continue
         seen.add(mu)
         image = cartan_from_dual_weight(alg, [Fraction(x, den) for x in mu])
-        triple = decide_normal(grading, image, seed=seed)
+        triple = decide_normal(grading, *alg.cartan_values(image), seed=seed)
         if triple is not None:
             triples.append(triple)
     return triples
@@ -791,7 +799,7 @@ def reference_classify_nilpotent_g(alg):
             continue
         wdd = WeightedDynkinDiagram(labels)
         h = h_from_wdd(alg, wdd)
-        if decide_normal(triv, h) is not None:
+        if decide_normal(triv, *alg.cartan_values(h)) is not None:
             out.append((wdd, h))
     return tuple(out)
 
@@ -901,15 +909,13 @@ def bareiss_row_reduce(vectors):
 
 def in_span(vectors, target):
     """Whether target lies in the rational span of the vectors, by
-    linalg.solve."""
-    from nilorb import linalg
-
+    fraction_solve."""
     if all(x == 0 for x in target):
         return True
     if not vectors:
         return False
     cols = [[v[i] for v in vectors] for i in range(len(target))]
-    return linalg.solve(cols, list(target)) is not None
+    return fraction_solve(cols, list(target)) is not None
 
 
 def ad_matrix(alg, x, domain, codomain):
@@ -991,7 +997,7 @@ def eigenspace(grading, h, k, i):
     for t in range(len(basis)):
         mat[t][t] -= Fraction(k)
     out = []
-    for v in rref_nullspace(mat):
+    for v in rref_nullspace(mat, len(basis)):
         x = alg.zero()
         for c, b in zip(v, basis):
             if c:
@@ -1002,9 +1008,8 @@ def eigenspace(grading, h, k, i):
 
 def reference_complete_sl2(alg, h, e, f_space):
     """ChevalleyAlgebra.complete_sl2 as a dense solve: the preconditions
-    checked with bracket, and [e, f] = h solved by linalg.solve over all
+    checked with bracket, and [e, f] = h solved by fraction_solve over all
     dim g rows."""
-    from nilorb import linalg
     from nilorb.chevalley import Sl2Triple
 
     if alg.bracket(h, e) != e.scale(2):
@@ -1016,7 +1021,7 @@ def reference_complete_sl2(alg, h, e, f_space):
         return None
     cols = [dense(alg.bracket(e, v)) for v in f_space]
     rows = [[cols[j][i] for j in range(len(cols))] for i in range(alg.dim)]
-    sol = linalg.solve(rows, dense(h))
+    sol = fraction_solve(rows, dense(h))
     if sol is None:
         return None
     f = alg.zero()

@@ -159,7 +159,7 @@ def test_class_search_keys_match_the_reference_search(monkeypatch):
 
 def test_inherited_root_kernels_span_the_kernel():
     # a candidate made by the class-search move derives its root kernel
-    # from its parent's; it must mark the same roots as kernel_int
+    # from its parent's; it must mark the same roots as linalg.nullspace
     gradings = gradings_of(F4, range(2, 7)) + [principal_nregular_grading(E6, 7)]
     derived = 0
     for g in gradings:
@@ -169,7 +169,7 @@ def test_inherited_root_kernels_span_the_kernel():
             kernel = cand.root_kernel(rs.rank)
             assert len(kernel) == rs.rank - len(roots), cand
             assert not any(sum(map(mul, k, r)) for k in kernel for r in roots), cand
-            reference, _ = linalg.kernel_int(roots, rs.rank)
+            reference, _ = linalg.nullspace(roots, rs.rank)
             derived += kernel != [tuple(v) for v in reference]
             for r in rs.roots:
                 marked = not any(sum(map(mul, k, r)) for k in kernel)
@@ -412,7 +412,7 @@ def test_flat_carrier_must_be_normal(monkeypatch):
     import nilorb.carrier as carrier_mod
 
     g = grading_from_kac(A1, KacDiagram.from_labels(A1.rs, (1, 1)))
-    monkeypatch.setattr(carrier_mod, "decide_normal_int", lambda *a, **k: None)
+    monkeypatch.setattr(carrier_mod, "decide_normal", lambda *a, **k: None)
     with pytest.raises(
         InternalConsistencyError,
         match=r"ThetaGrading\(A1, m=2\) with simple-root degrees 1: flat carrier .* "

@@ -13,7 +13,6 @@ from nilorb import (
     classify_orbits,
     classify_nilpotent_g,
     decide_normal,
-    decide_normal_int,
     enumerate_kac_diagrams,
     grading_from_kac,
     h_from_wdd,
@@ -77,12 +76,12 @@ def test_classification_includes_zero_and_regular():
 
 def test_decide_normal_zero_h():
     g = grading_from_kac(A1, KacDiagram.from_labels(A1.rs, (1, 1)))
-    assert decide_normal(g, A1.zero()) is None
+    assert decide_normal(g, *A1.cartan_values(A1.zero())) is None
 
 
 def test_decide_normal_a1():
     g = grading_from_kac(A1, KacDiagram.from_labels(A1.rs, (1, 1)))
-    triple = decide_normal(g, A1.coroot((1,)))
+    triple = decide_normal(g, *A1.cartan_values(A1.coroot((1,))))
     assert triple is not None
     assert triple.e.coeffs.keys() == {A1.rs.root_index[(1,)]}
 
@@ -94,15 +93,15 @@ def test_decide_normal_rejects_non_normal():
     found = sum(
         1
         for wdd, h in chars
-        if not wdd.is_zero() and decide_normal(g, h, seed=1) is not None
+        if not wdd.is_zero() and decide_normal(g, *G2.cartan_values(h), seed=1) is not None
     )
     assert found < len(chars) - 1  # at least one dominant characteristic fails
 
 
-def test_decide_normal_int_matches_decide_normal():
-    # the integer entry point returns decide_normal's triple (or None) under
-    # the same seed, from the least den and from a den three times larger:
-    # the draws are keyed on h, not on its integer form
+def test_decide_normal_is_scale_invariant():
+    # the same seed gives one triple (or None), with the given h, from the
+    # least den and from a den three times larger: the draws are keyed on
+    # h, not on its integer form
     cases = [
         (trivial_grading(alg), h)
         for alg in (G2, F4)
@@ -115,12 +114,14 @@ def test_decide_normal_int_matches_decide_normal():
         cases += [(g, h) for wdd, h in classify_nilpotent_g(F4) if not wdd.is_zero()]
     normal = 0
     for g, h in cases:
-        expected = decide_normal(g, h, seed=7)
         hnum, den, values = g.alg.cartan_values(h)
-        for k in (1, 3):
-            got = decide_normal_int(g, [k * x for x in hnum], k * den, [k * v for v in values], 7)
-            assert got == expected, (g, h, k)
-        normal += expected is not None
+        least, scaled = (
+            decide_normal(g, [k * x for x in hnum], k * den, [k * v for v in values], 7)
+            for k in (1, 3)
+        )
+        assert least == scaled, (g, h)
+        assert least is None or least.h == h, (g, h)
+        normal += least is not None
     assert 0 < normal < len(cases)
 
 
@@ -129,7 +130,7 @@ def test_decide_normal_sl4_example():
     from nilorb.carrier import GradedCandidate, completion
 
     comp = completion(g, GradedCandidate((), ((-1, -1, 0), (0, 1, 0))))
-    triple = decide_normal(g, A3.cartan(comp.hnum, comp.den).scale(2))
+    triple = decide_normal(g, [2 * x for x in comp.hnum], comp.den, [2 * v for v in comp.values])
     assert triple is not None
     allowed = {
         A3.rs.root_index[r] for r in [(0, 1, 0), (0, 1, 1), (-1, -1, 0), (-1, -1, -1)]
@@ -197,7 +198,7 @@ def test_retry_budget_error(monkeypatch):
     g = grading_from_kac(A1, KacDiagram.from_labels(A1.rs, (1, 1)))
     h = A1.coroot((1,))
     with pytest.raises(RetryBudgetError) as err:
-        decide_normal(g, h)
+        decide_normal(g, *A1.cartan_values(h))
     message = str(err.value)
     assert message.startswith("ThetaGrading(A1, m=2) with simple-root degrees 1: ")
     assert f"h = {h!r}" in message
@@ -312,7 +313,7 @@ def test_completion_with_long_and_short_eye_roots_matches_dense_reference(label,
     _, den, values = alg.cartan_values(h)
     eye = [r for i, r in enumerate(alg.rs.roots) if values[i] == 2 * den]
     assert len({alg.rs.length2(r) for r in eye}) == 2
-    triple = decide_normal(triv, h)
+    triple = decide_normal(triv, *alg.cartan_values(h))
     assert triple is not None
     assert triple == reference_complete_sl2(alg, h, triple.e, eye_f_space(triv, h))
 
@@ -324,7 +325,7 @@ def test_decide_normal_is_none_when_no_f_solves_e_f_equal_h():
     for kac in ((1, 1, 0), (2, 1, 0)):
         g = grading_from_kac(A2, KacDiagram.from_labels(A2.rs, kac))
         assert eye_f_space(g, h) == [A2.root_vector((-1, 0))]
-        assert decide_normal(g, h) is None
+        assert decide_normal(g, *A2.cartan_values(h)) is None
 
 
 @pytest.mark.parametrize(
@@ -506,7 +507,7 @@ def test_graded_sl2_bound_rejects_an_h_that_passes_the_span_test():
     eye = characteristics._spanning_eye(g, hnum, den, values)
     assert [b3.rs.roots[i] for i in eye] == [(0, 1, 1), (1, 1, 1)]
     assert not graded_sl2_bound_of(g, h)
-    assert decide_normal(g, h) is None
+    assert decide_normal(g, hnum, den, values) is None
 
 
 def test_sweep_counts_go_to_the_debug_log(caplog, capsys):

@@ -48,7 +48,9 @@ def test_rank_int_matches_fraction_elimination(rows):
 
 
 def test_solve_unique():
-    assert linalg.solve([[2, 1], [1, 1]], [3, 2]) == [Fraction(1), Fraction(1)]
+    assert linalg.solve([[2, 1], [1, 1]], [3, 2]) == ([1, 1], 1)
+    num, den = linalg.solve([[2, 0], [0, 3]], [1, 1])
+    assert scale_back(num, den) == [Fraction(1, 2), Fraction(1, 3)]
 
 
 def test_solve_inconsistent():
@@ -59,13 +61,14 @@ def test_solve_underdetermined_verifies():
     rows = [[1, 2, 3]]
     sol = linalg.solve(rows, [6])
     assert sol is not None
-    assert sum(a * b for a, b in zip(rows[0], sol)) == 6
+    num, den = sol
+    assert sum(a * b for a, b in zip(rows[0], num)) == 6 * den
 
 
 def test_nullspace_dimension_and_membership():
     rows = [[1, 1, 1], [1, 1, 1]]
-    basis = linalg.nullspace(rows)
-    assert len(basis) == 2
+    basis, den = linalg.nullspace(rows, 3)
+    assert len(basis) == 2 and den > 0
     for v in basis:
         assert sum(v) == 0
 
@@ -122,19 +125,23 @@ def all_fractions(vectors):
 @given(rational_systems())
 @settings(max_examples=300, deadline=None)
 def test_kernel_matches_gauss_jordan_reference(system):
+    # rational rows go in cleared to integers, one least common denominator
+    # per row, which changes neither the solutions nor the kernel
     rows, rhs = system
-    sol = linalg.solve(rows, rhs)
-    assert sol == rref_solve(rows, rhs)
-    assert sol is None or all_fractions([sol])
-    kernel = linalg.nullspace(rows)
-    assert kernel == rref_nullspace(rows)
-    assert all_fractions(kernel)
+    ncols = len(rows[0])
+    augmented = [linalg.clear_denominators(list(r) + [b])[0] for r, b in zip(rows, rhs)]
+    sol = linalg.solve([r[:-1] for r in augmented], [r[-1] for r in augmented])
+    expected = rref_solve(rows, rhs)
+    assert (sol is None) == (expected is None)
+    if sol is not None:
+        assert scale_back(*sol) == expected
+    ints = [linalg.clear_denominators(r)[0] for r in rows]
+    vectors, den = linalg.nullspace(ints, ncols)
+    assert [scale_back(v, den) for v in vectors] == rref_nullspace(rows, ncols)
     basis = bareiss_row_reduce(rows)
     assert basis == rref_row_reduce(rows)
     assert all_fractions(basis)
-    ints = [linalg.clear_denominators(r)[0] for r in rows]
     assert linalg.rank_int(ints) == len(basis)
-    augmented = [linalg.clear_denominators(list(r) + [b])[0] for r, b in zip(rows, rhs)]
     columns = [list(col) for col in zip(*augmented)]
     assert linalg.in_span(columns[:-1], columns[-1]) == (sol is not None)
 
@@ -173,10 +180,10 @@ def scale_back(num, den):
 
 @given(integer_systems())
 @settings(max_examples=300, deadline=None)
-def test_integer_solve_and_kernel_scale_back_to_solve_and_nullspace(system):
+def test_solve_and_nullspace_scale_back_to_gauss_jordan(system):
     rows, rhs, ncols = system
-    sol = linalg.solve_int(rows, rhs)
-    expected = linalg.solve(rows, rhs)
+    sol = linalg.solve(rows, rhs)
+    expected = rref_solve(rows, rhs)
     assert (sol is None) == (expected is None)
     if sol is not None:
         assert scale_back(*sol) == expected
@@ -186,10 +193,11 @@ def test_integer_solve_and_kernel_scale_back_to_solve_and_nullspace(system):
         assert (sol is None) == (expected is None)
         if sol is not None:
             assert scale_back(*sol) == expected
-    vectors, den = linalg.kernel_int(rows, ncols)
-    # nullspace cannot see the width of a matrix without rows; its kernel is everything
-    unit = [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-    assert [scale_back(v, den) for v in vectors] == (linalg.nullspace(rows) if rows else unit)
+    vectors, den = linalg.nullspace(rows, ncols)
+    # with no rows, the kernel is the whole space
+    assert [scale_back(v, den) for v in vectors] == rref_nullspace(rows, ncols)
+    if not rows:
+        assert vectors == [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
 
 @st.composite
@@ -212,7 +220,7 @@ def sparse_matrices(draw):
 @settings(max_examples=500, deadline=None)
 def test_echelon_leaves_the_eager_bareiss_matrix(system):
     # the deferred row scaling must leave, entry for entry, what eager
-    # Bareiss elimination leaves; rank_and_solve and kernel_int on the eager
+    # Bareiss elimination leaves; rank_and_solve and nullspace on the eager
     # kernel must give the same results
     rows, ncols = system
     m, eager = [list(r) for r in rows], [list(r) for r in rows]
@@ -223,9 +231,9 @@ def test_echelon_leaves_the_eager_bareiss_matrix(system):
     width = len(rows[0])
     with mock.patch.object(linalg, "_echelon", eager_echelon):
         expected_solve = linalg.rank_and_solve([list(r) for r in rows], width - 1)
-        expected_kernel = linalg.kernel_int(rows, width)
+        expected_kernel = linalg.nullspace(rows, width)
     assert linalg.rank_and_solve([list(r) for r in rows], width - 1) == expected_solve
-    assert linalg.kernel_int(rows, width) == expected_kernel
+    assert linalg.nullspace(rows, width) == expected_kernel
 
 
 def test_clear_denominators():

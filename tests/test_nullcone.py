@@ -24,7 +24,7 @@ from nilorb import (
     trivial_grading,
 )
 from nilorb.chevalley import Sl2Triple
-from nilorb.records import WeightedDynkinDiagram, wdd_of_cartan, wdd_of_values
+from nilorb.records import WeightedDynkinDiagram, wdd_of_cartan
 
 from oracles import (
     cartan_from_dual_weight,
@@ -46,6 +46,11 @@ A2 = build_algebra(build_root_system("A", 2))
 G2 = build_algebra(build_root_system("G", 2))
 
 
+def wdd_of_h(alg, h):
+    """wdd_of_cartan of a Fraction Cartan element, through its integer form."""
+    return wdd_of_cartan(alg.rs, *alg.cartan_values(h)[1:])
+
+
 def test_orbit_dimension_zero():
     g = grading_from_kac(A1, KacDiagram.from_labels(A1.rs, (1, 1)))
     assert orbit_dimension(g, A1.zero()) == 0  # h of the zero triple
@@ -60,8 +65,8 @@ def test_orbit_dimension_a1():
 def test_ambient_wdd_regular_and_zero():
     triv = trivial_grading(A2)
     h = h_from_wdd(A2, WeightedDynkinDiagram((2, 2)))
-    triple = decide_normal(triv, h)
-    assert wdd_of_cartan(A2, triple.h).labels == (2, 2)
+    triple = decide_normal(triv, *A2.cartan_values(h))
+    assert wdd_of_h(A2, triple.h).labels == (2, 2)
 
 
 def test_ambient_wdd_minimal_orbit_a2():
@@ -69,7 +74,7 @@ def test_ambient_wdd_minimal_orbit_a2():
     # minimal orbit is (1,1)
     h = A2.coroot((1, 0))
     triple = A2.complete_sl2(h, A2.root_vector((1, 0)), [A2.root_vector((-1, 0))])
-    assert wdd_of_cartan(A2, triple.h).labels == (1, 1)
+    assert wdd_of_h(A2, triple.h).labels == (1, 1)
 
 
 def test_summarize_a1_against_torus_orbit_oracle():
@@ -165,7 +170,7 @@ def test_ambient_wdd_rejects_non_characteristic():
     from nilorb import InternalConsistencyError
 
     with pytest.raises(InternalConsistencyError):
-        wdd_of_cartan(A1, A1.cartan([2]))  # alpha(h) = 4
+        wdd_of_h(A1, A1.cartan([2]))  # alpha(h) = 4
 
 
 def test_ambient_wdd_rejects_half_integral_h():
@@ -173,13 +178,13 @@ def test_ambient_wdd_rejects_half_integral_h():
 
     # alpha_1(h) = alpha_2(h) = 1/2: dominant, labels below 2, not integral
     with pytest.raises(InternalConsistencyError):
-        wdd_of_cartan(A2, A2.cartan([Fraction(1, 2), Fraction(1, 2)]))
+        wdd_of_h(A2, A2.cartan([Fraction(1, 2), Fraction(1, 2)]))
     # alpha_1(h) = 1, alpha_2(h) = -1/2: not dominant
     with pytest.raises(InternalConsistencyError):
-        wdd_of_cartan(A2, A2.cartan([Fraction(1, 2), 0]))
+        wdd_of_h(A2, A2.cartan([Fraction(1, 2), 0]))
 
 
-def test_wdd_of_values_matches_wdd_of_cartan_on_f4_records():
+def test_wdd_of_cartan_matches_to_subdominant_on_f4_records():
     # every record of the F4 gradings of orders 3 and 4 by both methods,
     # against the to_subdominant walk of the oracle, from the least den and
     # from a den three times larger
@@ -192,20 +197,19 @@ def test_wdd_of_values_matches_wdd_of_cartan_on_f4_records():
                 _, den, values = f4.cartan_values(r.h)
                 expected = WeightedDynkinDiagram(reference_wdd_of_cartan(f4, r.h))
                 assert r.ambient_wdd == expected
-                assert wdd_of_cartan(f4, r.h) == expected
-                assert wdd_of_values(f4.rs, den, values) == expected
-                assert wdd_of_values(f4.rs, 3 * den, [3 * v for v in values]) == expected
+                assert wdd_of_cartan(f4.rs, den, values) == expected
+                assert wdd_of_cartan(f4.rs, 3 * den, [3 * v for v in values]) == expected
                 checked += 1
     assert checked > 100
 
 
-def test_wdd_of_values_rejects_non_characteristic():
+def test_wdd_of_cartan_rejects_non_characteristic_values():
     from nilorb import InternalConsistencyError
 
     with pytest.raises(InternalConsistencyError):
-        wdd_of_values(A1.rs, 3, [12, -12])  # alpha(h) = 4
+        wdd_of_cartan(A1.rs, 3, [12, -12])  # alpha(h) = 4
     with pytest.raises(InternalConsistencyError):
-        wdd_of_values(A1.rs, 2, [3, -3])  # alpha(h) = 3/2
+        wdd_of_cartan(A1.rs, 2, [3, -3])  # alpha(h) = 3/2
 
 
 @pytest.mark.parametrize("label,rank", [("G", 2), ("B", 3), ("F", 4)])
@@ -218,8 +222,8 @@ def test_wdd_of_cartan_matches_to_subdominant_on_weyl_images(label, rank):
         lam = dual_weight(alg, h)
         for mu in {mat_vec(w, lam) for w in group}:
             image = cartan_from_dual_weight(alg, mu)
-            assert wdd_of_cartan(alg, image).labels == reference_wdd_of_cartan(alg, image)
-            assert wdd_of_cartan(alg, image) == wdd
+            assert wdd_of_h(alg, image).labels == reference_wdd_of_cartan(alg, image)
+            assert wdd_of_h(alg, image) == wdd
 
 
 def _counted_dimension_gradings():

@@ -56,6 +56,14 @@ def test_benchmark_tracer_installs_on_every_traced_name():
     # non-empty candidates but the 3 with no degree-1 root, which are never
     # flat
     assert called["carrier.completion"] == "9"
+    # the integer functions that do the work carry the traced names: the
+    # normality test of each of the 5 distinct flat h, the diagram of each
+    # of the 6 records, one solve per completion and per row of G2's
+    # inverse Cartan matrix, and the kernel of the seed candidates
+    assert called["characteristics.decide_normal"] == "5"
+    assert called["records.wdd_of_cartan"] == "6"
+    assert called["linalg.solve"] == "11"
+    assert int(called["linalg.nullspace"]) > 0
 
 
 def module_trees():
@@ -176,6 +184,12 @@ def test_carrier_and_grading_stay_in_integers():
     assert not imported["carrier.py"] & {"fractions", "Fraction", "LieElement"}
     assert "linalg" not in imported["grading.py"]
     assert not defined & {"h0", "z_basis", "center_basis", "component_roots"}
+    # linear algebra is integer in and integer out, and each computation
+    # has one function, not a Fraction entry point beside an integer twin
+    assert not imported["linalg.py"] & {"fractions", "Fraction"}
+    assert not defined & {
+        "decide_normal_int", "wdd_of_values", "solve_int", "kernel_int", "_fractions"
+    }
 
 
 def test_only_records_builds_records():
@@ -195,12 +209,12 @@ def test_only_records_builds_records():
 def test_listing_methods_do_not_rebuild_the_integer_h():
     # both methods hand records.listing the integers they tested; the
     # Fraction h is cleared again (ChevalleyAlgebra.cartan_values) only by
-    # the public Fraction entry points, the per-algebra characteristic cache
-    # and wdd_of_cartan, the Fraction form of wdd_of_values
+    # normal_list, which takes a Fraction h, and the per-algebra
+    # characteristic cache
     allowed = {
         "carrier.py": set(),
-        "characteristics.py": {"decide_normal", "normal_list", "_characteristics"},
-        "records.py": {"wdd_of_cartan"},
+        "characteristics.py": {"normal_list", "_characteristics"},
+        "records.py": set(),
     }
     callers = {name: set() for name in allowed}
     for path, tree in module_trees():
