@@ -179,7 +179,7 @@ def candidate_pi_systems(grading: ThetaGrading) -> list[GradedCandidate]:
     rs = grading.rs
     w0 = grading.weyl_subgroup()
     masks = _difference_masks(grading.alg)
-    phi1 = [(rs.root_index[r], r) for r in grading.phi1]
+    phi1 = list(zip(grading.phi1_indices, grading.phi1))
 
     def add_one(cand: GradedCandidate, orbit) -> list[GradedCandidate]:
         blocked = cand.phi1_span(grading)  # holds the candidate's own roots
@@ -231,7 +231,7 @@ def completion(grading: ThetaGrading, cand: GradedCandidate) -> CompletionResult
     pi = [rs.root_index[a] for a in roots]
     degs = [0] * len(cand.pi0) + [1] * len(cand.pi1)
     pair = alg.simple_pairings
-    coroots = [alg.coroot_coords[j] for j in pi]
+    coroots = [rs.coroot_coords[j] for j in pi]
     rows = [[sum(map(mul, hc, pair[b])) for hc in coroots] for b in pi]
     sol = linalg.solve(rows, degs)
     if sol is None:

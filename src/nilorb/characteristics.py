@@ -89,7 +89,7 @@ def _spanning_eye(grading, hnum, den, values) -> list[int] | None:
     """
     two = 2 * den
     eye = [i for i in grading.phi1_indices if values[i] == two]
-    if not eye or not linalg.in_span([grading.alg.coroot_coords[i] for i in eye], hnum):
+    if not eye or not linalg.in_span([grading.rs.coroot_coords[i] for i in eye], hnum):
         return None
     return eye
 

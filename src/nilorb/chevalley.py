@@ -145,12 +145,11 @@ class ChevalleyAlgebra:
         self.rs = rs
         self.n_roots = len(rs.roots)
         self.dim = self.n_roots + rs.rank
-        # The structure tables, in root order and read by the listing methods:
-        # coroot_coords[i], the integer coordinates of roots[i]^vee over
-        # h_1..h_l; simple_pairings[i][k] = <roots[i], alpha_k^vee>;
+        # The structure tables, in root order and read by the listing methods
+        # beside rs.coroot_coords (the coordinates of roots[i]^vee over
+        # h_1..h_l): simple_pairings[i][k] = <roots[i], alpha_k^vee>;
         # structure_constants[(i, j)] = (k, N_{i,j}) with roots[k] = roots[i]
         # + roots[j], for the pairs whose sum is a root.
-        self.coroot_coords = tuple(self._integral_coroot(r) for r in rs.roots)
         a = rs.cartan_matrix
         self.simple_pairings = tuple(
             tuple(sum(r[j] * a[j][k] for j in range(rs.rank)) for k in range(rs.rank))
@@ -166,13 +165,6 @@ class ChevalleyAlgebra:
         return f"ChevalleyAlgebra({self.rs.type_label}{self.rs.rank})"
 
     # -- construction ---------------------------------------------------------
-
-    def _integral_coroot(self, root: Root) -> tuple[int, ...]:
-        d_root = self.rs.length2(root) // 2  # short roots have length^2 = 2
-        num = [root[i] * self.rs.d[i] for i in range(self.rs.rank)]
-        if any(x % d_root for x in num):
-            raise AssertionError(f"non-integral coroot for {root}")
-        return tuple(x // d_root for x in num)
 
     def _build_constants(self) -> dict:
         """(k, N_{i,j}) with roots[k] = roots[i] + roots[j], keyed by the
@@ -255,7 +247,7 @@ class ChevalleyAlgebra:
 
     def coroot(self, root: Root) -> LieElement:
         """The coroot of a root, as a Cartan element ([x_a, x_{-a}])."""
-        return self.cartan(self.coroot_coords[self.rs.root_index[tuple(root)]])
+        return self.cartan(self.rs.coroot_coords[self.rs.root_index[tuple(root)]])
 
     def cartan_values(self, h: LieElement) -> tuple[list[int], int, list[int]]:
         """The integer form of a Cartan element h: (hnum, den, values) with
@@ -327,7 +319,7 @@ class ChevalleyAlgebra:
         [h_k, x_a] = <a, alpha_k^vee> x_a, [x_a, x_b] = N_ab x_{a+b} when
         a + b is a root, and [x_a, x_-a] = h_a, the coroot of a."""
         n, n_pos = self.n_roots, self.rs.n_pos
-        pair, consts, coroots = self.simple_pairings, self.structure_constants, self.coroot_coords
+        pair, consts, coroots = self.simple_pairings, self.structure_constants, self.rs.coroot_coords
         out: dict = {}
         for i, a in x.items():
             for j, b in y.items():

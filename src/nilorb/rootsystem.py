@@ -5,16 +5,18 @@ roots (Bourbaki numbering; for G2 the first simple root is short).  The
 invariant bilinear form is normalised so that short roots have squared
 length 2, which keeps every pairing and structure constant integral.  The
 positive roots are built from the Cartan integers alone, as the closure of
-the simple roots under the simple reflections.
+the simple roots under the simple reflections.  One pass over (alpha_k, r)
+per root r gives |r|^2, the integer coroot coordinates (coroot_coords) and
+<alpha_k, r^vee>, so a pairing <lam, r^vee> is one integer dot product.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 from . import linalg
 
@@ -144,15 +146,21 @@ class RootSystem:
         self.simple_indices = tuple(self.root_index[self.simple_root(i)] for i in range(rank))
         self.highest_root = self.positive_roots[-1]
         self.marks = (1,) + self.highest_root
-        # per-root cached data: B @ root and squared length
-        self._form_vec = tuple(
-            tuple(sum(self.bilinear_form[i][j] * r[j] for j in range(rank)) for i in range(rank))
-            for r in self.roots
-        )
-        self._len2 = tuple(
-            sum(fv[i] * r[i] for i in range(rank))
-            for r, fv in zip(self.roots, self._form_vec)
-        )
+        # Per root r, from br[k] = (alpha_k, r) and half = |r|^2 / 2: the
+        # coordinates of r^vee = 2 r / |r|^2 over alpha_j^vee = alpha_j / d_j,
+        # and <alpha_k, r^vee> = br[k] / half (A times those coordinates).
+        len2, coroots, pairs = [], [], []
+        for r in self.roots:
+            br = [sum(map(mul, row, r)) for row in self.bilinear_form]
+            half = sum(map(mul, br, r)) // 2  # short roots have length^2 = 2
+            if any(x * d % half for x, d in zip(r, self.d)):
+                raise AssertionError(f"non-integral coroot for {r}")
+            len2.append(2 * half)
+            coroots.append(tuple(x * d // half for x, d in zip(r, self.d)))
+            pairs.append(tuple(x // half for x in br))
+        self._len2 = tuple(len2)
+        self.coroot_coords = tuple(coroots)
+        self._coroot_pairs = tuple(pairs)
         self._ext_autos = None
 
     def __repr__(self) -> str:
@@ -195,17 +203,19 @@ class RootSystem:
     def length2(self, root: Root):
         return self._len2[self.root_index[tuple(root)]]
 
+    def check_weight(self, lam) -> None:
+        """Raise ValueError unless the weight lam has one entry per simple root."""
+        if len(lam) != self.rank:
+            raise ValueError(f"weight {tuple(lam)} has {len(lam)} entries, not rank {self.rank}")
+
     def pairing(self, lam, mu: Root):
-        """<lam, mu^vee> = 2 (lam, mu) / (mu, mu); mu must be a nonzero root."""
+        """<lam, mu^vee> = 2 (lam, mu) / (mu, mu) = sum_k lam_k <alpha_k, mu^vee>
+        for a root mu: an int for an integer lam, a Fraction for a Fraction lam."""
         idx = self.root_index.get(tuple(mu))
         if idx is None:
             raise ValueError(f"{mu} is not a root of {self!r}")
-        fv = self._form_vec[idx]
-        num = 2 * sum(lam[i] * fv[i] for i in range(self.rank))
-        den = self._len2[idx]
-        if isinstance(num, int) and num % den == 0:
-            return num // den
-        return Fraction(num, den)
+        self.check_weight(lam)
+        return sum(map(mul, lam, self._coroot_pairs[idx]))
 
     def reflect(self, lam, mu: Root):
         """Image of the weight lam under the reflection in the root mu."""

@@ -1,17 +1,17 @@
 """Weyl group elements, minimal coset representatives, and conjugacy tests.
 
-Elements act as permutations of the full root list and as exact integer
-matrices on the weight space.  A permutation is a `bytes` object of root
-indices (E8 has 240 roots), so composing two is one `bytes.translate`;
-elements, coset enumeration and the conjugacy tests all use this one format,
-and a type with more than 256 roots is rejected with a ValueError.  A
-reduced word is `bytes` too, one simple-root index per letter, so the
-cyclic garbage collector tracks neither.  Equality is equality of the root
-permutation; words are kept for display but are not canonical.  An element
-is also determined by the l bytes of its simple-root images:
-shortest_coset_reps keys each level on w(alpha_i), and the coset sweep keys
-the images of h on w^-1(alpha_i), which an element computes once and keeps
-(inverse_simple_images).
+Elements act as permutations of the full root list; act_weight maps a weight
+lam to sum_j lam_j w(alpha_j), reading w(alpha_j) off the permutation.  A
+permutation is a `bytes` object of root indices (E8 has 240 roots), so
+composing two is one `bytes.translate`; elements, coset enumeration and the
+conjugacy tests all use this one format, and a type with more than 256 roots
+is rejected with a ValueError.  A reduced word is `bytes` too, one
+simple-root index per letter, so the cyclic garbage collector tracks
+neither.  Equality is equality of the root permutation; words are kept for
+display but are not canonical.  An element is also determined by the l bytes
+of its simple-root images: shortest_coset_reps keys each level on
+w(alpha_i), and the coset sweep keys the images of h on w^-1(alpha_i), which
+an element computes once and keeps (inverse_simple_images).
 
 Conjugacy rests on one chamber walk (_dominant_perm): each root in turn is
 reflected into the chamber of the basis roots that fix the images already
@@ -71,13 +71,12 @@ def _simple_perm_table(rs: RootSystem) -> tuple[bytes, ...]:
 class WeylElement:
     """A Weyl group element; the word, bytes i1..ik, denotes s_{i1} o ... o s_{ik}."""
 
-    __slots__ = ("rs", "perm", "word", "_matrix", "_inverse_simples")
+    __slots__ = ("rs", "perm", "word", "_inverse_simples")
 
     def __init__(self, rs: RootSystem, perm: bytes, word: bytes):
         self.rs = rs
         self.perm = perm
         self.word = word
-        self._matrix = None
         self._inverse_simples = None
 
     @staticmethod
@@ -119,19 +118,13 @@ class WeylElement:
         # deleting the indices below n leaves the negative images
         return len(self.perm[:n].translate(None, bytes(range(n))))
 
-    def matrix(self) -> tuple:
-        """Integer matrix of the action on simple-root coordinates."""
-        if self._matrix is None:
-            cols = [self.rs.roots[self.perm[k]] for k in self.rs.simple_indices]
-            self._matrix = tuple(
-                tuple(cols[j][i] for j in range(self.rs.rank)) for i in range(self.rs.rank)
-            )
-        return self._matrix
-
     def act_weight(self, lam):
-        """Exact image of a weight vector in simple-root coordinates."""
-        m = self.matrix()
-        return tuple(sum(row[j] * lam[j] for j in range(self.rs.rank) if lam[j]) for row in m)
+        """Exact image sum_j lam_j w(alpha_j) of a weight vector in
+        simple-root coordinates, with w(alpha_j) read off the permutation."""
+        rs = self.rs
+        rs.check_weight(lam)
+        images = [rs.roots[self.perm[k]] for k in rs.simple_indices]
+        return tuple(sum(c * img[i] for c, img in zip(lam, images) if c) for i in range(rs.rank))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WeylElement) and self.rs is other.rs and self.perm == other.perm
@@ -234,6 +227,7 @@ def to_subdominant(rs: RootSystem, sub: WeylSubgroup, mu) -> tuple[tuple, WeylEl
     Returns (lam, w) with w(mu) = lam and <lam, beta_i^vee> >= 0 for every
     basis root, reflecting at the smallest violating index until none is left.
     """
+    rs.check_weight(mu)
     mu = tuple(mu)
     perm = bytes(range(len(rs.roots)))
     while True:

@@ -108,7 +108,7 @@ def bracket_basis(alg, i: int, j: int) -> dict:
         k, c = hit
         return {k: c}
     if abs(i - j) == alg.rs.n_pos:  # j indexes -roots[i]
-        return {n + t: c for t, c in enumerate(alg.coroot_coords[i]) if c}
+        return {n + t: c for t, c in enumerate(alg.rs.coroot_coords[i]) if c}
     return {}
 
 
@@ -262,6 +262,14 @@ def reflection_matrix(rs, i: int):
     for j in range(l):
         rows[i][j] -= rs.cartan_matrix[j][i]
     return tuple(tuple(r) for r in rows)
+
+
+def weyl_matrix(w):
+    """Integer matrix of a Weyl element on simple-root coordinates, read off
+    its root permutation: column j is w(alpha_j)."""
+    rs = w.rs
+    cols = [rs.roots[w.perm[k]] for k in rs.simple_indices]
+    return tuple(tuple(col[i] for col in cols) for i in range(rs.rank))
 
 
 def mat_mul(a, b):

@@ -2,6 +2,7 @@
 (perfbench/tracing.py) patches by attribute lookup."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -138,10 +139,9 @@ def test_one_draw_policy():
     assert built == ["characteristics.py"]
 
 
-def test_no_dead_private_helpers():
-    # every private function or method is named somewhere in the package
-    # outside its own body: a helper that only tests call is no helper
-    trees = list(module_trees())
+def named_outside_own_body(trees):
+    """A test that a function is named (read, called or assigned) somewhere
+    in the package outside its own body."""
     refs: dict = {}
     for _, tree in trees:
         for node in ast.walk(tree):
@@ -149,18 +149,52 @@ def test_no_dead_private_helpers():
                 refs.setdefault(node.id, []).append(node)
             elif isinstance(node, ast.Attribute):
                 refs.setdefault(node.attr, []).append(node)
-    dead = []
-    for path, tree in trees:
-        for fn in ast.walk(tree):
-            if (
-                isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and fn.name.startswith("_")
-                and not fn.name.startswith("__")
-            ):
-                own = set(map(id, ast.walk(fn)))
-                if all(id(node) in own for node in refs.get(fn.name, ())):
-                    dead.append(f"{path.name}: {fn.name}")
+
+    def named(fn) -> bool:
+        own = set(map(id, ast.walk(fn)))
+        return any(id(node) not in own for node in refs.get(fn.name, ()))
+
+    return named
+
+
+def test_no_dead_private_helpers():
+    # every private function or method is named somewhere in the package
+    # outside its own body: a helper that only tests call is no helper
+    trees = list(module_trees())
+    named = named_outside_own_body(trees)
+    dead = [
+        f"{path.name}: {fn.name}"
+        for path, tree in trees
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and fn.name.startswith("_")
+        and not fn.name.startswith("__")
+        and not named(fn)
+    ]
     assert dead == []
+
+
+def test_no_unreached_public_functions():
+    # every public module-level function is named somewhere in the package
+    # outside its own body, exported in nilorb.__all__, or patched by the
+    # benchmark's tracer (loaded by path, as TRACER_RUN does); methods are
+    # out of scope here
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    kept = set(nilorb.__all__) | {attr for _, attr in tracing.TRACED if "." not in attr}
+    trees = list(module_trees())
+    named = named_outside_own_body(trees)
+    unreached = [
+        f"{path.name}: {fn.name}"
+        for path, tree in trees
+        for fn in tree.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not fn.name.startswith("_")
+        and fn.name not in kept
+        and not named(fn)
+    ]
+    assert unreached == []
 
 
 def test_carrier_and_grading_stay_in_integers():
@@ -190,6 +224,20 @@ def test_carrier_and_grading_stay_in_integers():
     assert not defined & {
         "decide_normal_int", "wdd_of_values", "solve_int", "kernel_int", "_fractions"
     }
+    # the root system owns the integer coroots and pairings, and a Weyl
+    # element acts through its root permutation alone
+    assert not imported["rootsystem.py"] & {"fractions", "Fraction"}
+    assert not defined & {"_form_vec", "_integral_coroot", "_matrix", "matrix"}
+    chevalley = next(tree for path, tree in module_trees() if path.name == "chevalley.py")
+    algebra = next(
+        node for node in chevalley.body
+        if isinstance(node, ast.ClassDef) and node.name == "ChevalleyAlgebra"
+    )
+    assert not any(
+        isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and node.attr == "coroot_coords"
+        for node in ast.walk(algebra)
+    )
 
 
 def test_only_records_builds_records():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,10 @@ ROOT_COUNTS = {
     ("E", 7): 63,
     ("E", 8): 120,
 }
+
+TYPES_UP_TO_RANK_8 = [
+    (letter, k) for letter, (lo, hi) in _RANK_RANGES.items() for k in range(lo, min(hi or 8, 8) + 1)
+]
 
 
 @pytest.mark.parametrize("label,rank", sorted(ROOT_COUNTS))
@@ -101,6 +106,37 @@ def test_pairing_rejects_non_root():
     a2 = build_root_system("A", 2)
     with pytest.raises(ValueError):
         a2.pairing((1, 0), (0, 0))
+
+
+@pytest.mark.parametrize("lam", [(1, 0, 5), (1,)])
+def test_weights_of_the_wrong_length_are_refused(lam):
+    a2 = build_root_system("A", 2)
+    with pytest.raises(ValueError, match="not rank 2"):
+        a2.pairing(lam, (1, 0))
+    with pytest.raises(ValueError, match="not rank 2"):
+        a2.reflect(lam, (1, 0))
+
+
+@pytest.mark.parametrize("label,rank", TYPES_UP_TO_RANK_8)
+def test_integer_coroots_and_pairing_against_the_form(label, rank):
+    # coroot_coords[i][j] = 2 r_j d_j / |r|^2, all integers, and the one
+    # integer pairing equals 2 (lam, mu) / |mu|^2: an int for an integer
+    # weight, a Fraction for a Fraction weight (a few weights against every
+    # fifth root keeps the 31 types fast)
+    rs = build_root_system(label, rank)
+    for r, coroot in zip(rs.roots, rs.coroot_coords):
+        assert all(type(c) is int for c in coroot)
+        assert coroot == tuple(Fraction(2 * x * d, rs.length2(r)) for x, d in zip(r, rs.d))
+    rng = random.Random(rank)
+    ints = [rs.simple_root(0), rs.highest_root]
+    ints += [tuple(rng.randint(-6, 6) for _ in range(rank)) for _ in range(2)]
+    fracs = [tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rank)) for _ in range(2)]
+    for mu in rs.roots[::5]:
+        for weights, kind in ((ints, int), (fracs, Fraction)):
+            for lam in weights:
+                value = rs.pairing(lam, mu)
+                assert type(value) is kind
+                assert value == Fraction(2 * rs.inner(lam, mu), rs.length2(mu))
 
 
 def test_pairing_integral_on_roots():
@@ -232,13 +268,12 @@ def test_every_type_up_to_rank_8_identifies_its_own_cartan_matrix():
     # before any isomorphism search
     identify = _identify_component.__wrapped__
     checked = 0
-    for letter, (lo, hi) in _RANK_RANGES.items():
-        for k in range(lo, min(hi or 8, 8) + 1):
-            a = cartan_matrix(letter, k)
-            assert identify(tuple(map(tuple, a))) == (letter, k)
-            flipped = tuple(tuple(row[::-1]) for row in a[::-1])
-            assert identify(flipped) == (letter, k)
-            checked += 1
+    for letter, k in TYPES_UP_TO_RANK_8:
+        a = cartan_matrix(letter, k)
+        assert identify(tuple(map(tuple, a))) == (letter, k)
+        flipped = tuple(tuple(row[::-1]) for row in a[::-1])
+        assert identify(flipped) == (letter, k)
+        checked += 1
     assert checked == 8 + 7 + 6 + 5 + 3 + 1 + 1
     for k in range(3, 9):
         assert _off_diagonal_rows(cartan_matrix("B", k)) != _off_diagonal_rows(cartan_matrix("C", k))

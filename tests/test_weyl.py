@@ -1,9 +1,11 @@
 import functools
 import itertools
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +36,7 @@ from oracles import (
     weyl_from_word,
     weyl_identity,
     weyl_matrices,
+    weyl_matrix,
     weyl_simple,
 )
 
@@ -92,7 +95,7 @@ def test_coset_reps_a2_against_brute_force():
         coset = frozenset(mat_mul(u, m) for u in subgroup)
         cosets.add(coset)
     assert len(cosets) == len(reps) == 3
-    rep_mats = {tuple(tuple(row) for row in r.matrix()) for r in reps}
+    rep_mats = {weyl_matrix(r) for r in reps}
     for coset in cosets:
         assert len(rep_mats & set(coset)) == 1
     # each rep is the unique shortest element of its coset
@@ -111,7 +114,7 @@ def test_coset_counting_identity(rs, basis):
     from oracles import mat_mul
 
     for w in reps:
-        wm = tuple(tuple(row) for row in w.matrix())
+        wm = weyl_matrix(w)
         for u in subgroup:
             um = mat_mul(u, wm)
             if um != wm:
@@ -201,8 +204,37 @@ def test_coset_rep_words_are_least_reduced_words_on_b3(basis):
     reps = shortest_coset_reps(B3, WeylSubgroup(B3, basis))
     assert len(reps) * len(subgroup_matrices(B3, basis)) == 48
     for w in reps:
-        assert w.word == least[w.matrix()]
+        assert w.word == least[weyl_matrix(w)]
         assert len(w.word) == w.length()
+
+
+@pytest.mark.parametrize("lam", [(1, 0, 5), (1,)])
+def test_weights_of_the_wrong_length_are_refused(lam):
+    with pytest.raises(ValueError, match="not rank 2"):
+        weyl_simple(A2, 0).act_weight(lam)
+    with pytest.raises(ValueError, match="not rank 2"):
+        to_subdominant(A2, full_subgroup(A2), lam)
+
+
+def test_act_weight_matches_the_reference_matrix_on_b3():
+    # on every element of W(B3), the image read off the permutation equals
+    # the product of the reflection matrices of the element's word applied
+    # to the weight, with the weight's number type
+    rng = random.Random(3)
+    ints = [(1, 0, 0), (0, 0, 1)] + [tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(4)]
+    fracs = [
+        tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4)) for _ in range(3))
+        for _ in range(4)
+    ]
+    gens = [reflection_matrix(B3, i) for i in range(3)]
+    ident = tuple(tuple(int(a == b) for b in range(3)) for a in range(3))
+    for w in shortest_coset_reps(B3, WeylSubgroup(B3, ())):
+        m = functools.reduce(mat_mul, (gens[i] for i in w.word), ident)
+        assert weyl_matrix(w) == m
+        for lam in ints + fracs:
+            image = w.act_weight(lam)
+            assert image == mat_vec(m, lam)
+            assert {type(x) for x in image} == {type(lam[0])}
 
 
 def test_to_subdominant_examples():
@@ -226,7 +258,7 @@ def test_to_subdominant_matches_orbit_enumeration(mu):
         lam, w = to_subdominant(rs, sub, mu)
         assert w.act_weight(mu) == lam
         group = subgroup_matrices(rs, basis)
-        assert w.matrix() in group
+        assert weyl_matrix(w) in group
         orbit = {mat_vec(m, mu) for m in group}
         dominant = [v for v in orbit if all(rs.pairing(v, b) >= 0 for b in basis)]
         assert lam in orbit
@@ -286,7 +318,7 @@ def test_conjugate_tuples_matches_brute_force_orbits(rs, basis):
                 w = conjugate_tuples(rs, sub, mus, lams)
                 assert (w is not None) == (lams in orbit), (mus, lams)
                 if w is not None:
-                    assert w.matrix() in members
+                    assert weyl_matrix(w) in members
                     assert tuple(w.act_weight(r) for r in mus) == lams
 
 
@@ -321,8 +353,9 @@ def test_every_element_keeps_a_bytes_word_of_itself(label, rank, kind, arg):
 
 
 def test_coset_reps_of_e8_2a4_stay_small():
-    # the list peaks at about 20.4 MB with bytes words and 31.4 MB with
-    # tuple words, which the collector also tracks; the bound lies between
+    # the list peaks at about 19.0 MB with bytes words (19.4 MB while each
+    # element kept a matrix slot) and 31.4 MB with tuple words, which the
+    # collector also tracks; the bound lies between
     rs, sub = coset_case(*E8_2A4)
     shortest_coset_reps(rs, sub)  # fills the per-root-system caches
     tracemalloc.start()
@@ -454,8 +487,8 @@ def test_group_law_on_all_of_b3():
     for u in group:
         assert is_identity(u * u.inverse())
         for v in group:
-            assert (u * v).matrix() == mat_mul(u.matrix(), v.matrix())
-            assert (u == v) == (u.matrix() == v.matrix())
+            assert weyl_matrix(u * v) == mat_mul(weyl_matrix(u), weyl_matrix(v))
+            assert (u == v) == (weyl_matrix(u) == weyl_matrix(v))
             if u == v:
                 assert hash(u) == hash(v)
 
