@@ -85,18 +85,25 @@ class GradedCandidate:
     def phi1_span(self, grading: ThetaGrading) -> int:
         """Bitmask over root indices of the roots of Phi_1 in the span of the
         candidate's roots, those with which every root_kernel vector pairs
-        to zero (one pairing with _packed).  The class-search move reads it
-        on every candidate it expands; any other candidate computes it on
-        the first call.  Kept by the candidate with its grading."""
+        to zero (one pairing with _packed, or with the vector itself when
+        there is one).  A candidate of full rank has an empty kernel, and
+        its span is the whole of Phi_1 (grading.phi1_mask).  The
+        class-search move reads it on every candidate it expands; any other
+        candidate computes it on the first call.  Kept by the candidate with
+        its grading."""
         kept = self.__dict__.get("_phi1_span")
         if kept is not None and kept[0] is grading:
             return kept[1]
         rs = grading.rs
-        packed = _packed(self.root_kernel(rs.rank), rs.highest_root)
-        span = 0
-        for i, r in zip(grading.phi1_indices, grading.phi1):
-            if not sum(map(mul, packed, r)):
-                span |= 1 << i
+        kernel = self.root_kernel(rs.rank)
+        if not kernel:
+            span = grading.phi1_mask
+        else:
+            packed = kernel[0] if len(kernel) == 1 else _packed(kernel, rs.highest_root)
+            span = 0
+            for i, r in zip(grading.phi1_indices, grading.phi1):
+                if not sum(map(mul, packed, r)):
+                    span |= 1 << i
         object.__setattr__(self, "_phi1_span", (grading, span))
         return span
 
@@ -183,6 +190,8 @@ def candidate_pi_systems(grading: ThetaGrading) -> list[GradedCandidate]:
 
     def add_one(cand: GradedCandidate, orbit) -> list[GradedCandidate]:
         blocked = cand.phi1_span(grading)  # holds the candidate's own roots
+        if blocked == grading.phi1_mask:
+            return []  # every root of Phi_1 is in the span, as at full rank: none admissible
         for i in map(rs.root_index.__getitem__, cand.roots()):
             blocked |= masks[i]
         first = {}  # stabiliser-orbit label -> first admissible root

@@ -6,9 +6,9 @@ on the simple nodes and m = sum a_i s_i over the extended diagram.  A
 ThetaGrading is built from m and s_1..s_l alone: grading_from_kac reads them
 off a Kac diagram, and the principal grading has s_i = 1 on every simple
 node.  The grading holds integers only: the degree of every root, Phi_0,
-Phi_1 and the simple system Delta_0 of Phi_0.  g_0 is the Cartan
-subalgebra plus the root vectors of Phi_0, so its centre has dimension
-rank - len(delta0).
+Phi_1 (also as a bitmask over root indices) and the simple system Delta_0
+of Phi_0.  g_0 is the Cartan subalgebra plus the root vectors of Phi_0, so
+its centre has dimension rank - len(delta0).
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ class ThetaGrading:
         self.phi1_indices = tuple(i for i, d in enumerate(self.deg_by_index) if d == 1 % m)
         self.phi0 = tuple(rs.roots[i] for i in self.phi0_indices)
         self.phi1 = tuple(rs.roots[i] for i in self.phi1_indices)
+        self.phi1_mask = sum(1 << i for i in self.phi1_indices)  # bitmask over root indices
         self.delta0 = rs.simple_system(r for r in self.phi0 if rs.is_positive(r))
         self._wl = None
 

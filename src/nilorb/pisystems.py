@@ -31,6 +31,10 @@ def elementary_transformations(rs: RootSystem, pi) -> list[PiSystem]:
     For each connected component D: adjoin the lowest root of the subsystem
     spanned by D, then erase one original root of D.  Erasing inside D keeps
     the set independent, so only the difference condition needs rechecking.
+    Components and lowest roots are read off the root system's integer
+    pairing table: the lowest root is -theta_D, where theta_D, the one long
+    root of the subsystem dominant for D, is reached by a chamber walk from
+    a long root of D (RootSystem.lowest_root_of_subsystem).
     """
     pi = canonical(pi)
     out = []

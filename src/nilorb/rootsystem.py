@@ -7,7 +7,9 @@ length 2, which keeps every pairing and structure constant integral.  The
 positive roots are built from the Cartan integers alone, as the closure of
 the simple roots under the simple reflections.  One pass over (alpha_k, r)
 per root r gives |r|^2, the integer coroot coordinates (coroot_coords) and
-<alpha_k, r^vee>, so a pairing <lam, r^vee> is one integer dot product.
+<alpha_k, r^vee>, so a pairing <lam, r^vee> is one integer dot product;
+the components of a set of roots and the lowest root of a subsystem are
+read off the same table.
 """
 
 from __future__ import annotations
@@ -194,11 +196,12 @@ class RootSystem:
     def simple_root(self, i: int) -> Root:
         return tuple(1 if j == i else 0 for j in range(self.rank))
 
-    def inner(self, lam, mu):
-        """W-invariant inner product (lam, mu) of two weight vectors."""
-        b = self.bilinear_form
-        l = self.rank
-        return sum(lam[i] * sum(b[i][j] * mu[j] for j in range(l)) for i in range(l))
+    def _index(self, root) -> int:
+        """The index of a root in roots; ValueError for a vector that is not one."""
+        idx = self.root_index.get(tuple(root))
+        if idx is None:
+            raise ValueError(f"{root} is not a root of {self!r}")
+        return idx
 
     def length2(self, root: Root):
         return self._len2[self.root_index[tuple(root)]]
@@ -211,11 +214,9 @@ class RootSystem:
     def pairing(self, lam, mu: Root):
         """<lam, mu^vee> = 2 (lam, mu) / (mu, mu) = sum_k lam_k <alpha_k, mu^vee>
         for a root mu: an int for an integer lam, a Fraction for a Fraction lam."""
-        idx = self.root_index.get(tuple(mu))
-        if idx is None:
-            raise ValueError(f"{mu} is not a root of {self!r}")
+        pairs = self._coroot_pairs[self._index(mu)]
         self.check_weight(lam)
-        return sum(map(mul, lam, self._coroot_pairs[idx]))
+        return sum(map(mul, lam, pairs))
 
     def reflect(self, lam, mu: Root):
         """Image of the weight lam under the reflection in the root mu."""
@@ -225,8 +226,12 @@ class RootSystem:
     # -- subsystems ---------------------------------------------------------
 
     def components(self, roots) -> list[list[Root]]:
-        """Partition a set of roots into Dynkin-diagram components."""
+        """Partition a set of roots into Dynkin-diagram components: r_i and
+        r_j are joined when <r_j, r_i^vee> != 0, read off the integer
+        pairing table, which is zero exactly when (r_i, r_j) is.  ValueError
+        for a vector that is not a root."""
         roots = [tuple(r) for r in roots]
+        pairs = [self._coroot_pairs[self._index(r)] for r in roots]
         n = len(roots)
         seen = [False] * n
         comps = []
@@ -239,7 +244,7 @@ class RootSystem:
                 i = stack.pop()
                 comp.append(roots[i])
                 for j in range(n):
-                    if not seen[j] and self.inner(roots[i], roots[j]) != 0:
+                    if not seen[j] and sum(map(mul, roots[j], pairs[i])):
                         seen[j] = True
                         stack.append(j)
             comps.append(comp)
@@ -249,8 +254,7 @@ class RootSystem:
         """Closure of the given roots under the reflections they generate."""
         gens = [tuple(g) for g in generators]
         for g in gens:
-            if g not in self.root_index:
-                raise ValueError(f"{g} is not a root of {self!r}")
+            self._index(g)  # ValueError for a vector that is not a root
         out = set(gens)
         work = list(gens)
         while work:
@@ -280,27 +284,39 @@ class RootSystem:
         return self.simple_system(r for r in self.subsystem_roots(roots) if self.is_positive(r))
 
     def lowest_root_of_subsystem(self, basis) -> Root:
-        """Lowest root of the subsystem spanned by a connected pi-system.
+        """Lowest root -theta_B of the subsystem with the connected pi-system
+        basis B, by one chamber walk on the integer pairing table.
 
-        It is the lowest weight of the (irreducible) adjoint representation
-        of the subsystem: the one root r of the closure with r != b and
-        r - b outside the closure for every basis root b.
+        The walk starts at a root of B of greatest length and, while some b
+        in B has <r, b^vee> < 0, replaces r by s_b(r) = r - <r, b^vee> b,
+        which is higher by a positive multiple of b.  So the walk ends, and
+        it ends at a long root of the subsystem that is dominant for B.
+        The subsystem is irreducible (B is connected), and its highest root
+        theta_B is its only dominant long root (Bourbaki, Lie groups and Lie
+        algebras VI 1.8, Prop. 25).  ValueError unless B is a set of roots
+        that is linearly independent, connected and with no difference of
+        two roots a root, which makes it a basis of the subsystem it spans
+        (Dynkin).
         """
         basis = [tuple(b) for b in basis]
-        for b in basis:
-            if b not in self.root_index:
-                raise ValueError(f"{b} is not a root of {self!r}")
-        gram = [[self.inner(a, b) for b in basis] for a in basis]
-        if linalg.rank_int(gram) != len(basis):
+        pairs = [self._coroot_pairs[self._index(b)] for b in basis]
+        if linalg.rank_int(basis) != len(basis):
             raise ValueError("basis is not linearly independent")
         if len(self.components(basis)) != 1:
             raise ValueError("basis is not connected")
-        closure = self.subsystem_roots(basis)
-        return next(
-            r
-            for r in closure
-            if all(r != b and tuple(x - y for x, y in zip(r, b)) not in closure for b in basis)
-        )
+        for k, a in enumerate(basis):
+            for b in basis[:k]:
+                if tuple(x - y for x, y in zip(a, b)) in self.root_index:
+                    raise ValueError(f"basis is not a pi-system: {a} - {b} is a root")
+        r = max(basis, key=self.length2)
+        while True:
+            for b, p in zip(basis, pairs):
+                c = sum(map(mul, r, p))
+                if c < 0:
+                    r = tuple(x - c * y for x, y in zip(r, b))
+                    break
+            else:
+                return tuple(-x for x in r)
 
     # -- Dynkin types and Weyl orders ----------------------------------------
 

@@ -21,6 +21,14 @@ def dense(x):
     return v
 
 
+def inner(rs, lam, mu):
+    """The W-invariant inner product (lam, mu) of two weight vectors, from
+    the bilinear form of the simple roots: the reference form."""
+    b = rs.bilinear_form
+    l = rs.rank
+    return sum(lam[i] * sum(b[i][j] * mu[j] for j in range(l)) for i in range(l))
+
+
 def is_identity(w) -> bool:
     """Whether a WeylElement fixes every root."""
     return w.perm == bytes(range(len(w.perm)))
@@ -481,14 +489,27 @@ def same_partition(labels1, labels2) -> bool:
     return len(pairs) == len(set(labels1)) == len(set(labels2))
 
 
+def form_components(rs, roots):
+    """The classes of the roots joined by a chain of pairs with a nonzero
+    inner product, as lists in the given order."""
+    roots = [tuple(r) for r in roots]
+    label = list(range(len(roots)))
+    for i, a in enumerate(roots):
+        for j in range(i):
+            if inner(rs, a, roots[j]):
+                old, new = label[i], label[j]
+                label = [new if x == old else x for x in label]
+    return [[r for r, x in zip(roots, label) if x == c] for c in sorted(set(label))]
+
+
 def lowest_root_by_height(rs, basis):
     """The least-height root of the closure of a connected pi-system, with
     heights taken in the pi-system's own basis by exact solves."""
     basis = [tuple(b) for b in basis]
-    gram = [[rs.inner(a, b) for b in basis] for a in basis]
+    gram = [[inner(rs, a, b) for b in basis] for a in basis]
     return min(
         rs.subsystem_roots(basis),
-        key=lambda r: sum(fraction_solve(gram, [rs.inner(r, b) for b in basis])),
+        key=lambda r: sum(fraction_solve(gram, [inner(rs, r, b) for b in basis])),
     )
 
 
@@ -870,7 +891,7 @@ def reference_wdd_of_cartan(alg, h):
     full = WeylSubgroup(rs, [rs.simple_root(i) for i in range(rs.rank)])
     lam, den = linalg.clear_denominators(dual_weight(alg, h))
     lam, _ = to_subdominant(rs, full, lam)
-    return tuple(Fraction(rs.inner(rs.simple_root(i), lam), den) for i in range(rs.rank))
+    return tuple(Fraction(inner(rs, rs.simple_root(i), lam), den) for i in range(rs.rank))
 
 
 def eager_echelon(m, ncols):

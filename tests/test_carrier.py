@@ -2,6 +2,7 @@ import logging
 import os
 import subprocess
 import sys
+from collections import Counter
 from operator import mul
 from pathlib import Path
 
@@ -180,17 +181,22 @@ def test_inherited_root_kernels_span_the_kernel():
 def test_kept_phi1_span_is_the_span():
     # the span set the class-search move keeps on each candidate it
     # expands, and the one a hand-built candidate computes on demand, hold
-    # the roots of Phi_1 that leave the rank unchanged; m = 1 and m = 2 included
+    # the roots of Phi_1 that leave the rank unchanged; m = 1 and m = 2
+    # included, and candidates of full rank (empty kernel, the whole of
+    # Phi_1) and of one kernel vector (paired without packing)
     gradings = gradings_of(G2, (1, 2, 3)) + gradings_of(F4, (2, 4)) + [principal_nregular_grading(E6, 7)]
-    checked = 0
+    checked = Counter()
     for g in gradings:
         for cand in candidate_pi_systems(g):
             assert "_phi1_span" in cand.__dict__, cand
             reference = reference_phi1_span(g, cand)
             assert cand.phi1_span(g) == reference, (g, cand)
             assert GradedCandidate(cand.pi0, cand.pi1).phi1_span(g) == reference, (g, cand)
-            checked += 1
-    assert checked > 500
+            checked[g.rs.rank - len(cand.roots())] += 1
+            if len(cand.roots()) == g.rs.rank:
+                assert reference == g.phi1_mask, (g, cand)
+    assert sum(checked.values()) > 500
+    assert checked[0] > 50 and checked[1] > 50, checked
     g = a3_example_grading()
     example = GradedCandidate((), ((-1, -1, 0), (0, 1, 0)))
     assert example.phi1_span(g) == reference_phi1_span(g, example) != 0

@@ -14,7 +14,7 @@ from nilorb import (
     parse_type,
 )
 from nilorb.rootsystem import _RANK_RANGES, _identify_component, _off_diagonal_rows, cartan_matrix
-from oracles import is_root, lowest_root_by_height, root_string_positive_roots
+from oracles import form_components, inner, is_root, lowest_root_by_height, root_string_positive_roots
 
 # textbook G2 positive roots for the short-alpha_1 convention
 G2_POSITIVE = {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
@@ -136,7 +136,7 @@ def test_integer_coroots_and_pairing_against_the_form(label, rank):
             for lam in weights:
                 value = rs.pairing(lam, mu)
                 assert type(value) is kind
-                assert value == Fraction(2 * rs.inner(lam, mu), rs.length2(mu))
+                assert value == Fraction(2 * inner(rs, lam, mu), rs.length2(mu))
 
 
 def test_pairing_integral_on_roots():
@@ -202,12 +202,27 @@ def test_lowest_root_examples():
     assert g2.lowest_root_of_subsystem([(1, 0), (0, 1)]) == (-3, -2)
 
 
-def test_lowest_root_is_least_height_root_on_f4_classes():
-    f4 = build_root_system("F", 4)
-    comps = [c for pi in classify_all(f4) for c in f4.components(pi)]
-    assert len(comps) == 40
-    for comp in comps:
-        assert f4.lowest_root_of_subsystem(comp) == lowest_root_by_height(f4, comp)
+def test_lowest_root_is_least_height_root_on_every_class_up_to_rank_6():
+    # the chamber walk starts at a long root; B, C, G2 and F4 have two
+    # root lengths, and the components of their classes have either
+    checked = 0
+    for label, rank in TYPES_UP_TO_RANK_8:
+        if rank > 6:
+            continue
+        rs = build_root_system(label, rank)
+        for pi in classify_all(rs):
+            comps = rs.components(pi)
+            assert sorted(map(sorted, comps)) == sorted(map(sorted, form_components(rs, pi))), pi
+            for comp in comps:
+                assert rs.lowest_root_of_subsystem(comp) == lowest_root_by_height(rs, comp), comp
+                checked += 1
+    assert checked == 826
+
+
+def test_components_refuse_a_vector_that_is_not_a_root():
+    a2 = build_root_system("A", 2)
+    with pytest.raises(ValueError, match="not a root"):
+        a2.components([(1, 0), (2, 0)])
 
 
 def test_lowest_root_rejects_bad_input():
@@ -217,6 +232,11 @@ def test_lowest_root_rejects_bad_input():
     a3 = build_root_system("A", 3)
     with pytest.raises(ValueError):
         a3.lowest_root_of_subsystem([(1, 0, 0), (0, 0, 1)])  # disconnected
+    with pytest.raises(ValueError, match="not a pi-system"):
+        # independent and connected, but (1, 1) - (1, 0) is a root
+        a2.lowest_root_of_subsystem([(1, 0), (1, 1)])
+    with pytest.raises(ValueError, match="not a root"):
+        a2.lowest_root_of_subsystem([(1, 0), (2, 1)])
 
 
 def test_dynkin_type_recognition():
