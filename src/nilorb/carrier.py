@@ -42,7 +42,7 @@ from .characteristics import cartan_key, decide_normal
 from .chevalley import ChevalleyAlgebra
 from .grading import ThetaGrading
 from .pisystems import canonical, classify_all
-from .records import InternalConsistencyError, OrbitRecord, listing
+from .records import InternalConsistencyError, OrbitRecord, listing, wdd_of_cartan
 from .rootsystem import Root
 from .weyl import conjugacy_classes, dominant_values
 
@@ -269,9 +269,10 @@ def classify_by_carriers(grading: ThetaGrading, seed: int = 0) -> list[OrbitReco
     dominant chamber of W_l on its integer root values; unseen canonical
     forms (characteristics.cartan_key, since completion's den need not be
     the least) are completed to normal triples by decide_normal, which
-    must succeed for a flat carrier, and records.listing makes the triples
-    the listing.  A candidate with no degree-1 root has defining element 0,
-    so it is never flat and is not completed.  Nor is a candidate with
+    must succeed for a flat carrier, and records.listing makes the triples,
+    each with the WDD of its h (wdd_of_cartan), the listing.  A candidate
+    with no degree-1 root has defining element 0, so it is never flat and
+    is not completed.  Nor is a candidate with
     fewer than |pi1| + 3|pi0| roots of Phi_1 in its span (phi1_span), by
     the count bound of the module docstring.  Every other candidate has
     independent roots, so completion must find its defining element.  The
@@ -310,7 +311,7 @@ def classify_by_carriers(grading: ThetaGrading, seed: int = 0) -> list[OrbitReco
                 f"{grading.describe()}: flat carrier {cand} produced non-normal "
                 f"canonical h = {alg.cartan(hnum, den)!r}"
             )
-        triples[key] = triple, den, values
+        triples[key] = triple, den, values, wdd_of_cartan(rs, den, values)
     records = listing(grading, list(triples.values()))
     log.debug(
         "%s: %d candidates, %d non-empty, %d skipped by the count bound, %d flat, "

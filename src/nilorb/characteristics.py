@@ -4,11 +4,11 @@ Nilpotent orbits of the ambient algebra are classified by weighted Dynkin
 diagrams.  For each dominant characteristic h, the images under the minimal
 coset representatives of W_l exhaust the chamber C_l + r, and testing each
 image for membership in a normal sl2-triple (h in g_0, e in g_1, f in
-g_{m-1}) yields one triple per nilpotent orbit of the theta-group, which
-records.listing makes the listing.  A graded form of the sl2 multiplicity
-bound, counted without elimination, drops most images before that test.
-decide_normal takes h in integers (ChevalleyAlgebra.cartan_values); only
-normal_list and h_from_wdd take or give a Fraction h.
+g_{m-1}) yields one triple per orbit of the theta-group, certified on the
+integers that found it, which records.listing makes the listing with the
+WDD of h.  A graded sl2 multiplicity bound, counted without elimination,
+drops most images before that test.  decide_normal takes h in integers;
+only normal_list and h_from_wdd take or give a Fraction h.
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
 from math import gcd
+from operator import mul
 
 from . import linalg
 from .chevalley import ChevalleyAlgebra, LieElement, Sl2Triple
 from .grading import ThetaGrading, trivial_grading
-from .records import OrbitRecord, WeightedDynkinDiagram, listing
+from .records import InternalConsistencyError, OrbitRecord, WeightedDynkinDiagram, listing
 from .weyl import WeylElement, check_root_count, dominant_simple_values, shortest_coset_reps
 
 log = logging.getLogger(__name__)
@@ -101,31 +102,33 @@ def _normal_triple(grading, eye, hnum, den, values, seed) -> Sl2Triple | None:
 
     With eye the roots gamma_t of g_1(2) and e = sum_t c_t x_gamma_t, the
     matrix M of ad e: g_0(0) -> g_1(2) has one row per basis element b of
-    g_0(0) and one column per gamma_t.  The sparse x_beta rows (beta(h) =
-    0) come before the dense h_k rows: neither the rank nor the unique
-    solution depends on the row order, and sparse pivot rows leave more
-    zero multipliers, whose rows the elimination skips (linalg._echelon).
-    e is in general position when M has rank len(eye).  For f = sum_t y_t
-    x_-gamma_t, [e, f] - h lies in g_0(0), on which the invariant form B is
-    nondegenerate, and B([e, f], b) = B(f, [b, e]); so [e, f] = h iff
-    M u = r, where in the integer form B' of ChevalleyAlgebra.killing_weights
-    (weights w) r_k = w_k * values[simple_k] on the h_k rows, r = 0 on the
-    x_beta rows, and u_t = den * w_gamma_t * y_t.  One elimination of
-    [M | r] per try gives both the rank and f, which is unique given (h, e):
-    linalg.rank_and_solve returns u = num / d, so y_t = num_t / (d * den *
-    w_gamma_t), one Fraction per coefficient.  The triple is checked
-    (Sl2Triple.check) before it is returned.
+    g_0(0) and one column per gamma_t, the sparse x_beta rows (beta(h) = 0,
+    their entries found once per h) before the dense h_k rows, so that the
+    elimination skips more rows (linalg._echelon).  e is in general
+    position when M has rank len(eye).  For f = sum_t y_t x_-gamma_t,
+    [e, f] - h lies in g_0(0), on which the invariant form B is
+    nondegenerate, and B([e, f], b) = B(f, [b, e]); so [e, f] = h iff M u
+    = r, where in the integer form of ChevalleyAlgebra.killing_weights w,
+    r_k = w_k * values[simple_k] on the h_k rows, r = 0 on the x_beta rows
+    and u_t = den * w_gamma_t * y_t.  One elimination of [M | r] per try
+    gives the rank and f, unique given (h, e): u = num / d, so y_t = F_t /
+    (d den L) with L = max w and F_t = num_t L / w_gamma_t.
+    ChevalleyAlgebra.check_sl2 certifies the triple on these integers, or
+    InternalConsistencyError names the grading and h, before the Fraction f.
 
     The coefficients of e are uniform in {0..n}, n = 4 doubled after every
     failure; past OMEGA_CAP, read at call time, the search raises
-    RetryBudgetError naming the grading and h.
-    """
+    RetryBudgetError naming the grading and h."""
     alg, rs = grading.alg, grading.rs
     pair, consts = alg.simple_pairings, alg.structure_constants
-    weights = alg.killing_weights
+    weights, top = alg.killing_weights, max(alg.killing_weights)
     rhs = [weights[i] * values[i] for i in rs.simple_indices]
-    zero_idx = [i for i in grading.phi0_indices if values[i] == 0]
     pos_in_eye = {i: t for t, i in enumerate(eye)}
+    pattern = [  # (t, column, N) of each [x_beta, e] row, beta(h) = 0 in Phi_0
+        [(t, pos_in_eye[hit[0]], hit[1]) for t, i in enumerate(eye) if (hit := consts.get((j, i)))]
+        for j in grading.phi0_indices if values[j] == 0
+    ]
+    h_cols = [[pair[i][k] for i in eye] for k in range(rs.rank)]
     s = len(eye)
     rng = h_rng(seed, hnum, den)
 
@@ -133,16 +136,12 @@ def _normal_triple(grading, eye, hnum, den, values, seed) -> Sl2Triple | None:
     while True:
         coeffs = [rng.randint(0, n) for _ in range(s)]
         rows = []
-        for j in zero_idx:  # [x_beta, e] | 0
+        for entries in pattern:  # [x_beta, e] | 0
             row = [0] * (s + 1)
-            for t, i in enumerate(eye):
-                hit = consts.get((j, i))
-                if hit is not None and coeffs[t]:
-                    target, c = hit
-                    row[pos_in_eye[target]] += coeffs[t] * c
+            for t, col, c in entries:
+                row[col] += coeffs[t] * c
             rows.append(row)
-        for k in range(rs.rank):  # [h_k, e] | r_k
-            rows.append([coeffs[t] * pair[eye[t]][k] for t in range(s)] + [rhs[k]])
+        rows += [[*map(mul, coeffs, col), r] for col, r in zip(h_cols, rhs)]  # [h_k, e] | r_k
         rank, sol = linalg.rank_and_solve(rows, s)
         if rank == s:
             break
@@ -156,16 +155,17 @@ def _normal_triple(grading, eye, hnum, den, values, seed) -> Sl2Triple | None:
     if sol is None:
         return None
     u, d = sol
-    n_pos = rs.n_pos
-    f = {
-        i + n_pos if i < n_pos else i - n_pos: Fraction(x, d * den * weights[i])
-        for i, x in zip(eye, u)
-    }
-    triple = Sl2Triple(
-        alg.cartan(hnum, den), LieElement(alg, dict(zip(eye, coeffs))), LieElement(alg, f)
-    )
-    triple.check()
-    return triple
+    n_pos, fden = rs.n_pos, d * den * top
+    e = {i: c for i, c in zip(eye, coeffs) if c}
+    fnum = {i + n_pos if i < n_pos else i - n_pos: x * top // weights[i] for i, x in zip(eye, u) if x}
+    try:
+        alg.check_sl2(hnum, den, e, fnum, fden)
+    except ValueError as exc:
+        raise InternalConsistencyError(
+            f"{grading.describe()}: the triple of h = {alg.cartan(hnum, den)!r} fails {exc}"
+        ) from None
+    f = {j: Fraction(x, fden) for j, x in fnum.items()}
+    return Sl2Triple(alg.cartan(hnum, den), LieElement(alg, e), LieElement(alg, f))
 
 
 def _sl2_module_multiplicities(rank: int, pos: bytes) -> bool:
@@ -260,10 +260,10 @@ def classify_nilpotent_g(alg: ChevalleyAlgebra) -> tuple:
 
 @lru_cache(maxsize=None)
 def _characteristics(alg: ChevalleyAlgebra) -> tuple:
-    """The _characteristic of every nonzero h of classify_nilpotent_g (all
-    but its first)."""
+    """(wdd, _characteristic of h) for every nonzero (wdd, h) of
+    classify_nilpotent_g (all but its first)."""
     nonzero = classify_nilpotent_g(alg)[1:]
-    return tuple(_characteristic(h, *alg.cartan_values(h)[1:]) for _, h in nonzero)
+    return tuple((wdd, _characteristic(h, *alg.cartan_values(h)[1:])) for wdd, h in nonzero)
 
 
 def _graded_sl2_bound(grading: ThetaGrading, perm, zero, two) -> bool:
@@ -372,11 +372,12 @@ def classify_by_characteristics(grading: ThetaGrading, seed: int = 0) -> list[Or
     sweeping coset images of every nonzero ambient characteristic: the sweep
     of normal_list per characteristic, on the _characteristics kept per
     algebra and on the representatives' bytes joined once.  The normal
-    triples, each with the integers of its h, go to records.listing, which
-    builds the records and checks that no two share an h."""
+    triples, each with the integers of its h and the WDD of its
+    characteristic, go to records.listing, which builds the records and
+    checks that no two share an h."""
     reps = shortest_coset_reps(grading.rs, grading.weyl_subgroup())
     joined = b"".join(map(WeylElement.inverse_simple_images, reps))
     found = []
-    for char in _characteristics(grading.alg):
-        found += _sweep(grading, reps, joined, char, seed)
+    for wdd, char in _characteristics(grading.alg):
+        found += [(*x, wdd) for x in _sweep(grading, reps, joined, char, seed)]
     return listing(grading, found)

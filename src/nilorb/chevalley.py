@@ -10,8 +10,8 @@ roots by height: each constant N_{x,y} of a positive pair is written
 together with the eleven that two identities tie to it, N_{-a,-b} =
 -N_{a,b} and N_{a,b} / |c|^2 = N_{b,c} / |a|^2 = N_{c,a} / |b|^2 for
 a + b + c = 0, and Carter's formula for a later pair reads the table.  One
-integer bracket over the tables serves both ChevalleyAlgebra.bracket and
-Sl2Triple.check.
+integer bracket over the tables serves bracket, Sl2Triple.check and
+check_sl2, the certificate of the normality test's integer triples.
 
 The algebra also owns the integer form of a Cartan element, which both
 listing methods test on: cartan_values gives den * h and den * alpha(h) for
@@ -336,6 +336,21 @@ class ChevalleyAlgebra:
                         if c:
                             out[t] = out.get(t, 0) + a * b * c
         return {k: v for k, v in out.items() if v}
+
+    def check_sl2(self, hnum, den: int, e: dict, f: dict, fden: int) -> None:
+        """Raise ValueError unless (hnum / den, e, f / fden) is an sl2-triple,
+        e != 0, for integers hnum over h_1..h_l and int dicts e, f over root
+        vectors: den * alpha(h) from the pairing table on the supports, then
+        one integer bracket, den [e, f] = fden hnum.  No Fraction is built."""
+        if not e:
+            raise ValueError("sl2 triple with e = 0")
+        n, pair = self.n_roots, self.simple_pairings
+        for x, c, message in ((e, 2, "[h,e] != 2e"), (f, -2, "[h,f] != -2f")):
+            if any(i >= n or sum(map(mul, hnum, pair[i])) != c * den for i in x):
+                raise ValueError(message)
+        ef = {k: den * v for k, v in self._bracket_int(e, f).items()}
+        if ef != {n + k: fden * x for k, x in enumerate(hnum) if x}:
+            raise ValueError("[e,f] != h")
 
     def bracket(self, x: LieElement, y: LieElement) -> LieElement:
         """[x, y] by the integer bracket: the coefficients of x and of y are

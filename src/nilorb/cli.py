@@ -227,6 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # join "-1,1,1", which argparse takes for an option
+        if argv[i - 1] in ("--kac", "--orders") and argv[i][:1] == "-" and argv[i][1:2].isdigit():
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     if getattr(args, "outer", False):
         print("error: outer automorphisms are not supported", file=sys.stderr)

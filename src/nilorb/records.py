@@ -1,10 +1,10 @@
 """Orbit records and the weighted Dynkin diagram of an ambient orbit.
 
 Both listing methods end at one normal triple per nonzero orbit, with the
-integer form of h that they tested; listing turns those into the listing,
-building each record complete and frozen with orbit_record, which derives
-everything in the record but the triple from those integers, the ambient
-diagram (wdd_of_cartan) too; a Fraction h passes *alg.cartan_values(h)[1:]."""
+integer form of h that they tested and its ambient diagram (method 1 swept
+it, method 2 walks wdd_of_cartan); listing makes those the listing, each
+record built complete and frozen by orbit_record from those integers; a
+Fraction h passes *alg.cartan_values(h)[1:]."""
 
 from __future__ import annotations
 
@@ -56,14 +56,13 @@ class OrbitRecord:
         return tuple(Fraction(c) for c in self.h.cartan_part())
 
 
-def orbit_record(grading: ThetaGrading, triple: Sl2Triple, den: int, values) -> OrbitRecord:
+def orbit_record(grading: ThetaGrading, triple: Sl2Triple, den: int, values, wdd) -> OrbitRecord:
     """The record of a normal triple (h, e, f) with values[i] = den *
-    alpha_i(h), den > 0 and not necessarily the least; (0, 0, 0) with zero
-    values gives the zero record.  It raises InternalConsistencyError when a
-    root of Delta_0 is negative on h (h outside C_l + r), reads the ambient
-    orbit's weighted Dynkin diagram (wdd_of_cartan), counts the dimension
-    (dimension_of_values) and, at m = 2, runs check_kostant_rallis.
-    """
+    alpha_i(h), den > 0 and not necessarily the least, in the ambient orbit
+    of weighted Dynkin diagram wdd; (0, 0, 0) with zero values and the zero
+    diagram gives the zero record.  It raises InternalConsistencyError when
+    a root of Delta_0 is negative on h (h outside C_l + r), counts the
+    dimension (dimension_of_values) and, at m = 2, runs check_kostant_rallis."""
     if any(values[grading.rs.root_index[b]] < 0 for b in grading.delta0):
         raise InternalConsistencyError(
             f"{grading.describe()}: canonical h = {triple.h!r} left the dominant chamber"
@@ -71,7 +70,7 @@ def orbit_record(grading: ThetaGrading, triple: Sl2Triple, den: int, values) -> 
     dim = dimension_of_values(grading, den, values)
     if grading.m == 2:
         check_kostant_rallis(grading, triple.h, dim, den, values)
-    return OrbitRecord(triple.h, triple.e, triple.f, wdd_of_cartan(grading.rs, den, values), dim)
+    return OrbitRecord(triple.h, triple.e, triple.f, wdd, dim)
 
 
 def dimension_of_values(grading: ThetaGrading, den: int, values) -> int:
@@ -106,19 +105,19 @@ def check_kostant_rallis(grading: ThetaGrading, h: LieElement, dim: int, den: in
 
 
 def listing(grading: ThetaGrading, found) -> list[OrbitRecord]:
-    """One record per orbit from one (triple, den, values) per nonzero
+    """One record per orbit from one (triple, den, values, wdd) per nonzero
     orbit (see orbit_record): the zero record, then the records of the
     triples, lexicographic in the canonical h coordinates.  Two triples with
     one h raise InternalConsistencyError."""
     records = {}
-    for triple, den, values in found:
-        record = orbit_record(grading, triple, den, values)
+    for triple, den, values, wdd in found:
+        record = orbit_record(grading, triple, den, values, wdd)
         if records.setdefault(record.h_key(), record) is not record:
             raise InternalConsistencyError(
                 f"{grading.describe()}: two triples share canonical h = {triple.h!r}"
             )
-    z = grading.alg.zero()
-    zero = orbit_record(grading, Sl2Triple(z, z, z), 1, [0] * grading.alg.n_roots)
+    z, zero_wdd = grading.alg.zero(), WeightedDynkinDiagram((0,) * grading.rs.rank)
+    zero = orbit_record(grading, Sl2Triple(z, z, z), 1, [0] * grading.alg.n_roots, zero_wdd)
     return [zero, *(records[k] for k in sorted(records))]
 
 

@@ -871,13 +871,15 @@ def reference_sl2_label_vectors(alg):
 
 def reference_orbit_record(grading, record):
     """The record of record's triple built from the Fraction h: the integer
-    form of h rebuilt by ChevalleyAlgebra.cartan_values, then
-    records.orbit_record."""
+    form of h rebuilt by ChevalleyAlgebra.cartan_values, the WDD by the
+    chamber walk of records.wdd_of_cartan, then records.orbit_record."""
     from nilorb.chevalley import Sl2Triple
-    from nilorb.records import orbit_record
+    from nilorb.records import orbit_record, wdd_of_cartan
 
     triple = Sl2Triple(record.h, record.e, record.f)
-    return orbit_record(grading, triple, *grading.alg.cartan_values(record.h)[1:])
+    _, den, values = grading.alg.cartan_values(record.h)
+    wdd = wdd_of_cartan(grading.rs, den, values)
+    return orbit_record(grading, triple, den, values, wdd)
 
 
 def reference_wdd_of_cartan(alg, h):

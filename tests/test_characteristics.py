@@ -561,3 +561,63 @@ def test_sweep_merge_counts_match_the_weight_orbits(alg, kd, caplog):
         distinct += images - merged
     if alg.rs.rank == 7:
         assert distinct == 721  # over the 44 nonzero characteristics of E7
+
+
+def _certificate_cases():
+    # the nonzero records of both methods on every G2 grading of orders 2-3
+    # and every F4 grading of order 2, as integers (hnum, den, e, f, fden)
+    for alg, orders in ((G2, (2, 3)), (F4, (2,))):
+        for m in orders:
+            for kd in enumerate_kac_diagrams(alg.rs, m):
+                g = grading_from_kac(alg, kd)
+                for method in ("1", "2"):
+                    for r in classify_orbits(g, method=method, seed=1)[1:]:
+                        hnum, den, _ = alg.cartan_values(r.h)
+                        e, de = linalg.clear_denominators(r.e.coeffs.values())
+                        f, fden = linalg.clear_denominators(r.f.coeffs.values())
+                        assert de == 1
+                        yield alg, hnum, den, dict(zip(r.e.coeffs, e)), dict(zip(r.f.coeffs, f)), fden
+
+
+def test_integer_certificate_passes_the_normal_triples_of_both_methods():
+    cases = list(_certificate_cases())
+    assert len(cases) > 40
+    for alg, hnum, den, e, f, fden in cases:
+        alg.check_sl2(hnum, den, e, f, fden)
+
+
+def test_integer_certificate_rejects_a_wrong_f_e_or_h():
+    for alg, hnum, den, e, f, fden in _certificate_cases():
+        k = min(f)
+        with pytest.raises(ValueError, match=r"\[e,f\] != h"):
+            alg.check_sl2(hnum, den, e, {**f, k: f[k] + 1}, fden)
+        k = min(e)
+        with pytest.raises(ValueError, match=r"\[e,f\] != h"):
+            alg.check_sl2(hnum, den, {**e, k: e[k] + 1}, f, fden)
+        with pytest.raises(ValueError, match=r"\[h,e\] != 2e"):
+            alg.check_sl2([2 * x for x in hnum], den, e, f, fden)
+        with pytest.raises(ValueError):
+            alg.check_sl2([hnum[0] + den, *hnum[1:]], den, e, f, fden)
+        with pytest.raises(ValueError, match="e = 0"):
+            alg.check_sl2(hnum, den, {}, f, fden)
+
+
+def test_normal_triple_raises_when_its_f_fails_the_certificate(monkeypatch):
+    # one wrong coefficient of the solution u makes f wrong: the triple
+    # fails the integer certificate, which names the grading and h
+    from nilorb import InternalConsistencyError
+
+    solve = linalg.rank_and_solve
+
+    def wrong(rows, ncols):
+        rank, sol = solve(rows, ncols)
+        return rank, sol and ([sol[0][0] + 1, *sol[0][1:]], sol[1])
+
+    g = grading_from_kac(G2, KacDiagram.from_labels(G2.rs, (0, 0, 1)))
+    r = classify_orbits(g, method="1")[1]
+    monkeypatch.setattr(linalg, "rank_and_solve", wrong)
+    with pytest.raises(InternalConsistencyError) as err:
+        decide_normal(g, *G2.cartan_values(r.h))
+    message = str(err.value)
+    assert message.startswith("ThetaGrading(G2, m=2) with simple-root degrees 0,1: ")
+    assert f"h = {r.h!r}" in message and message.endswith("fails [e,f] != h")

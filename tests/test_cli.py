@@ -260,6 +260,21 @@ def test_omega_cap_option_is_gone():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["orbits", "--type", "G2", "--kac", "-1,1,1"], "error: Kac labels must be nonnegative\n"),
+        (["nregular", "--type", "G2", "--orders", "-2..5"], "error: order range '-2..5' is empty or starts below 1\n"),
+    ],
+)
+def test_negative_option_value_is_an_error_line(capsys, argv, message):
+    # a value that starts like a negative number reaches nilorb's own check,
+    # as it does when joined to its option by "="
+    for args in (argv, argv[:-2] + ["=".join(argv[-2:])]):
+        code, out, err = run(capsys, args)
+        assert (code, out, err) == (1, "", message)
+
+
 def test_unparsable_kac_is_an_error_line(capsys):
     code, out, err = run(capsys, ["orbits", "--type", "G2", "--kac", "0,0,x"])
     assert code == 1

@@ -380,9 +380,10 @@ def test_orbit_record_is_frozen_and_rejects_h_outside_the_chamber():
 
     g = trivial_grading(A1)
     h, e, f = A1.coroot((1,)), A1.root_vector((1,)), A1.root_vector((-1,))
-    record = orbit_record(g, Sl2Triple(h, e, f), *A1.cartan_values(h)[1:])
+    regular = WeightedDynkinDiagram((2,))
+    record = orbit_record(g, Sl2Triple(h, e, f), *A1.cartan_values(h)[1:], regular)
     assert record.dim == 2
-    assert record.ambient_wdd == WeightedDynkinDiagram((2,))
+    assert record.ambient_wdd == regular
     with pytest.raises(dataclasses.FrozenInstanceError):
         record.dim = 3
     with pytest.raises(
@@ -390,7 +391,7 @@ def test_orbit_record_is_frozen_and_rejects_h_outside_the_chamber():
         match=r"ThetaGrading\(A1, m=1\) with simple-root degrees 0: canonical h = .* "
         "left the dominant chamber",
     ):
-        orbit_record(g, Sl2Triple(h.scale(-1), f, e), *A1.cartan_values(h.scale(-1))[1:])
+        orbit_record(g, Sl2Triple(h.scale(-1), f, e), *A1.cartan_values(h.scale(-1))[1:], regular)
 
 
 def test_listing_rejects_two_triples_with_one_h():
@@ -401,8 +402,8 @@ def test_listing_rejects_two_triples_with_one_h():
 
     g = grading_from_kac(G2, KacDiagram.from_labels(G2.rs, (0, 0, 1)))
     r = classify_orbits(g, method="1")[1]
-    found = (Sl2Triple(r.h, r.e, r.f), *G2.cartan_values(r.h)[1:])
-    assert [x.h for x in listing(g, [found])] == [G2.zero(), r.h]
+    found = (Sl2Triple(r.h, r.e, r.f), *G2.cartan_values(r.h)[1:], r.ambient_wdd)
+    assert listing(g, [found]) == classify_orbits(g, method="1")[:2]
     with pytest.raises(
         InternalConsistencyError,
         match=r"ThetaGrading\(G2, m=2\) with simple-root degrees 0,1: two triples share "
@@ -414,17 +415,19 @@ def test_listing_rejects_two_triples_with_one_h():
 @pytest.mark.parametrize("method", ["1", "2"])
 def test_records_read_the_integers_of_their_own_h(monkeypatch, method):
     # each method hands records.listing the integers it tested with every
-    # triple; they must be den * alpha(h) of the triple's own h, and the
-    # records equal those built from cartan_values(h), the Fraction path;
-    # on m = 2 every record still runs the Kostant-Rallis check
+    # triple, and the WDD it holds; they must be den * alpha(h) of the
+    # triple's own h, and the records equal those built from
+    # cartan_values(h), the Fraction path, with the WDD of the chamber walk
+    # (wdd_of_cartan); on m = 2 every record still runs the Kostant-Rallis
+    # check
     import nilorb.records as records_mod
 
     carried, checked = [], []
     build, check = records_mod.orbit_record, records_mod.check_kostant_rallis
 
-    def recorded(grading, triple, den, values):
+    def recorded(grading, triple, den, values, wdd):
         carried.append((grading, triple, den, values))
-        return build(grading, triple, den, values)
+        return build(grading, triple, den, values, wdd)
 
     def counted(grading, h, dim, den, values):
         checked.append(h)

@@ -58,11 +58,12 @@ def test_benchmark_tracer_installs_on_every_traced_name():
     # flat
     assert called["carrier.completion"] == "9"
     # the integer functions that do the work carry the traced names: the
-    # normality test of each of the 5 distinct flat h, the diagram of each
-    # of the 6 records, one solve per completion and per row of G2's
-    # inverse Cartan matrix, and the kernel of the seed candidates
+    # normality test and the diagram of each of the 5 distinct flat h (the
+    # zero record takes the zero diagram without a walk), one solve per
+    # completion and per row of G2's inverse Cartan matrix, and the kernel
+    # of the seed candidates
     assert called["characteristics.decide_normal"] == "5"
-    assert called["records.wdd_of_cartan"] == "6"
+    assert called["records.wdd_of_cartan"] == "5"
     assert called["linalg.solve"] == "11"
     assert int(called["linalg.nullspace"]) > 0
 
@@ -274,3 +275,25 @@ def test_listing_methods_do_not_rebuild_the_integer_h():
                 ):
                     callers[path.name].add(fn.name)
     assert callers == allowed
+
+
+def test_sweep_neither_rechecks_its_triples_nor_walks_their_diagrams():
+    # the normality test certifies each triple on its integers
+    # (ChevalleyAlgebra.check_sl2), and method 1 hands each record the WDD
+    # of the characteristic it swept: characteristics.py calls neither the
+    # general Sl2Triple.check nor the chamber walk wdd_of_cartan
+    tree = next(tree for path, tree in module_trees() if path.name == "characteristics.py")
+    called = sorted({
+        ast.unparse(node.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).rpartition(".")[2] in ("check", "wdd_of_cartan")
+    })
+    named = sorted({
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == "wdd_of_cartan"
+    })
+    assert called == [] and named == []
