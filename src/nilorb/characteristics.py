@@ -7,8 +7,9 @@ image for membership in a normal sl2-triple (h in g_0, e in g_1, f in
 g_{m-1}) yields one triple per orbit of the theta-group, certified on the
 integers that found it, which records.listing makes the listing with the
 WDD of h.  A graded sl2 multiplicity bound, counted without elimination,
-drops most images before that test.  decide_normal takes h in integers;
-only normal_list and h_from_wdd take or give a Fraction h.
+drops most images before that test.  decide_normal, the one normality
+test of the ambient stage, the sweep and the carrier walk, takes h in
+integers; only normal_list and h_from_wdd take or give a Fraction h.
 """
 
 from __future__ import annotations
@@ -69,35 +70,24 @@ def decide_normal(
     values[i] = den * alpha_i(h) for every root.  A caller that holds a
     Fraction h passes *alg.cartan_values(h).
 
-    The span test of _spanning_eye, then the search of _normal_triple for e
-    in general position and f.  The draws come from h_rng(seed, hnum, den),
-    so scaling (hnum, den, values) by a common factor changes neither the
-    draws nor the triple.
-    """
-    eye = _spanning_eye(grading, hnum, den, values)
-    if eye is None:
-        return None
-    return _normal_triple(grading, eye, hnum, den, values, seed)
-
-
-def _spanning_eye(grading, hnum, den, values) -> list[int] | None:
-    """The roots of g_1(2), in root order, when h lies in [g_1(2), g_{m-1}(-2)],
-    else None; den * h = sum_k hnum[k] h_k and values[i] = den * alpha_i(h).
-
-    Only the alpha = beta pairs of [x_alpha, x_-beta] hit the Cartan, so the
-    test is whether hnum lies in the span of the coroots of these roots.  An
-    empty g_1(2) gives None, for h = 0 too: a normal triple has e != 0.
+    Only the alpha = beta pairs of [x_alpha, x_-beta] hit the Cartan, so h
+    lies in [g_1(2), g_{m-1}(-2)] exactly when hnum lies in the span of the
+    coroots of the roots eye of g_1(2).  An empty g_1(2) gives None, for h =
+    0 too: a normal triple has e != 0.  Past this span test, _normal_triple
+    searches for e in general position and f.  The draws come from
+    h_rng(seed, hnum, den), so scaling (hnum, den, values) by a common
+    factor changes neither the draws nor the triple.
     """
     two = 2 * den
     eye = [i for i in grading.phi1_indices if values[i] == two]
     if not eye or not linalg.in_span([grading.rs.coroot_coords[i] for i in eye], hnum):
         return None
-    return eye
+    return _normal_triple(grading, eye, hnum, den, values, seed)
 
 
 def _normal_triple(grading, eye, hnum, den, values, seed) -> Sl2Triple | None:
     """decide_normal past the span test, for the roots eye of g_1(2)
-    that _spanning_eye returned: den * h = sum_k hnum[k] h_k and values[i] =
+    in root order: den * h = sum_k hnum[k] h_k and values[i] =
     den * alpha_i(h) for every root i.
 
     With eye the roots gamma_t of g_1(2) and e = sum_t c_t x_gamma_t, the
@@ -330,8 +320,8 @@ def _sweep(grading, coset_reps, joined, char, seed) -> list:
     keys every image at once, sliced into one key per w.
     Each new image first meets the graded sl2 bound (_graded_sl2_bound),
     read off w and the roots where h has the value 0 or 2; only an image
-    that passes gets its inverse permutation, its coordinates and the span
-    test of _spanning_eye.  The bound is necessary, so it drops only images
+    that passes gets its inverse permutation, its coordinates and
+    decide_normal.  The bound is necessary, so it drops only images
     that have no triple, and the draws depend on the image alone
     (h_rng): the triples are those of testing every image.
     """
@@ -344,7 +334,7 @@ def _sweep(grading, coset_reps, joined, char, seed) -> list:
     keys = [codes[i : i + l] for i in range(0, len(codes), l)]
     images = dict(zip(keys, coset_reps))
     found = []
-    bounded = spanless = 0
+    bounded = 0
     for w in images.values():
         if not _graded_sl2_bound(grading, w.perm, zero, two):
             bounded += 1
@@ -352,17 +342,14 @@ def _sweep(grading, coset_reps, joined, char, seed) -> list:
         inv = bytes.maketrans(w.perm, ident)[:n_roots]
         hnum = alg.hnum_from_values([vals[i] for i in w.inverse_simple_images()])
         values = [vals[i] for i in inv]
-        eye = _spanning_eye(grading, hnum, den, values)
-        if eye is None:
-            spanless += 1
-            continue
-        triple = _normal_triple(grading, eye, hnum, den, values, seed)
+        triple = decide_normal(grading, hnum, den, values, seed)
         if triple is not None:
             found.append((triple, den, values))
     log.debug(
         "%s, characteristic %r: %d images, %d merged, %d fail the graded sl2 bound, "
-        "%d fail the span test, %d triples",
-        grading, h, len(keys), len(keys) - len(images), bounded, spanless, len(found),
+        "%d normality tests, %d triples",
+        grading, h, len(keys), len(keys) - len(images), bounded,
+        len(images) - bounded, len(found),
     )
     return found
 

@@ -37,7 +37,12 @@ class KacDiagram:
 
     @staticmethod
     def from_labels(rs: RootSystem, labels) -> "KacDiagram":
-        labels = tuple(int(s) for s in labels)
+        """The diagram of integer labels s_0..s_l, one per node of the
+        extended diagram of rs; ValueError for any other labels."""
+        given = tuple(labels)
+        labels = tuple(int(s) for s in given)
+        if labels != given:
+            raise ValueError(f"Kac labels must be integers, got {given}")
         if len(labels) != rs.rank + 1:
             raise ValueError(
                 f"expected {rs.rank + 1} labels for {rs.type_label}{rs.rank}, got {len(labels)}"
@@ -55,9 +60,15 @@ class ThetaGrading:
 
     def __init__(self, alg: ChevalleyAlgebra, m: int, labels):
         """The grading of order m in which the simple root alpha_i has degree
-        labels[i]: deg(sum k_i alpha_i) = sum k_i labels[i] mod m."""
+        labels[i]: deg(sum k_i alpha_i) = sum k_i labels[i] mod m.
+        ValueError unless there is one label per simple root."""
         check_order(m)
         rs = alg.rs
+        labels = tuple(labels)
+        if len(labels) != rs.rank:
+            raise ValueError(
+                f"expected {rs.rank} simple-root degrees for {rs.type_label}{rs.rank}, got {len(labels)}"
+            )
         self.alg = alg
         self.rs = rs
         self.m = m
@@ -106,9 +117,12 @@ class ThetaGrading:
 
 
 def grading_from_kac(alg: ChevalleyAlgebra, kd: KacDiagram) -> ThetaGrading:
-    """Grading of the inner automorphism with the given Kac diagram."""
-    if len(kd.labels) != alg.rs.rank + 1:
-        raise ValueError("Kac diagram rank mismatch")
+    """Grading of the inner automorphism with the given Kac diagram.
+    ValueError unless kd is KacDiagram.from_labels of its labels: one
+    nonnegative integer per node and the order they define."""
+    order = KacDiagram.from_labels(alg.rs, kd.labels).order
+    if order != kd.order:
+        raise ValueError(f"Kac labels {kd.labels} define order {order}, not {kd.order}")
     return ThetaGrading(alg, kd.order, kd.labels[1:])
 
 

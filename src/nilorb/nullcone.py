@@ -1,7 +1,8 @@
 """Nullcone analytics: the choice of listing method, the components and rank
 of a listing (records.listing), and the N-regular automorphism
 of each order (the one whose degree-1 part meets the regular nilpotent
-orbit), found in closed form by grading.nregular_kac_diagram."""
+orbit), found in closed form by grading.nregular_kac_diagram.  The orbit
+dimension of a record is records.orbit_dimension, imported here."""
 
 from __future__ import annotations
 
@@ -9,9 +10,9 @@ from dataclasses import dataclass
 
 from .carrier import classify_by_carriers
 from .characteristics import classify_by_characteristics
-from .chevalley import ChevalleyAlgebra, LieElement
+from .chevalley import ChevalleyAlgebra
 from .grading import KacDiagram, ThetaGrading, grading_from_kac, nregular_kac_diagram
-from .records import InternalConsistencyError, OrbitRecord, dimension_of_values
+from .records import InternalConsistencyError, OrbitRecord, orbit_dimension
 
 # Coset index above which 'auto' picks the carrier walk.  Not derived from
 # data.  In fresh processes (`nilorb nregular --orders k --method 1|2`,
@@ -43,13 +44,6 @@ class NullconeSummary:
     rank: int
     nregular: bool
     very_nregular: bool
-
-
-def orbit_dimension(grading: ThetaGrading, h: LieElement) -> int:
-    """dim [g_0, e] for a normal triple (h, e, f), counted from the integer
-    form of h by records.dimension_of_values, as every record is."""
-    _, den, values = grading.alg.cartan_values(h)
-    return dimension_of_values(grading, den, values)
 
 
 def summarize(grading: ThetaGrading, records: list[OrbitRecord]) -> NullconeSummary:

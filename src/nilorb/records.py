@@ -3,8 +3,9 @@
 Both listing methods end at one normal triple per nonzero orbit, with the
 integer form of h that they tested and its ambient diagram (method 1 swept
 it, method 2 walks wdd_of_cartan); listing makes those the listing, each
-record built complete and frozen by orbit_record from those integers; a
-Fraction h passes *alg.cartan_values(h)[1:]."""
+record built complete and frozen by orbit_record from those integers, its
+dimension counted by orbit_dimension; a Fraction h passes
+*alg.cartan_values(h)[1:]."""
 
 from __future__ import annotations
 
@@ -62,18 +63,18 @@ def orbit_record(grading: ThetaGrading, triple: Sl2Triple, den: int, values, wdd
     of weighted Dynkin diagram wdd; (0, 0, 0) with zero values and the zero
     diagram gives the zero record.  It raises InternalConsistencyError when
     a root of Delta_0 is negative on h (h outside C_l + r), counts the
-    dimension (dimension_of_values) and, at m = 2, runs check_kostant_rallis."""
+    dimension (orbit_dimension) and, at m = 2, runs check_kostant_rallis."""
     if any(values[grading.rs.root_index[b]] < 0 for b in grading.delta0):
         raise InternalConsistencyError(
             f"{grading.describe()}: canonical h = {triple.h!r} left the dominant chamber"
         )
-    dim = dimension_of_values(grading, den, values)
+    dim = orbit_dimension(grading, den, values)
     if grading.m == 2:
         check_kostant_rallis(grading, triple.h, dim, den, values)
     return OrbitRecord(triple.h, triple.e, triple.f, wdd, dim)
 
 
-def dimension_of_values(grading: ThetaGrading, den: int, values) -> int:
+def orbit_dimension(grading: ThetaGrading, den: int, values) -> int:
     """dim [g_0, e], the dimension of the theta-group orbit of e for a normal
     triple (h, e, f), from values[i] = den * alpha_i(h), den > 0.
 

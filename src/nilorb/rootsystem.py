@@ -283,6 +283,20 @@ class RootSystem:
         reflections of the given roots generate."""
         return self.simple_system(r for r in self.subsystem_roots(roots) if self.is_positive(r))
 
+    def check_pi_system(self, basis) -> list[int]:
+        """The root indices of a pi-system basis, in its order.  ValueError
+        unless every element is a root, no difference of two elements is a
+        root and the elements are linearly independent."""
+        basis = [tuple(b) for b in basis]
+        indices = [self._index(b) for b in basis]
+        for k, a in enumerate(basis):
+            for b in basis[:k]:
+                if tuple(x - y for x, y in zip(a, b)) in self.root_index:
+                    raise ValueError(f"basis is not a pi-system: {a} - {b} is a root")
+        if linalg.rank_int(basis) != len(basis):
+            raise ValueError("basis is not a pi-system: its roots are linearly dependent")
+        return indices
+
     def lowest_root_of_subsystem(self, basis) -> Root:
         """Lowest root -theta_B of the subsystem with the connected pi-system
         basis B, by one chamber walk on the integer pairing table.
@@ -293,21 +307,14 @@ class RootSystem:
         it ends at a long root of the subsystem that is dominant for B.
         The subsystem is irreducible (B is connected), and its highest root
         theta_B is its only dominant long root (Bourbaki, Lie groups and Lie
-        algebras VI 1.8, Prop. 25).  ValueError unless B is a set of roots
-        that is linearly independent, connected and with no difference of
-        two roots a root, which makes it a basis of the subsystem it spans
-        (Dynkin).
+        algebras VI 1.8, Prop. 25).  ValueError unless B passes
+        check_pi_system and is connected, which makes it a basis of the
+        subsystem it spans (Dynkin).
         """
         basis = [tuple(b) for b in basis]
-        pairs = [self._coroot_pairs[self._index(b)] for b in basis]
-        if linalg.rank_int(basis) != len(basis):
-            raise ValueError("basis is not linearly independent")
+        pairs = [self._coroot_pairs[i] for i in self.check_pi_system(basis)]
         if len(self.components(basis)) != 1:
             raise ValueError("basis is not connected")
-        for k, a in enumerate(basis):
-            for b in basis[:k]:
-                if tuple(x - y for x, y in zip(a, b)) in self.root_index:
-                    raise ValueError(f"basis is not a pi-system: {a} - {b} is a root")
         r = max(basis, key=self.length2)
         while True:
             for b, p in zip(basis, pairs):

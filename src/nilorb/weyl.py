@@ -33,7 +33,6 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 
-from .linalg import rank_int
 from .rootsystem import RootSystem, root_count
 
 
@@ -144,20 +143,13 @@ class WeylSubgroup:
     def __init__(self, rs: RootSystem, basis):
         check_root_count(rs.type_label, rs.rank)
         basis = tuple(tuple(b) for b in basis)
-        for b in basis:
-            if b not in rs.root_index:
-                raise ValueError(f"{b} is not a root")
-            if not rs.is_positive(b):
+        indices = tuple(rs.check_pi_system(basis))
+        for b, i in zip(basis, indices):
+            if i >= rs.n_pos:
                 raise ValueError(f"subgroup basis root {b} is not positive")
-        for i, a in enumerate(basis):
-            for b in basis[i + 1 :]:
-                if tuple(x - y for x, y in zip(a, b)) in rs.root_index:
-                    raise ValueError(f"basis violates C1: {a} - {b} is a root")
-        if basis and rank_int([list(b) for b in basis]) != len(basis):
-            raise ValueError("basis violates C2: roots are linearly dependent")
         self.rs = rs
         self.basis = basis
-        self.basis_indices = tuple(rs.root_index[b] for b in basis)
+        self.basis_indices = indices
 
     def __repr__(self) -> str:
         return f"WeylSubgroup(basis={list(self.basis)})"

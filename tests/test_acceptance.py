@@ -205,7 +205,8 @@ def test_criterion_6_pisystem_classification():
 
 # case: (types, orders, number of gradings); every grading of E6 and E7 of
 # orders 2-4, the E7 principal grading of order 2 (Kac 0,0,1,0,0,0,0,0)
-# among them
+# among them, and every grading of orders 2-4 of the classical types A5,
+# B3-B5, C3-C5, D4 and D5 (204 gradings)
 CRITERION_7_CASES = {
     "G2-F4-orders-2-6": ([("G", 2), ("F", 4)], range(2, 7), 63),
     "E6-order-2": ([("E", 6)], [2], 3),
@@ -214,6 +215,15 @@ CRITERION_7_CASES = {
     "E7-order-2": ([("E", 7)], [2], 4),
     "E7-order-3": ([("E", 7)], [3], 6),
     "E7-order-4": ([("E", 7)], [4], 15),
+    "A5-orders-2-4": ([("A", 5)], range(2, 5), 27),
+    "B3-orders-2-4": ([("B", 3)], range(2, 5), 18),
+    "B4-orders-2-4": ([("B", 4)], range(2, 5), 25),
+    "B5-orders-2-4": ([("B", 5)], range(2, 5), 33),
+    "C3-orders-2-4": ([("C", 3)], range(2, 5), 15),
+    "C4-orders-2-4": ([("C", 4)], range(2, 5), 21),
+    "C5-orders-2-4": ([("C", 5)], range(2, 5), 25),
+    "D4-orders-2-4": ([("D", 4)], range(2, 5), 15),
+    "D5-orders-2-4": ([("D", 5)], range(2, 5), 25),
 }
 
 

@@ -492,7 +492,7 @@ def test_graded_sl2_bound_accepts_every_normal_h_of_method_2(alg, m):
                 assert graded_sl2_bound_of(g, r.h), (kd.labels, r.h)
 
 
-def test_graded_sl2_bound_rejects_an_h_that_passes_the_span_test():
+def test_graded_sl2_bound_rejects_an_h_that_passes_the_span_test(monkeypatch):
     # B3 with Kac labels 0,0,0,1 (m = 2): a root has degree 1 exactly when
     # its alpha_3 coefficient is odd.  h has the labels (0, 2, 0), so alpha(h)
     # is twice the alpha_2 coefficient of alpha.  g_1(0) is spanned by
@@ -504,10 +504,11 @@ def test_graded_sl2_bound_rejects_an_h_that_passes_the_span_test():
     g = grading_from_kac(b3, KacDiagram.from_labels(b3.rs, (0, 0, 0, 1)))
     h = h_from_wdd(b3, WeightedDynkinDiagram((0, 2, 0)))
     hnum, den, values = b3.cartan_values(h)
-    eye = characteristics._spanning_eye(g, hnum, den, values)
-    assert [b3.rs.roots[i] for i in eye] == [(0, 1, 1), (1, 1, 1)]
+    assert [b3.rs.roots[i] for i in g.phi1_indices if values[i] == 2 * den] == [(0, 1, 1), (1, 1, 1)]
     assert not graded_sl2_bound_of(g, h)
-    assert decide_normal(g, hnum, den, values) is None
+    # decide_normal gets past its span test to the search, which finds no f
+    calls = recorded_completions(monkeypatch, lambda: decide_normal(g, hnum, den, values))
+    assert [(c[0], c[2]) for c in calls] == [(h, None)]
 
 
 def test_sweep_counts_go_to_the_debug_log(caplog, capsys):
@@ -521,13 +522,14 @@ def test_sweep_counts_go_to_the_debug_log(caplog, capsys):
         [int(x.split()[0]) for x in line.split(": ", 1)[1].split(", ")] for line in lines
     ]
     reps = shortest_coset_reps(F4.rs, g.weyl_subgroup())
-    for images, merged, bounded, spanless, triples in counts:
+    for images, merged, bounded, tested, triples in counts:
         assert images == len(reps)
-        assert merged + bounded + spanless + triples <= images
-    # 480 images: 318 merged, 109 fail the bound, 33 the span test, 19 give
-    # a triple, and the one left over has no f (the None completion of
+        assert merged + bounded + tested == images and triples <= tested
+    # 480 images: 318 merged, 109 fail the bound, and decide_normal tests
+    # the other 53: 33 fail its span test, 19 give a triple, and one has no
+    # f (the None completion of
     # test_complete_sl2_matches_dense_reference_on_a_method1_grading)
-    assert [sum(col) for col in zip(*counts)] == [480, 318, 109, 33, 19]
+    assert [sum(col) for col in zip(*counts)] == [480, 318, 109, 53, 19]
     assert len(records) == 20
     assert capsys.readouterr().out == ""
 

@@ -13,7 +13,6 @@ from nilorb import (
     build_root_system,
     classify_nilpotent_g,
     decide_normal,
-    orbit_dimension,
     trivial_grading,
 )
 
@@ -373,10 +372,9 @@ def test_cartan_values_is_the_integer_form_of_a_fraction_h():
 
 def test_cartan_values_rejects_a_non_cartan_element_with_one_message():
     x = A2.cartan([1, 0]) + A2.root_vector((1, 0))
-    grading = trivial_grading(A2)
     for call in (
         lambda: A2.cartan_values(x),
-        lambda: orbit_dimension(grading, x),
+        lambda: A2.complete_sl2(x, A2.root_vector((1, 0)), [A2.root_vector((-1, 0))]),
     ):
         with pytest.raises(ValueError, match="^h must lie in the Cartan subalgebra$"):
             call()

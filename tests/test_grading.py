@@ -18,6 +18,7 @@ from nilorb.grading import MAX_ORDER
 from oracles import component_basis, eigenspace, is_root, semisimple_part_cartan
 
 A1 = build_algebra(build_root_system("A", 1))
+A2 = build_algebra(build_root_system("A", 2))
 A3 = build_algebra(build_root_system("A", 3))
 G2 = build_algebra(build_root_system("G", 2))
 
@@ -31,6 +32,31 @@ def test_kac_diagram_validation():
         KacDiagram.from_labels(A1.rs, (1, 1, 1))
     kd = KacDiagram.from_labels(G2.rs, (0, 0, 1))
     assert kd.order == 2
+
+
+def test_grading_refuses_too_few_simple_root_degrees():
+    with pytest.raises(ValueError, match="expected 2 simple-root degrees for A2, got 1"):
+        ThetaGrading(A2, 3, (1,))
+
+
+def test_grading_refuses_too_many_simple_root_degrees():
+    with pytest.raises(ValueError, match="expected 2 simple-root degrees for A2, got 3"):
+        ThetaGrading(A2, 3, (1, 1, 1))
+
+
+def test_kac_diagram_refuses_labels_that_are_not_integers():
+    with pytest.raises(ValueError, match=r"must be integers, got \(0.5, 1.7, 1\)"):
+        KacDiagram.from_labels(A2.rs, (0.5, 1.7, 1))
+    assert KacDiagram.from_labels(A2.rs, (1.0, 1, 1)) == KacDiagram((1, 1, 1), 3)
+
+
+def test_grading_from_kac_refuses_an_order_its_labels_do_not_define():
+    # labels 1,1,1 of A2 define order 3; order 5 belongs to labels 3,1,1
+    with pytest.raises(ValueError, match=r"Kac labels \(1, 1, 1\) define order 3, not 5"):
+        grading_from_kac(A2, KacDiagram((1, 1, 1), 5))
+    with pytest.raises(ValueError, match="expected 3 labels for A2, got 2"):
+        grading_from_kac(A2, KacDiagram((1, 1), 2))
+    assert grading_from_kac(A2, KacDiagram((1, 1, 1), 3)).m == 3
 
 
 def test_grading_order_is_capped():

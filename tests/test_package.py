@@ -66,6 +66,9 @@ def test_benchmark_tracer_installs_on_every_traced_name():
     assert called["records.wdd_of_cartan"] == "5"
     assert called["linalg.solve"] == "11"
     assert int(called["linalg.nullspace"]) > 0
+    # every record, the zero record too, counts its dimension through the
+    # traced records.orbit_dimension, which nullcone re-exports
+    assert called["nullcone.orbit_dimension"] == "6"
 
 
 def module_trees():
@@ -275,6 +278,41 @@ def test_listing_methods_do_not_rebuild_the_integer_h():
                 ):
                     callers[path.name].add(fn.name)
     assert callers == allowed
+
+
+def test_one_normality_test_and_one_dimension_count():
+    # the ambient stage, the sweep and the carrier walk test normality
+    # through decide_normal, the only code that names its search
+    # _normal_triple; records.orbit_dimension counts every dimension, and
+    # no name of the span test or count it replaced is left as an alias
+    def names(node):
+        return {
+            n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute, ast.FunctionDef, ast.alias))
+        }
+
+    trees = list(module_trees())
+    search = {
+        f"{path.name}: {getattr(node, 'name', None)}"
+        for path, tree in trees
+        for node in tree.body
+        if "_normal_triple" in names(node) and getattr(node, "name", None) != "_normal_triple"
+    }
+    assert search == {"characteristics.py: decide_normal"}
+    callers = {
+        fn.name
+        for _, tree in trees
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Call) and ast.unparse(node.func) == "decide_normal"
+            for node in ast.walk(fn)
+        )
+    }
+    assert {"_sweep", "classify_nilpotent_g", "classify_by_carriers"} <= callers
+    assert not set().union(*(names(tree) for _, tree in trees)) & {"_spanning_eye", "dimension_of_values"}
+    assert nilorb.orbit_dimension is nilorb.nullcone.orbit_dimension is nilorb.records.orbit_dimension
 
 
 def test_sweep_neither_rechecks_its_triples_nor_walks_their_diagrams():

@@ -219,6 +219,15 @@ def test_lowest_root_is_least_height_root_on_every_class_up_to_rank_6():
     assert checked == 826
 
 
+def test_check_pi_system_returns_the_root_indices():
+    b3 = build_root_system("B", 3)
+    basis = [(0, 1, 2), (0, 1, 0)]  # a pi-system of type A1 + A1
+    assert b3.check_pi_system(basis) == [b3.root_index[b] for b in basis]
+    assert b3.check_pi_system([]) == []
+    with pytest.raises(ValueError, match="not a pi-system"):
+        b3.check_pi_system([(0, 1, 0), (1, 1, 0)])  # (1, 1, 0) - (0, 1, 0) is a root
+
+
 def test_components_refuse_a_vector_that_is_not_a_root():
     a2 = build_root_system("A", 2)
     with pytest.raises(ValueError, match="not a root"):
@@ -227,11 +236,11 @@ def test_components_refuse_a_vector_that_is_not_a_root():
 
 def test_lowest_root_rejects_bad_input():
     a2 = build_root_system("A", 2)
-    with pytest.raises(ValueError):
-        a2.lowest_root_of_subsystem([(1, 0), (-1, 0)])  # dependent
+    with pytest.raises(ValueError, match="linearly dependent"):
+        a2.lowest_root_of_subsystem([(1, 0), (-1, 0)])
     a3 = build_root_system("A", 3)
-    with pytest.raises(ValueError):
-        a3.lowest_root_of_subsystem([(1, 0, 0), (0, 0, 1)])  # disconnected
+    with pytest.raises(ValueError, match="not connected"):
+        a3.lowest_root_of_subsystem([(1, 0, 0), (0, 0, 1)])
     with pytest.raises(ValueError, match="not a pi-system"):
         # independent and connected, but (1, 1) - (1, 0) is a root
         a2.lowest_root_of_subsystem([(1, 0), (1, 1)])

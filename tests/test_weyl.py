@@ -474,12 +474,16 @@ def test_conjugacy_classes_search_keeps_and_expands_the_first_item_met():
     assert expanded == [a, b, ()]
 
 def test_subgroup_validation():
-    with pytest.raises(ValueError):
-        WeylSubgroup(A2, [(-1, 0)])  # not positive
-    with pytest.raises(ValueError):
-        WeylSubgroup(A2, [(1, 0), (1, 1)])  # difference is a root
-    with pytest.raises(ValueError):
-        WeylSubgroup(A2, [(1, 0), (0, 2)])  # not a root
+    with pytest.raises(ValueError, match="not positive"):
+        WeylSubgroup(A2, [(-1, 0)])
+    # the pi-system checks are RootSystem.check_pi_system's, as for the
+    # lowest root of a subsystem
+    with pytest.raises(ValueError, match=r"not a pi-system: \(1, 1\) - \(1, 0\) is a root"):
+        WeylSubgroup(A2, [(1, 0), (1, 1)])
+    with pytest.raises(ValueError, match="not a pi-system: its roots are linearly dependent"):
+        WeylSubgroup(A2, [(1, 0), (1, 0)])
+    with pytest.raises(ValueError, match="not a root"):
+        WeylSubgroup(A2, [(1, 0), (0, 2)])
 
 
 def test_group_law_on_all_of_b3():
